@@ -3,10 +3,14 @@
 
 Writes matroids, decompositions, branch-decomposition pairs, parallel
 connection instances, glue triples, 2-sum pairs, and the MSO formula
-collection under corpus/.  Everything is synthesized through the public
-library API; rerunning the script reproduces the files byte for byte.
+collection under corpus/, or under the directory given as the only
+argument.  Everything is synthesized through the public library API;
+rerunning the script reproduces the files byte for byte.
+
+    python3 scripts/build_corpus.py [OUT_DIR]
 """
 
+import argparse
 import pathlib
 import sys
 
@@ -21,7 +25,7 @@ from amwidth.matroid import Matroid
 def write(path, content):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content)
-    print(f"wrote {path.relative_to(ROOT)}")
+    print(f"wrote {path}")
 
 
 def write_json(path, obj):
@@ -42,7 +46,12 @@ def caterpillar(ids):
 
 
 def main():
-    corpus = ROOT / "corpus"
+    parser = argparse.ArgumentParser(description="Regenerate the bundled corpus.")
+    parser.add_argument(
+        "out", nargs="?", type=pathlib.Path, default=ROOT / "corpus",
+        help="output directory (default: corpus/ in the repository)",
+    )
+    corpus = parser.parse_args().out
 
     # ----- matroids ---------------------------------------------------------
     k3 = zoo.triangle(1, 2, 3)

@@ -3,11 +3,15 @@
 The conversion targets matroids given by a GF(p) representation.  Each
 rooted node v gets a glue matroid spanning the three boundary subspaces
 meeting at v (child interfaces plus the interface to the rest of the
-matroid); the glue ground set carries one fresh element per vector of
-that span, so every flat of K(v) is modular and the child boundaries are
-modular semiflats.  Fresh elements are deleted at the highest node whose
-glue span still contains their vector, which empties them out by the
-root.  Original elements enter through one wrapper node per leaf.
+matroid).  Its ground set is the projective geometry on that span: one
+fresh element per 1-dimensional subspace, keyed by the vector whose
+first nonzero coordinate is 1, so a span of dimension d gives
+(p**d - 1)/(p - 1) elements and no loops or parallel pairs.  Every flat
+of a projective geometry is modular, so the child boundaries, which are
+the point sets of subspaces, are modular semiflats.  Fresh elements are
+deleted at the highest node whose glue span still contains their point,
+which empties them out by the root.  Original elements enter through one
+wrapper node per leaf.
 """
 
 from dataclasses import dataclass
@@ -15,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .config import check_cap, table_cap
 from .decomposition import AmalgamDecomposition, DecompositionNode
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .matroid import Matroid
 
 __all__ = ["BranchDecomposition", "branch_width_of", "from_branch_decomposition"]
@@ -163,30 +168,30 @@ class _Converter:
             np.array([self.cols[e] for e in sorted(elems)], dtype=np.int64), self.p
         )
 
-    def fresh(self, vec):
-        key = tuple(int(x) for x in vec)
-        if key not in self.fresh_ids:
-            self.fresh_ids[key] = self.next_id
+    def fresh(self, point):
+        if point not in self.fresh_ids:
+            self.fresh_ids[point] = self.next_id
             self.next_id += 1
-        return self.fresh_ids[key]
+        return self.fresh_ids[point]
+
+    def points(self, span_basis):
+        """Projective points of a span; the cap is checked before enumerating."""
+        count = linalg.point_count(span_basis.shape[0], self.p)
+        check_cap(count, table_cap(), "glue matroid")
+        return linalg.span_vectors(span_basis, self.p)
 
     def glue_matroid(self, span_basis, extra=None):
-        """One element per span vector (fresh ids), plus optional originals."""
+        """One fresh element per projective point of the span, plus originals."""
         columns = {}
         if extra:
             for e in extra:
                 columns[e] = tuple(int(x) for x in self.cols[e])
-        vectors = linalg.span_vectors(span_basis, self.p)
-        if len(vectors) > 1 << 14:
-            raise ResourceError("glue matroid span is too large to enumerate")
-        for v in vectors:
+        for v in self.points(span_basis):
             columns[self.fresh(v)] = v
         return Matroid.from_linear(columns, self.p)
 
     def surplus_ids(self, span_basis):
-        return frozenset(
-            self.fresh(v) for v in linalg.span_vectors(span_basis, self.p)
-        )
+        return frozenset(self.fresh(v) for v in self.points(span_basis))
 
     def new_id(self, prefix):
         self.counter += 1
@@ -296,5 +301,11 @@ def _elements_of(entry):
 
 
 def from_branch_decomposition(m, b):
-    """Amalgam decomposition realizing m, from a branch decomposition of m."""
+    """Amalgam decomposition realizing m, from a branch decomposition of m.
+
+    m needs a GF(p) representation.  Each glue matroid is the projective
+    geometry on a span of boundary subspaces, so a glue span of dimension
+    d costs (p**d - 1)/(p - 1) elements; ResourceError is raised, before
+    any point is enumerated, when that exceeds the rank-table cap.
+    """
     return _Converter(m, b).build()

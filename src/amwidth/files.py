@@ -1,9 +1,9 @@
 """JSON (de)serialization for matroids, decompositions, and branch trees.
 
-Schemas are documented bit-exactly in docs/formats.md.  Loaders validate
-eagerly and raise DomainError with a message naming the offending field;
-writers emit canonical (sorted-key) JSON so identical inputs produce
-byte-identical outputs.
+Loaders validate eagerly, checking explicit rank tables against the rank
+axioms, and raise DomainError with a message naming the offending field
+or subsets; writers emit canonical (sorted-key) JSON so identical inputs
+produce byte-identical outputs.
 """
 
 import json
@@ -91,6 +91,10 @@ def matroid_from_obj(obj):
             table = {}
             for key, value in obj["rank"].items():
                 subset = frozenset(int(x) for x in key.split(",") if x != "")
+                if not 0 <= int(value) <= len(subset):
+                    raise DomainError(
+                        f"rank of {sorted(subset)} must lie between 0 and its size"
+                    )
                 table[subset] = int(value)
 
             def fn(subset):
@@ -100,7 +104,15 @@ def matroid_from_obj(obj):
                     )
                 return table[subset]
 
-            return Matroid.from_rank_function(elements, fn, names=names)
+            m = Matroid.from_rank_function(elements, fn, names=names)
+            bad = m.rank_axiom_violation()
+            if bad is not None:
+                kind, a, b = bad
+                raise DomainError(
+                    f"rank table breaks the {kind} axiom at subsets "
+                    f"{sorted(a)} and {sorted(b)}"
+                )
+            return m
         if "independent_sets" in obj:
             sets = [[int(x) for x in s] for s in obj["independent_sets"]]
             return Matroid.from_independent_sets(elements, sets, names=names)

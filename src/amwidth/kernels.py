@@ -10,8 +10,8 @@ implementations:
   in the environment (also used automatically when numba is missing).
 
 Both variants of every kernel are importable (``py_kernels`` /
-``nb_kernels``) so the benchmark in ``benchmarks/bench_kernels.py`` can
-compare them; the module-level names dispatch to the active variant.
+``nb_kernels``) so the tests can compare them; the module-level names
+dispatch to the active variant.
 Rank tables are ``int8`` arrays of length ``2**n``; subset masks use the
 ground-set position order of the owning matroid.
 """

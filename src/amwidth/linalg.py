@@ -119,24 +119,26 @@ def nullspace(mat, p):
     return basis
 
 
-def span_vectors(basis, p):
-    """All p**dim vectors of the row space, zero vector first, as tuples.
+def point_count(dim, p):
+    """Number of 1-dimensional subspaces of GF(p)**dim: (p**dim - 1)/(p - 1)."""
+    return (p**dim - 1) // (p - 1)
 
-    Order is deterministic: lexicographic in the coefficient tuples.
+
+def span_vectors(basis, p):
+    """The projective points of the row space of a basis, as tuples.
+
+    One nonzero vector per 1-dimensional subspace, scaled so that its
+    first nonzero coordinate is 1: ``point_count(dim, p)`` vectors for a
+    basis of ``dim`` independent rows, and none for the zero space.
+    Order is deterministic: lexicographic in the coefficient tuples over
+    the basis rows, taking those whose first nonzero entry is 1.
     """
     dim = basis.shape[0]
-    width = basis.shape[1]
     out = []
-    for coeffs in product(range(p), repeat=dim):
-        v = np.zeros(width, dtype=np.int64)
-        for c, row in zip(coeffs, basis):
-            if c:
-                v = (v + c * row) % p
-        out.append(tuple(int(x) for x in v))
-    seen = set()
-    uniq = []
-    for v in out:
-        if v not in seen:
-            seen.add(v)
-            uniq.append(v)
-    return uniq
+    for lead in reversed(range(dim)):
+        for tail in product(range(p), repeat=dim - lead - 1):
+            coeffs = (0,) * lead + (1,) + tail
+            v = (np.array(coeffs, dtype=np.int64) @ basis) % p
+            scale = inverse_mod(next(int(x) for x in v if x), p)
+            out.append(tuple(int(x) * scale % p for x in v))
+    return out

@@ -3,7 +3,7 @@
 ASCII aliases: forall, exists, &, |, !, ->, in, cl, indep, = and the set
 terms ``T \\ {e}`` / ``T + {e}``; the unicode forms of the connectives
 are accepted too.  ``is_circuit``, ``is_base`` and ``spanning`` expand to
-their definitions at parse time.  Grammar reference: docs/mso-grammar.md.
+their definitions at parse time.
 """
 
 from ..errors import FormulaSyntaxError

@@ -108,7 +108,11 @@ def triangle_chain(n, pad=0, prefix="t"):
     """
     if n < 1:
         raise ValueError("need at least one triangle")
-    p = lambda i: 1000 + i
+    # c/d ids stay below 2n + 2, so the p and pad ids start above them;
+    # for n < 500 these are the fixed bases 1000 and 5000.
+    base = max(1000, 2 * n + 2)
+    pad_base = max(5000, base + n)
+    p = lambda i: base + i
     c = lambda i: 2 * i
     d = lambda i: 2 * i + 1
     tb = TreeBuilder(prefix)
@@ -123,8 +127,8 @@ def triangle_chain(n, pad=0, prefix="t"):
         deletions = {p(i)}
         if pad and i == max(1, n // 2):
             for extra in range(pad):
-                edges[5000 + extra] = (1, 2)
-                deletions.add(5000 + extra)
+                edges[pad_base + extra] = (1, 2)
+                deletions.add(pad_base + extra)
         glue_m = Matroid.from_graph(edges)
         top = tb.glue(tb.leaf(Matroid.single(c(i))), top, glue_m, deletions)
     return tb.done(top)

@@ -1,5 +1,8 @@
 """Branch decompositions and the conversion to amalgam decompositions."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from amwidth import files, zoo
@@ -10,6 +13,7 @@ from amwidth.branch import (
 )
 from amwidth.errors import DomainError
 from amwidth.matroid import Matroid
+from amwidth.tutte import tutte_bruteforce, tutte_decomposition
 
 
 def caterpillar(ids):
@@ -27,6 +31,16 @@ def caterpillar(ids):
     edges.append((f"l{n-1}", f"i{n-3}"))
     leaves[f"l{n-1}"] = ids[n - 1]
     return BranchDecomposition.build(edges, leaves)
+
+
+def assert_fresh_points_simple(tree, m):
+    """No glue matroid has a loop or a parallel pair among its fresh elements."""
+    for node in tree.nodes.values():
+        fresh = sorted(node.K.ground_set - m.ground_set)
+        for e in fresh:
+            assert node.K.rank([e]) == 1, (node.nid, e)
+        for e, f in combinations(fresh, 2):
+            assert node.K.rank([e, f]) == 2, (node.nid, e, f)
 
 
 def test_branch_width_free_matroid():
@@ -86,8 +100,10 @@ def test_corpus_conversions(corpus_dir):
         assert report.ok, f"{name}: {report}"
         realized = tree.realize()
         assert realized.rank_equal(m), name
-        bound = m.linear.field ** ((3 * k) // 2)
+        p = m.linear.field
+        bound = (p ** ((3 * k) // 2) - 1) // (p - 1)
         assert tree.width() <= bound, (name, tree.width(), bound)
+        assert_fresh_points_simple(tree, m)
         seen += 1
     assert seen >= 5
 
@@ -97,7 +113,7 @@ def test_conversion_width1_bound(corpus_dir):
     b = files.load_branch(corpus_dir / "branch" / "loops-gf2.branch.json")
     assert branch_width_of(m, b) == 1
     tree = from_branch_decomposition(m, b)
-    assert tree.width() <= m.linear.field
+    assert tree.width() == 1
 
 
 def test_conversion_two_elements():
@@ -124,3 +140,42 @@ def test_conversion_parallel_and_interaction():
     tree = from_branch_decomposition(m, b)
     assert tree.validate().ok
     assert tree.realize().rank_equal(m)
+
+
+def test_gf3_rank3_caterpillar_dp_matches_bruteforce():
+    # Seeded 7-element GF(3) matroids of rank 3, half the columns multiples
+    # of earlier ones; the first draw whose glue spans are at most planes
+    # (4 points) runs the DP, which takes minutes at width 13.
+    rng = random.Random(0)
+    while True:
+        cols = {}
+        for e in range(1, 8):
+            if cols and rng.random() < 0.5:
+                scale = rng.randrange(1, 3)
+                cols[e] = tuple(scale * x % 3 for x in cols[rng.choice(list(cols))])
+                continue
+            v = (0, 0, 0)
+            while not any(v):
+                v = tuple(rng.randrange(3) for _ in range(3))
+            cols[e] = v
+        ids = list(cols)
+        rng.shuffle(ids)
+        m = Matroid.from_linear(cols, 3)
+        tree = from_branch_decomposition(m, caterpillar(ids))
+        if m.rank() == 3 and tree.width() <= 4:
+            break
+    assert tree.validate().ok
+    assert_fresh_points_simple(tree, m)
+    assert tutte_decomposition(tree) == tutte_bruteforce(m)
+
+
+def test_conversion_gf3_dimension3_span():
+    # six points in general position in GF(3)^3: the caterpillar has a
+    # 3-dimensional glue span, i.e. a 13-point projective plane
+    cols = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1), 4: (1, 1, 1), 5: (1, 2, 0), 6: (0, 1, 2)}
+    m = Matroid.from_linear(cols, 3)
+    tree = from_branch_decomposition(m, caterpillar(range(1, 7)))
+    assert tree.width() == 13
+    assert tree.validate().ok
+    assert tree.realize().rank_equal(m)
+    assert_fresh_points_simple(tree, m)

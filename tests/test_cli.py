@@ -1,0 +1,67 @@
+"""Command-line exit codes on malformed or oversized inputs."""
+
+import json
+
+from amwidth import cli, files, linalg
+from amwidth.config import table_cap
+
+from test_branch import caterpillar
+
+
+def _write(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_explicit_rank_table_checked(tmp_path, capsys):
+    # r({1,2}) = 0 below r({1}) = 1: not a matroid
+    path = _write(
+        tmp_path / "bad.json",
+        {"type": "explicit", "elements": [1, 2], "rank": {"": 0, "1": 1, "2": 1, "1,2": 0}},
+    )
+    for argv in (["info", "-m", path], ["tutte", "--brute", "-m", path]):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: rank table breaks the unit-increase axiom")
+        assert "[2] and [1, 2]" in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_explicit_rank_out_of_range(tmp_path, capsys):
+    path = _write(
+        tmp_path / "big.json",
+        {"type": "explicit", "elements": [1], "rank": {"": 0, "1": 300}},
+    )
+    assert cli.main(["info", "-m", path]) == 1
+    assert "rank of [1] must lie between 0 and its size" in capsys.readouterr().err
+
+
+def test_explicit_rank_table_accepted(tmp_path, capsys):
+    path = _write(
+        tmp_path / "u12.json",
+        {"type": "explicit", "elements": [1, 2], "rank": {"": 0, "1": 1, "2": 1, "1,2": 1}},
+    )
+    assert cli.main(["info", "-m", path]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 1
+
+
+def test_convert_caps_glue_span_before_enumerating(tmp_path, capsys, monkeypatch):
+    # six points in general position in GF(7)^3: a 3-dimensional glue span
+    # has 57 projective points, over the rank-table cap
+    cols = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1), 4: (1, 1, 1), 5: (1, 2, 3), 6: (1, 4, 2)}
+    mpath = _write(tmp_path / "m.json", {"type": "linear", "field": 7, "columns": cols})
+    bpath = _write(tmp_path / "b.json", files.branch_to_obj(caterpillar(range(1, 7))))
+    enumerated = []
+    original = linalg.span_vectors
+
+    def recording(basis, p):
+        enumerated.append(linalg.point_count(basis.shape[0], p))
+        return original(basis, p)
+
+    monkeypatch.setattr(linalg, "span_vectors", recording)
+    assert cli.main(["convert", "-m", mpath, "-b", bpath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: glue matroid")
+    assert "got 57" in err
+    assert max(enumerated, default=0) <= table_cap()

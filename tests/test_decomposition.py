@@ -101,6 +101,12 @@ def test_width_examples():
     assert zoo.comb(Matroid.uniform(2, [1, 2, 3, 4])).width() == 4
 
 
+def test_triangle_chain_ids_collision_free_at_500():
+    tree = zoo.triangle_chain(500)
+    assert tree.validate().ok
+    assert len(tree.ground()) == 502
+
+
 def test_realize_respects_cap():
     tree = zoo.triangle_chain(20)
     assert tree.validate().ok  # validation scales past the realize cap
