@@ -14,6 +14,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import files
 from .branch import branch_width_of, from_branch_decomposition
 from .errors import DomainError, ResourceError
@@ -53,10 +55,8 @@ def _cmd_info(args):
         out["circuits"] = sorted(sorted(c) for c in m.circuits())
     except ResourceError:
         out["circuits"] = None
-    flats = {}
-    for mask in m.flat_masks():
-        flats[int(m.rank_mask(int(mask)))] = flats.get(int(m.rank_mask(int(mask))), 0) + 1
-    out["flats_by_rank"] = {str(k): v for k, v in sorted(flats.items())}
+    flats = np.bincount(m.table[m.flat_masks()])
+    out["flats_by_rank"] = {str(k): int(v) for k, v in enumerate(flats) if v}
     _emit(out, [f"rank {out['rank']}, {out['size']} elements"], args.pretty)
     return 0
 

@@ -64,38 +64,73 @@ def matroid_to_obj(m):
     return out
 
 
+def _int(value, what):
+    """An integer field: a JSON integer or a string holding one."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
+def _ints(values, what):
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f"{what} must be a list, got {values!r}")
+    return [_int(x, what) for x in values]
+
+
+def _dict(value, what):
+    if not isinstance(value, dict):
+        raise DomainError(f"{what} must be an object, got {value!r}")
+    return value
+
+
 def matroid_from_obj(obj):
     if not isinstance(obj, dict) or "type" not in obj:
         raise DomainError("matroid object needs a 'type' field")
-    names = {int(k): str(v) for k, v in obj.get("names", {}).items()}
+    names = obj.get("names", {})
+    names = {_int(k, "names key"): str(v) for k, v in _dict(names, "names").items()}
     kind = obj["type"]
     if kind == "linear":
         if "field" not in obj or "columns" not in obj:
             raise DomainError("linear matroid needs 'field' and 'columns'")
-        columns = {int(e): tuple(v) for e, v in obj["columns"].items()}
-        return Matroid.from_linear(columns, int(obj["field"]), names=names)
+        columns = {
+            _int(e, "column id"): tuple(_ints(v, f"residues of column {e!r}"))
+            for e, v in _dict(obj["columns"], "columns").items()
+        }
+        return Matroid.from_linear(columns, _int(obj["field"], "field"), names=names)
     if kind == "graphic":
         if "edges" not in obj:
             raise DomainError("graphic matroid needs 'edges'")
         edges = {}
-        for e, uv in obj["edges"].items():
+        for e, uv in _dict(obj["edges"], "edges").items():
             if not isinstance(uv, (list, tuple)) or len(uv) != 2:
                 raise DomainError(f"edge {e!r} must be a pair of vertices")
-            edges[int(e)] = (uv[0], uv[1])
+            edges[_int(e, "edge id")] = (uv[0], uv[1])
+        ends = [v for uv in edges.values() for v in uv]
+        if not (
+            all(type(v) is int for v in ends) or all(type(v) is str for v in ends)
+        ):
+            raise DomainError("graphic endpoints must be all integers or all strings")
         return Matroid.from_graph(edges, names=names)
     if kind == "explicit":
         if "elements" not in obj:
             raise DomainError("explicit matroid needs 'elements'")
-        elements = [int(e) for e in obj["elements"]]
+        elements = _ints(obj["elements"], "element id")
         if "rank" in obj:
             table = {}
-            for key, value in obj["rank"].items():
-                subset = frozenset(int(x) for x in key.split(",") if x != "")
-                if not 0 <= int(value) <= len(subset):
+            for key, value in _dict(obj["rank"], "rank").items():
+                ids = [x for x in key.split(",") if x != ""]
+                subset = frozenset(_ints(ids, "element id"))
+                value = _int(value, f"rank of {key!r}")
+                if not 0 <= value <= len(subset):
                     raise DomainError(
                         f"rank of {sorted(subset)} must lie between 0 and its size"
                     )
-                table[subset] = int(value)
+                table[subset] = value
 
             def fn(subset):
                 if subset not in table:
@@ -114,7 +149,10 @@ def matroid_from_obj(obj):
                 )
             return m
         if "independent_sets" in obj:
-            sets = [[int(x) for x in s] for s in obj["independent_sets"]]
+            sets = obj["independent_sets"]
+            if not isinstance(sets, list):
+                raise DomainError(f"independent_sets must be a list, got {sets!r}")
+            sets = [_ints(s, "independent set") for s in sets]
             return Matroid.from_independent_sets(elements, sets, names=names)
         raise DomainError("explicit matroid needs 'rank' or 'independent_sets'")
     raise DomainError(f"unknown matroid type {kind!r}")
@@ -139,20 +177,20 @@ def decomposition_from_obj(obj):
     if not isinstance(obj, dict) or "nodes" not in obj or "root" not in obj:
         raise DomainError("decomposition object needs 'nodes' and 'root'")
     nodes = []
-    for nid, entry in obj["nodes"].items():
-        if "K" not in entry:
+    for nid, entry in _dict(obj["nodes"], "nodes").items():
+        if "K" not in _dict(entry, f"node {nid!r}"):
             raise DomainError(f"node {nid!r} is missing its glue matroid K")
         children = entry.get("children", [])
-        if len(children) not in (0, 2):
+        if not isinstance(children, list) or len(children) not in (0, 2):
             raise DomainError(f"node {nid!r} must have zero or two children")
         nodes.append(
             DecompositionNode(
                 nid=str(nid),
                 children=tuple(str(c) for c in children),
                 K=matroid_from_obj(entry["K"]),
-                J1=frozenset(int(x) for x in entry.get("J1", [])),
-                J2=frozenset(int(x) for x in entry.get("J2", [])),
-                D=frozenset(int(x) for x in entry.get("D", [])),
+                J1=frozenset(_ints(entry.get("J1", []), f"J1 of node {nid!r}")),
+                J2=frozenset(_ints(entry.get("J2", []), f"J2 of node {nid!r}")),
+                D=frozenset(_ints(entry.get("D", []), f"D of node {nid!r}")),
             )
         )
     return AmalgamDecomposition(nodes, str(obj["root"]))
@@ -173,7 +211,11 @@ def branch_from_obj(obj):
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise DomainError("tree entries must be node pairs")
         edges.append((e[0], e[1]))
-    return BranchDecomposition.build(edges, obj["leaf_labels"])
+    labels = {
+        k: _int(v, f"label of leaf {k!r}")
+        for k, v in _dict(obj["leaf_labels"], "leaf_labels").items()
+    }
+    return BranchDecomposition.build(edges, labels)
 
 
 def _load(path):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from amwidth import cli, files, linalg
 from amwidth.config import table_cap
 
@@ -65,3 +67,79 @@ def test_convert_caps_glue_span_before_enumerating(tmp_path, capsys, monkeypatch
     assert err.startswith("resource error: glue matroid")
     assert "got 57" in err
     assert max(enumerated, default=0) <= table_cap()
+
+
+def _chain_decomposition(**node_fields):
+    """Two single-element leaves glued along a triangle; fields override the root."""
+    leaf = {"children": [], "K": {"type": "explicit", "elements": [1], "rank": {"": 0, "1": 1}}}
+    root = {
+        "children": ["a", "b"],
+        "K": {"type": "graphic", "edges": {"1": [0, 1], "2": [1, 2], "3": [0, 2]}},
+        "J1": [1],
+        "J2": [2],
+        "D": [1, 2],
+    }
+    root.update(node_fields)
+    other = dict(leaf, K=dict(leaf["K"], elements=[2], rank={"": 0, "2": 1}))
+    return {"root": "r", "nodes": {"r": root, "a": leaf, "b": other}}
+
+
+MALFORMED_MATROIDS = {
+    "rank value": ({"type": "explicit", "elements": [1], "rank": {"": 0, "1": "x"}}, "rank of '1'"),
+    "rank key": ({"type": "explicit", "elements": [1], "rank": {"": 0, "a": 1}}, "element id"),
+    "element": ({"type": "explicit", "elements": [[1]], "rank": {"": 0}}, "element id"),
+    "column id": ({"type": "linear", "field": 2, "columns": {"a": [1, 0]}}, "column id"),
+    "residue": ({"type": "linear", "field": 3, "columns": {"1": [1, "q"]}}, "residues of column"),
+    "residues": ({"type": "linear", "field": 3, "columns": {"1": 5}}, "residues of column"),
+    "field": ({"type": "linear", "field": 2.5, "columns": {"1": [1]}}, "field"),
+    "endpoints": ({"type": "graphic", "edges": {"1": [1, "x"], "2": [0, 1]}}, "endpoints"),
+    "edge id": ({"type": "graphic", "edges": {"e": [0, 1]}}, "edge id"),
+    "names": ({"type": "graphic", "edges": {"1": [0, 1]}, "names": {"x": "a"}}, "names key"),
+    "sets": (
+        {"type": "explicit", "elements": [1], "independent_sets": [["one"]]},
+        "independent set",
+    ),
+    "set list": (
+        {"type": "explicit", "elements": [1], "independent_sets": 5},
+        "independent_sets must be a list",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MATROIDS))
+def test_malformed_matroid_file_exits_1(tmp_path, capsys, case):
+    obj, field = MALFORMED_MATROIDS[case]
+    path = _write(tmp_path / "m.json", obj)
+    for argv in (["info", "-m", path], ["tutte", "--brute", "-m", path]):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fields,field",
+    [
+        ({"J1": ["x"]}, "J1 of node 'r'"),
+        ({"J2": 2}, "J2 of node 'r'"),
+        ({"D": [1, None]}, "D of node 'r'"),
+        ({"children": "ab"}, "zero or two children"),
+    ],
+)
+def test_malformed_decomposition_file_exits_1(tmp_path, capsys, fields, field):
+    good = _write(tmp_path / "good.json", _chain_decomposition())
+    assert cli.main(["validate", "-d", good]) == 0
+    capsys.readouterr()
+    path = _write(tmp_path / "d.json", _chain_decomposition(**fields))
+    assert cli.main(["validate", "-d", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+    assert "Traceback" not in err
+
+
+def test_graphic_string_endpoints_accepted(tmp_path, capsys):
+    path = _write(
+        tmp_path / "g.json", {"type": "graphic", "edges": {"1": ["a", "b"], "2": ["b", "c"]}}
+    )
+    assert cli.main(["info", "-m", path]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 2

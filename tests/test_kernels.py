@@ -1,23 +1,89 @@
-"""Kernel correctness and numba/numpy agreement."""
+"""Kernel correctness against the brute-force oracles.
+
+The rank tables are checked on every subset of small seeded inputs:
+GF(p) matrices (zero, repeated and scaled columns, more rows than
+columns) against coefficient enumeration, and multigraphs (loops,
+parallel edges, several components, perfect matchings) against DFS
+cycle detection and against GF(2) vertex-edge incidence.  Splitting the
+GF(p) table on its top element, which the kernel does once the reduced
+bases would exceed ``GF_BASIS_BUDGET``, is tested at full size on a
+16 x 16 GF(2) matrix and on small inputs under a budget shrunk to zero.
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from amwidth import kernels
+from amwidth import kernels, linalg
 
 import oracles
 
 
-def all_impls():
-    impls = [("py", kernels.py_kernels)]
-    if kernels.nb_kernels is not None:
-        impls.append(("nb", kernels.nb_kernels))
-    return impls
-
-
-@pytest.fixture(params=all_impls(), ids=lambda p: p[0])
+# the numpy kernels, under the test id ``py``
+@pytest.fixture(params=[kernels], ids=["py"])
 def impl(request):
-    return request.param[1]
+    return request.param
+
+
+def _oracle_table(independent, n):
+    """Rank of every mask as its largest independent submask, by enumeration."""
+    ind = [independent([e for e in range(n) if m >> e & 1]) for m in range(1 << n)]
+    return [
+        max(bin(s).count("1") for s in range(1 << n) if s & m == s and ind[s])
+        for m in range(1 << n)
+    ]
+
+
+def _random_columns(rng, p, n, d):
+    cols = rng.integers(0, p, size=(d, n))
+    if n >= 2:
+        cols[:, 1] = cols[:, 0] * int(rng.integers(1, p)) % p  # parallel pair
+    if n >= 3:
+        cols[:, 2] = 0  # loop
+    return cols
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gf_rank_table_vs_rref(p):
+    # rank well below n: most masks insert into a basis that needs reducing
+    rng = np.random.default_rng(10 + p)
+    for d in range(2, 7):
+        cols = rng.integers(0, p, size=(d, 9))
+        tbl = kernels.gf_rank_table(cols, p)
+        for mask in range(1 << 9):
+            sub = cols[:, [e for e in range(9) if mask >> e & 1]]
+            assert int(tbl[mask]) == linalg.rank(sub, p), (cols, mask)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gf_rank_table_split_matches_layers(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    for n, d in ((8, 2), (8, 3), (8, 5), (8, 8), (6, 9)):
+        cols = _random_columns(rng, p, n, d)
+        layered = kernels.gf_rank_table(cols, p)
+        monkeypatch.setattr(kernels, "GF_BASIS_BUDGET", 0)
+        assert np.array_equal(kernels.gf_rank_table(cols, p), layered)
+        monkeypatch.undo()
+
+
+def test_gf2_rank_table_16_split_in_budget():
+    rng = np.random.default_rng(16)
+    cols = np.triu(rng.integers(0, 2, size=(16, 16)), 1) + np.eye(16, dtype=np.int64)
+    cols = cols[:, rng.permutation(16)]
+    assert (1 << 16) * 16 * 16 > kernels.GF_BASIS_BUDGET  # forces the split
+    tracemalloc.start()
+    try:
+        tbl = kernels.gf_rank_table(cols, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert int(tbl[-1]) == 16
+    assert kernels.check_rank_axioms(tbl, 16) == (0, 0, 0)
+    for mask in rng.integers(0, 1 << 16, size=100).tolist():
+        sub = cols[:, [e for e in range(16) if mask >> e & 1]]
+        assert int(tbl[mask]) == linalg.rank(sub, 2), mask
 
 
 def test_popcounts():
@@ -36,6 +102,34 @@ def test_gf_rank_table_vs_enumeration(impl):
             lambda s: oracles.gf_independent(cols, p, s), subset
         )
         assert int(tbl[mask]) == want, (mask, subset)
+    # seeded matrices with d = 0..8 rows; n is capped per field so that
+    # coefficient enumeration stays quick
+    for p, n_max in ((2, 6), (3, 6), (5, 5), (7, 4)):
+        rng = np.random.default_rng(p)
+        for d in range(9):
+            for n in (3, n_max):
+                mat = _random_columns(rng, p, n, d)
+                cols = {e: tuple(int(x) for x in mat[:, e]) for e in range(n)}
+                want = _oracle_table(lambda s: oracles.gf_independent(cols, p, s), n)
+                assert impl.gf_rank_table(mat, p).tolist() == want, mat
+
+
+# multigraphs: (edges as (u, v) pairs, vertex count)
+GRAPHS = [
+    ([(0, 1), (1, 2), (0, 2), (2, 2), (0, 1)], 3),  # triangle, loop, parallel edge
+    ([(0, 0), (1, 1), (0, 0)], 2),  # loops only
+    ([(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (5, 6)], 7),  # three components
+    ([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13)], 14),  # matching
+    ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (1, 3)], 5),  # K4+, isolated 4
+]
+
+
+def _incidence(edges, nv):
+    inc = np.zeros((nv, len(edges)), dtype=np.int64)
+    for e, (u, v) in enumerate(edges):
+        inc[u, e] ^= 1
+        inc[v, e] ^= 1
+    return inc
 
 
 def test_graphic_rank_table_vs_dfs(impl):
@@ -49,20 +143,28 @@ def test_graphic_rank_table_vs_dfs(impl):
             lambda s: oracles.graphic_independent(edges, s), subset
         )
         assert int(tbl[mask]) == want
+    for edges, nv in GRAPHS:
+        eu, ev = np.array(edges, dtype=np.int64).T
+        independent = lambda s: oracles.graphic_independent(dict(enumerate(edges)), s)
+        want = _oracle_table(independent, len(edges))
+        assert impl.graphic_rank_table(eu, ev, nv).tolist() == want, edges
 
 
 def test_graphic_equals_gf2_incidence(impl):
     # cycle matroids are binary: vertex-edge incidence over GF(2)
-    edges = {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (0, 3), 4: (0, 2)}
-    eu = np.array([edges[e][0] for e in range(5)], dtype=np.int64)
-    ev = np.array([edges[e][1] for e in range(5)], dtype=np.int64)
-    inc = np.zeros((4, 5), dtype=np.int64)
-    for e, (u, v) in edges.items():
-        inc[u, e] ^= 1
-        inc[v, e] ^= 1
-    assert np.array_equal(
-        impl.graphic_rank_table(eu, ev, 4), impl.gf_rank_table(inc, 2)
-    )
+    rng = np.random.default_rng(12)
+    graphs = GRAPHS + [
+        ([(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], 4),
+        (rng.integers(0, 6, size=(12, 2)).tolist(), 8),  # parallel edges, loops likely
+        ([(2 * i, 2 * i + 1) for i in range(12)], 24),  # perfect matching, r = n = 12
+        ([(i, i + 1) for i in range(5)] + [(i, i + 1) for i in range(6, 11)]
+         + [(0, 0), (6, 11)], 12),  # a path and a cycle, a loop
+    ]
+    for edges, nv in graphs:
+        eu, ev = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        assert np.array_equal(
+            impl.graphic_rank_table(eu, ev, nv), impl.gf_rank_table(_incidence(edges, nv), 2)
+        ), edges
 
 
 def test_rank_table_from_independence(impl):
@@ -128,49 +230,3 @@ def test_whitney_counts(impl):
     # 4 triples (0,1), 1 full (0,2)
     assert counts[2][0] == 1 and counts[1][0] == 4 and counts[0][0] == 6
     assert counts[0][1] == 4 and counts[0][2] == 1
-
-
-@pytest.mark.skipif(kernels.nb_kernels is None, reason="numba unavailable")
-@pytest.mark.parametrize("name", sorted(vars(kernels.py_kernels)))
-def test_numba_matches_numpy(name):
-    rng = np.random.default_rng(5)
-    py = getattr(kernels.py_kernels, name)
-    nb = getattr(kernels.nb_kernels, name)
-    if name == "gf_rank_table":
-        cols = rng.integers(0, 5, size=(4, 7))
-        assert np.array_equal(py(cols, 5), nb(cols, 5))
-    elif name == "graphic_rank_table":
-        eu = rng.integers(0, 5, size=8)
-        ev = rng.integers(0, 5, size=8)
-        assert np.array_equal(py(eu, ev, 5), nb(eu, ev, 5))
-    elif name == "rank_table_from_independence":
-        tbl = rng.integers(0, 4, size=(3, 7)) % 2
-        ind = np.array(
-            [
-                oracles.gf_independent(
-                    {e: tuple(tbl[:, e]) for e in range(7)},
-                    2,
-                    [e for e in range(7) if m >> e & 1],
-                )
-                for m in range(1 << 7)
-            ]
-        )
-        assert np.array_equal(py(ind), nb(ind))
-    elif name in ("closure_table", "check_rank_axioms", "whitney_counts"):
-        base = np.minimum(kernels.popcounts(6), 3)
-        if name == "check_rank_axioms":
-            assert py(base, 6) == tuple(nb(base, 6))
-        else:
-            assert np.array_equal(py(base, 6), nb(base, 6))
-    elif name == "superset_min":
-        vals = rng.integers(0, 50, size=1 << 6)
-        assert np.array_equal(py(vals, 6), nb(vals, 6))
-    elif name == "subset_any":
-        flags = rng.random(1 << 6) < 0.1
-        assert np.array_equal(py(flags, 6), nb(flags, 6))
-    elif name == "translate_all_masks":
-        bitmap = rng.permutation(6).astype(np.int64)
-        bitmap[0] = -1
-        assert np.array_equal(py(6, bitmap), nb(6, bitmap))
-    else:
-        pytest.fail(f"no comparison for kernel {name}")
