@@ -10,7 +10,7 @@ oracle.  Tests cross-check them subset-for-subset.
 import numpy as np
 
 from . import kernels
-from .config import FLATS_CAP, ZETA_CAP, check_cap, table_cap
+from .config import FLATS_CAP, ZETA_CAP, check_cap
 from .errors import DomainError, GluePreconditionError, NoProperAmalgamError
 from .matroid import Matroid, restrictions_equal
 
@@ -30,7 +30,7 @@ __all__ = [
 
 def is_modular_flat(m, subset):
     """Whether the flat ``subset`` pairs modularly with every flat of ``m``."""
-    check_cap(m.size, FLATS_CAP, "flat enumeration")
+    check_cap(m.size, "flat enumeration", FLATS_CAP)
     x = m.mask_of(subset)
     if int(m.closure_table()[x]) != x:
         raise DomainError("the given set is not a flat")
@@ -75,7 +75,7 @@ class _Union:
             e for e in m2.elements if e not in m1._index
         ]
         self.n = len(self.elements)
-        check_cap(self.n, cap if cap is not None else table_cap(), "amalgam table")
+        check_cap(self.n, "amalgam table", cap)
         pos = {e: i for i, e in enumerate(self.elements)}
 
         def gather(m):
@@ -166,7 +166,7 @@ def is_proper_amalgam(m, m1, m2):
         raise DomainError("not an amalgam: restriction to E1 differs from M1")
     if not m.restrict(m2.ground_set).rank_equal(m2):
         raise DomainError("not an amalgam: restriction to E2 differs from M2")
-    check_cap(m.size, FLATS_CAP, "flat enumeration")
+    check_cap(m.size, "flat enumeration", FLATS_CAP)
     shared = [e for e in m1.elements if e in m2._index]
     nm = m1.restrict(shared)
     pos = m._index

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .config import check_cap, table_cap
+from .config import check_cap
 from .decomposition import AmalgamDecomposition, DecompositionNode
 from .errors import DomainError
 from .matroid import Matroid
@@ -177,7 +177,7 @@ class _Converter:
     def points(self, span_basis):
         """Projective points of a span; the cap is checked before enumerating."""
         count = linalg.point_count(span_basis.shape[0], self.p)
-        check_cap(count, table_cap(), "glue matroid")
+        check_cap(count, "glue matroid")
         return linalg.span_vectors(span_basis, self.p)
 
     def glue_matroid(self, span_basis, extra=None):

@@ -197,11 +197,14 @@ def _read_formula(spec):
 def _read_assignment(spec):
     if not spec:
         return {}
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            raw = json.load(fh)
-    else:
-        raw = json.loads(spec)
+    try:
+        if os.path.exists(spec):
+            with open(spec) as fh:
+                raw = json.load(fh)
+        else:
+            raw = json.loads(spec)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"assignment is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise DomainError("assignment must be a JSON object")
     return raw

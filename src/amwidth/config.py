@@ -34,9 +34,16 @@ def table_cap():
         return _DEFAULT_TABLE_CAP
 
 
-def check_cap(n, cap, what):
-    cap = min(cap, table_cap())
-    if n > cap:
+def check_cap(n, what, cap=None):
+    """Raise ResourceError when n passes ``cap`` clamped to the table cap.
+
+    Without ``cap`` the table cap itself applies; either way the
+    environment is read once per check.
+    """
+    limit = table_cap()
+    if cap is not None:
+        limit = min(cap, limit)
+    if n > limit:
         raise ResourceError(
-            f"{what} needs a ground set of at most {cap} elements, got {n}"
+            f"{what} needs a ground set of at most {limit} elements, got {n}"
         )

@@ -381,6 +381,23 @@ class AmalgamDecomposition:
         walk(self.root, {})
         return AmalgamDecomposition(out.values(), self.root)
 
+    def prepared(self):
+        """The validated, nice, anchored tree the dynamic programs walk.
+
+        Raises ValidationError for an invalid tree and DomainError when a
+        parent boundary leaves a node's glue matroid.
+        """
+        report = self.validate()
+        if not report.ok:
+            raise ValidationError(report)
+        tree = self if self.is_nice() else self.to_nice()
+        if not tree.is_anchored():
+            raise DomainError(
+                "the dynamic programs need parent boundaries inside each "
+                "node's glue matroid"
+            )
+        return tree
+
 
 def _rename_matroid(m, rho):
     if not rho or not any(e in rho for e in m.elements):

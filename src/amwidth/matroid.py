@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .config import CIRCUITS_CAP, check_cap, table_cap
+from .config import CIRCUITS_CAP, check_cap
 from .errors import DomainError
 from .linalg import check_field
 
@@ -54,7 +54,7 @@ class Matroid:
         elements = tuple(int(e) for e in elements)
         if len(set(elements)) != len(elements):
             raise DomainError("duplicate element ids in ground set")
-        check_cap(len(elements), table_cap(), "rank table")
+        check_cap(len(elements), "rank table")
         tbl = np.asarray(table, dtype=np.int8)
         if tbl.shape != (1 << len(elements),):
             raise DomainError("rank table size does not match the ground set")
@@ -83,7 +83,7 @@ class Matroid:
         if len(dims) > 1:
             raise DomainError("columns must share one dimension")
         d = dims.pop() if dims else 0
-        check_cap(len(ids), table_cap(), "rank table")
+        check_cap(len(ids), "rank table")
         mat = np.array(vecs, dtype=np.int64).T.reshape(d, len(ids))
         tbl = kernels.gf_rank_table(mat, p)
         rep = LinearRep(field=p, columns={e: v for e, v in zip(ids, vecs)})
@@ -97,7 +97,7 @@ class Matroid:
         vmap = {v: i for i, v in enumerate(verts)}
         eu = np.array([vmap[edges[e][0]] for e in ids], dtype=np.int64)
         ev = np.array([vmap[edges[e][1]] for e in ids], dtype=np.int64)
-        check_cap(len(ids), table_cap(), "rank table")
+        check_cap(len(ids), "rank table")
         tbl = kernels.graphic_rank_table(eu, ev, max(len(verts), 1))
         desc = GraphDescription(
             vertices=tuple(verts),
@@ -109,7 +109,7 @@ class Matroid:
     def from_independent_sets(cls, elements, independent, names=None):
         """Matroid whose independent sets are the down-closure of ``independent``."""
         elements = list(elements)
-        check_cap(len(elements), table_cap(), "rank table")
+        check_cap(len(elements), "rank table")
         index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
         ind = np.zeros(1 << n, dtype=bool)
@@ -137,7 +137,7 @@ class Matroid:
     def from_circuits(cls, elements, circs, names=None, validate=True):
         """Matroid whose dependent sets are supersets of the given circuits."""
         elements = list(elements)
-        check_cap(len(elements), table_cap(), "rank table")
+        check_cap(len(elements), "rank table")
         index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
         flags = np.zeros(1 << n, dtype=bool)
@@ -162,7 +162,7 @@ class Matroid:
     @classmethod
     def from_rank_function(cls, elements, fn, names=None):
         elements = list(elements)
-        check_cap(len(elements), table_cap(), "rank table")
+        check_cap(len(elements), "rank table")
         n = len(elements)
         tbl = np.zeros(1 << n, dtype=np.int8)
         for mask in range(1 << n):
@@ -270,7 +270,7 @@ class Matroid:
     def circuits(self):
         """All inclusion-minimal dependent sets."""
         n = len(self.elements)
-        check_cap(n, CIRCUITS_CAP, "circuit enumeration")
+        check_cap(n, "circuit enumeration", CIRCUITS_CAP)
         pops = kernels.popcounts(n)
         dep = np.asarray(self._tbl) < pops
         circ = dep.copy()

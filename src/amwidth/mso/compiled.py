@@ -11,7 +11,14 @@ it is placed and which boundary element it equals; for a set, its
 boundary trace.  Closure atoms carry the node type of the tracked set
 and, once the queried element lies in the subtree, a conditional
 membership bit per boundary subset, both advanced through the glue
-matroid by the type-join fixed point.
+matroid by the type-join fixed point.  An independence atom indep(T)
+carries the extended type of T restricted to the subtree, the same
+signature the Tutte DP keys its tables by, together with one bit saying
+whether that restriction is independent so far: a leaf reads both from
+its glue matroid, and an internal node joins the children's extended
+types with its fresh part F of T and keeps the bit only when both
+children's bits hold and the join's rank increment equals |F|, since
+r(X1 + X2 + F) <= r(X1) + r(X2) + |F|.
 
 Elements are introduced at a unique node (their leaf, or the glue
 matroid where they are fresh), so guesses extend states locally; choices
@@ -21,37 +28,15 @@ offending subformula.
 """
 
 from ..config import MSO_BUDGET
-from ..errors import CompilationBudgetError, DomainError, ValidationError
-from ..types_dp import JoinContext, NodeType
+from ..errors import CompilationBudgetError, DomainError
+from ..types_dp import JoinContext, NodeType, leaf_signatures
 from . import formulas as F
+from .naive import check_assignment
 
 __all__ = ["eval_decomposition", "msom", "compiled_state_counts"]
 
 _OUT = ("out",)
 _HID = ("hid",)
-
-
-def _check_values(ground, formula, assignment):
-    free = F.free_variables(formula)
-    out = {}
-    for name in sorted(free):
-        if name not in (assignment or {}):
-            raise DomainError(f"free variable {name!r} has no assigned value")
-        value = assignment[name]
-        if F.is_set_name(name):
-            if not isinstance(value, (set, frozenset, list, tuple)):
-                raise DomainError(f"set variable {name!r} needs a set value")
-            value = frozenset(int(e) for e in value)
-            if value - ground:
-                raise DomainError(f"assignment of {name!r} leaves the ground set")
-        else:
-            if isinstance(value, (set, frozenset, list, tuple)):
-                raise DomainError(f"element variable {name!r} needs a single element")
-            value = int(value)
-            if value not in ground:
-                raise DomainError(f"assignment of {name!r} leaves the ground set")
-        out[name] = value
-    return out
 
 
 class _NodeInfo:
@@ -81,6 +66,7 @@ class _NodeInfo:
         self.bpos = {e: i for i, e in enumerate(self.boundary)}
         self.bset = frozenset(self.boundary)
         self._fix_memo = {}
+        self._leaf_rows = None
         # subsets of the fresh elements, reused by every set-variable guess
         subsets = [frozenset()]
         for e in self.intro:
@@ -92,6 +78,12 @@ class _NodeInfo:
         for e in ids:
             m |= 1 << self.bpos[e]
         return m
+
+    def leaf_row(self, xmask):
+        """(subset, rank, size, ExtendedType) of a leaf's subset, memoized."""
+        if self._leaf_rows is None:
+            self._leaf_rows = leaf_signatures(self.k, self.boundary)
+        return self._leaf_rows[xmask]
 
     def fixpoints(self, fm1, fm2, xk):
         """Closure fixed point per parent-boundary subset, memoized."""
@@ -124,7 +116,7 @@ class _Run:
 
     def _label(self, f):
         self.labels.setdefault(id(f), F.to_text(f))
-        self.refs[id(f)] = tuple(sorted(_referenced(f)))
+        self.refs[id(f)] = tuple(sorted(F._all_names(f)))
         for child in _children(f):
             self._label(child)
 
@@ -194,6 +186,10 @@ class _Run:
             return self._seteq_state("OK", f, info, views)
         if isinstance(f, F.InClosure):
             return self._closure_leaf(f, info, views)
+        if isinstance(f, F.Indep):
+            xmask = info.k.mask_of(self._term_view(f.term, views))
+            _, rank, size, sig = info.leaf_row(xmask)
+            return (sig, rank == size)
         if isinstance(f, F.Not):
             return self._init(f.inner, info, views)
         if isinstance(f, F.Or):
@@ -241,6 +237,10 @@ class _Run:
             return self._seteq_state(prev, f, info, views)
         if isinstance(f, F.InClosure):
             return self._closure_combine(f, info, s1, s2, views)
+        if isinstance(f, F.Indep):
+            fresh = self._term_view(f.term, views).intersection(info.intro)
+            sig, delta = info.ctx.extended_join(s1[0], s2[0], info.k.mask_of(fresh))
+            return (sig, s1[1] and s2[1] and delta == len(fresh))
         if isinstance(f, F.Not):
             return self._combine(f.inner, info, s1, s2, views)
         if isinstance(f, F.Or):
@@ -398,6 +398,8 @@ class _Run:
             if state[1] is None:
                 raise DomainError(f"unresolved closure atom {F.to_text(f)!r}")
             return state[1][0]
+        if isinstance(f, F.Indep):
+            return state[1]
         if isinstance(f, F.Not):
             return not self._resolve(f.inner, state)
         if isinstance(f, F.Or):
@@ -424,27 +426,6 @@ def _children(f):
     return ()
 
 
-def _referenced(f):
-    """All variable names occurring in f (bound ones included)."""
-    if isinstance(f, F.ElemEq):
-        return {f.left, f.right}
-    if isinstance(f, (F.SetEq, F.ClosureEq)):
-        acc = set()
-        F._term_vars(f.left, acc)
-        F._term_vars(f.right, acc)
-        return acc
-    if isinstance(f, (F.Member, F.InClosure)):
-        acc = {f.elem}
-        F._term_vars(f.term, acc)
-        return acc
-    out = set()
-    for child in _children(f):
-        out |= _referenced(child)
-    if isinstance(f, F.Exists):
-        out.add(f.var)
-    return out
-
-
 def _state_size(f, state):
     if isinstance(f, F.Not):
         return _state_size(f.inner, state)
@@ -464,18 +445,9 @@ def _merge3(s1, s2):
 
 
 def _prepare(tree, formula, assignment):
-    report = tree.validate()
-    if not report.ok:
-        raise ValidationError(report)
-    if not tree.is_nice():
-        tree = tree.to_nice()
-    if not tree.is_anchored():
-        raise DomainError(
-            "the compiled evaluator needs parent boundaries inside each "
-            "node's glue matroid"
-        )
+    tree = tree.prepared()
     F.check_kinds(formula)
-    values = _check_values(tree.ground(), formula, assignment)
+    values = check_assignment(tree.ground(), formula, assignment)
     core = F.desugar(formula)
     return tree, core, values
 

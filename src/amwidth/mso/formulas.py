@@ -264,6 +264,7 @@ def _fresh_name(used, base="w"):
 
 
 def _all_names(f):
+    """All variable names occurring in f, bound ones included."""
     names = set()
 
     def term(t):
@@ -301,9 +302,8 @@ def desugar(formula):
     """Lower to the compiled core: atoms, Or, Not, Exists.
 
     - and/implies/forall go through the usual reductions;
-    - indep(T) becomes the closure form
-      !(exists e (e in T & cl(T) = cl(T - e)));
-    - cl-equality becomes a universally quantified membership biconditional.
+    - cl-equality becomes a universally quantified membership biconditional;
+    - every other atom, indep(T) included, is kept as it is.
     """
     used = _all_names(formula)
 
@@ -313,7 +313,7 @@ def desugar(formula):
         return name
 
     def walk(f):
-        if isinstance(f, (ElemEq, SetEq, Member, InClosure)):
+        if isinstance(f, (ElemEq, SetEq, Member, InClosure, Indep)):
             return f
         if isinstance(f, ClosureEq):
             e = fresh()
@@ -321,15 +321,6 @@ def desugar(formula):
             b = InClosure(e, f.right)
             both = Not(Or(Not(Or(Not(a), b)), Not(Or(Not(b), a))))
             return Not(Exists(e, Not(both)))
-        if isinstance(f, Indep):
-            e = fresh()
-            body = Not(
-                Or(
-                    Not(Member(e, f.term)),
-                    Not(walk(ClosureEq(f.term, Remove(f.term, e)))),
-                )
-            )
-            return Not(Exists(e, body))
         if isinstance(f, Not):
             return Not(walk(f.inner))
         if isinstance(f, Or):

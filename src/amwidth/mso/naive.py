@@ -9,6 +9,7 @@ from itertools import chain, combinations
 
 from ..config import NAIVE_MSO_CAP, check_cap
 from ..errors import DomainError
+from ..files import _int
 from . import formulas as F
 
 __all__ = ["eval_naive", "Assignment", "check_assignment"]
@@ -25,19 +26,24 @@ class Assignment(dict):
     """Variable name -> element id or frozenset of element ids."""
 
 
-def check_assignment(m, formula, assignment):
-    """Verify that every free variable is assigned a value of its kind."""
-    free = F.free_variables(formula)
+def check_assignment(ground, formula, assignment):
+    """Every free variable's value, checked against its kind and ``ground``.
+
+    Element ids follow the file loaders' rule: a JSON integer or a string
+    holding one; anything else raises DomainError.
+    """
+    assignment = assignment or {}
     out = {}
-    for name in sorted(free):
+    for name in sorted(F.free_variables(formula)):
         if name not in assignment:
             raise DomainError(f"free variable {name!r} has no assigned value")
         value = assignment[name]
+        what = f"element of {name!r}"
         if F.is_set_name(name):
             if not isinstance(value, (set, frozenset, list, tuple)):
                 raise DomainError(f"set variable {name!r} needs a set value")
-            value = frozenset(int(e) for e in value)
-            missing = value - m.ground_set
+            value = frozenset(_int(e, what) for e in value)
+            missing = value - ground
             if missing:
                 raise DomainError(
                     f"assignment of {name!r} uses unknown elements {sorted(missing)}"
@@ -45,8 +51,8 @@ def check_assignment(m, formula, assignment):
         else:
             if isinstance(value, (set, frozenset, list, tuple)):
                 raise DomainError(f"element variable {name!r} needs a single element")
-            value = int(value)
-            if value not in m.ground_set:
+            value = _int(value, what)
+            if value not in ground:
                 raise DomainError(f"assignment of {name!r} uses unknown element {value}")
         out[name] = value
     return out
@@ -64,9 +70,9 @@ def _term_value(term, env):
 
 def eval_naive(m, formula, assignment=None):
     """Evaluate ``formula`` on matroid ``m`` under ``assignment``."""
-    check_cap(m.size, NAIVE_MSO_CAP, "naive MSO evaluation")
+    check_cap(m.size, "naive MSO evaluation", NAIVE_MSO_CAP)
     F.check_kinds(formula)
-    env = dict(check_assignment(m, formula, assignment or {}))
+    env = check_assignment(m.ground_set, formula, assignment)
     ground = m.ground_set
 
     def ev(f, env):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .decomposition import AmalgamDecomposition
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .types_dp import JoinContext, leaf_signatures
 
 __all__ = ["TuttePolynomial", "tutte_bruteforce", "tutte_decomposition", "evaluate"]
@@ -124,16 +124,7 @@ def tutte_decomposition(tree, want_tables=False):
     The tree is validated and, when needed, made nice first.  Returns the
     polynomial, or (polynomial, per-node tables) when ``want_tables``.
     """
-    report = tree.validate()
-    if not report.ok:
-        raise ValidationError(report)
-    if not tree.is_nice():
-        tree = tree.to_nice()
-    if not tree.is_anchored():
-        raise DomainError(
-            "the dynamic program needs parent boundaries inside each node's "
-            "glue matroid"
-        )
+    tree = tree.prepared()
     tables = {}
     for v in tree.postorder():
         node = tree.nodes[v]

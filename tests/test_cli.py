@@ -143,3 +143,39 @@ def test_graphic_string_endpoints_accepted(tmp_path, capsys):
     )
     assert cli.main(["info", "-m", path]) == 0
     assert json.loads(capsys.readouterr().out)["rank"] == 2
+
+
+@pytest.mark.parametrize(
+    "assign,message",
+    [
+        ('{"X1": [1.9, 2, 4, 6]}', "element of 'X1' must be an integer, got 1.9"),
+        ('{"X1": [true, 2, 4, 6]}', "element of 'X1' must be an integer, got True"),
+        ('{"X1": ["a"]}', "element of 'X1' must be an integer, got 'a'"),
+        ('{"X1": [1, 2', "assignment is not valid JSON"),
+        ('{"X1": [99]}', "unknown elements [99]"),
+        ('{"X1": 3}', "set variable 'X1' needs a set value"),
+    ],
+)
+@pytest.mark.parametrize("engine", ["naive", "dp", "both"])
+def test_bad_assignment_exits_1(corpus_dir, capsys, assign, message, engine):
+    argv = [
+        "mso", "--engine", engine,
+        "-d", str(corpus_dir / "decompositions" / "chain3-c5.json"),
+        "-f", str(corpus_dir / "formulas" / "is-base.mso"),
+    ]
+    assert cli.main(argv + ["-a", '{"X1": ["2", 4, 6]}']) == 0
+    capsys.readouterr()
+    assert cli.main(argv + ["-a", assign]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_bad_element_assignment_exits_1(corpus_dir, capsys):
+    argv = ["mso", "-d", str(corpus_dir / "decompositions" / "chain3-c5.json")]
+    argv += ["-f", str(corpus_dir / "formulas" / "member.mso")]
+    assert cli.main(argv + ["-a", '{"x1": 2, "X2": [2]}']) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "ACCEPT"
+    assert cli.main(argv + ["-a", '{"x1": 2.0, "X2": [2]}']) == 1
+    assert "element of 'x1' must be an integer, got 2.0" in capsys.readouterr().err

@@ -95,10 +95,14 @@ def test_free_variables():
 
 def test_desugar_core_only():
     core = F.desugar(parse("forall e (indep(X1) -> e in X1)"))
+    # indep is a core atom: the compiled evaluator decides it natively
+    assert F.desugar(F.Indep(F.Var("X1"))) == F.Indep(F.Var("X1"))
+    assert "indep(X1)" in F.to_text(core)
 
     def check(f):
         assert isinstance(
-            f, (F.ElemEq, F.SetEq, F.Member, F.InClosure, F.Not, F.Or, F.Exists)
+            f,
+            (F.ElemEq, F.SetEq, F.Member, F.InClosure, F.Indep, F.Not, F.Or, F.Exists),
         ), f
         for child in (
             (f.inner,)
