@@ -120,6 +120,14 @@ def _poly_obj(poly):
     return {"coeffs": [[i, j, c] for i, j, c in poly.coeffs]}
 
 
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        msg = f"--eval value must be a rational number, got {text!r}"
+        raise DomainError(msg) from None
+
+
 def _cmd_tutte(args):
     want_brute = args.brute or not args.dp
     want_dp = args.dp or not args.brute
@@ -157,7 +165,7 @@ def _cmd_tutte(args):
     out = _poly_obj(poly)
     out["text"] = str(poly)
     if args.eval:
-        x, y = (Fraction(v) for v in args.eval)
+        x, y = (_fraction(v) for v in args.eval)
         value = poly.evaluate(x, y)
         out["value"] = {
             "x": str(x),
@@ -252,7 +260,8 @@ def _cmd_glue(args):
     m1 = files.load_matroid(args.m1)
     m2 = files.load_matroid(args.m2)
     k = files.load_matroid(args.k)
-    deletions = [int(x) for x in args.delete.split(",") if x] if args.delete else []
+    ids = args.delete.split(",") if args.delete else []
+    deletions = [files._int(x, "--delete id") for x in ids if x]
     result = glue(m1, m2, k, deletions)
     obj = files.matroid_to_obj(result)
     if args.output:

@@ -1,11 +1,12 @@
 """Decomposition-based MSO evaluation in one leaves-to-root pass.
 
+The pass is ``types_dp.bottom_up``, the driver the Tutte DP runs on too.
 Every subformula gets one deterministic state per node, mirroring the
 bottom-up tree-automaton construction: atoms keep a small progress
-summary, disjunctions run their parts in parallel as a product,
-negation reuses the same states, and quantifiers determinize on the fly,
-holding the set of (placement abstraction, inner state) pairs reachable
-over all ways of guessing the variable inside the subtree.  A placement
+summary, disjunctions run their parts in parallel as a product, negation
+reuses the same states, and quantifiers determinize on the fly, holding
+the set of (placement abstraction, inner state) pairs reachable over all
+ways of guessing the variable inside the subtree.  A placement
 abstraction is all the ancestors can still see: for an element, whether
 it is placed and which boundary element it equals; for a set, its
 boundary trace.  Closure atoms carry the node type of the tracked set
@@ -29,7 +30,7 @@ offending subformula.
 
 from ..config import MSO_BUDGET
 from ..errors import CompilationBudgetError, DomainError
-from ..types_dp import JoinContext, NodeType, leaf_signatures
+from ..types_dp import NodeType, bottom_up, leaf_signatures
 from . import formulas as F
 from .naive import check_assignment
 
@@ -37,52 +38,26 @@ __all__ = ["eval_decomposition", "msom", "compiled_state_counts"]
 
 _OUT = ("out",)
 _HID = ("hid",)
+_NO_SET = ("set", frozenset())
 
 
 class _NodeInfo:
-    def __init__(self, tree, nid):
-        node = tree.nodes[nid]
-        self.nid = nid
-        self.node = node
-        self.k = node.K
-        self.boundary = tuple(sorted(tree.boundary(nid)))
-        self.ground = tree.ground(nid)
-        if node.is_leaf:
-            self.intro = tuple(sorted(node.K.ground_set))
-            self.ctx = None
-            self.grounds = None
-            self.child_boundaries = None
-        else:
-            self.intro = tuple(
-                sorted(node.K.ground_set - node.J1 - node.J2 - node.D)
-            )
-            self.ctx = JoinContext(node.K, node.J1, node.J2, self.boundary, node.D)
-            c1, c2 = node.children
-            self.grounds = (tree.ground(c1), tree.ground(c2))
-            self.child_boundaries = (
-                tuple(sorted(tree.boundary(c1))),
-                tuple(sorted(tree.boundary(c2))),
-            )
-        self.bpos = {e: i for i, e in enumerate(self.boundary)}
-        self.bset = frozenset(self.boundary)
+    """Compiled-only facts of one node, beside the driver's shared view."""
+
+    def __init__(self, tree, view):
+        self.view = view
+        self.bset = frozenset(view.boundary)
+        # where an element sits: below child 1 or 2, or introduced here
+        children = zip(("c1", "c2"), view.node.children)
+        self.places = [(where, tree.ground(c)) for where, c in children]
+        self.places.append(("here", view.fresh))
         self._fix_memo = {}
         self._leaf_rows = None
-        # subsets of the fresh elements, reused by every set-variable guess
-        subsets = [frozenset()]
-        for e in self.intro:
-            subsets += [s | {e} for s in subsets]
-        self.intro_subsets = tuple(subsets)
-
-    def boundary_mask_of(self, ids):
-        m = 0
-        for e in ids:
-            m |= 1 << self.bpos[e]
-        return m
 
     def leaf_row(self, xmask):
         """(subset, rank, size, ExtendedType) of a leaf's subset, memoized."""
         if self._leaf_rows is None:
-            self._leaf_rows = leaf_signatures(self.k, self.boundary)
+            self._leaf_rows = leaf_signatures(self.view.k, self.view.boundary)
         return self._leaf_rows[xmask]
 
     def fixpoints(self, fm1, fm2, xk):
@@ -91,12 +66,12 @@ class _NodeInfo:
         hit = self._fix_memo.get(key)
         if hit is not None:
             return hit
-        ctx = self.ctx
-        nt1 = NodeType(self.child_boundaries[0], fm1)
-        nt2 = NodeType(self.child_boundaries[1], fm2)
+        ctx = self.view.ctx
+        nt1 = NodeType(ctx.side1.boundary, fm1)
+        nt2 = NodeType(ctx.side2.boundary, fm2)
         out = tuple(
             ctx.fixpoint(nt1, nt2, int(ctx.parent.scatter[ymask]) | xk)
-            for ymask in range(1 << len(self.boundary))
+            for ymask in range(1 << ctx.parent.size)
         )
         self._fix_memo[key] = out
         return out
@@ -107,7 +82,6 @@ class _Run:
         self.tree = tree
         self.core = core
         self.values = values
-        self.info = {v: _NodeInfo(tree, v) for v in tree.postorder()}
         self.counts = {}
         self.labels = {}
         self.refs = {}
@@ -132,48 +106,38 @@ class _Run:
             raise CompilationBudgetError(
                 "compiled evaluator exceeded its state budget", self.labels[key]
             )
+        return state
 
     # -- free-variable views ----------------------------------------------
 
     def _free_views(self, info):
+        ground = info.view.k.ground_set
         views = {}
         for name, value in self.values.items():
             if F.is_set_name(name):
-                views[name] = frozenset(value & info.k.ground_set)
+                views[name] = frozenset(value & ground)
             else:
-                vid = value if value in info.k.ground_set else None
-                if info.node.is_leaf:
-                    where = "here" if value in info.ground else "out"
-                elif value in info.grounds[0]:
-                    where = "c1"
-                elif value in info.grounds[1]:
-                    where = "c2"
-                elif value in info.intro:
-                    where = "here"
-                else:
-                    where = "out"
+                vid = value if value in ground else None
+                where = next((w for w, part in info.places if value in part), "out")
                 views[name] = (vid, where)
         return views
 
     # -- evaluation -----------------------------------------------------------
 
     def result(self):
-        state = self.reach(self.tree.root)
+        state = bottom_up(self.tree, self._leaf, self._join)
         return self._resolve(self.core, state)
 
-    def reach(self, nid):
-        info = self.info[nid]
+    def _leaf(self, view):
+        info = _NodeInfo(self.tree, view)
+        state = self._init(self.core, info, self._free_views(info))
+        return self._charge(self.core, state)
+
+    def _join(self, view, s1, s2):
+        info = _NodeInfo(self.tree, view)
         self._memo = {}
-        if info.node.is_leaf:
-            state = self._init(self.core, info, self._free_views(info))
-        else:
-            c1, c2 = info.node.children
-            s1 = self.reach(c1)
-            s2 = self.reach(c2)
-            self._memo = {}
-            state = self._combine(self.core, info, s1, s2, self._free_views(info))
-        self._charge(self.core, state)
-        return state
+        state = self._combine(self.core, info, s1, s2, self._free_views(info))
+        return self._charge(self.core, state)
 
     # -- leaf initialization -----------------------------------------------------
 
@@ -187,7 +151,7 @@ class _Run:
         if isinstance(f, F.InClosure):
             return self._closure_leaf(f, info, views)
         if isinstance(f, F.Indep):
-            xmask = info.k.mask_of(self._term_view(f.term, views))
+            xmask = info.view.k.mask_of(self._term_view(f.term, views))
             _, rank, size, sig = info.leaf_row(xmask)
             return (sig, rank == size)
         if isinstance(f, F.Not):
@@ -198,23 +162,12 @@ class _Run:
                 self._init(f.right, info, views),
             )
         if isinstance(f, F.Exists):
+            below = _NO_SET if F.is_set_name(f.var) else _OUT
             out = set()
-            for comp, view in self._leaf_choices(f.var, info):
+            for comp, view in self._merge_choices(f.var, info, below, below):
                 out.add((comp, self._init(f.inner, info, {**views, f.var: view})))
             return frozenset(out)
         raise DomainError(f"not a core formula node: {f!r}")
-
-    def _leaf_choices(self, var, info):
-        if F.is_set_name(var):
-            return [
-                (("set", frozenset(s & info.bset)), frozenset(s))
-                for s in info.intro_subsets
-            ]
-        choices = [(_OUT, (None, "out"))]
-        for e in info.intro:
-            comp = ("in", e) if e in info.bpos else _HID
-            choices.append((comp, (e, "here")))
-        return choices
 
     # -- combination at internal nodes ----------------------------------------------
 
@@ -238,8 +191,9 @@ class _Run:
         if isinstance(f, F.InClosure):
             return self._closure_combine(f, info, s1, s2, views)
         if isinstance(f, F.Indep):
-            fresh = self._term_view(f.term, views).intersection(info.intro)
-            sig, delta = info.ctx.extended_join(s1[0], s2[0], info.k.mask_of(fresh))
+            view = info.view
+            fresh = self._term_view(f.term, views).intersection(view.fresh)
+            sig, delta = view.ctx.extended_join(s1[0], s2[0], view.k.mask_of(fresh))
             return (sig, s1[1] and s2[1] and delta == len(fresh))
         if isinstance(f, F.Not):
             return self._combine(f.inner, info, s1, s2, views)
@@ -265,18 +219,18 @@ class _Run:
         raise DomainError(f"not a core formula node: {f!r}")
 
     def _merge_choices(self, var, info, c1, c2):
-        """Consistent variable placements at this node, with local views."""
-        deletions = info.node.D
+        """Consistent variable placements at this node, with local views.
+
+        c1 and c2 are the children's placements; a leaf passes the empty
+        placement for both.
+        """
+        deletions = info.view.node.D
         if F.is_set_name(var):
-            t1, t2 = c1[1], c2[1]
-            if (t1 | t2) & deletions:
+            base = c1[1] | c2[1]
+            if base & deletions:
                 return []
-            base = t1 | t2
-            out = []
-            for s in info.intro_subsets:
-                view = frozenset(base | s)
-                out.append((("set", view & info.bset), view))
-            return out
+            views = [base | s for s in info.view.fresh_subsets]
+            return [(("set", v & info.bset), v) for v in views]
         in1, in2 = c1 != _OUT, c2 != _OUT
         if in1 and in2:
             return []
@@ -288,11 +242,11 @@ class _Run:
             j = comp[1]
             if j in deletions:
                 return []
-            new = ("in", j) if j in info.bpos else _HID
+            new = ("in", j) if j in info.bset else _HID
             return [(new, (j, side))]
         out = [(_OUT, (None, "out"))]
-        for e in info.intro:
-            comp = ("in", e) if e in info.bpos else _HID
+        for e in info.view.fresh:
+            comp = ("in", e) if e in info.bset else _HID
             out.append((comp, (e, "here")))
         return out
 
@@ -338,34 +292,30 @@ class _Run:
             return "F"
         va = self._term_view(f.left, views)
         vb = self._term_view(f.right, views)
-        for e in info.intro:
+        for e in info.view.fresh:
             if (e in va) != (e in vb):
                 return "F"
         return "OK"
 
     def _closure_leaf(self, f, info, views):
-        k = info.k
+        k, boundary = info.view.k, info.view.boundary
         xk = k.mask_of(self._term_view(f.term, views))
         vid, where = views[f.elem]
         fmap = []
         g = [] if where != "out" else None
-        for ymask in range(1 << len(info.boundary)):
-            ym = k.mask_of(
-                [e for i, e in enumerate(info.boundary) if ymask >> i & 1]
-            )
+        for ymask in range(1 << len(boundary)):
+            ym = k.mask_of([e for i, e in enumerate(boundary) if ymask >> i & 1])
             cl = k.closure_mask(xk | ym)
             fmap.append(
-                info.boundary_mask_of(
-                    e for e in info.boundary if cl >> k._index[e] & 1
-                )
+                sum(1 << i for i, e in enumerate(boundary) if cl >> k._index[e] & 1)
             )
             if g is not None:
                 g.append(bool(cl >> k._index[vid] & 1))
         return (tuple(fmap), tuple(g) if g is not None else None)
 
     def _closure_combine(self, f, info, s1, s2, views):
-        ctx = info.ctx
-        xk = info.k.mask_of(self._term_view(f.term, views))
+        k, ctx = info.view.k, info.view.ctx
+        xk = k.mask_of(self._term_view(f.term, views))
         vid, where = views[f.elem]
         zs = info.fixpoints(s1[0], s2[0], xk)
         fmap = tuple(
@@ -376,7 +326,7 @@ class _Run:
         g = []
         for z in zs:
             if vid is not None:
-                g.append(bool(z >> info.k._index[vid] & 1))
+                g.append(bool(z >> k._index[vid] & 1))
             elif where == "c1":
                 g.append(s1[1][int(ctx.side1.gather[z & ctx.side1.mask])])
             elif where == "c2":

@@ -1,13 +1,15 @@
 """Tutte polynomial: brute-force oracle and the decomposition dynamic program.
 
-The DP walks a nice, anchored decomposition leaves-to-root keeping, per
-node, exact counts of subsets by (rank, size, extended type).  Internal
-nodes combine child tables entry-by-entry, looping over the glue
-matroid's fresh elements and rejecting any combination that touches the
-node's deleted set; ranks come from the extended-type join, never from
-realization.  Counts are Python ints, so coefficients never overflow.
+The DP runs on the shared leaves-to-root driver ``types_dp.bottom_up``
+and keeps, per node, exact counts of subsets by (rank, size, extended
+type).  Internal nodes combine child tables entry-by-entry, looping over
+the subsets of the node's fresh elements and rejecting any combination
+that touches the node's deleted set; ranks come from the extended-type
+join, never from realization.  Counts are Python ints, so coefficients
+never overflow.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -15,11 +17,10 @@ from math import comb
 import numpy as np
 
 from . import kernels
-from .decomposition import AmalgamDecomposition
 from .errors import DomainError
-from .types_dp import JoinContext, leaf_signatures
+from .types_dp import bottom_up, leaf_signatures
 
-__all__ = ["TuttePolynomial", "tutte_bruteforce", "tutte_decomposition", "evaluate"]
+__all__ = ["TuttePolynomial", "tutte_bruteforce", "tutte_decomposition"]
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,6 @@ class TuttePolynomial:
             coeffs=tuple(sorted((i, j, c) for (i, j), c in coeffs.items())),
             whitney=tuple(sorted((a, b, c) for (a, b), c in whitney.items())),
         )
-
-    def coeff(self, i, j):
-        for a, b, c in self.coeffs:
-            if (a, b) == (i, j):
-                return c
-        return 0
 
     def coeff_dict(self):
         return {(i, j): c for i, j, c in self.coeffs}
@@ -97,10 +92,6 @@ def tutte_bruteforce(m):
     )
 
 
-def evaluate(poly, x, y):
-    return poly.evaluate(x, y)
-
-
 class _NodeTable:
     """Counts of subsets of E(M(v)) keyed by extended type, then (r, s)."""
 
@@ -124,60 +115,54 @@ def tutte_decomposition(tree, want_tables=False):
     The tree is validated and, when needed, made nice first.  Returns the
     polynomial, or (polynomial, per-node tables) when ``want_tables``.
     """
-    tree = tree.prepared()
     tables = {}
-    for v in tree.postorder():
-        node = tree.nodes[v]
-        boundary = tree.boundary(v)
-        table = _NodeTable()
-        if node.is_leaf:
-            for _, r, s, sig in leaf_signatures(node.K, boundary):
-                table.add(sig, r, s, 1)
-            tables[v] = table
-            continue
-        c1, c2 = node.children
-        ctx = JoinContext(node.K, node.J1, node.J2, boundary, node.D)
-        fresh_ids = sorted(
-            node.K.ground_set - node.J1 - node.J2 - node.D
-        )
-        fresh_masks = [node.K.mask_of(sub) for sub in _subsets(fresh_ids)]
-        t1, t2 = tables[c1], tables[c2]
-        for sig1, rows1 in t1.by_sig.items():
-            if _trace_hits(ctx.side1, sig1.trace, ctx.dmask):
-                continue
-            for sig2, rows2 in t2.by_sig.items():
-                if _trace_hits(ctx.side2, sig2.trace, ctx.dmask):
-                    continue
-                for fmask in fresh_masks:
-                    try:
-                        sig, delta = ctx.extended_join(sig1, sig2, fmask)
-                    except DomainError:
-                        continue
-                    extra = bin(fmask).count("1")
-                    for (r1, s1), n1 in rows1.items():
-                        for (r2, s2), n2 in rows2.items():
-                            table.add(sig, r1 + r2 + delta, s1 + s2 + extra, n1 * n2)
-        tables[v] = table
-    root_table = tables[tree.root]
-    mc = {}
-    for rows in root_table.by_sig.values():
-        for (r, s), c in rows.items():
-            mc[(r, s)] = mc.get((r, s), 0) + c
-    full_rank = max((r for r, _ in mc), default=0)
-    whitney = {}
-    for (r, s), c in mc.items():
-        key = (full_rank - r, s - r)
-        whitney[key] = whitney.get(key, 0) + c
+    leaf, join = _leaf_table, _join_tables
+    if want_tables:
+        leaf, join = _kept(tables, leaf), _kept(tables, join)
+    counts = Counter()
+    for rows in bottom_up(tree.prepared(), leaf, join).by_sig.values():
+        counts.update(rows)
+    full_rank = max((r for r, _ in counts), default=0)
+    whitney = Counter()
+    for (r, s), c in counts.items():
+        whitney[(full_rank - r, s - r)] += c
     poly = TuttePolynomial.from_whitney(whitney)
     if want_tables:
         return poly, tables
     return poly
 
 
-def _subsets(ids):
-    ids = list(ids)
-    for mask in range(1 << len(ids)):
-        yield frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+def _leaf_table(view):
+    table = _NodeTable()
+    for _, r, s, sig in leaf_signatures(view.k, view.boundary):
+        table.add(sig, r, s, 1)
+    return table
+
+
+def _join_tables(view, t1, t2):
+    ctx = view.ctx
+    table = _NodeTable()
+    for sig1, rows1 in t1.by_sig.items():
+        if _trace_hits(ctx.side1, sig1.trace, ctx.dmask):
+            continue
+        for sig2, rows2 in t2.by_sig.items():
+            if _trace_hits(ctx.side2, sig2.trace, ctx.dmask):
+                continue
+            for fmask in view.fresh_masks:
+                try:
+                    sig, delta = ctx.extended_join(sig1, sig2, fmask)
+                except DomainError:
+                    continue
+                extra = bin(fmask).count("1")
+                for (r1, s1), n1 in rows1.items():
+                    for (r2, s2), n2 in rows2.items():
+                        table.add(sig, r1 + r2 + delta, s1 + s2 + extra, n1 * n2)
+    return table
+
+
+def _kept(tables, build):
+    """``build``, also recording each node's table in ``tables``."""
+    return lambda view, *children: tables.setdefault(view.nid, build(view, *children))
 
 
 def _trace_hits(side, trace, dmask):

@@ -12,9 +12,16 @@ data on the realized matroid and serve as the oracle in tests.
 Joins carry a per-node ``JoinContext`` so repeated signatures are memoized
 per DP run; contexts are private to a run, making concurrent runs over
 shared decompositions safe.
+
+``bottom_up`` is the one leaves-to-root pass of both dynamic programs,
+the Tutte DP and compiled MSO: a loop over the postorder, not recursion,
+so depth is bounded by memory alone.  It hands each node a ``NodeView``
+(boundary, context, fresh elements) and frees each child's result once
+the parent has used it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +32,8 @@ __all__ = [
     "NodeType",
     "ExtendedType",
     "JoinContext",
+    "NodeView",
+    "bottom_up",
     "type_of",
     "extended_type_of",
     "join",
@@ -230,6 +239,53 @@ class JoinContext:
         result = (ExtendedType(base, trace, tuple(offsets)), delta)
         self._memo[key] = result
         return result
+
+
+class NodeView:
+    """One node as both dynamic programs see it.
+
+    ``boundary`` and ``fresh`` are sorted; ``ctx`` is None at a leaf.  The
+    fresh elements are all of K at a leaf and K - J1 - J2 - D otherwise.
+    Their subsets are built on first use, as K-masks for the Tutte DP and
+    as frozensets for compiled MSO, so neither DP pays for the other's form.
+    """
+
+    def __init__(self, tree, nid):
+        node = self.node = tree.nodes[nid]
+        self.nid = nid
+        self.k = node.K
+        self.boundary = _boundary_order(tree.boundary(nid))
+        self.fresh = _boundary_order(node.K.ground_set - node.J1 - node.J2 - node.D)
+        self.ctx = None
+        if not node.is_leaf:
+            self.ctx = JoinContext(node.K, node.J1, node.J2, self.boundary, node.D)
+
+    @cached_property
+    def fresh_masks(self):
+        masks = [0]
+        for e in self.fresh:
+            masks += [m | 1 << self.k._index[e] for m in masks]
+        return masks
+
+    @cached_property
+    def fresh_subsets(self):
+        return [self.k.set_of(m) for m in self.fresh_masks]
+
+
+def bottom_up(tree, leaf, join):
+    """Root result of ``leaf(view)`` and ``join(view, r1, r2)`` in postorder.
+
+    ``tree`` must be prepared (``AmalgamDecomposition.prepared``).
+    """
+    results = {}
+    for nid in tree.postorder():
+        view = NodeView(tree, nid)
+        if view.ctx is None:
+            results[nid] = leaf(view)
+        else:
+            c1, c2 = view.node.children
+            results[nid] = join(view, results.pop(c1), results.pop(c2))
+    return results[tree.root]
 
 
 def join(f1, f2, k, x_k, j1, j2, j_parent):

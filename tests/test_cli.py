@@ -5,7 +5,7 @@ import json
 import pytest
 
 from amwidth import cli, files, linalg
-from amwidth.config import table_cap
+from amwidth.config import NAIVE_MSO_CAP, table_cap
 
 from test_branch import caterpillar
 
@@ -179,3 +179,70 @@ def test_bad_element_assignment_exits_1(corpus_dir, capsys):
     assert json.loads(capsys.readouterr().out)["result"] == "ACCEPT"
     assert cli.main(argv + ["-a", '{"x1": 2.0, "X2": [2]}']) == 1
     assert "element of 'x1' must be an integer, got 2.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--eval", "1", "abc"], "--eval value must be a rational number, got 'abc'"),
+        (["--eval", "1", "1/0"], "--eval value must be a rational number, got '1/0'"),
+    ],
+)
+def test_bad_eval_exits_1(corpus_dir, capsys, argv, message):
+    path = corpus_dir / "decompositions" / "chain3-c5.json"
+    base = ["tutte", "--dp", "-d", str(path)]
+    assert cli.main(base + ["--eval", "2", "1/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"]["y"] == "1/2"
+    assert cli.main(base + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_bad_glue_deletion_exits_1(corpus_dir, capsys):
+    k3 = str(corpus_dir / "matroids" / "k3.json")
+    assert cli.main(["glue", k3, k3, k3, "--delete", "x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --delete id must be an integer, got 'x'")
+    assert "Traceback" not in captured.err
+
+
+def _contract_runs(corpus):
+    """(argv) for every read-only command over each corpus file it takes."""
+    matroids = sorted((corpus / "matroids").glob("*.json"))
+    matroids += sorted((corpus / "branch").glob("*.matroid.json"))
+    for m in matroids:
+        yield ["info", "-m", str(m)]
+        yield ["tutte", "--brute", "-m", str(m)]
+    for b in sorted((corpus / "branch").glob("*.branch.json")):
+        m = b.with_name(b.name.replace(".branch.", ".matroid."))
+        yield ["width", "-b", str(b), "-m", str(m)]
+    formulas = sorted((corpus / "formulas").glob("*.mso"))
+    for d in sorted((corpus / "decompositions").glob("*.json")):
+        for command in ("validate", "width", "nice", "tutte"):
+            yield [command, "-d", str(d)]
+        ground = sorted(files.load_decomposition(d).ground())
+        assign = json.dumps(
+            {"X1": ground[:2], "X2": ground[1:3], "x1": ground[0], "x2": ground[-1]}
+        )
+        engine = "both" if len(ground) <= NAIVE_MSO_CAP else "dp"
+        for f in formulas:
+            yield ["mso", "--engine", engine, "-f", str(f), "-d", str(d), "-a", assign]
+
+
+def test_cli_contract_on_corpus(corpus_dir, capsys):
+    """Documented exit codes, no traceback, byte-identical reruns."""
+    runs = 0
+    for argv in _contract_runs(corpus_dir):
+        outputs = []
+        for _ in range(2):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert "Traceback" not in captured.err, argv
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1], argv
+        runs += 1
+    assert runs > 250

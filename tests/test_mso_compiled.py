@@ -1,10 +1,11 @@
 """Compiled MSO evaluation against the naive oracle on the corpus."""
 
 import random
+import sys
 
 import pytest
 
-from amwidth import files
+from amwidth import files, zoo
 from amwidth.config import NAIVE_MSO_CAP
 from amwidth.mso import formulas as F
 from amwidth.mso.compiled import eval_decomposition
@@ -57,3 +58,9 @@ def test_compiled_matches_naive(name, corpus_formulas):
             want = eval_naive(m, formula, assignment)
             got = eval_decomposition(tree, formula, assignment)
             assert got == want, (label, assignment)
+
+
+def test_deeper_than_recursion_limit():
+    # one tree level per triangle: the walk must not use a frame per level
+    tree = zoo.triangle_chain(sys.getrecursionlimit() + 100)
+    assert eval_decomposition(tree, parse("exists X (indep(X))")) is True
