@@ -129,8 +129,6 @@ def _fraction(text):
 
 
 def _cmd_tutte(args):
-    want_brute = args.brute or not args.dp
-    want_dp = args.dp or not args.brute
     tree = None
     matroid = None
     if args.decomposition:
@@ -139,6 +137,9 @@ def _cmd_tutte(args):
         matroid = files.load_matroid(args.matroid)
     if tree is None and matroid is None:
         raise _Usage("tutte needs --matroid or --decomposition")
+    # with neither engine named, run every engine the inputs allow
+    want_brute = args.brute or not args.dp
+    want_dp = args.dp or (not args.brute and tree is not None)
     results = {}
     tables = None
     if want_dp:
@@ -176,9 +177,8 @@ def _cmd_tutte(args):
         dump = {}
         for nid, table in tables.items():
             rows = []
-            for sig, cells in sorted(
-                table.by_sig.items(), key=lambda kv: repr(kv[0])
-            ):
+            for sig in sorted(table.by_sig, key=repr):
+                cells = table.counts(sig)
                 rows.append(
                     {
                         "boundary": list(sig.boundary),

@@ -348,14 +348,13 @@ class AmalgamDecomposition:
             node = self.nodes[v]
             used.update(node.K.ground_set)
             used.update(node.J1 | node.J2 | node.D)
-        counter = [max(used, default=0) + 1]
+        next_id = max(used, default=0) + 1
         out = {}
-
-        def fresh():
-            counter[0] += 1
-            return counter[0] - 1
-
-        def walk(v, rho):
+        # preorder, left child first: fresh ids are numbered top-down and
+        # left to right; rho maps ids an ancestor replaced by twins
+        stack = [(self.root, {})]
+        while stack:
+            v, rho = stack.pop()
             node = self.nodes[v]
             k = _rename_matroid(node.K, rho)
             j1 = frozenset(rho.get(e, e) for e in node.J1)
@@ -363,11 +362,12 @@ class AmalgamDecomposition:
             d = frozenset(rho.get(e, e) for e in node.D)
             if node.is_leaf:
                 out[v] = DecompositionNode(v, (), k)
-                return
+                continue
             shared = sorted(j1 & j2)
             rho2 = rho
             if shared:
-                twins = {e: fresh() for e in shared}
+                twins = {e: next_id + i for i, e in enumerate(shared)}
+                next_id += len(shared)
                 k = _parallel_extend(k, twins)
                 j2 = (j2 - set(shared)) | set(twins.values())
                 d = d | set(twins.values())
@@ -375,10 +375,8 @@ class AmalgamDecomposition:
                 for e in shared:
                     rho2.setdefault(e, twins[e])
             out[v] = DecompositionNode(v, node.children, k, j1, j2, d)
-            walk(node.children[0], rho)
-            walk(node.children[1], rho2)
-
-        walk(self.root, {})
+            stack.append((node.children[1], rho2))
+            stack.append((node.children[0], rho))
         return AmalgamDecomposition(out.values(), self.root)
 
     def prepared(self):

@@ -1,18 +1,20 @@
 """Tutte polynomial: brute-force oracle and the decomposition dynamic program.
 
 The DP runs on the shared leaves-to-root driver ``types_dp.bottom_up``
-and keeps, per node, exact counts of subsets by (rank, size, extended
-type).  Internal nodes combine child tables entry-by-entry, looping over
-the subsets of the node's fresh elements and rejecting any combination
-that touches the node's deleted set; ranks come from the extended-type
-join, never from realization.  Counts are Python ints, so coefficients
-never overflow.
+and keeps, per node, exact counts of subsets by extended type, nullity
+and rank.  The counts of one (extended type, nullity) row are packed
+into one Python int by rank (Kronecker substitution; layout and slot
+width at ``_NodeTable``), so a join multiplies whole rows: one product
+per pair of child rows adds ranks and multiplies counts at once.  The
+join's rank increment delta then shifts the product by delta slots.  A
+negative delta is an exact right shift: no parent rank is below 0, so
+the product's lowest -delta slots are empty.  Ranks come from the
+extended-type join, never from realization.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -34,15 +36,19 @@ class TuttePolynomial:
     def from_whitney(cls, counts):
         """counts: mapping (a, b) -> count of (x-1)^a (y-1)^b."""
         whitney = {k: int(v) for k, v in counts.items() if v}
-        coeffs = {}
+        rows = 1 + max((a for a, _ in whitney), default=0)
+        cols = 1 + max((b for _, b in whitney), default=0)
+        grid = [[0] * cols for _ in range(rows)]
         for (a, b), c in whitney.items():
-            for i in range(a + 1):
-                for j in range(b + 1):
-                    term = c * comb(a, i) * comb(b, j)
-                    if (a - i + b - j) % 2:
-                        term = -term
-                    coeffs[(i, j)] = coeffs.get((i, j), 0) + term
-        coeffs = {k: v for k, v in coeffs.items() if v}
+            grid[a][b] = c
+        # x -> x - 1 down each column, then y -> y - 1 along each row
+        by_x = zip(*map(_taylor_shift, zip(*grid)))
+        coeffs = {
+            (i, j): c
+            for i, row in enumerate(by_x)
+            for j, c in enumerate(_taylor_shift(row))
+            if c
+        }
         return cls(
             coeffs=tuple(sorted((i, j, c) for (i, j), c in coeffs.items())),
             whitney=tuple(sorted((a, b, c) for (a, b), c in whitney.items())),
@@ -80,6 +86,21 @@ class TuttePolynomial:
         return out.replace("+ -", "- ")
 
 
+def _taylor_shift(coeffs):
+    """Coefficients of p(t - 1) from those of p(t), lowest degree first.
+
+    Horner's rule, q <- q * (t - 1) + c from the top coefficient down, with
+    additions only: no binomials, so no products of big integers.
+    """
+    out = []
+    for c in reversed(coeffs):
+        out.append(0)
+        for i in range(len(out) - 1, 0, -1):
+            out[i] = out[i - 1] - out[i]
+        out[0] = c - out[0]
+    return out
+
+
 def tutte_bruteforce(m):
     """Whitney-form accumulation over all subsets of the ground set."""
     counts = kernels.whitney_counts(np.asarray(m.table), m.size)
@@ -92,21 +113,41 @@ def tutte_bruteforce(m):
     )
 
 
+_FEW_SLOTS = 4  # a factor spanning at most this many slots goes by shift-and-add
+
+
 class _NodeTable:
-    """Counts of subsets of E(M(v)) keyed by extended type, then (r, s)."""
+    """Counts of subsets of E(M(v)) by extended type, nullity and rank.
 
-    __slots__ = ("by_sig",)
+    ``by_sig[sig][nu]`` is one int packing the counts of the subsets with
+    extended type ``sig`` and nullity ``nu = s - r``: the count for rank r
+    sits in bits ``width * r`` up to ``width * (r + 1)``.  ``width`` is one
+    more than the number of distinct elements of the tree.  A slot counts
+    subsets of E(M(v)), and a join's product counts pairs of subsets of the
+    children's ground sets, disjoint in a nice tree; so no slot, not even
+    a partial sum, reaches ``2**width``, and slots never carry.
+    """
 
-    def __init__(self):
+    __slots__ = ("by_sig", "width")
+
+    def __init__(self, width):
         self.by_sig = {}
+        self.width = width
 
-    def add(self, sig, r, s, count):
+    def add(self, sig, nu, packed):
         rows = self.by_sig.setdefault(sig, {})
-        key = (r, s)
-        rows[key] = rows.get(key, 0) + count
+        rows[nu] = rows.get(nu, 0) + packed
+
+    def counts(self, sig):
+        """{(r, s): count} for one extended type."""
+        return {
+            (r, r + nu): c
+            for nu, packed in self.by_sig[sig].items()
+            for r, c in _slots(packed, self.width).items()
+        }
 
     def total(self):
-        return sum(c for rows in self.by_sig.values() for c in rows.values())
+        return sum(sum(self.counts(sig).values()) for sig in self.by_sig)
 
 
 def tutte_decomposition(tree, want_tables=False):
@@ -115,49 +156,102 @@ def tutte_decomposition(tree, want_tables=False):
     The tree is validated and, when needed, made nice first.  Returns the
     polynomial, or (polynomial, per-node tables) when ``want_tables``.
     """
+    tree = tree.prepared()
+    width = 1 + len(set().union(*(node.K.ground_set for node in tree.nodes.values())))
     tables = {}
-    leaf, join = _leaf_table, _join_tables
+
+    def leaf(view):
+        return _leaf_table(view, width)
+
+    join = _join_tables
     if want_tables:
         leaf, join = _kept(tables, leaf), _kept(tables, join)
-    counts = Counter()
-    for rows in bottom_up(tree.prepared(), leaf, join).by_sig.values():
-        counts.update(rows)
-    full_rank = max((r for r, _ in counts), default=0)
-    whitney = Counter()
-    for (r, s), c in counts.items():
-        whitney[(full_rank - r, s - r)] += c
+    by_nu = Counter()
+    for rows in bottom_up(tree, leaf, join).by_sig.values():
+        by_nu.update(rows)
+    full_rank = max(((p.bit_length() - 1) // width for p in by_nu.values()), default=0)
+    whitney = {
+        (full_rank - r, nu): c
+        for nu, packed in by_nu.items()
+        for r, c in _slots(packed, width).items()
+    }
     poly = TuttePolynomial.from_whitney(whitney)
     if want_tables:
         return poly, tables
     return poly
 
 
-def _leaf_table(view):
-    table = _NodeTable()
+def _leaf_table(view, width):
+    table = _NodeTable(width)
     for _, r, s, sig in leaf_signatures(view.k, view.boundary):
-        table.add(sig, r, s, 1)
+        table.add(sig, s - r, 1 << width * r)
     return table
 
 
 def _join_tables(view, t1, t2):
+    """Parent table: per signature pair, one product per pair of nullity
+    rows, moved by each fresh choice's rank increment (see module doc)."""
     ctx = view.ctx
-    table = _NodeTable()
+    width = t1.width
+    table = _NodeTable(width)
     for sig1, rows1 in t1.by_sig.items():
         if _trace_hits(ctx.side1, sig1.trace, ctx.dmask):
             continue
         for sig2, rows2 in t2.by_sig.items():
             if _trace_hits(ctx.side2, sig2.trace, ctx.dmask):
                 continue
+            joined = []
             for fmask in view.fresh_masks:
                 try:
                     sig, delta = ctx.extended_join(sig1, sig2, fmask)
                 except DomainError:
                     continue
-                extra = bin(fmask).count("1")
-                for (r1, s1), n1 in rows1.items():
-                    for (r2, s2), n2 in rows2.items():
-                        table.add(sig, r1 + r2 + delta, s1 + s2 + extra, n1 * n2)
+                joined.append((sig, delta, fmask.bit_count() - delta))
+            if not joined:
+                continue
+            for nu1, p1 in rows1.items():
+                for nu2, p2 in rows2.items():
+                    product = _product(p1, p2, width)
+                    for sig, delta, extra in joined:
+                        shift = width * delta
+                        moved = product << shift if shift >= 0 else product >> -shift
+                        table.add(sig, nu1 + nu2 + extra, moved)
     return table
+
+
+def _product(p, q, width):
+    """p * q, by shift-and-add when the shorter factor spans few slots.
+
+    A leaf's rows hold one subset each, so against the long rows of a deep
+    subtree a full multiplication would mostly multiply zero slots.
+    """
+    if p.bit_length() < q.bit_length():
+        p, q = q, p
+    if q.bit_length() > _FEW_SLOTS * width:
+        return p * q
+    mask = (1 << width) - 1
+    out = shift = 0
+    while q:
+        c = q & mask
+        if c:
+            out += (p if c == 1 else p * c) << shift  # p * 1 would copy p
+        q >>= width
+        shift += width
+    return out
+
+
+def _slots(packed, width):
+    """{r: count} of the nonzero slots of one packed row."""
+    mask = (1 << width) - 1
+    out = {}
+    r = 0
+    while packed:
+        c = packed & mask
+        if c:
+            out[r] = c
+        packed >>= width
+        r += 1
+    return out
 
 
 def _kept(tables, build):

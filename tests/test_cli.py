@@ -1,10 +1,11 @@
 """Command-line exit codes on malformed or oversized inputs."""
 
 import json
+import sys
 
 import pytest
 
-from amwidth import cli, files, linalg
+from amwidth import cli, files, linalg, zoo
 from amwidth.config import NAIVE_MSO_CAP, table_cap
 
 from test_branch import caterpillar
@@ -209,13 +210,34 @@ def test_bad_glue_deletion_exits_1(corpus_dir, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_tutte_matroid_alone_uses_brute_force(corpus_dir, capsys):
+    path = str(corpus_dir / "matroids" / "fano.json")
+    assert cli.main(["tutte", "--brute", "-m", path]) == 0
+    brute = capsys.readouterr().out
+    assert cli.main(["tutte", "-m", path]) == 0
+    assert capsys.readouterr().out == brute
+    # naming the DP still needs a decomposition
+    assert cli.main(["tutte", "--dp", "-m", path]) == 3
+    assert "--dp needs a decomposition file" in capsys.readouterr().err
+
+
+def test_nice_deeper_than_recursion_limit(tmp_path, capsys):
+    tree = zoo.triangle_chain(sys.getrecursionlimit() + 100)
+    path = _write(tmp_path / "chain.json", files.decomposition_to_obj(tree))
+    out = str(tmp_path / "nice.json")
+    assert cli.main(["nice", "-d", path, "-o", out]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out) == {"written": out, "width": 3}
+
+
 def _contract_runs(corpus):
     """(argv) for every read-only command over each corpus file it takes."""
     matroids = sorted((corpus / "matroids").glob("*.json"))
     matroids += sorted((corpus / "branch").glob("*.matroid.json"))
     for m in matroids:
         yield ["info", "-m", str(m)]
-        yield ["tutte", "--brute", "-m", str(m)]
+        yield ["tutte", "-m", str(m)]
     for b in sorted((corpus / "branch").glob("*.branch.json")):
         m = b.with_name(b.name.replace(".branch.", ".matroid."))
         yield ["width", "-b", str(b), "-m", str(m)]

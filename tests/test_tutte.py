@@ -1,12 +1,15 @@
 """Tutte polynomial: oracle, decomposition DP, and the standard identities."""
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from amwidth import zoo
 from amwidth.matroid import Matroid
 from amwidth.tutte import TuttePolynomial, tutte_bruteforce, tutte_decomposition
+from amwidth.types_dp import JoinContext
 
 import oracles
 
@@ -96,12 +99,88 @@ def test_dp_fano_conversion(corpus_dir, fano):
     assert oracles.count_bases(fano) == 28
 
 
-def test_count_table_row_sums():
-    tree = zoo.triangle_chain(3)
-    _, tables = tutte_decomposition(tree, want_tables=True)
-    for nid, table in tables.items():
-        survivors = len(tree.ground(nid))
-        assert table.total() == 2**survivors, nid
+def _binomial_expansion(counts):
+    """Standard-basis coefficients of a Whitney form, term by term."""
+    coeffs = {}
+    for (a, b), c in counts.items():
+        for i in range(a + 1):
+            for j in range(b + 1):
+                term = c * comb(a, i) * comb(b, j) * (-1) ** (a - i + b - j)
+                coeffs[(i, j)] = coeffs.get((i, j), 0) + term
+    return {k: v for k, v in coeffs.items() if v}
+
+
+def test_from_whitney_matches_binomial_expansion():
+    rng = random.Random(6)
+    cases = [{}, {(0, 0): 0}, {(3, 2): 0, (1, 0): -1}, {(0, 0): 5}, {(40, 1): 2**80}]
+    for _ in range(200):
+        cases.append(
+            {
+                (rng.randrange(10), rng.randrange(6)): rng.choice(
+                    (0, rng.randint(-9, 9), rng.randrange(-(2**70), 2**70))
+                )
+                for _ in range(rng.randrange(12))
+            }
+        )
+    for counts in cases:
+        poly = TuttePolynomial.from_whitney(counts)
+        assert poly.coeff_dict() == _binomial_expansion(counts), counts
+        assert poly.whitney == tuple(sorted((a, b, c) for (a, b), c in counts.items() if c))
+
+
+def _cycle_polynomial(n):
+    """T(C_n) = x^(n-1) + ... + x + y."""
+    want = {(i, 0): 1 for i in range(1, n)}
+    want[(0, 1)] = 1
+    return want
+
+
+@pytest.mark.parametrize("n, pad", [(300, 0), (120, 4)])
+def test_dp_long_chain_matches_cycle(n, pad):
+    poly = tutte_decomposition(zoo.triangle_chain(n, pad=pad))
+    assert poly.coeff_dict() == _cycle_polynomial(n + 2)
+    assert max(c for _, _, c in poly.whitney) > 2**64
+
+
+def _parallel_chain(n):
+    """n copies of U(1,3) two-summed along a path; realizes U(1, n + 2)."""
+    tb = zoo.TreeBuilder("q")
+    top = tb.glue(
+        tb.leaf(Matroid.single(1)), tb.leaf(Matroid.single(2)), Matroid.uniform(1, [1, 2, 1000])
+    )
+    for i in range(1, n):
+        glue_m = Matroid.uniform(1, [2 + i, 999 + i, 1000 + i])
+        top = tb.glue(tb.leaf(Matroid.single(2 + i)), top, glue_m, {999 + i})
+    return tb.done(top)
+
+
+def test_dp_parallel_chain_matches_dual_cycle(monkeypatch):
+    # U(1, n) is the dual of the n-cycle; joining two nonempty parallel sets
+    # loses one rank, so the packed products shift right
+    deltas = []
+    original = JoinContext.extended_join
+
+    def recording(ctx, e1, e2, fresh):
+        result = original(ctx, e1, e2, fresh)
+        deltas.append(result[1])
+        return result
+
+    monkeypatch.setattr(JoinContext, "extended_join", recording)
+    poly = tutte_decomposition(_parallel_chain(150))
+    assert poly.coeff_dict() == {(j, i): c for (i, j), c in _cycle_polynomial(152).items()}
+    assert max(c for _, _, c in poly.whitney) > 2**64
+    assert min(deltas) == -1
+
+
+def test_count_table_row_sums(corpus_decompositions):
+    chains = [zoo.triangle_chain(3), zoo.triangle_chain(70), zoo.triangle_chain(9, pad=3)]
+    for tree in chains + list(corpus_decompositions.values()):
+        _, tables = tutte_decomposition(tree, want_tables=True)
+        prepared = tree.prepared()
+        assert set(tables) == set(prepared.nodes)
+        for nid, table in tables.items():
+            survivors = len(prepared.ground(nid))
+            assert table.total() == 2**survivors, nid
 
 
 def test_dp_on_padded_chain():
@@ -113,7 +192,5 @@ def test_dp_scales_past_bruteforce():
     tree = zoo.triangle_chain(40)
     poly = tutte_decomposition(tree)
     n = 42  # realized cycle length
-    want = {(i, 0): 1 for i in range(1, n)}
-    want[(0, 1)] = 1
-    assert poly.coeff_dict() == want
+    assert poly.coeff_dict() == _cycle_polynomial(n)
     assert poly.evaluate(1, 1) == n
