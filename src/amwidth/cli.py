@@ -174,14 +174,16 @@ def _cmd_tutte(args):
             "value": str(value),
         }
     if args.dump_types and tables is not None:
+        prepared = tree.prepared()  # the tree the tables were computed on
         dump = {}
         for nid, table in tables.items():
+            boundary = sorted(prepared.boundary(nid))
             rows = []
             for sig in sorted(table.by_sig, key=repr):
                 cells = table.counts(sig)
                 rows.append(
                     {
-                        "boundary": list(sig.boundary),
+                        "boundary": boundary,
                         "fmap": list(sig.base.fmap),
                         "trace": sig.trace,
                         "offsets": list(sig.offsets),

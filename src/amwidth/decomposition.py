@@ -3,12 +3,22 @@
 A tree node carries its glue matroid K and the sets J1, J2, D of the
 glueing step that produces M(v) from the children's matroids.  Ground
 sets are derived structurally; rank-level checks run through a bottom-up
-"frame" pass that restricts each M(v) to E(K(v)) without realizing the
-whole matroid, so validation scales to trees whose realization would be
-far beyond the brute-force caps.  ``realize`` is the capped oracle path.
+"frame" pass that restricts each M(v) to E(K(v)) - D(v) without
+realizing the whole matroid, so validation scales to trees whose
+realization would be far beyond the brute-force caps.  ``realize`` is
+the capped oracle path.
+
+A rank-level verdict depends on rank tables and positions in them, not
+on element ids, so one ``validate`` call reaches each distinct verdict
+once: a semiflat check per (K table, J positions), a frame with its
+rank-axiom check per (K table, D positions), and a restriction check per
+(child frame, positions, K table, positions).  Nodes of one shape (glue
+table and the positions of J1, J2, D) share them, and a failing verdict
+is reported at every node it applies to.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,6 +191,7 @@ class AmalgamDecomposition:
             return report
         clean = {}
         frames = {}
+        checks = _ShapeChecks()
         for v in order:
             node = self.nodes[v]
             before = len(violations)
@@ -201,7 +212,7 @@ class AmalgamDecomposition:
                     )
                 clean[v] = len(violations) == before
                 if clean[v]:
-                    frames[v] = node.K
+                    frames[v] = _Frame(node.K.elements, node.K.table)
                 continue
             c1, c2 = node.children
             g1, g2 = self.ground(c1), self.ground(c2)
@@ -223,21 +234,14 @@ class AmalgamDecomposition:
                     Violation(v, "deletions-not-in-glue", "D is not inside E(K)")
                 )
             for label, j in (("j1", node.J1), ("j2", node.J2)):
-                try:
-                    if not is_modular_semiflat(node.K, j):
-                        violations.append(
-                            Violation(
-                                v,
-                                f"semiflat-{label}",
-                                f"{label.upper()} is not a modular semiflat in K",
-                            )
-                        )
-                except DomainError as exc:
-                    violations.append(Violation(v, f"semiflat-{label}", str(exc)))
+                ok, error = checks.semiflat(node.K, j)
+                if not ok:
+                    message = error or f"{label.upper()} is not a modular semiflat in K"
+                    violations.append(Violation(v, f"semiflat-{label}", message))
             structurally_ok = len(violations) == before
             kids_clean = clean.get(c1, False) and clean.get(c2, False)
             if structurally_ok and kids_clean:
-                frame = self._check_restrictions(v, frames, violations)
+                frame = self._check_restrictions(v, frames, checks, violations)
                 if frame is not None and len(violations) == before:
                     frames[v] = frame
             clean[v] = len(violations) == before and kids_clean
@@ -246,7 +250,7 @@ class AmalgamDecomposition:
         self._cache["report"] = report
         return report
 
-    def _check_restrictions(self, v, frames, violations):
+    def _check_restrictions(self, v, frames, checks, violations):
         """Verify M_i|J_i = K|J_i at node v and return frame(v) if possible.
 
         frame(v) is M(v) restricted to E(K(v)) minus D(v); children frames
@@ -254,38 +258,37 @@ class AmalgamDecomposition:
         anchored, otherwise the capped realization is the fallback.
         """
         node = self.nodes[v]
-        child_restrictions = []
+        sides = []
         for c, j in zip(node.children, (node.J1, node.J2)):
             fr = frames.get(c)
-            if fr is not None and j <= fr.ground_set:
-                child_restrictions.append(fr.restrict(j))
-                continue
-            try:
-                child_restrictions.append(self.realize(c, _validated=False).restrict(j))
-            except ResourceError:
-                violations.append(
-                    Violation(
-                        v,
-                        "unverifiable-restriction",
-                        "boundary leaves the child's glue matroid and the "
-                        "subtree is too large to realize",
+            pos = fr.positions(j) if fr is not None else None
+            if pos is None:
+                try:
+                    m = self.realize(c, _validated=False)
+                except ResourceError:
+                    violations.append(
+                        Violation(
+                            v,
+                            "unverifiable-restriction",
+                            "boundary leaves the child's glue matroid and the "
+                            "subtree is too large to realize",
+                        )
                     )
-                )
-                return None
-        for i, (j, r) in enumerate(
-            zip((node.J1, node.J2), child_restrictions), start=1
-        ):
-            if not r.rank_equal(node.K.restrict(j)):
+                    return None
+                fr = _Frame(m.elements, m.table)
+                pos = fr.positions(j)
+            sides.append((fr, pos))
+        for i, ((fr, pos), j) in enumerate(zip(sides, (node.J1, node.J2)), start=1):
+            if not checks.restriction_agrees(fr, pos, node.K, j):
                 violations.append(
                     Violation(v, f"restriction-j{i}", f"M{i}|J{i} differs from K|J{i}")
                 )
                 return None
-        frame = _glue_frame(node, child_restrictions)
-        if frame.rank_axiom_violation() is not None:
+        frame = checks.glue_frame(node.K, node.D)
+        if frame is None:
             violations.append(
                 Violation(v, "glue-broken", "glue at this node is not a matroid")
             )
-            return None
         return frame
 
     # -- realization -------------------------------------------------------
@@ -420,49 +423,82 @@ def _parallel_extend(m, twins):
     return Matroid(elements, tbl, names=m.names)
 
 
-def _glue_frame(node, child_restrictions):
-    """M(v) restricted to E(K(v)) \\ D(v), from child boundary restrictions.
+class _Frame(NamedTuple):
+    """M(v) restricted to E(K(v)) - D(v), as element order and rank table."""
 
-    Applies the parallel-connection rank formula twice over the subset
-    lattice of E(K); children enter only through their restrictions to
-    J1 and J2, which agree with K there.
+    elements: tuple
+    table: np.ndarray
+
+    def positions(self, ids):
+        """Positions of the sorted ids, or None when one is not in the frame."""
+        index = {e: i for i, e in enumerate(self.elements)}
+        if not all(e in index for e in ids):
+            return None
+        return tuple(index[e] for e in sorted(ids))
+
+
+class _ShapeChecks:
+    """The rank-level verdicts of one ``validate`` call, each computed once.
+
+    A verdict depends on rank tables and positions, never on element ids,
+    so all nodes of one shape share it; the caller still reports a failing
+    verdict at every node it applies to.
     """
-    k = node.K
-    r1m, r2m = child_restrictions
-    nk = k.size
-    masks = np.arange(1 << nk, dtype=np.int64)
-    clk = np.asarray(k.closure_table())
-    tk = np.asarray(k.table).astype(np.int64)
-    j1mask = k.mask_of(node.J1)
-    j2mask = k.mask_of(node.J2)
 
-    def embed(rm):
-        pos = {e: i for i, e in enumerate(k.elements)}
-        gather_bitmap = np.full(nk, -1, dtype=np.int64)
-        for e, i in rm._index.items():
-            gather_bitmap[pos[e]] = i
-        gather = kernels.translate_all_masks(nk, gather_bitmap)
-        scatter_bitmap = np.array([pos[e] for e in rm.elements], dtype=np.int64)
-        scatter = kernels.translate_all_masks(rm.size, scatter_bitmap)
-        cl = scatter[np.asarray(rm.closure_table())]
-        return gather, scatter, cl, np.asarray(rm.table).astype(np.int64)
+    def __init__(self):
+        self.semiflats = {}
+        self.glue_tables = {}
+        self.restrictions = {}
 
-    g1, s1, cl1, t1 = embed(r1m)
-    g2, s2, cl2, t2 = embed(r2m)
+    def semiflat(self, k, j):
+        """(whether j is a modular semiflat in k, DomainError text or None)."""
+        if not j <= k.ground_set:  # the error names the stray id: not shared
+            return _semiflat(k, j)
+        key = (k.table.tobytes(), k.mask_of(j))
+        if key not in self.semiflats:
+            self.semiflats[key] = _semiflat(k, j)
+        return self.semiflats[key]
 
-    f1 = cl1[g1[masks & j1mask]]  # cl_{M1}(W & J1) & J1, as K-masks
-    w2 = masks | f1
-    m1_arg = (clk | masks) & j1mask
-    n1_arg = (clk & j1mask) | f1
-    rp1 = tk[w2] + t1[g1[m1_arg]] - tk[n1_arg]
+    def restriction_agrees(self, frame, pos, k, j):
+        """Whether ``frame`` at ``pos`` and k agree on every subset of j,
+        matched element by element in sorted order."""
+        kpos = tuple(k._index[e] for e in sorted(j))
+        key = (frame.table.tobytes(), pos, k.table.tobytes(), kpos)
+        if key not in self.restrictions:
+            mine = frame.table[kernels.translate_all_masks(len(pos), pos)]
+            theirs = k.table[kernels.translate_all_masks(len(kpos), kpos)]
+            self.restrictions[key] = bool(np.array_equal(mine, theirs))
+        return self.restrictions[key]
 
-    f2 = cl2[g2[masks & j2mask]]
-    w = masks | f2
-    # closure of X in P1, restricted to J2
-    a = clk[masks | f1] & j2mask
-    b = cl1[g1[(clk | masks) & j1mask]] & j2mask
-    y2 = a | b | (masks & j2mask)
-    rp2 = rp1[w] + t2[g2[y2]] - tk[y2 | f2]
+    def glue_frame(self, k, d):
+        """frame(v) once the child restrictions agree with K, else None
+        when it breaks the rank axioms (see ``_glue_frame``)."""
+        key = (k.table.tobytes(), k.mask_of(d))
+        if key not in self.glue_tables:
+            self.glue_tables[key] = _glue_frame(k, key[1])
+        table = self.glue_tables[key]
+        if table is None:
+            return None
+        return _Frame(tuple(e for e in k.elements if e not in d), table)
 
-    frame = Matroid(k.elements, rp2.astype(np.int8))
-    return frame.delete(node.D) if node.D else frame
+
+def _semiflat(k, j):
+    try:
+        return is_modular_semiflat(k, j), None
+    except DomainError as exc:
+        return False, str(exc)
+
+
+def _glue_frame(k, d):
+    """Rank table of M(v) restricted to E(K) - D, or None if not a matroid.
+
+    Once M_i|J_i = K|J_i, the parallel-connection rank formula over E(K)
+    reduces to K's own ranks: what child i adds to X, cl_{M_i}(X & J_i)
+    & J_i, lies inside cl_K(X) and changes no rank.  So the frame is K
+    with the K-mask d deleted.
+    """
+    keep = [i for i in range(k.size) if not d >> i & 1]
+    table = np.asarray(k.table)[kernels.translate_all_masks(len(keep), keep)]
+    if kernels.check_rank_axioms(table, len(keep))[0]:
+        return None
+    return table

@@ -51,30 +51,6 @@ class _NodeInfo:
         children = zip(("c1", "c2"), view.node.children)
         self.places = [(where, tree.ground(c)) for where, c in children]
         self.places.append(("here", view.fresh))
-        self._fix_memo = {}
-        self._leaf_rows = None
-
-    def leaf_row(self, xmask):
-        """(subset, rank, size, ExtendedType) of a leaf's subset, memoized."""
-        if self._leaf_rows is None:
-            self._leaf_rows = leaf_signatures(self.view.k, self.view.boundary)
-        return self._leaf_rows[xmask]
-
-    def fixpoints(self, fm1, fm2, xk):
-        """Closure fixed point per parent-boundary subset, memoized."""
-        key = (fm1, fm2, xk)
-        hit = self._fix_memo.get(key)
-        if hit is not None:
-            return hit
-        ctx = self.view.ctx
-        nt1 = NodeType(ctx.side1.boundary, fm1)
-        nt2 = NodeType(ctx.side2.boundary, fm2)
-        out = tuple(
-            ctx.fixpoint(nt1, nt2, int(ctx.parent.scatter[ymask]) | xk)
-            for ymask in range(1 << ctx.parent.size)
-        )
-        self._fix_memo[key] = out
-        return out
 
 
 class _Run:
@@ -87,6 +63,7 @@ class _Run:
         self.refs = {}
         self._label(core)
         self._memo = {}
+        self._leaf_rows = {}  # leaf shape -> leaf_signatures rows
 
     def _label(self, f):
         self.labels.setdefault(id(f), F.to_text(f))
@@ -151,8 +128,11 @@ class _Run:
         if isinstance(f, F.InClosure):
             return self._closure_leaf(f, info, views)
         if isinstance(f, F.Indep):
-            xmask = info.view.k.mask_of(self._term_view(f.term, views))
-            _, rank, size, sig = info.leaf_row(xmask)
+            view = info.view
+            rows = self._leaf_rows.get(view.shape)
+            if rows is None:
+                rows = self._leaf_rows[view.shape] = leaf_signatures(view.k, view.boundary)
+            rank, size, sig = rows[view.k.mask_of(self._term_view(f.term, views))]
             return (sig, rank == size)
         if isinstance(f, F.Not):
             return self._init(f.inner, info, views)
@@ -317,10 +297,8 @@ class _Run:
         k, ctx = info.view.k, info.view.ctx
         xk = k.mask_of(self._term_view(f.term, views))
         vid, where = views[f.elem]
-        zs = info.fixpoints(s1[0], s2[0], xk)
-        fmap = tuple(
-            int(ctx.parent.gather[z & ctx.parent.mask]) for z in zs
-        )
+        zs = ctx.fixpoints(NodeType(s1[0]), NodeType(s2[0]), xk)
+        fmap = tuple(ctx.parent.gather[z & ctx.parent.mask] for z in zs)
         if where == "out":
             return (fmap, None)
         g = []
@@ -328,9 +306,9 @@ class _Run:
             if vid is not None:
                 g.append(bool(z >> k._index[vid] & 1))
             elif where == "c1":
-                g.append(s1[1][int(ctx.side1.gather[z & ctx.side1.mask])])
+                g.append(s1[1][ctx.side1.gather[z & ctx.side1.mask]])
             elif where == "c2":
-                g.append(s2[1][int(ctx.side2.gather[z & ctx.side2.mask])])
+                g.append(s2[1][ctx.side2.gather[z & ctx.side2.mask]])
             else:
                 raise DomainError("closure query on an unplaced element")
         return (fmap, tuple(g))

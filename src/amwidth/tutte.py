@@ -159,9 +159,13 @@ def tutte_decomposition(tree, want_tables=False):
     tree = tree.prepared()
     width = 1 + len(set().union(*(node.K.ground_set for node in tree.nodes.values())))
     tables = {}
+    leaf_tables = {}  # one per leaf shape; tables are never changed once built
 
     def leaf(view):
-        return _leaf_table(view, width)
+        table = leaf_tables.get(view.shape)
+        if table is None:
+            table = leaf_tables[view.shape] = _leaf_table(view, width)
+        return table
 
     join = _join_tables
     if want_tables:
@@ -183,7 +187,7 @@ def tutte_decomposition(tree, want_tables=False):
 
 def _leaf_table(view, width):
     table = _NodeTable(width)
-    for _, r, s, sig in leaf_signatures(view.k, view.boundary):
+    for r, s, sig in leaf_signatures(view.k, view.boundary):
         table.add(sig, s - r, 1 << width * r)
     return table
 
@@ -201,7 +205,7 @@ def _join_tables(view, t1, t2):
             if _trace_hits(ctx.side2, sig2.trace, ctx.dmask):
                 continue
             joined = []
-            for fmask in view.fresh_masks:
+            for fmask in ctx.fresh_masks:
                 try:
                     sig, delta = ctx.extended_join(sig1, sig2, fmask)
                 except DomainError:
@@ -260,4 +264,4 @@ def _kept(tables, build):
 
 
 def _trace_hits(side, trace, dmask):
-    return bool(int(side.scatter[trace]) & dmask)
+    return bool(side.scatter[trace] & dmask)

@@ -9,15 +9,21 @@ The join computes the parent's signature from the children's without
 realizing anything; ``type_of``/``extended_type_of`` recompute the same
 data on the realized matroid and serve as the oracle in tests.
 
-Joins carry a per-node ``JoinContext`` so repeated signatures are memoized
-per DP run; contexts are private to a run, making concurrent runs over
-shared decompositions safe.
+Types hold no element ids: a boundary subset is a mask over the sorted
+boundary.  A node's *shape* is its glue matroid's rank table, the
+K-positions of sorted J1, sorted J2 and the sorted parent boundary, and
+the mask of D; every rank-level fact of a join depends on the shape
+alone.  So one ``JoinContext`` per shape serves every node of that shape
+in a DP run, with its memo of joined signatures and closure fixed
+points; contexts are private to a run, making concurrent runs over
+shared decompositions safe.  A bounded-width tree has boundedly many
+shapes, so the memos turn the DP into a finite tree automaton.
 
 ``bottom_up`` is the one leaves-to-root pass of both dynamic programs,
 the Tutte DP and compiled MSO: a loop over the postorder, not recursion,
 so depth is bounded by memory alone.  It hands each node a ``NodeView``
-(boundary, context, fresh elements) and frees each child's result once
-the parent has used it.
+(boundary, shape, shared context, fresh elements) and frees each child's
+result once the parent has used it.
 """
 
 from dataclasses import dataclass
@@ -33,6 +39,7 @@ __all__ = [
     "ExtendedType",
     "JoinContext",
     "NodeView",
+    "node_shape",
     "bottom_up",
     "type_of",
     "extended_type_of",
@@ -44,8 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NodeType:
-    boundary: tuple  # sorted element ids
-    fmap: tuple  # fmap[Ymask] = closure mask over the boundary order
+    fmap: tuple  # fmap[Ymask] = closure mask over the sorted boundary
 
     def apply(self, ymask):
         return self.fmap[ymask]
@@ -56,10 +62,6 @@ class ExtendedType:
     base: NodeType
     trace: int  # tracked set's boundary mask
     offsets: tuple  # offsets[Ymask] = r(X' + Y) - r(X')
-
-    @property
-    def boundary(self):
-        return self.base.boundary
 
 
 def _boundary_order(ids):
@@ -80,7 +82,7 @@ def type_of(tree, nid, tracked):
                 ym |= 1 << p
         cl = m.closure_mask(x | ym)
         fmap.append(sum(1 << i for i, p in enumerate(jpos) if cl >> p & 1))
-    return NodeType(boundary, tuple(fmap))
+    return NodeType(tuple(fmap))
 
 
 def extended_type_of(tree, nid, tracked):
@@ -103,45 +105,74 @@ def extended_type_of(tree, nid, tracked):
     return ExtendedType(base, trace, tuple(offsets))
 
 
-class _Side:
-    """Gather/scatter between K's mask space and a child boundary's."""
+def _positions(k, ids):
+    """K-positions of the sorted ids."""
+    ids = _boundary_order(ids)
+    missing = [e for e in ids if e not in k._index]
+    if missing:
+        raise DomainError(
+            f"boundary elements {missing} are outside the glue matroid; "
+            "the decomposition is not anchored"
+        )
+    return tuple(k._index[e] for e in ids)
 
-    def __init__(self, k, boundary):
-        self.boundary = boundary
-        self.size = len(boundary)
-        missing = [e for e in boundary if e not in k._index]
-        if missing:
-            raise DomainError(
-                f"boundary elements {missing} are outside the glue matroid; "
-                "the decomposition is not anchored"
-            )
-        pos = [k._index[e] for e in boundary]
+
+def node_shape(k, j1, j2, j_parent, deletions=()):
+    """The key one ``JoinContext`` is built from; see the module doc."""
+    return (
+        k.table.tobytes(),
+        _positions(k, j1),
+        _positions(k, j2),
+        _positions(k, j_parent),
+        k.mask_of(deletions),
+    )
+
+
+def _submasks(mask):
+    """Every submask of ``mask``, built bit by bit from the lowest."""
+    out = [0]
+    bit = 1
+    while bit <= mask:
+        if mask & bit:
+            out += [m | bit for m in out]
+        bit <<= 1
+    return out
+
+
+class _Side:
+    """Gather/scatter between K's mask space and a boundary's, as lists."""
+
+    def __init__(self, n, pos):
+        self.size = len(pos)
         self.mask = sum(1 << p for p in pos)
-        gather_bitmap = np.full(k.size, -1, dtype=np.int64)
-        for i, p in enumerate(pos):
-            gather_bitmap[p] = i
-        self.gather = kernels.translate_all_masks(k.size, gather_bitmap)
-        scatter_bitmap = np.array(pos, dtype=np.int64)
-        self.scatter = kernels.translate_all_masks(self.size, scatter_bitmap)
+        gather_bitmap = np.full(n, -1, dtype=np.int64)
+        gather_bitmap[list(pos)] = np.arange(self.size)
+        self.gather = kernels.translate_all_masks(n, gather_bitmap).tolist()
+        self.scatter = kernels.translate_all_masks(self.size, pos).tolist()
 
 
 class JoinContext:
-    """Per-node machinery for joining child signatures through K(v).
+    """Joining child signatures through the glue matroid of one shape.
 
-    Boundaries must sit inside E(K(v)) (anchored decompositions); the
-    tracked set's intersection with K is trace1 | trace2 | fresh choices.
+    Built from a ``node_shape`` and holding no element ids, so every node
+    of the shape shares it, memos included.  The shape's boundaries sit
+    inside E(K) (anchored decompositions); the tracked set's intersection
+    with K is trace1 | trace2 | fresh choices.
     """
 
-    def __init__(self, k, j1, j2, j_parent, deletions=()):
-        self.k = k
-        self.side1 = _Side(k, _boundary_order(j1))
-        self.side2 = _Side(k, _boundary_order(j2))
-        self.parent = _Side(k, _boundary_order(j_parent))
-        self.dmask = k.mask_of(deletions)
-        self.clk = np.asarray(k.closure_table())
-        self.tk = np.asarray(k.table).astype(np.int64)
-        self.fresh_mask = k.full_mask & ~(self.side1.mask | self.side2.mask)
+    def __init__(self, shape):
+        table, pos1, pos2, pos_parent, self.dmask = shape
+        tk = np.frombuffer(table, dtype=np.int8)
+        self.size = n = tk.size.bit_length() - 1
+        self.side1 = _Side(n, pos1)
+        self.side2 = _Side(n, pos2)
+        self.parent = _Side(n, pos_parent)
+        self.clk = kernels.closure_table(tk, n).tolist()
+        self.tk = tk.tolist()
+        fresh = (1 << n) - 1 & ~(self.side1.mask | self.side2.mask | self.dmask)
+        self.fresh_masks = _submasks(fresh)  # K-masks of the fresh subsets
         self._memo = {}
+        self._fix_memo = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -151,8 +182,7 @@ class JoinContext:
         Both mask and shift are K-masks; shift adds boundary seeds when
         evaluating signatures of the tracked set extended by a Y.
         """
-        arg = int(side.gather[(mask | shift) & side.mask])
-        return int(side.scatter[ntype.fmap[arg]])
+        return side.scatter[ntype.fmap[side.gather[(mask | shift) & side.mask]]]
 
     def _rank(self, e1, e2, xk, y1=0, y2=0):
         """Rank of the tracked set inside M(v), minus r1 + r2.
@@ -163,27 +193,28 @@ class JoinContext:
         absolute, so shifted signatures reduce to shifted lookups.
         """
         s1, s2 = self.side1, self.side2
+        clk, tk = self.clk, self.tk
         off1, off2 = e1.offsets, e2.offsets
         f2_0 = self._reflect(s2, e2.base, 0, shift=y2)
         xk2 = xk | f2_0
-        a1 = int(self.clk[xk2])
-        off1_arg = int(s1.gather[(((a1 | f2_0) & s1.mask) | y1)])
+        a1 = clk[xk2]
+        off1_arg = s1.gather[((a1 | f2_0) & s1.mask) | y1]
         f1f20 = self._reflect(s1, e1.base, f2_0, shift=y1)
         w2k = f1f20 | xk2
         n1arg = (a1 & s1.mask) | f1f20
-        rp1_delta = int(self.tk[w2k]) + off1[off1_arg] - int(self.tk[n1arg])
+        rp1_delta = tk[w2k] + off1[off1_arg] - tk[n1arg]
         # closure of the K-part in the first connection, restricted to J2
         f1_0 = self._reflect(s1, e1.base, 0, shift=y1)
-        a = int(self.clk[xk | f1_0])
-        b = self._reflect(s1, e1.base, (int(self.clk[xk]) | xk) & s1.mask, shift=y1)
+        a = clk[xk | f1_0]
+        b = self._reflect(s1, e1.base, (clk[xk] | xk) & s1.mask, shift=y1)
         y2m = (a | b | xk) & s2.mask
-        off2_arg = int(s2.gather[(y2m | y2) & s2.mask])
-        return rp1_delta + off2[off2_arg] - int(self.tk[y2m | f2_0])
+        off2_arg = s2.gather[(y2m | y2) & s2.mask]
+        return rp1_delta + off2[off2_arg] - tk[y2m | f2_0]
 
     def fixpoint(self, t1, t2, seed):
         z = seed
-        for _ in range(self.k.size + 1):
-            z2 = int(self.clk[z])
+        for _ in range(self.size + 1):
+            z2 = self.clk[z]
             z2 |= self._reflect(self.side1, t1, z2)
             z2 |= self._reflect(self.side2, t2, z2)
             if z2 == z:
@@ -191,16 +222,23 @@ class JoinContext:
             z = z2
         return z
 
+    def fixpoints(self, t1, t2, xk):
+        """The closure fixed point seeded by xk and each parent-boundary
+        subset, in subset order; memoized per context."""
+        key = (t1, t2, xk)
+        hit = self._fix_memo.get(key)
+        if hit is None:
+            scatter = self.parent.scatter
+            hit = tuple(self.fixpoint(t1, t2, ym | xk) for ym in scatter)
+            self._fix_memo[key] = hit
+        return hit
+
     # -- public joins -----------------------------------------------------
 
     def join_types(self, t1, t2, xk):
         """Definition-of-join fixed point, restricted to the parent boundary."""
-        fmap = []
-        for ymask in range(1 << self.parent.size):
-            seed = int(self.parent.scatter[ymask]) | xk
-            z = self.fixpoint(t1, t2, seed)
-            fmap.append(int(self.parent.gather[z & self.parent.mask]))
-        return NodeType(self.parent.boundary, tuple(fmap))
+        gather, pmask = self.parent.gather, self.parent.mask
+        return NodeType(tuple(gather[z & pmask] for z in self.fixpoints(t1, t2, xk)))
 
     def extended_join(self, e1, e2, fresh):
         """Parent signature and rank increment for one combination.
@@ -210,8 +248,8 @@ class JoinContext:
         DomainError when the combination includes deleted elements or the
         traces disagree on the shared boundary.
         """
-        tr1 = int(self.side1.scatter[e1.trace])
-        tr2 = int(self.side2.scatter[e2.trace])
+        tr1 = self.side1.scatter[e1.trace]
+        tr2 = self.side2.scatter[e2.trace]
         shared = self.side1.mask & self.side2.mask
         if (tr1 ^ tr2) & shared:
             raise DomainError("child traces disagree on the shared boundary")
@@ -224,19 +262,13 @@ class JoinContext:
             return hit
         delta = self._rank(e1, e2, xk)
         base = self.join_types(e1.base, e2.base, xk)
-        trace = int(self.parent.gather[xk & self.parent.mask])
-        offsets = []
-        for ymask in range(1 << self.parent.size):
-            ym = int(self.parent.scatter[ymask])
-            off = self._rank(
-                e1,
-                e2,
-                xk | ym,
-                y1=ym & self.side1.mask,
-                y2=ym & self.side2.mask,
-            ) - delta
-            offsets.append(off)
-        result = (ExtendedType(base, trace, tuple(offsets)), delta)
+        trace = self.parent.gather[xk & self.parent.mask]
+        offsets = tuple(
+            self._rank(e1, e2, xk | ym, y1=ym & self.side1.mask, y2=ym & self.side2.mask)
+            - delta
+            for ym in self.parent.scatter
+        )
+        result = (ExtendedType(base, trace, offsets), delta)
         self._memo[key] = result
         return result
 
@@ -244,42 +276,48 @@ class JoinContext:
 class NodeView:
     """One node as both dynamic programs see it.
 
-    ``boundary`` and ``fresh`` are sorted; ``ctx`` is None at a leaf.  The
-    fresh elements are all of K at a leaf and K - J1 - J2 - D otherwise.
-    Their subsets are built on first use, as K-masks for the Tutte DP and
-    as frozensets for compiled MSO, so neither DP pays for the other's form.
+    ``boundary`` and ``fresh`` are sorted element ids; ``shape`` keys what
+    the node shares with nodes of the same shape in a run, and ``ctx`` is
+    the shared context (None at a leaf).  The fresh elements are all of K
+    at a leaf and K - J1 - J2 - D otherwise; ``fresh_subsets`` lists their
+    subsets as frozensets in the order of ``ctx.fresh_masks``.
     """
 
-    def __init__(self, tree, nid):
+    def __init__(self, tree, nid, contexts):
         node = self.node = tree.nodes[nid]
         self.nid = nid
-        self.k = node.K
+        self.k = k = node.K
         self.boundary = _boundary_order(tree.boundary(nid))
-        self.fresh = _boundary_order(node.K.ground_set - node.J1 - node.J2 - node.D)
         self.ctx = None
-        if not node.is_leaf:
-            self.ctx = JoinContext(node.K, node.J1, node.J2, self.boundary, node.D)
+        if node.is_leaf:
+            self.shape = (k.table.tobytes(), _positions(k, self.boundary))
+        else:
+            self.shape = node_shape(k, node.J1, node.J2, self.boundary, node.D)
+            self.ctx = contexts.get(self.shape)
+            if self.ctx is None:
+                self.ctx = contexts[self.shape] = JoinContext(self.shape)
 
     @cached_property
-    def fresh_masks(self):
-        masks = [0]
-        for e in self.fresh:
-            masks += [m | 1 << self.k._index[e] for m in masks]
-        return masks
+    def fresh(self):
+        node = self.node
+        return _boundary_order(node.K.ground_set - node.J1 - node.J2 - node.D)
 
     @cached_property
     def fresh_subsets(self):
-        return [self.k.set_of(m) for m in self.fresh_masks]
+        masks = self.ctx.fresh_masks if self.ctx else _submasks(self.k.full_mask)
+        return [self.k.set_of(m) for m in masks]
 
 
 def bottom_up(tree, leaf, join):
     """Root result of ``leaf(view)`` and ``join(view, r1, r2)`` in postorder.
 
-    ``tree`` must be prepared (``AmalgamDecomposition.prepared``).
+    ``tree`` must be prepared (``AmalgamDecomposition.prepared``).  One
+    ``JoinContext`` per node shape serves the whole run.
     """
+    contexts = {}
     results = {}
     for nid in tree.postorder():
-        view = NodeView(tree, nid)
+        view = NodeView(tree, nid, contexts)
         if view.ctx is None:
             results[nid] = leaf(view)
         else:
@@ -290,26 +328,26 @@ def bottom_up(tree, leaf, join):
 
 def join(f1, f2, k, x_k, j1, j2, j_parent):
     """Join of two child types through K w.r.t. the tracked K-part x_k."""
-    ctx = JoinContext(k, j1, j2, j_parent)
+    ctx = JoinContext(node_shape(k, j1, j2, j_parent))
     return ctx.join_types(f1, f2, k.mask_of(x_k))
 
 
 def extended_join(e1, e2, k, s_fresh, deletions, j1, j2, j_parent):
     """Extended join; see JoinContext.extended_join."""
-    ctx = JoinContext(k, j1, j2, j_parent, deletions)
+    ctx = JoinContext(node_shape(k, j1, j2, j_parent, deletions))
     return ctx.extended_join(e1, e2, k.mask_of(s_fresh))
 
 
 def leaf_signatures(k, boundary):
-    """(subset, rank, size, ExtendedType) rows for a leaf with matroid k."""
-    boundary = _boundary_order(boundary)
-    jpos = [k._index[e] for e in boundary]
+    """(rank, size, ExtendedType) of every subset of a leaf with matroid k,
+    indexed by the subset's K-mask."""
+    jpos = _positions(k, boundary)
     rows = []
     for xmask in range(1 << k.size):
         fmap = []
         offsets = []
         r0 = k.rank_mask(xmask)
-        for ymask in range(1 << len(boundary)):
+        for ymask in range(1 << len(jpos)):
             ym = 0
             for i, p in enumerate(jpos):
                 if ymask >> i & 1:
@@ -318,8 +356,8 @@ def leaf_signatures(k, boundary):
             fmap.append(sum(1 << i for i, p in enumerate(jpos) if cl >> p & 1))
             offsets.append(k.rank_mask(xmask | ym) - r0)
         trace = sum(1 << i for i, p in enumerate(jpos) if xmask >> p & 1)
-        sig = ExtendedType(NodeType(boundary, tuple(fmap)), trace, tuple(offsets))
-        rows.append((k.set_of(xmask), r0, bin(xmask).count("1"), sig))
+        sig = ExtendedType(NodeType(tuple(fmap)), trace, tuple(offsets))
+        rows.append((r0, xmask.bit_count(), sig))
     return rows
 
 
@@ -330,7 +368,6 @@ def all_types(boundary):
     containing the full boundary.  Observed node types are always among
     these; the count is far below the crude (2^j)^(2^j) bound.
     """
-    boundary = _boundary_order(boundary)
     j = len(boundary)
     n_subsets = 1 << j
     full = n_subsets - 1
@@ -351,5 +388,5 @@ def all_types(boundary):
                 if s & y == y and s & close == s:
                     close = s
             fmap.append(close)
-        out.append(NodeType(boundary, tuple(fmap)))
+        out.append(NodeType(tuple(fmap)))
     return set(out)

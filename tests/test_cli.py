@@ -268,3 +268,21 @@ def test_cli_contract_on_corpus(corpus_dir, capsys):
         assert outputs[0] == outputs[1], argv
         runs += 1
     assert runs > 250
+
+
+def test_dump_types_boundary_is_the_nodes(corpus_dir, tmp_path, capsys):
+    # types carry no element ids; each row's boundary comes from its node
+    out = tmp_path / "types.json"
+    for path in sorted((corpus_dir / "decompositions").glob("*.json")):
+        argv = ["tutte", "--dp", "-d", str(path), "--dump-types", str(out)]
+        assert cli.main(argv) == 0, path.stem
+        capsys.readouterr()
+        dump = json.loads(out.read_text())
+        prepared = files.load_decomposition(path).prepared()
+        assert set(dump) == set(prepared.nodes), path.stem
+        for nid, rows in dump.items():
+            want = sorted(prepared.boundary(nid))
+            assert rows, (path.stem, nid)
+            for row in rows:
+                assert row["boundary"] == want, (path.stem, nid)
+                assert len(row["fmap"]) == len(row["offsets"]) == 1 << len(want)

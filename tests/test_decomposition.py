@@ -2,10 +2,11 @@
 
 import pytest
 
-from amwidth import zoo
+from amwidth import decomposition, zoo
 from amwidth.decomposition import AmalgamDecomposition, DecompositionNode
 from amwidth.errors import ResourceError, ValidationError
 from amwidth.matroid import Matroid, two_sum
+from amwidth.tutte import tutte_bruteforce, tutte_decomposition
 
 
 def twosum_tree(deletions=(10,)):
@@ -179,3 +180,124 @@ def test_direct_sum_tree():
     m = tree.realize()
     assert m.rank() == 4
     assert len(m.circuits()) == 2
+
+
+def _two_of(build):
+    """Two copies of a subtree on disjoint ids, direct-summed; each copy's
+    nodes carry the same glue tables at the same positions."""
+    tb = zoo.TreeBuilder()
+    left = build(tb, 0)
+    right = build(tb, 10)
+    return tb.done(tb.glue(left, right, Matroid.empty()))
+
+
+def test_shared_shape_reports_only_the_bad_restriction():
+    # both triangle nodes have one shape; only the second one's left child
+    # is a loop, so only there does M1|J1 differ from K|J1
+    def build(tb, o):
+        leaf = tb.leaf(Matroid.single(o + 1, loop=o > 0))
+        return tb.glue(leaf, tb.leaf(Matroid.single(o + 2)), zoo.triangle(o + 1, o + 2, o + 3))
+
+    tree = _two_of(build)
+    assert str(tree.validate()) == (
+        "invalid, width 3\n[n6] restriction-j1: M1|J1 differs from K|J1"
+    )
+
+
+def test_repeated_non_semiflat_reported_at_each_node():
+    # J1 = {a, b} in U_{2,4}: its closure adds points that are neither
+    # loops nor parallel to a or b; the same shape at two nodes
+    def build(tb, o):
+        pair = tb.glue(
+            tb.leaf(Matroid.single(o + 1)),
+            tb.leaf(Matroid.single(o + 2)),
+            Matroid.free([o + 1, o + 2]),
+        )
+        u24 = Matroid.uniform(2, [o + 1, o + 2, o + 3, o + 4])
+        return tb.glue(pair, tb.leaf(Matroid.single(o + 3)), u24)
+
+    tree = _two_of(build)
+    assert str(tree.validate()) == (
+        "invalid, width 4\n"
+        "[n5] semiflat-j1: J1 is not a modular semiflat in K\n"
+        "[n10] semiflat-j1: J1 is not a modular semiflat in K"
+    )
+
+
+def test_shared_frame_checked_at_each_boundary_position():
+    # the two lower triangle nodes share a shape, so their frames are the
+    # same table; the upper nodes read it at different positions: {1}, a
+    # point, on the left and {13}, a loop of the frame, on the right
+    def build(tb, o):
+        lower = tb.glue(
+            tb.leaf(Matroid.single(o + 1)),
+            tb.leaf(Matroid.single(o + 2)),
+            Matroid.from_graph({o + 1: (0, 1), o + 2: (1, 2), o + 3: (2, 2)}),
+        )
+        up = o + 1 if o == 0 else o + 3
+        return tb.glue(lower, tb.leaf(Matroid.single(o + 4)), zoo.triangle(up, o + 4, o + 5))
+
+    tree = _two_of(build)
+    assert str(tree.validate()) == (
+        "invalid, width 3\n[n10] restriction-j1: M1|J1 differs from K|J1"
+    )
+
+
+def test_same_table_other_deletions_get_own_frames():
+    # the triangle nodes share table, J1 and J2; the left one deletes 3,
+    # the right one keeps 13, which its parent then reads
+    tb = zoo.TreeBuilder()
+    left = tb.glue(
+        tb.glue(tb.leaf(Matroid.single(1)), tb.leaf(Matroid.single(2)), zoo.triangle(1, 2, 3), [3]),
+        tb.leaf(Matroid.single(4)),
+        Matroid.free([1, 2, 4]),
+    )
+    right = tb.glue(
+        tb.glue(tb.leaf(Matroid.single(11)), tb.leaf(Matroid.single(12)), zoo.triangle(11, 12, 13)),
+        tb.leaf(Matroid.single(14)),
+        Matroid.from_graph({11: (0, 1), 12: (1, 2), 13: (0, 2), 14: (3, 4)}),
+    )
+    tree = tb.done(tb.glue(left, right, Matroid.empty()))
+    assert tree.validate().ok
+    assert tutte_decomposition(tree) == tutte_bruteforce(tree.realize())
+
+
+def test_glue_frames_are_realized_restrictions(corpus_decompositions):
+    # frame(v) is M(v) restricted to E(K(v)) - D(v), here against realize
+    for name, tree in corpus_decompositions.items():
+        if len(tree.ground()) > 12:
+            continue
+        for v in tree.postorder():
+            node = tree.nodes[v]
+            if node.is_leaf:
+                continue
+            k = node.K
+            table = decomposition._glue_frame(k, k.mask_of(node.D))
+            kept = [e for e in k.elements if e not in node.D]
+            want = tree.realize(v).restrict(kept)
+            assert Matroid(kept, table).rank_equal(want), (name, v)
+
+
+def test_same_table_other_deletions_read_at_same_positions():
+    # the lower nodes share table and J positions, the first element being
+    # parallel to the second; the left one deletes it (3), so its frame's
+    # positions 0 and 1 hold 1 and 2, independent, while the right frame's
+    # hold 11 and 12, a parallel pair, which the free matroid above rejects
+    tb = zoo.TreeBuilder()
+    left = tb.glue(
+        tb.leaf(Matroid.single(1)),
+        tb.leaf(Matroid.single(2)),
+        Matroid.from_graph({3: (0, 1), 1: (0, 1), 2: (1, 2)}),
+        [3],
+    )
+    left = tb.glue(left, tb.leaf(Matroid.single(4)), Matroid.free([1, 2, 4]))
+    right = tb.glue(
+        tb.leaf(Matroid.single(12)),
+        tb.leaf(Matroid.single(13)),
+        Matroid.from_graph({11: (0, 1), 12: (0, 1), 13: (1, 2)}),
+    )
+    right = tb.glue(right, tb.leaf(Matroid.single(14)), Matroid.free([11, 12, 14]))
+    tree = tb.done(tb.glue(left, right, Matroid.empty()))
+    assert str(tree.validate()) == (
+        "invalid, width 3\n[n10] restriction-j1: M1|J1 differs from K|J1"
+    )

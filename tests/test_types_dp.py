@@ -15,6 +15,7 @@ from amwidth.types_dp import (
     extended_type_of,
     join,
     leaf_signatures,
+    node_shape,
     type_of,
 )
 
@@ -46,7 +47,8 @@ def test_type_map_properties():
     for v in tree.postorder():
         for tracked in oracles.subsets(tree.ground()):
             nt = type_of(tree, v, tracked)
-            j = len(nt.boundary)
+            j = len(tree.boundary(v))
+            assert len(nt.fmap) == 1 << j
             for ymask in range(1 << j):
                 fy = nt.fmap[ymask]
                 assert fy & ymask == ymask  # extensive
@@ -62,14 +64,14 @@ def test_type_trivial_cases():
     for v in tree.postorder():
         nt = type_of(tree, v, [])
         assert nt.fmap[0] == 0
-        full = (1 << len(nt.boundary)) - 1
+        full = (1 << len(tree.boundary(v))) - 1
         assert nt.fmap[full] == full
 
 
 def test_join_identity_reflections():
     # children with identity type maps: join(Y) = cl_K(Y) & J
     k = zoo.triangle(1, 2, 3)
-    f_id = NodeType((), (0,))
+    f_id = NodeType((0,))
     got = join(f_id, f_id, k, [], [], [], [1, 2, 3])
     for ymask in range(8):
         ym = k.mask_of([e for i, e in enumerate((1, 2, 3)) if ymask >> i & 1])
@@ -149,7 +151,7 @@ def test_extended_type_invariants():
         for v in tree.postorder():
             for tracked in list(oracles.subsets(sorted(tree.ground(v))))[:24]:
                 e = extended_type_of(tree, v, tracked)
-                j = len(e.boundary)
+                j = len(tree.boundary(v))
                 assert e.offsets[0] == 0
                 for ymask in range(1 << j):
                     assert 0 <= e.offsets[ymask] <= j
@@ -184,7 +186,7 @@ def test_fixpoint_terminates_quickly():
         node = tree.nodes[v]
         if node.is_leaf:
             continue
-        ctx = JoinContext(node.K, node.J1, node.J2, tree.boundary(v), node.D)
+        ctx = JoinContext(node_shape(node.K, node.J1, node.J2, tree.boundary(v), node.D))
         f1 = type_of(tree, node.children[0], [])
         f2 = type_of(tree, node.children[1], [])
         # the fixpoint loop is bounded by |E(K)| + 1 rounds by construction;
@@ -224,10 +226,9 @@ def test_observed_types_are_closure_operators():
 def test_leaf_signatures_cover_subsets():
     k = zoo.triangle(1, 2, 3)
     rows = leaf_signatures(k, [1, 2])
-    assert len(rows) == 8
-    subsets_seen = {frozenset(s) for s, _, _, _ in rows}
-    assert len(subsets_seen) == 8
-    for subset, r, s, sig in rows:
+    assert len(rows) == 8  # one row per subset, indexed by its K-mask
+    for xmask, (r, s, sig) in enumerate(rows):
+        subset = k.set_of(xmask)
         assert r == k.rank(subset)
         assert s == len(subset)
         assert sig.trace == sum(
