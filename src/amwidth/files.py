@@ -4,12 +4,19 @@ Loaders validate eagerly, checking explicit rank tables against the rank
 axioms, and raise DomainError with a message naming the offending field
 or subsets; writers emit canonical (sorted-key) JSON so identical inputs
 produce byte-identical outputs.
+
+A decomposition file names one glue matroid per node, but a long chain
+repeats a handful of structures.  Loading builds each distinct rank
+table (and checks an explicit one against the axioms) once per file; the
+nodes' matroids keep their own ids, names and descriptions and share
+that read-only table, which is never written.
 """
 
 import json
 
 from .decomposition import AmalgamDecomposition, DecompositionNode
 from .branch import BranchDecomposition
+from .config import check_cap
 from .errors import DomainError
 from .matroid import Matroid
 
@@ -89,6 +96,12 @@ def _dict(value, what):
 
 
 def matroid_from_obj(obj):
+    return _matroid(obj, {})
+
+
+def _matroid(obj, tables):
+    """The matroid an object describes; ``tables`` maps the structure of
+    the matroids loaded before to their rank tables (see the module doc)."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise DomainError("matroid object needs a 'type' field")
     names = obj.get("names", {})
@@ -101,7 +114,8 @@ def matroid_from_obj(obj):
             _int(e, "column id"): tuple(_ints(v, f"residues of column {e!r}"))
             for e, v in _dict(obj["columns"], "columns").items()
         }
-        return Matroid.from_linear(columns, _int(obj["field"], "field"), names=names)
+        field = _int(obj["field"], "field")
+        return Matroid.from_linear(columns, field, names=names, tables=tables)
     if kind == "graphic":
         if "edges" not in obj:
             raise DomainError("graphic matroid needs 'edges'")
@@ -115,38 +129,26 @@ def matroid_from_obj(obj):
             all(type(v) is int for v in ends) or all(type(v) is str for v in ends)
         ):
             raise DomainError("graphic endpoints must be all integers or all strings")
-        return Matroid.from_graph(edges, names=names)
+        return Matroid.from_graph(edges, names=names, tables=tables)
     if kind == "explicit":
         if "elements" not in obj:
             raise DomainError("explicit matroid needs 'elements'")
         elements = _ints(obj["elements"], "element id")
         if "rank" in obj:
-            table = {}
-            for key, value in _dict(obj["rank"], "rank").items():
-                ids = [x for x in key.split(",") if x != ""]
-                subset = frozenset(_ints(ids, "element id"))
-                value = _int(value, f"rank of {key!r}")
-                if not 0 <= value <= len(subset):
+            ranks = _rank_list(elements, _dict(obj["rank"], "rank"))
+            key = ("explicit", bytes(ranks))
+            tbl = tables.get(key)
+            m = Matroid(elements, ranks if tbl is None else tbl, names=names)
+            if tbl is None:
+                # a bad table stops the load, so only good ones are kept
+                bad = m.rank_axiom_violation()
+                if bad is not None:
+                    kind, a, b = bad
                     raise DomainError(
-                        f"rank of {sorted(subset)} must lie between 0 and its size"
+                        f"rank table breaks the {kind} axiom at subsets "
+                        f"{sorted(a)} and {sorted(b)}"
                     )
-                table[subset] = value
-
-            def fn(subset):
-                if subset not in table:
-                    raise DomainError(
-                        f"rank table is missing subset {sorted(subset)}"
-                    )
-                return table[subset]
-
-            m = Matroid.from_rank_function(elements, fn, names=names)
-            bad = m.rank_axiom_violation()
-            if bad is not None:
-                kind, a, b = bad
-                raise DomainError(
-                    f"rank table breaks the {kind} axiom at subsets "
-                    f"{sorted(a)} and {sorted(b)}"
-                )
+                tables[key] = m.table
             return m
         if "independent_sets" in obj:
             sets = obj["independent_sets"]
@@ -156,6 +158,47 @@ def matroid_from_obj(obj):
             return Matroid.from_independent_sets(elements, sets, names=names)
         raise DomainError("explicit matroid needs 'rank' or 'independent_sets'")
     raise DomainError(f"unknown matroid type {kind!r}")
+
+
+def _rank_list(elements, ranks):
+    """An explicit rank object as a list indexed by subset mask.
+
+    Keys are comma-separated element ids; each must be in ``elements``,
+    and each subset must be given exactly once.
+    """
+    if len(set(elements)) != len(elements):
+        raise DomainError("duplicate element ids in ground set")
+    check_cap(len(elements), "rank table")
+    bit = {e: 1 << i for i, e in enumerate(elements)}
+    out = [None] * (1 << len(elements))
+    for key, value in ranks.items():
+        mask = 0
+        for x in key.split(","):
+            if x != "":
+                e = _int(x, "element id")
+                if e not in bit:
+                    raise DomainError(
+                        f"rank key {key!r} names {e}, which is not in elements"
+                    )
+                mask |= bit[e]
+        value = _int(value, f"rank of {key!r}")
+        if not 0 <= value <= mask.bit_count():
+            raise DomainError(
+                f"rank of {_subset(elements, mask)} must lie between 0 and its size"
+            )
+        if out[mask] is not None:
+            raise DomainError(
+                f"rank key {key!r} gives subset {_subset(elements, mask)} a second time"
+            )
+        out[mask] = value
+    for mask, value in enumerate(out):
+        if value is None:
+            raise DomainError(f"rank table is missing subset {_subset(elements, mask)}")
+    return out
+
+
+def _subset(elements, mask):
+    return sorted(e for i, e in enumerate(elements) if mask >> i & 1)
 
 
 def decomposition_to_obj(tree):
@@ -177,6 +220,7 @@ def decomposition_from_obj(obj):
     if not isinstance(obj, dict) or "nodes" not in obj or "root" not in obj:
         raise DomainError("decomposition object needs 'nodes' and 'root'")
     nodes = []
+    tables = {}
     for nid, entry in _dict(obj["nodes"], "nodes").items():
         if "K" not in _dict(entry, f"node {nid!r}"):
             raise DomainError(f"node {nid!r} is missing its glue matroid K")
@@ -187,7 +231,7 @@ def decomposition_from_obj(obj):
             DecompositionNode(
                 nid=str(nid),
                 children=tuple(str(c) for c in children),
-                K=matroid_from_obj(entry["K"]),
+                K=_matroid(entry["K"], tables),
                 J1=frozenset(_ints(entry.get("J1", []), f"J1 of node {nid!r}")),
                 J2=frozenset(_ints(entry.get("J2", []), f"J2 of node {nid!r}")),
                 D=frozenset(_ints(entry.get("D", []), f"D of node {nid!r}")),

@@ -5,6 +5,10 @@ bitmask over a fixed element order (the hot paths in the rest of the
 package are table gathers).  Element ids are arbitrary ints, unique
 within a ground set and stable under minors.  Instances are immutable;
 all operations return new values and are safe to share across threads.
+Rank tables are read-only numpy arrays: an instance keeps a read-only
+table it is given as it is, so instances built from the same structure
+(``from_linear``/``from_graph`` with a shared ``tables`` dict) may share
+one table, and no table is ever written.
 """
 
 from dataclasses import dataclass, field
@@ -58,8 +62,10 @@ class Matroid:
         tbl = np.asarray(table, dtype=np.int8)
         if tbl.shape != (1 << len(elements),):
             raise DomainError("rank table size does not match the ground set")
-        tbl = tbl.copy()
-        tbl.setflags(write=False)
+        # a read-only view could still be written through its base
+        if tbl.flags.writeable or tbl.base is not None:
+            tbl = tbl.copy()
+            tbl.setflags(write=False)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(elements)})
         object.__setattr__(self, "_tbl", tbl)
@@ -74,36 +80,56 @@ class Matroid:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_linear(cls, columns, p, names=None):
-        """Vector matroid of the given columns over GF(p)."""
+    def from_linear(cls, columns, p, names=None, tables=None):
+        """Vector matroid of the given columns over GF(p).
+
+        ``tables`` maps the structure of matroids built before to their
+        rank tables: here the field and the reduced columns in order.  A
+        table found there is shared, and a new one is added to it.
+        """
         check_field(p)
         ids = list(columns)
-        vecs = [tuple(int(x) % p for x in columns[e]) for e in ids]
+        vecs = tuple(tuple(int(x) % p for x in columns[e]) for e in ids)
         dims = {len(v) for v in vecs}
         if len(dims) > 1:
             raise DomainError("columns must share one dimension")
         d = dims.pop() if dims else 0
         check_cap(len(ids), "rank table")
-        mat = np.array(vecs, dtype=np.int64).T.reshape(d, len(ids))
-        tbl = kernels.gf_rank_table(mat, p)
-        rep = LinearRep(field=p, columns={e: v for e, v in zip(ids, vecs)})
-        return cls(ids, tbl, names=names, linear=rep)
+        tables = {} if tables is None else tables
+        key = ("linear", p, vecs)
+        tbl = tables.get(key)
+        if tbl is None:
+            mat = np.array(vecs, dtype=np.int64).T.reshape(d, len(ids))
+            tbl = kernels.gf_rank_table(mat, p)
+        rep = LinearRep(field=p, columns=dict(zip(ids, vecs)))
+        m = cls(ids, tbl, names=names, linear=rep)
+        tables.setdefault(key, m._tbl)
+        return m
 
     @classmethod
-    def from_graph(cls, edges, names=None):
-        """Cycle matroid: rank of an edge set is |V touched| - #components."""
+    def from_graph(cls, edges, names=None, tables=None):
+        """Cycle matroid: rank of an edge set is |V touched| - #components.
+
+        ``tables`` is as for ``from_linear``, keyed by the endpoint pairs
+        in element order with vertices numbered by first appearance.
+        """
         ids = list(edges)
         verts = sorted({v for pair in edges.values() for v in pair})
-        vmap = {v: i for i, v in enumerate(verts)}
-        eu = np.array([vmap[edges[e][0]] for e in ids], dtype=np.int64)
-        ev = np.array([vmap[edges[e][1]] for e in ids], dtype=np.int64)
+        number = {}
+        ends = tuple(number.setdefault(v, len(number)) for e in ids for v in edges[e])
         check_cap(len(ids), "rank table")
-        tbl = kernels.graphic_rank_table(eu, ev, max(len(verts), 1))
+        tables = {} if tables is None else tables
+        key = ("graphic", ends)
+        tbl = tables.get(key)
+        if tbl is None:
+            tbl = kernels.graphic_rank_table(ends[0::2], ends[1::2], max(len(verts), 1))
         desc = GraphDescription(
             vertices=tuple(verts),
             edges={e: (edges[e][0], edges[e][1]) for e in ids},
         )
-        return cls(ids, tbl, names=names, graph=desc)
+        m = cls(ids, tbl, names=names, graph=desc)
+        tables.setdefault(key, m._tbl)
+        return m
 
     @classmethod
     def from_independent_sets(cls, elements, independent, names=None):

@@ -245,16 +245,19 @@ def _product(p, q, width):
 
 
 def _slots(packed, width):
-    """{r: count} of the nonzero slots of one packed row."""
+    """{r: count} of the nonzero slots of one packed row.
+
+    Each slot is read from the bytes that hold it, so the cost is linear
+    in the row's length (shifting the remaining int once per slot would
+    be quadratic).
+    """
+    raw = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
     mask = (1 << width) - 1
     out = {}
-    r = 0
-    while packed:
-        c = packed & mask
+    for r, lo in enumerate(range(0, packed.bit_length(), width)):
+        c = (int.from_bytes(raw[lo // 8 : (lo + width + 7) // 8], "little") >> lo % 8) & mask
         if c:
             out[r] = c
-        packed >>= width
-        r += 1
     return out
 
 

@@ -88,6 +88,22 @@ def _chain_decomposition(**node_fields):
 MALFORMED_MATROIDS = {
     "rank value": ({"type": "explicit", "elements": [1], "rank": {"": 0, "1": "x"}}, "rank of '1'"),
     "rank key": ({"type": "explicit", "elements": [1], "rank": {"": 0, "a": 1}}, "element id"),
+    "rank key id": (
+        {"type": "explicit", "elements": [1], "rank": {"": 0, "1": 1, "1,9": 1}},
+        "rank key '1,9' names 9",
+    ),
+    "rank key twice": (
+        {
+            "type": "explicit",
+            "elements": [1, 2],
+            "rank": {"": 0, "1": 1, "2": 1, "1,2": 2, "2,1": 1},
+        },
+        "rank key '2,1' gives subset [1, 2] a second time",
+    ),
+    "rank missing": (
+        {"type": "explicit", "elements": [1, 2], "rank": {"": 0, "1": 1, "2": 1}},
+        "rank table is missing subset [1, 2]",
+    ),
     "element": ({"type": "explicit", "elements": [[1]], "rank": {"": 0}}, "element id"),
     "column id": ({"type": "linear", "field": 2, "columns": {"a": [1, 0]}}, "column id"),
     "residue": ({"type": "linear", "field": 3, "columns": {"1": [1, "q"]}}, "residues of column"),

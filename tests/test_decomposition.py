@@ -301,3 +301,32 @@ def test_same_table_other_deletions_read_at_same_positions():
     assert str(tree.validate()) == (
         "invalid, width 3\n[n10] restriction-j1: M1|J1 differs from K|J1"
     )
+
+
+def test_glue_broken_when_k_minus_d_is_no_matroid():
+    # r({1, 3}) = 0 < r({1}) = 1: K itself breaks the rank axioms, which a
+    # loaded file cannot produce, so the tree is built in memory
+    k = Matroid([1, 2, 3, 4], [0, 1, 1, 2, 0, 0, 2, 0, 0, 0, 0, 1, 2, 1, 2, 2])
+    tree = AmalgamDecomposition(
+        [
+            DecompositionNode("r", ("a", "b"), k, frozenset({1}), frozenset({2})),
+            DecompositionNode("a", (), Matroid.single(1)),
+            DecompositionNode("b", (), Matroid.single(2)),
+        ],
+        "r",
+    )
+    report = tree.validate()
+    assert [(v.node, v.code) for v in report.violations] == [("r", "glue-broken")]
+
+
+def test_unverifiable_restriction_past_the_cap(monkeypatch):
+    # J1 = {2} at the top lies outside the child's glue matroid {3}, so the
+    # check realizes the child's three elements, over a cap of two
+    tb = zoo.TreeBuilder()
+    inner = tb.glue(tb.leaf(Matroid.single(1)), tb.leaf(Matroid.single(2)), Matroid.single(1))
+    child = tb.glue(inner, tb.leaf(Matroid.single(3)), Matroid.single(3))
+    top = tb.glue(child, tb.leaf(Matroid.single(4)), Matroid.free([2, 4]))
+    assert tb.done(top).validate().ok
+    monkeypatch.setenv("AMALGAM_MAX_ELEMENTS", "2")
+    report = tb.done(top).validate()
+    assert [(v.node, v.code) for v in report.violations] == [(top, "unverifiable-restriction")]

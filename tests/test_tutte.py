@@ -8,7 +8,7 @@ import pytest
 
 from amwidth import zoo
 from amwidth.matroid import Matroid
-from amwidth.tutte import TuttePolynomial, tutte_bruteforce, tutte_decomposition
+from amwidth.tutte import TuttePolynomial, _slots, tutte_bruteforce, tutte_decomposition
 from amwidth.types_dp import JoinContext
 
 import oracles
@@ -194,3 +194,32 @@ def test_dp_scales_past_bruteforce():
     n = 42  # realized cycle length
     assert poly.coeff_dict() == _cycle_polynomial(n)
     assert poly.evaluate(1, 1) == n
+
+
+def _slots_by_shifting(packed, width):
+    """The unpacking ``_slots`` replaced: one shift of the rest per slot."""
+    mask = (1 << width) - 1
+    out = {}
+    r = 0
+    while packed:
+        c = packed & mask
+        if c:
+            out[r] = c
+        packed >>= width
+        r += 1
+    return out
+
+
+def test_slots_match_shift_loop():
+    rng = random.Random(11)
+    rows = [(0, 5), (1, 5), (31, 5), (1 << 5, 5), (3 << 70, 70)]
+    for width in (1, 2, 7, 64, 65, 130):
+        for n in (1, 2, 9, 40):
+            counts = [rng.choice([0, 1, rng.getrandbits(width)]) for _ in range(n)]
+            counts[-1] = counts[-1] or 1
+            rows.append((sum(c << width * r for r, c in enumerate(counts)), width))
+    assert any(c > 2**64 for p, w in rows for c in _slots(p, w).values())
+    for packed, width in rows:
+        assert _slots(packed, width) == _slots_by_shifting(packed, width), (packed, width)
+    assert _slots(0, 3) == {}
+    assert _slots(6, 3) == {0: 6}
