@@ -33,7 +33,7 @@ from .mso.compiled import eval_decomposition, msom
 from .mso.naive import eval_naive
 from .mso.parser import parse as parse_formula
 from .tutte import TuttePolynomial, tutte_bruteforce, tutte_decomposition
-from .types_dp import ExtendedType, NodeType, extended_join, extended_type_of, join, type_of
+from .types_dp import ExtendedType, NodeType, extended_type_of, type_of
 
 __all__ = [
     "AmalgamDecomposition",
@@ -56,7 +56,6 @@ __all__ = [
     "eta",
     "eval_decomposition",
     "eval_naive",
-    "extended_join",
     "extended_type_of",
     "from_branch_decomposition",
     "generalized_parallel_connection",
@@ -65,7 +64,6 @@ __all__ = [
     "is_modular_flat",
     "is_modular_semiflat",
     "is_proper_amalgam",
-    "join",
     "msom",
     "parse_formula",
     "proper_amalgam",

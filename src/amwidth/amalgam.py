@@ -12,7 +12,7 @@ import numpy as np
 from . import kernels
 from .config import FLATS_CAP, ZETA_CAP, check_cap
 from .errors import DomainError, GluePreconditionError, NoProperAmalgamError
-from .matroid import Matroid, restrictions_equal
+from .matroid import Matroid, mask_of, restrictions_equal, set_of
 
 __all__ = [
     "is_modular_flat",
@@ -76,21 +76,12 @@ class _Union:
         ]
         self.n = len(self.elements)
         check_cap(self.n, "amalgam table", cap)
-        pos = {e: i for i, e in enumerate(self.elements)}
-
-        def gather(m):
-            bitmap = np.full(self.n, -1, dtype=np.int64)
-            for e, i in m._index.items():
-                bitmap[pos[e]] = i
-            return kernels.translate_all_masks(self.n, bitmap)
-
-        def scatter(m):
-            bitmap = np.array([pos[e] for e in m.elements], dtype=np.int64)
-            return kernels.translate_all_masks(m.size, bitmap)
-
-        self.g1, self.g2 = gather(m1), gather(m2)
-        self.s1, self.s2 = scatter(m1), scatter(m2)
-        self.gt = gather(self.n_matroid)
+        self.pos = {e: i for i, e in enumerate(self.elements)}
+        p1, p2, pt = (
+            kernels.MaskMap.of(self.pos, m.elements) for m in (m1, m2, self.n_matroid)
+        )
+        self.g1, self.g2, self.gt = p1.gather, p2.gather, pt.gather
+        self.s1, self.s2 = p1.scatter, p2.scatter
 
     def eta_table(self):
         t1 = np.asarray(self.m1.table).astype(np.int64)
@@ -102,13 +93,7 @@ class _Union:
 def eta(m1, m2, subset):
     """r1(X & E1) + r2(X & E2) - r(X & T) for X = subset."""
     u = _Union(m1, m2, cap=ZETA_CAP)
-    pos = {e: i for i, e in enumerate(u.elements)}
-    mask = 0
-    for e in subset:
-        if e not in pos:
-            raise DomainError(f"unknown element id {e!r}")
-        mask |= 1 << pos[e]
-    return int(u.eta_table()[mask])
+    return int(u.eta_table()[mask_of(u.pos, subset)])
 
 
 def zeta_table(m1, m2):
@@ -120,13 +105,7 @@ def zeta_table(m1, m2):
 
 def zeta(m1, m2, subset):
     elements, zt = zeta_table(m1, m2)
-    pos = {e: i for i, e in enumerate(elements)}
-    mask = 0
-    for e in subset:
-        if e not in pos:
-            raise DomainError(f"unknown element id {e!r}")
-        mask |= 1 << pos[e]
-    return int(zt[mask])
+    return int(zt[mask_of({e: i for i, e in enumerate(elements)}, subset)])
 
 
 def proper_amalgam(m1, m2):
@@ -135,22 +114,14 @@ def proper_amalgam(m1, m2):
     Raises NoProperAmalgamError carrying a violating subset pair otherwise.
     """
     elements, zt = zeta_table(m1, m2)
-    n = len(elements)
-    code, a, b = kernels.check_rank_axioms(zt.astype(np.int8), n)
-    to_set = lambda mask: frozenset(
-        elements[i] for i in range(n) if mask >> i & 1
-    )
+    code, a, b = kernels.check_rank_axioms(zt.astype(np.int8), len(elements))
+    a, b = set_of(elements, a), set_of(elements, b)
     if code == 3:
-        raise NoProperAmalgamError(
-            "no proper amalgam: zeta is not submodular", (to_set(a), to_set(b))
-        )
+        raise NoProperAmalgamError("no proper amalgam: zeta is not submodular", (a, b))
     if code == 2:
         # zeta jumped by >= 2 adding one element x to A; (A, {x}) then
         # violates submodularity since zeta({x}) <= 1 and zeta(empty) = 0.
-        x = to_set(b) - to_set(a)
-        raise NoProperAmalgamError(
-            "no proper amalgam: zeta is not submodular", (to_set(a), x)
-        )
+        raise NoProperAmalgamError("no proper amalgam: zeta is not submodular", (a, b - a))
     if code != 0:
         raise DomainError("zeta is not a rank function (eta was malformed)")
     return Matroid(elements, zt.astype(np.int8))
@@ -167,25 +138,10 @@ def is_proper_amalgam(m, m1, m2):
     if not m.restrict(m2.ground_set).rank_equal(m2):
         raise DomainError("not an amalgam: restriction to E2 differs from M2")
     check_cap(m.size, "flat enumeration", FLATS_CAP)
-    shared = [e for e in m1.elements if e in m2._index]
-    nm = m1.restrict(shared)
-    pos = m._index
-
-    def gather(other):
-        bitmap = np.full(m.size, -1, dtype=np.int64)
-        for e, i in other._index.items():
-            bitmap[pos[e]] = i
-        return kernels.translate_all_masks(m.size, bitmap)
-
-    g1, g2, gt = gather(m1), gather(m2), gather(nm)
+    u = _Union(m1, m2)
     flats = m.flat_masks()
-    tbl = np.asarray(m.table).astype(np.int64)
-    t1 = np.asarray(m1.table).astype(np.int64)
-    t2 = np.asarray(m2.table).astype(np.int64)
-    tn = np.asarray(nm.table).astype(np.int64)
-    lhs = tbl[flats]
-    rhs = t1[g1[flats]] + t2[g2[flats]] - tn[gt[flats]]
-    return bool(np.all(lhs == rhs))
+    eta = u.eta_table()[kernels.MaskMap.of(u.pos, m.elements).scatter[flats]]
+    return bool(np.all(m.table[flats] == eta))
 
 
 def generalized_parallel_connection(m1, m2):

@@ -410,17 +410,9 @@ def _rename_matroid(m, rho):
 
 def _parallel_extend(m, twins):
     """Append a parallel copy (same rank behavior) for each mapped element."""
-    originals = list(twins)
-    elements = list(m.elements) + [twins[e] for e in originals]
-    n_old, n_new = m.size, len(elements)
-    bitmap = np.array(
-        [m._index[e] for e in m.elements]
-        + [m._index[e] for e in originals],
-        dtype=np.int64,
-    )
-    trans = kernels.translate_all_masks(n_new, bitmap)
-    tbl = np.asarray(m.table)[trans]
-    return Matroid(elements, tbl, names=m.names)
+    elements = list(m.elements) + list(twins.values())
+    trans = kernels.MaskMap.of(m._index, list(m.elements) + list(twins)).scatter
+    return Matroid(elements, m.table[trans], names=m.names)
 
 
 class _Frame(NamedTuple):
@@ -465,8 +457,8 @@ class _ShapeChecks:
         kpos = tuple(k._index[e] for e in sorted(j))
         key = (frame.table.tobytes(), pos, k.table.tobytes(), kpos)
         if key not in self.restrictions:
-            mine = frame.table[kernels.translate_all_masks(len(pos), pos)]
-            theirs = k.table[kernels.translate_all_masks(len(kpos), kpos)]
+            mine = frame.table[kernels.MaskMap(len(frame.elements), pos).scatter]
+            theirs = k.table[kernels.MaskMap(k.size, kpos).scatter]
             self.restrictions[key] = bool(np.array_equal(mine, theirs))
         return self.restrictions[key]
 
@@ -498,7 +490,7 @@ def _glue_frame(k, d):
     with the K-mask d deleted.
     """
     keep = [i for i in range(k.size) if not d >> i & 1]
-    table = np.asarray(k.table)[kernels.translate_all_masks(len(keep), keep)]
+    table = k.table[kernels.MaskMap(k.size, keep).scatter]
     if kernels.check_rank_axioms(table, len(keep))[0]:
         return None
     return table

@@ -18,7 +18,7 @@ from .decomposition import AmalgamDecomposition, DecompositionNode
 from .branch import BranchDecomposition
 from .config import check_cap
 from .errors import DomainError
-from .matroid import Matroid
+from .matroid import Matroid, set_of
 
 __all__ = [
     "matroid_to_obj",
@@ -95,6 +95,20 @@ def _dict(value, what):
     return value
 
 
+def _one_id_each(value, parsed, what):
+    """Raise when two keys of the id-keyed object ``value`` name one id,
+    as ``"1"`` and ``"01"`` do, rather than let the last one win.
+
+    ``parsed`` is ``value`` re-keyed by id, so it is shorter exactly then.
+    """
+    if len(parsed) < len(value):
+        first = {}
+        for key in value:
+            e = _int(key, what)
+            if first.setdefault(e, key) != key:
+                raise DomainError(f"{what} keys {first[e]!r} and {key!r} both name id {e}")
+
+
 def matroid_from_obj(obj):
     return _matroid(obj, {})
 
@@ -104,16 +118,19 @@ def _matroid(obj, tables):
     the matroids loaded before to their rank tables (see the module doc)."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise DomainError("matroid object needs a 'type' field")
-    names = obj.get("names", {})
-    names = {_int(k, "names key"): str(v) for k, v in _dict(names, "names").items()}
+    raw = _dict(obj.get("names", {}), "names")
+    names = {_int(k, "names key"): str(v) for k, v in raw.items()}
+    _one_id_each(raw, names, "names")
     kind = obj["type"]
     if kind == "linear":
         if "field" not in obj or "columns" not in obj:
             raise DomainError("linear matroid needs 'field' and 'columns'")
+        raw = _dict(obj["columns"], "columns")
         columns = {
             _int(e, "column id"): tuple(_ints(v, f"residues of column {e!r}"))
-            for e, v in _dict(obj["columns"], "columns").items()
+            for e, v in raw.items()
         }
+        _one_id_each(raw, columns, "columns")
         field = _int(obj["field"], "field")
         return Matroid.from_linear(columns, field, names=names, tables=tables)
     if kind == "graphic":
@@ -124,6 +141,7 @@ def _matroid(obj, tables):
             if not isinstance(uv, (list, tuple)) or len(uv) != 2:
                 raise DomainError(f"edge {e!r} must be a pair of vertices")
             edges[_int(e, "edge id")] = (uv[0], uv[1])
+        _one_id_each(obj["edges"], edges, "edges")
         ends = [v for uv in edges.values() for v in uv]
         if not (
             all(type(v) is int for v in ends) or all(type(v) is str for v in ends)
@@ -198,7 +216,7 @@ def _rank_list(elements, ranks):
 
 
 def _subset(elements, mask):
-    return sorted(e for i, e in enumerate(elements) if mask >> i & 1)
+    return sorted(set_of(elements, mask))
 
 
 def decomposition_to_obj(tree):

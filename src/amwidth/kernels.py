@@ -26,6 +26,21 @@ The two rank-table builders avoid eliminating each subset from scratch:
   2^(r(E) - r(S)).  One ``bincount`` of the bichromatic edge sets of all
   2^r(E) colourings and an n-step subset sum give those counts, and
   their base-2 logarithm gives the ranks.
+
+Two helpers carry every other subset-mask operation of the package:
+
+* ``MaskMap(n, pos)`` translates masks between a ground set of n
+  positions and a sub-order of them (bit i of a sub-mask is position
+  pos[i]).  ``scatter`` maps each sub-mask to its whole-set mask, so
+  ``tbl[MaskMap(n, pos).scatter]`` is the rank table of the restriction
+  in sub-order; ``gather`` maps each whole-set mask to the sub-mask of
+  the bits the sub-order holds.
+* ``fold(vals, op)`` is the zeta transform over the subset lattice
+  (Yates' algorithm, as in Björklund-Husfeldt-Kaski-Koivisto, "Fourier
+  meets Möbius: fast subset convolution", STOC 2007): in place, one
+  pass per bit, it leaves op over all submasks (or supersets) of each
+  mask.  Subset sums, superset minima, down-closures and the
+  independence-to-rank step are all folds.
 """
 
 import numpy as np
@@ -131,10 +146,7 @@ def graphic_rank_table(eu, ev, nv):
         bich[1 << k : 2 << k] = bich[: 1 << k] ^ inc[v]
     # counts[U] = colourings whose bichromatic set lies inside U; those
     # leaving S monochromatic are counted at U = E - S, the reversed index
-    counts = np.bincount(bich, minlength=1 << n)
-    for b in range(n):
-        halves = counts.reshape(-1, 2, 1 << b)
-        halves[:, 1] += halves[:, 0]
+    counts = fold(np.bincount(bich, minlength=1 << n), np.add)
     exps = np.frexp(counts[::-1])[1]  # 2^k has exponent k + 1
     return (len(free) + 1 - exps).astype(np.int8)
 
@@ -142,13 +154,8 @@ def graphic_rank_table(eu, ev, nv):
 def rank_table_from_independence(ind):
     """Rank table from an independence indicator: max independent submask size."""
     ind = np.asarray(ind, dtype=bool)
-    n = (ind.size - 1).bit_length()
-    base = np.where(ind, popcounts(n), 0).astype(np.int8)
-    for b in range(n):
-        bit = 1 << b
-        masks = np.nonzero(np.arange(ind.size, dtype=np.int64) & bit)[0]
-        base[masks] = np.maximum(base[masks], base[masks ^ bit])
-    return base
+    n = ind.size.bit_length() - 1
+    return fold(np.where(ind, popcounts(n), 0).astype(np.int8), np.maximum)
 
 
 def closure_table(tbl, n):
@@ -162,24 +169,32 @@ def closure_table(tbl, n):
     return out
 
 
+def fold(vals, op, supersets=False):
+    """vals[m] := op over vals[s] for every submask s of m, in place.
+
+    With ``supersets`` the fold runs over the supersets of m instead.
+    ``vals`` is a contiguous array of length 2**n and ``op`` a binary
+    numpy ufunc such as ``np.add`` or ``np.minimum``.  Each pass views
+    vals as pairs of blocks of 2**b masks, without bit b and with it.
+    """
+    for b in range(vals.size.bit_length() - 1):
+        halves = vals.reshape(-1, 2, 1 << b)
+        lo, hi = halves[:, 0], halves[:, 1]
+        if supersets:
+            op(lo, hi, out=lo)
+        else:
+            op(hi, lo, out=hi)
+    return vals
+
+
 def superset_min(vals, n):
     """min over supersets, in the zeta-transform sense."""
-    out = np.array(vals, dtype=np.int64, copy=True)
-    for b in range(n):
-        bit = 1 << b
-        lo = np.nonzero(~(np.arange(out.size, dtype=np.int64) & bit).astype(bool))[0]
-        out[lo] = np.minimum(out[lo], out[lo | bit])
-    return out
+    return fold(np.array(vals, dtype=np.int64, copy=True), np.minimum, supersets=True)
 
 
 def subset_any(flags, n):
     """out[m] = OR of flags[s] over submasks s of m."""
-    out = np.array(flags, dtype=bool, copy=True)
-    for b in range(n):
-        bit = 1 << b
-        hi = np.nonzero((np.arange(out.size, dtype=np.int64) & bit).astype(bool))[0]
-        out[hi] |= out[hi ^ bit]
-    return out
+    return fold(np.array(flags, dtype=bool, copy=True), np.logical_or)
 
 
 def check_rank_axioms(tbl, n):
@@ -223,6 +238,39 @@ def translate_all_masks(n, bitmap):
         if bitmap[b] >= 0:
             out |= ((masks >> b) & 1) << bitmap[b]
     return out
+
+
+class MaskMap:
+    """A sub-order of the n positions of a ground set: bit i of a
+    sub-mask is the whole-set position pos[i].
+
+    ``scatter[s]`` is the whole-set mask of sub-mask s; positions may
+    repeat (parallel twins), so two bits can set one position.
+    ``gather[m]`` is the sub-mask of the bits the sub-order holds in the
+    whole-set mask m, for distinct positions.  ``mask`` is the union of
+    the positions.  Both tables are int64 arrays built at each access
+    (most callers need only one of them): keep the one you use.
+    """
+
+    def __init__(self, n, pos):
+        self.n = n
+        self.pos = [int(p) for p in pos]
+        self.mask = sum(1 << p for p in set(self.pos))
+
+    @classmethod
+    def of(cls, index, ids):
+        """The sub-order of ``ids`` in a ground set given as id -> position."""
+        return cls(len(index), [index[e] for e in ids])
+
+    @property
+    def scatter(self):
+        return translate_all_masks(len(self.pos), self.pos)
+
+    @property
+    def gather(self):
+        bitmap = np.full(self.n, -1, dtype=np.int64)
+        bitmap[self.pos] = np.arange(len(self.pos))
+        return translate_all_masks(self.n, bitmap)
 
 
 def whitney_counts(tbl, n):

@@ -141,17 +141,9 @@ class Matroid:
         ind = np.zeros(1 << n, dtype=bool)
         ind[0] = True
         for s in independent:
-            m = 0
-            for e in s:
-                if e not in index:
-                    raise DomainError(f"unknown element id {e!r} in independent set")
-                m |= 1 << index[e]
-            ind[m] = True
+            ind[mask_of(index, s, " in independent set")] = True
         # down-close: subsets of independent sets are independent
-        for b in range(n):
-            bit = 1 << b
-            hi = np.nonzero((np.arange(1 << n, dtype=np.int64) & bit) != 0)[0]
-            ind[hi ^ bit] |= ind[hi]
+        kernels.fold(ind, np.logical_or, supersets=True)
         tbl = kernels.rank_table_from_independence(ind)
         m = cls(elements, tbl, names=names)
         bad = m.rank_axiom_violation()
@@ -168,11 +160,7 @@ class Matroid:
         n = len(elements)
         flags = np.zeros(1 << n, dtype=bool)
         for c in circs:
-            m = 0
-            for e in c:
-                if e not in index:
-                    raise DomainError(f"unknown element id {e!r} in circuit")
-                m |= 1 << index[e]
+            m = mask_of(index, c, " in circuit")
             if m == 0:
                 raise DomainError("the empty set cannot be a circuit")
             flags[m] = True
@@ -192,8 +180,7 @@ class Matroid:
         n = len(elements)
         tbl = np.zeros(1 << n, dtype=np.int8)
         for mask in range(1 << n):
-            subset = frozenset(elements[i] for i in range(n) if mask >> i & 1)
-            tbl[mask] = fn(subset)
+            tbl[mask] = fn(set_of(elements, mask))
         return cls(elements, tbl, names=names)
 
     @classmethod
@@ -235,18 +222,10 @@ class Matroid:
         return self._tbl
 
     def mask_of(self, subset):
-        m = 0
-        for e in subset:
-            i = self._index.get(e)
-            if i is None:
-                raise DomainError(f"unknown element id {e!r}")
-            m |= 1 << i
-        return m
+        return mask_of(self._index, subset)
 
     def set_of(self, mask):
-        return frozenset(
-            self.elements[i] for i in range(len(self.elements)) if mask >> i & 1
-        )
+        return set_of(self.elements, mask)
 
     def closure_table(self):
         if self._cl is None:
@@ -297,28 +276,18 @@ class Matroid:
         """All inclusion-minimal dependent sets."""
         n = len(self.elements)
         check_cap(n, "circuit enumeration", CIRCUITS_CAP)
-        pops = kernels.popcounts(n)
-        dep = np.asarray(self._tbl) < pops
+        dep = np.asarray(self._tbl) < kernels.popcounts(n)
         circ = dep.copy()
-        masks = np.arange(1 << n, dtype=np.int64)
+        # a dependent set is a circuit when no one-smaller subset is dependent
         for b in range(n):
-            bit = 1 << b
-            hi = np.nonzero((masks & bit) != 0)[0]
-            circ[hi] &= ~dep[hi ^ bit]
+            circ.reshape(-1, 2, 1 << b)[:, 1] &= ~dep.reshape(-1, 2, 1 << b)[:, 0]
         return frozenset(self.set_of(int(m)) for m in np.nonzero(circ)[0])
 
     # -- minors ---------------------------------------------------------
 
     def _minor_tables(self, keep_ids):
         keep = [e for e in self.elements if e in keep_ids]
-        bitmap = [-1] * len(keep)
-        for new_pos, e in enumerate(keep):
-            bitmap[new_pos] = self._index[e]
-        # bitmap maps new position -> old position; build gather array
-        trans = kernels.translate_all_masks(
-            len(keep), np.array(bitmap, dtype=np.int64)
-        )
-        return keep, trans
+        return keep, kernels.MaskMap.of(self._index, keep).scatter
 
     def delete(self, subset):
         dropped = frozenset(subset)
@@ -364,11 +333,8 @@ class Matroid:
         """Label-sensitive equality: same ground set, same rank on every subset."""
         if self.ground_set != other.ground_set:
             return False
-        bitmap = np.array(
-            [self._index[e] for e in other.elements], dtype=np.int64
-        )
-        trans = kernels.translate_all_masks(len(other.elements), bitmap)
-        return bool(np.array_equal(np.asarray(other._tbl), np.asarray(self._tbl)[trans]))
+        trans = kernels.MaskMap.of(self._index, other.elements).scatter
+        return bool(np.array_equal(other._tbl, self._tbl[trans]))
 
     def __repr__(self):
         return f"Matroid(n={len(self.elements)}, r={self.rank() if self.elements else 0})"
@@ -380,13 +346,24 @@ def restrictions_equal(m1, m2, shared):
     for e in shared:
         if e not in m1._index or e not in m2._index:
             raise DomainError(f"element {e!r} is not common to both matroids")
-    b1 = np.array([m1._index[e] for e in shared], dtype=np.int64)
-    b2 = np.array([m2._index[e] for e in shared], dtype=np.int64)
-    t1 = kernels.translate_all_masks(len(shared), b1)
-    t2 = kernels.translate_all_masks(len(shared), b2)
-    return bool(
-        np.array_equal(np.asarray(m1._tbl)[t1], np.asarray(m2._tbl)[t2])
-    )
+    t1, t2 = (m._tbl[kernels.MaskMap.of(m._index, shared).scatter] for m in (m1, m2))
+    return bool(np.array_equal(t1, t2))
+
+
+def mask_of(index, ids, where=""):
+    """Mask of the ids in a ground set given as id -> position."""
+    m = 0
+    for e in ids:
+        i = index.get(e)
+        if i is None:
+            raise DomainError(f"unknown element id {e!r}{where}")
+        m |= 1 << i
+    return m
+
+
+def set_of(elements, mask):
+    """The ids of the mask's bits in a ground set given in position order."""
+    return frozenset(elements[i] for i in range(len(elements)) if mask >> i & 1)
 
 
 def two_sum(m1, m2, p1, p2):

@@ -30,7 +30,7 @@ offending subformula.
 
 from ..config import MSO_BUDGET
 from ..errors import CompilationBudgetError, DomainError
-from ..types_dp import NodeType, bottom_up, leaf_signatures
+from ..types_dp import NodeType, _Side, _signature, bottom_up, leaf_signatures
 from . import formulas as F
 from .naive import check_assignment
 
@@ -64,6 +64,7 @@ class _Run:
         self._label(core)
         self._memo = {}
         self._leaf_rows = {}  # leaf shape -> leaf_signatures rows
+        self._leaf_sides = {}  # leaf shape -> _Side of its boundary
 
     def _label(self, f):
         self.labels.setdefault(id(f), F.to_text(f))
@@ -278,27 +279,26 @@ class _Run:
         return "OK"
 
     def _closure_leaf(self, f, info, views):
-        k, boundary = info.view.k, info.view.boundary
+        view = info.view
+        k, side = view.k, self._leaf_sides.get(view.shape)
+        if side is None:
+            # a MaskMap costs two numpy calls: build one per leaf shape
+            pos = [k._index[e] for e in view.boundary]
+            side = self._leaf_sides[view.shape] = _Side(k.size, pos)
         xk = k.mask_of(self._term_view(f.term, views))
         vid, where = views[f.elem]
-        fmap = []
-        g = [] if where != "out" else None
-        for ymask in range(1 << len(boundary)):
-            ym = k.mask_of([e for i, e in enumerate(boundary) if ymask >> i & 1])
-            cl = k.closure_mask(xk | ym)
-            fmap.append(
-                sum(1 << i for i, e in enumerate(boundary) if cl >> k._index[e] & 1)
-            )
-            if g is not None:
-                g.append(bool(cl >> k._index[vid] & 1))
-        return (tuple(fmap), tuple(g) if g is not None else None)
+        fmap = _signature(k, side, xk).base.fmap
+        if where == "out":
+            return (fmap, None)
+        vbit = 1 << k._index[vid]
+        return (fmap, tuple(bool(k.closure_mask(xk | y) & vbit) for y in side.scatter))
 
     def _closure_combine(self, f, info, s1, s2, views):
         k, ctx = info.view.k, info.view.ctx
         xk = k.mask_of(self._term_view(f.term, views))
         vid, where = views[f.elem]
         zs = ctx.fixpoints(NodeType(s1[0]), NodeType(s2[0]), xk)
-        fmap = tuple(ctx.parent.gather[z & ctx.parent.mask] for z in zs)
+        fmap = tuple(ctx.parent.gather[z] for z in zs)
         if where == "out":
             return (fmap, None)
         g = []
@@ -306,9 +306,9 @@ class _Run:
             if vid is not None:
                 g.append(bool(z >> k._index[vid] & 1))
             elif where == "c1":
-                g.append(s1[1][ctx.side1.gather[z & ctx.side1.mask]])
+                g.append(s1[1][ctx.side1.gather[z]])
             elif where == "c2":
-                g.append(s2[1][ctx.side2.gather[z & ctx.side2.mask]])
+                g.append(s2[1][ctx.side2.gather[z]])
             else:
                 raise DomainError("closure query on an unplaced element")
         return (fmap, tuple(g))

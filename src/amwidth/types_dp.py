@@ -7,7 +7,12 @@ closures.  Extended types add the tracked set's boundary trace and, for
 each Y, the rank increment of the restricted tracked set when Y joins it.
 The join computes the parent's signature from the children's without
 realizing anything; ``type_of``/``extended_type_of`` recompute the same
-data on the realized matroid and serve as the oracle in tests.
+data on the realized matroid and serve as the oracle in tests.  That
+direct computation, ``_signature(m, side, x)``, also gives the leaves
+their signatures (``leaf_signatures``) and compiled MSO its closure
+atoms at leaves.  A ``_Side`` is the ``kernels.MaskMap`` of a boundary
+inside a matroid's positions, its gather/scatter tables held as lists
+for the join's scalar lookups.
 
 Types hold no element ids: a boundary subset is a mask over the sorted
 boundary.  A node's *shape* is its glue matroid's rank table, the
@@ -43,8 +48,6 @@ __all__ = [
     "bottom_up",
     "type_of",
     "extended_type_of",
-    "join",
-    "extended_join",
     "all_types",
 ]
 
@@ -70,39 +73,22 @@ def _boundary_order(ids):
 
 def type_of(tree, nid, tracked):
     """Oracle: the type of node nid w.r.t. ``tracked``, on the realized M(v)."""
-    m = tree.realize(nid)
-    boundary = _boundary_order(tree.boundary(nid))
-    x = m.mask_of(set(tracked) & m.ground_set)
-    jpos = [m._index[e] for e in boundary]
-    fmap = []
-    for ymask in range(1 << len(boundary)):
-        ym = 0
-        for i, p in enumerate(jpos):
-            if ymask >> i & 1:
-                ym |= 1 << p
-        cl = m.closure_mask(x | ym)
-        fmap.append(sum(1 << i for i, p in enumerate(jpos) if cl >> p & 1))
-    return NodeType(tuple(fmap))
+    return extended_type_of(tree, nid, tracked).base
 
 
 def extended_type_of(tree, nid, tracked):
     """Oracle: extended type (type, trace, rank offsets) on the realized M(v)."""
     m = tree.realize(nid)
-    boundary = _boundary_order(tree.boundary(nid))
-    base = type_of(tree, nid, tracked)
-    xs = set(tracked) & m.ground_set
-    x = m.mask_of(xs)
-    jpos = [m._index[e] for e in boundary]
-    trace = sum(1 << i for i, p in enumerate(jpos) if x >> p & 1)
+    side = _Side(m.size, _positions(m, tree.boundary(nid)))
+    return _signature(m, side, m.mask_of(set(tracked) & m.ground_set))
+
+
+def _signature(m, side, x):
+    """Extended type of the mask x of matroid m over the boundary ``side``."""
     r0 = m.rank_mask(x)
-    offsets = []
-    for ymask in range(1 << len(boundary)):
-        ym = 0
-        for i, p in enumerate(jpos):
-            if ymask >> i & 1:
-                ym |= 1 << p
-        offsets.append(m.rank_mask(x | ym) - r0)
-    return ExtendedType(base, trace, tuple(offsets))
+    fmap = tuple(side.gather[m.closure_mask(x | y)] for y in side.scatter)
+    offsets = tuple(m.rank_mask(x | y) - r0 for y in side.scatter)
+    return ExtendedType(NodeType(fmap), side.gather[x], offsets)
 
 
 def _positions(k, ids):
@@ -140,15 +126,14 @@ def _submasks(mask):
 
 
 class _Side:
-    """Gather/scatter between K's mask space and a boundary's, as lists."""
+    """A ``kernels.MaskMap`` from a boundary into K, its tables as lists:
+    the scalar lookups of the join are slower on numpy scalars.  ``gather``
+    takes any K-mask and ignores the bits outside the boundary."""
 
     def __init__(self, n, pos):
-        self.size = len(pos)
-        self.mask = sum(1 << p for p in pos)
-        gather_bitmap = np.full(n, -1, dtype=np.int64)
-        gather_bitmap[list(pos)] = np.arange(self.size)
-        self.gather = kernels.translate_all_masks(n, gather_bitmap).tolist()
-        self.scatter = kernels.translate_all_masks(self.size, pos).tolist()
+        side = kernels.MaskMap(n, pos)
+        self.mask = side.mask
+        self.gather, self.scatter = side.gather.tolist(), side.scatter.tolist()
 
 
 class JoinContext:
@@ -182,7 +167,7 @@ class JoinContext:
         Both mask and shift are K-masks; shift adds boundary seeds when
         evaluating signatures of the tracked set extended by a Y.
         """
-        return side.scatter[ntype.fmap[side.gather[(mask | shift) & side.mask]]]
+        return side.scatter[ntype.fmap[side.gather[mask | shift]]]
 
     def _rank(self, e1, e2, xk, y1=0, y2=0):
         """Rank of the tracked set inside M(v), minus r1 + r2.
@@ -198,7 +183,7 @@ class JoinContext:
         f2_0 = self._reflect(s2, e2.base, 0, shift=y2)
         xk2 = xk | f2_0
         a1 = clk[xk2]
-        off1_arg = s1.gather[((a1 | f2_0) & s1.mask) | y1]
+        off1_arg = s1.gather[a1 | f2_0 | y1]
         f1f20 = self._reflect(s1, e1.base, f2_0, shift=y1)
         w2k = f1f20 | xk2
         n1arg = (a1 & s1.mask) | f1f20
@@ -208,7 +193,7 @@ class JoinContext:
         a = clk[xk | f1_0]
         b = self._reflect(s1, e1.base, (clk[xk] | xk) & s1.mask, shift=y1)
         y2m = (a | b | xk) & s2.mask
-        off2_arg = s2.gather[(y2m | y2) & s2.mask]
+        off2_arg = s2.gather[y2m | y2]
         return rp1_delta + off2[off2_arg] - tk[y2m | f2_0]
 
     def fixpoint(self, t1, t2, seed):
@@ -237,8 +222,8 @@ class JoinContext:
 
     def join_types(self, t1, t2, xk):
         """Definition-of-join fixed point, restricted to the parent boundary."""
-        gather, pmask = self.parent.gather, self.parent.mask
-        return NodeType(tuple(gather[z & pmask] for z in self.fixpoints(t1, t2, xk)))
+        gather = self.parent.gather
+        return NodeType(tuple(gather[z] for z in self.fixpoints(t1, t2, xk)))
 
     def extended_join(self, e1, e2, fresh):
         """Parent signature and rank increment for one combination.
@@ -262,7 +247,7 @@ class JoinContext:
             return hit
         delta = self._rank(e1, e2, xk)
         base = self.join_types(e1.base, e2.base, xk)
-        trace = self.parent.gather[xk & self.parent.mask]
+        trace = self.parent.gather[xk]
         offsets = tuple(
             self._rank(e1, e2, xk | ym, y1=ym & self.side1.mask, y2=ym & self.side2.mask)
             - delta
@@ -326,39 +311,13 @@ def bottom_up(tree, leaf, join):
     return results[tree.root]
 
 
-def join(f1, f2, k, x_k, j1, j2, j_parent):
-    """Join of two child types through K w.r.t. the tracked K-part x_k."""
-    ctx = JoinContext(node_shape(k, j1, j2, j_parent))
-    return ctx.join_types(f1, f2, k.mask_of(x_k))
-
-
-def extended_join(e1, e2, k, s_fresh, deletions, j1, j2, j_parent):
-    """Extended join; see JoinContext.extended_join."""
-    ctx = JoinContext(node_shape(k, j1, j2, j_parent, deletions))
-    return ctx.extended_join(e1, e2, k.mask_of(s_fresh))
-
-
 def leaf_signatures(k, boundary):
     """(rank, size, ExtendedType) of every subset of a leaf with matroid k,
     indexed by the subset's K-mask."""
-    jpos = _positions(k, boundary)
-    rows = []
-    for xmask in range(1 << k.size):
-        fmap = []
-        offsets = []
-        r0 = k.rank_mask(xmask)
-        for ymask in range(1 << len(jpos)):
-            ym = 0
-            for i, p in enumerate(jpos):
-                if ymask >> i & 1:
-                    ym |= 1 << p
-            cl = k.closure_mask(xmask | ym)
-            fmap.append(sum(1 << i for i, p in enumerate(jpos) if cl >> p & 1))
-            offsets.append(k.rank_mask(xmask | ym) - r0)
-        trace = sum(1 << i for i, p in enumerate(jpos) if xmask >> p & 1)
-        sig = ExtendedType(NodeType(tuple(fmap)), trace, tuple(offsets))
-        rows.append((r0, xmask.bit_count(), sig))
-    return rows
+    side = _Side(k.size, _positions(k, boundary))
+    return [
+        (k.rank_mask(x), x.bit_count(), _signature(k, side, x)) for x in range(1 << k.size)
+    ]
 
 
 def all_types(boundary):

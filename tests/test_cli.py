@@ -112,6 +112,18 @@ MALFORMED_MATROIDS = {
     "endpoints": ({"type": "graphic", "edges": {"1": [1, "x"], "2": [0, 1]}}, "endpoints"),
     "edge id": ({"type": "graphic", "edges": {"e": [0, 1]}}, "edge id"),
     "names": ({"type": "graphic", "edges": {"1": [0, 1]}, "names": {"x": "a"}}, "names key"),
+    "edge id twice": (
+        {"type": "graphic", "edges": {"1": [0, 1], "01": [1, 2]}},
+        "edges keys '1' and '01' both name id 1",
+    ),
+    "column id twice": (
+        {"type": "linear", "field": 2, "columns": {"2": [1, 0], "+2": [0, 1]}},
+        "columns keys '2' and '+2' both name id 2",
+    ),
+    "names key twice": (
+        {"type": "graphic", "edges": {"1": [0, 1]}, "names": {"1": "a", " 1": "b"}},
+        "names keys '1' and ' 1' both name id 1",
+    ),
     "sets": (
         {"type": "explicit", "elements": [1], "independent_sets": [["one"]]},
         "independent set",

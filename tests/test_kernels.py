@@ -8,6 +8,8 @@ cycle detection and against GF(2) vertex-edge incidence.  Splitting the
 GF(p) table on its top element, which the kernel does once the reduced
 bases would exceed ``GF_BASIS_BUDGET``, is tested at full size on a
 16 x 16 GF(2) matrix and on small inputs under a budget shrunk to zero.
+``MaskMap`` and ``fold`` are checked against bit-by-bit loops and
+enumeration of all submasks and supersets up to six elements.
 """
 
 import tracemalloc
@@ -20,7 +22,8 @@ from amwidth import kernels, linalg
 import oracles
 
 
-# the numpy kernels, under the test id ``py``
+# the numpy kernels under the test id ``py``: a relic of a second
+# implementation that once ran beside them, kept so the tests keep their ids
 @pytest.fixture(params=[kernels], ids=["py"])
 def impl(request):
     return request.param
@@ -221,6 +224,83 @@ def test_translate_all_masks(impl):
     bitmap = np.array([2, -1, 0], dtype=np.int64)
     out = impl.translate_all_masks(3, bitmap)
     assert [int(x) for x in out] == [0, 4, 0, 4, 1, 5, 1, 5]
+
+
+def _mask_map_oracle(n, pos):
+    """scatter and gather of a sub-order, bit by bit."""
+    scatter = [0] * (1 << len(pos))
+    for s in range(1 << len(pos)):
+        for i, p in enumerate(pos):
+            if s >> i & 1:
+                scatter[s] |= 1 << p
+    gather = [sum(1 << i for i, p in enumerate(pos) if m >> p & 1) for m in range(1 << n)]
+    return scatter, gather
+
+
+def test_mask_map_vs_bit_loops():
+    rng = np.random.default_rng(5)
+    for n in range(7):
+        for size in range(n + 1):
+            for _ in range(4):
+                pos = rng.permutation(n)[:size].tolist()
+                mm = kernels.MaskMap(n, pos)
+                scatter, gather = _mask_map_oracle(n, pos)
+                assert mm.scatter.tolist() == scatter, (n, pos)
+                assert mm.gather.tolist() == gather, (n, pos)
+                assert mm.mask == sum(1 << p for p in pos)
+                assert mm.scatter.dtype == mm.gather.dtype == np.int64
+                # scatter then gather is the identity on sub-masks
+                assert mm.gather[mm.scatter].tolist() == list(range(1 << size))
+
+
+def test_mask_map_repeated_positions_scatter():
+    rng = np.random.default_rng(6)
+    for n in range(1, 7):
+        for size in range(1, 8):
+            pos = rng.integers(0, n, size=size).tolist()
+            mm = kernels.MaskMap(n, pos)
+            assert mm.scatter.tolist() == _mask_map_oracle(n, pos)[0], (n, pos)
+            assert mm.mask == sum(1 << p for p in set(pos))
+
+
+def test_mask_map_empty_and_of():
+    for n in range(4):
+        mm = kernels.MaskMap(n, [])
+        assert mm.scatter.tolist() == [0]
+        assert mm.gather.tolist() == [0] * (1 << n)
+        assert mm.mask == 0
+    index = {10: 0, 30: 1, 20: 2}
+    mm = kernels.MaskMap.of(index, [20, 10])
+    assert (mm.n, mm.pos) == (3, [2, 0])
+    assert mm.scatter.tolist() == [0, 4, 1, 5]
+
+
+FOLDS = [
+    (np.add, np.int64, sum),
+    (np.maximum, np.int8, max),
+    (np.minimum, np.int64, min),
+    (np.logical_or, bool, any),
+]
+
+
+@pytest.mark.parametrize("op,dtype,reduce", FOLDS, ids=lambda x: getattr(x, "__name__", ""))
+@pytest.mark.parametrize("supersets", [False, True])
+def test_fold_vs_enumeration(op, dtype, reduce, supersets):
+    rng = np.random.default_rng(7)
+    for n in range(7):
+        vals = rng.integers(-5, 6, size=1 << n).astype(dtype)
+        want = [
+            reduce(
+                vals[s]
+                for s in range(1 << n)
+                if (s & m == m if supersets else s & m == s)
+            )
+            for m in range(1 << n)
+        ]
+        out = vals.copy()
+        assert kernels.fold(out, op, supersets=supersets) is out  # in place
+        assert out.dtype == dtype
+        assert out.tolist() == want, (n, op)
 
 
 def test_whitney_counts(impl):

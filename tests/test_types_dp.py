@@ -11,9 +11,7 @@ from amwidth.types_dp import (
     JoinContext,
     NodeType,
     all_types,
-    extended_join,
     extended_type_of,
-    join,
     leaf_signatures,
     node_shape,
     type_of,
@@ -72,7 +70,8 @@ def test_join_identity_reflections():
     # children with identity type maps: join(Y) = cl_K(Y) & J
     k = zoo.triangle(1, 2, 3)
     f_id = NodeType((0,))
-    got = join(f_id, f_id, k, [], [], [], [1, 2, 3])
+    ctx = JoinContext(node_shape(k, [], [], [1, 2, 3]))
+    got = ctx.join_types(f_id, f_id, k.mask_of([]))
     for ymask in range(8):
         ym = k.mask_of([e for i, e in enumerate((1, 2, 3)) if ymask >> i & 1])
         want = k.closure_mask(ym)
@@ -95,15 +94,9 @@ def test_join_matches_type_of_everywhere():
                 tracked = frozenset(tracked)
                 f1 = type_of(tree, c1, tracked)
                 f2 = type_of(tree, c2, tracked)
-                got = join(
-                    f1,
-                    f2,
-                    node.K,
-                    tracked & node.K.ground_set,
-                    sorted(node.J1),
-                    sorted(node.J2),
-                    sorted(tree.boundary(v)),
-                )
+                j1, j2, jp = sorted(node.J1), sorted(node.J2), sorted(tree.boundary(v))
+                ctx = JoinContext(node_shape(node.K, j1, j2, jp))
+                got = ctx.join_types(f1, f2, node.K.mask_of(tracked & node.K.ground_set))
                 assert got == type_of(tree, v, tracked), (name, v, tracked)
 
 
@@ -123,16 +116,9 @@ def test_extended_join_matches_oracle():
                 e1 = extended_type_of(tree, c1, tracked)
                 e2 = extended_type_of(tree, c2, tracked)
                 fresh = tracked & node.K.ground_set - node.J1 - node.J2
-                got, delta = extended_join(
-                    e1,
-                    e2,
-                    node.K,
-                    fresh,
-                    node.D,
-                    sorted(node.J1),
-                    sorted(node.J2),
-                    sorted(tree.boundary(v)),
-                )
+                j1, j2, jp = sorted(node.J1), sorted(node.J2), sorted(tree.boundary(v))
+                ctx = JoinContext(node_shape(node.K, j1, j2, jp, node.D))
+                got, delta = ctx.extended_join(e1, e2, node.K.mask_of(fresh))
                 want = extended_type_of(tree, v, tracked)
                 assert got == want, (name, v, tracked)
                 m = tree.realize(v)
@@ -167,17 +153,10 @@ def test_tracked_set_in_deletions_rejected():
     c1, c2 = node.children
     e1 = extended_type_of(tree, c1, [10])
     e2 = extended_type_of(tree, c2, [10])
+    j1, j2, jp = sorted(node.J1), sorted(node.J2), sorted(tree.boundary(tree.root))
+    ctx = JoinContext(node_shape(node.K, j1, j2, jp, node.D))
     with pytest.raises(DomainError):
-        extended_join(
-            e1,
-            e2,
-            node.K,
-            [],
-            node.D,
-            sorted(node.J1),
-            sorted(node.J2),
-            sorted(tree.boundary(tree.root)),
-        )
+        ctx.extended_join(e1, e2, node.K.mask_of([]))
 
 
 def test_fixpoint_terminates_quickly():
