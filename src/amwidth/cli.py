@@ -20,7 +20,7 @@ from . import files
 from .branch import branch_width_of, from_branch_decomposition
 from .errors import DomainError, ResourceError
 from .mso import formulas as mso_formulas
-from .mso.compiled import compiled_state_counts, eval_decomposition
+from .mso.compiled import eval_decomposition, eval_with_counts
 from .mso.naive import eval_naive
 from .mso.parser import parse as parse_formula
 from .tutte import tutte_bruteforce, tutte_decomposition
@@ -238,11 +238,12 @@ def _cmd_mso(args):
     if args.engine in ("dp", "both"):
         if tree is None:
             raise _Usage("--engine dp needs a decomposition file")
-        results["dp"] = eval_decomposition(tree, formula, assignment)
         if args.dump_states:
-            counts = compiled_state_counts(tree, formula, assignment)
+            results["dp"], counts = eval_with_counts(tree, formula, assignment)
             with open(args.dump_states, "w") as fh:
                 fh.write(files.dumps(counts))
+        else:
+            results["dp"] = eval_decomposition(tree, formula, assignment)
     if len(results) == 2 and results["naive"] != results["dp"]:
         _emit({"error": "engines disagree", "naive": results["naive"], "dp": results["dp"]})
         return 1

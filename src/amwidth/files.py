@@ -182,13 +182,15 @@ def _rank_list(elements, ranks):
     """An explicit rank object as a list indexed by subset mask.
 
     Keys are comma-separated element ids; each must be in ``elements``,
-    and each subset must be given exactly once.
+    and each subset must be given exactly once.  The ranks are gathered
+    by mask first, so nothing larger than the object itself is allocated
+    before ``Matroid`` checks the table cap; only naming a missing subset
+    walks every mask, and the cap is checked before that walk.
     """
     if len(set(elements)) != len(elements):
         raise DomainError("duplicate element ids in ground set")
-    check_cap(len(elements), "rank table")
     bit = {e: 1 << i for i, e in enumerate(elements)}
-    out = [None] * (1 << len(elements))
+    out = {}
     for key, value in ranks.items():
         mask = 0
         for x in key.split(","):
@@ -204,15 +206,17 @@ def _rank_list(elements, ranks):
             raise DomainError(
                 f"rank of {_subset(elements, mask)} must lie between 0 and its size"
             )
-        if out[mask] is not None:
+        if mask in out:
             raise DomainError(
                 f"rank key {key!r} gives subset {_subset(elements, mask)} a second time"
             )
         out[mask] = value
-    for mask, value in enumerate(out):
-        if value is None:
-            raise DomainError(f"rank table is missing subset {_subset(elements, mask)}")
-    return out
+    full = 1 << len(elements)
+    if len(out) < full:
+        check_cap(len(elements), "rank table")
+        missing = next(mask for mask in range(full) if mask not in out)
+        raise DomainError(f"rank table is missing subset {_subset(elements, missing)}")
+    return [out[mask] for mask in range(full)]
 
 
 def _subset(elements, mask):

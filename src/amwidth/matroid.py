@@ -94,11 +94,11 @@ class Matroid:
         if len(dims) > 1:
             raise DomainError("columns must share one dimension")
         d = dims.pop() if dims else 0
-        check_cap(len(ids), "rank table")
         tables = {} if tables is None else tables
         key = ("linear", p, vecs)
         tbl = tables.get(key)
         if tbl is None:
+            check_cap(len(ids), "rank table")
             mat = np.array(vecs, dtype=np.int64).T.reshape(d, len(ids))
             tbl = kernels.gf_rank_table(mat, p)
         rep = LinearRep(field=p, columns=dict(zip(ids, vecs)))
@@ -117,11 +117,11 @@ class Matroid:
         verts = sorted({v for pair in edges.values() for v in pair})
         number = {}
         ends = tuple(number.setdefault(v, len(number)) for e in ids for v in edges[e])
-        check_cap(len(ids), "rank table")
         tables = {} if tables is None else tables
         key = ("graphic", ends)
         tbl = tables.get(key)
         if tbl is None:
+            check_cap(len(ids), "rank table")
             tbl = kernels.graphic_rank_table(ends[0::2], ends[1::2], max(len(verts), 1))
         desc = GraphDescription(
             vertices=tuple(verts),

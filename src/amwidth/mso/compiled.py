@@ -1,4 +1,4 @@
-"""Decomposition-based MSO evaluation in one leaves-to-root pass.
+"""Decomposition-based MSO evaluation as a finite tree automaton.
 
 The pass is ``types_dp.bottom_up``, the driver the Tutte DP runs on too.
 Every subformula gets one deterministic state per node, mirroring the
@@ -8,7 +8,7 @@ reuses the same states, and quantifiers determinize on the fly, holding
 the set of (placement abstraction, inner state) pairs reachable over all
 ways of guessing the variable inside the subtree.  A placement
 abstraction is all the ancestors can still see: for an element, whether
-it is placed and which boundary element it equals; for a set, its
+it is placed and, if it sits on the boundary, where; for a set, its
 boundary trace.  Closure atoms carry the node type of the tracked set
 and, once the queried element lies in the subtree, a conditional
 membership bit per boundary subset, both advanced through the glue
@@ -21,12 +21,29 @@ types with its fresh part F of T and keeps the bit only when both
 children's bits hold and the join's rank increment equals |F|, since
 r(X1 + X2 + F) <= r(X1) + r(X2) + |F|.
 
+States hold no element ids.  A placed element is its mask over the
+node's sorted boundary (0 when it is hidden below), a set trace is a
+boundary mask, and a node sees each variable, free or being guessed,
+through K-masks in the positions of its join context: a set as the mask
+of its part in K, an element as its bit in K (0 outside K) with where it
+sits (below child 1 or 2, fresh here, or not in the subtree).  So a
+transition depends only on the node's canonical shape, the children's
+states and the views of the subformula's free variables.  Each distinct
+state is interned once per run as an int that carries its size, and one
+memo per node shape, kept for the whole run, maps (subformula, child
+states, views) to the combined state; leaves keep one per leaf shape.
+Along a chain of identical nodes the states settle after a few nodes,
+and every further node is a dict hit.
+
 Elements are introduced at a unique node (their leaf, or the glue
 matroid where they are fresh), so guesses extend states locally; choices
 that touch a node's deleted set die there.  State sizes are bounded by
-width and formula only; a budget guards explosion and names the
-offending subformula.
+width and formula only; a budget, charged at every node from the
+interned sizes, guards explosion and names the offending formula.
 """
+
+from functools import cached_property
+from operator import itemgetter
 
 from ..config import MSO_BUDGET
 from ..errors import CompilationBudgetError, DomainError
@@ -34,23 +51,41 @@ from ..types_dp import NodeType, _Side, _signature, bottom_up, leaf_signatures
 from . import formulas as F
 from .naive import check_assignment
 
-__all__ = ["eval_decomposition", "msom", "compiled_state_counts"]
+__all__ = ["eval_decomposition", "eval_with_counts", "msom", "compiled_state_counts"]
 
-_OUT = ("out",)
-_HID = ("hid",)
-_NO_SET = ("set", frozenset())
+# atom states: undecided, true, false; each is its own interned id
+_U, _T, _F = 0, 1, 2
+# the placement of an element variable not placed in the subtree
+_OUT = -1
 
 
-class _NodeInfo:
-    """Compiled-only facts of one node, beside the driver's shared view."""
+class _Shape:
+    """An internal node shape for the whole run: its join context, the
+    K-bits of its fresh elements and its memo of combined states."""
 
-    def __init__(self, tree, view):
-        self.view = view
-        self.bset = frozenset(view.boundary)
-        # where an element sits: below child 1 or 2, or introduced here
-        children = zip(("c1", "c2"), view.node.children)
-        self.places = [(where, tree.ground(c)) for where, c in children]
-        self.places.append(("here", view.fresh))
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.fresh = ctx.fresh
+        self.fresh_bits = [1 << p for p in range(ctx.size) if ctx.fresh >> p & 1]
+        self.memo = {}
+
+
+class _LeafShape:
+    """A leaf shape for the whole run: its glue matroid (any leaf's of the
+    shape, read through masks only), its boundary as a ``_Side``, the
+    ``leaf_signatures`` rows once an indep atom asks, and its memo of leaf
+    states by view."""
+
+    def __init__(self, view):
+        k = self.k = view.k
+        self.boundary = view.boundary
+        self.side = _Side(k.size, [k._index[e] for e in view.boundary])
+        self.fresh = k.full_mask
+        self.memo = {}
+
+    @cached_property
+    def rows(self):
+        return leaf_signatures(self.k, self.boundary)
 
 
 class _Run:
@@ -58,270 +93,264 @@ class _Run:
         self.tree = tree
         self.core = core
         self.values = values
-        self.counts = {}
-        self.labels = {}
-        self.refs = {}
-        self._label(core)
-        self._memo = {}
-        self._leaf_rows = {}  # leaf shape -> leaf_signatures rows
-        self._leaf_sides = {}  # leaf shape -> _Side of its boundary
+        self.label = F.to_text(core)
+        self.total = 0
+        self._keys = {}  # id(subformula) -> views -> its free variables' views
+        self._key_views(core)
+        self._ids = {_U: _U, _T: _T, _F: _F}  # state -> interned id
+        self._states = [_U, _T, _F]  # interned id -> state
+        self._sizes = [1, 1, 1]  # interned id -> size
+        self._shapes = {}  # JoinContext -> _Shape
+        self._leaf_shapes = {}  # leaf shape -> _LeafShape
 
-    def _label(self, f):
-        self.labels.setdefault(id(f), F.to_text(f))
-        self.refs[id(f)] = tuple(sorted(F._all_names(f)))
+    def _key_views(self, f):
+        names = sorted(F.free_variables(f))
+        self._keys[id(f)] = itemgetter(*names) if names else _no_views
         for child in _children(f):
-            self._label(child)
+            self._key_views(child)
 
     def _viewkey(self, f, views):
-        return tuple(views[name] for name in self.refs[id(f)] if name in views)
+        return self._keys[id(f)](views)
 
-    def _charge(self, f, state):
-        size = _state_size(f, state)
-        key = id(f)
-        total = self.counts.get(key, 0) + size
-        self.counts[key] = total
-        if total > MSO_BUDGET:
+    def _intern(self, state, size=1):
+        sid = self._ids.get(state)
+        if sid is None:
+            sid = self._ids[state] = len(self._states)
+            self._states.append(state)
+            self._sizes.append(size)
+        return sid
+
+    def _exists_state(self, pairs):
+        return self._intern(frozenset(pairs), sum(1 + self._sizes[s] for _, s in pairs))
+
+    def _charge(self, sid):
+        self.total += self._sizes[sid]
+        if self.total > MSO_BUDGET:
             raise CompilationBudgetError(
-                "compiled evaluator exceeded its state budget", self.labels[key]
+                "compiled evaluator exceeded its state budget", self.label
             )
-        return state
+        return sid
 
-    # -- free-variable views ----------------------------------------------
-
-    def _free_views(self, info):
-        ground = info.view.k.ground_set
+    def _views(self, view, fresh):
+        """The free variables as this node sees them (see the module doc)."""
+        index = view.index
         views = {}
         for name, value in self.values.items():
             if F.is_set_name(name):
-                views[name] = frozenset(value & ground)
-            else:
-                vid = value if value in ground else None
-                where = next((w for w, part in info.places if value in part), "out")
-                views[name] = (vid, where)
+                views[name] = sum(1 << p for e, p in index.items() if e in value)
+                continue
+            p = index.get(value)
+            bit = 0 if p is None else 1 << p
+            where = "here" if bit & fresh else "out"
+            for side, child in zip(("c1", "c2"), view.node.children):
+                if value in self.tree.ground(child):
+                    where = side
+                    break
+            views[name] = (bit, where)
         return views
 
     # -- evaluation -----------------------------------------------------------
 
     def result(self):
-        state = bottom_up(self.tree, self._leaf, self._join)
-        return self._resolve(self.core, state)
+        return self._resolve(self.core, bottom_up(self.tree, self._leaf, self._join))
 
     def _leaf(self, view):
-        info = _NodeInfo(self.tree, view)
-        state = self._init(self.core, info, self._free_views(info))
-        return self._charge(self.core, state)
+        leaf = self._leaf_shapes.get(view.shape)
+        if leaf is None:
+            leaf = self._leaf_shapes[view.shape] = _LeafShape(view)
+        views = self._views(view, leaf.fresh)
+        key = self._viewkey(self.core, views)
+        sid = leaf.memo.get(key)
+        if sid is None:
+            sid = leaf.memo[key] = self._init(self.core, leaf, views)
+        return self._charge(sid)
 
     def _join(self, view, s1, s2):
-        info = _NodeInfo(self.tree, view)
-        self._memo = {}
-        state = self._combine(self.core, info, s1, s2, self._free_views(info))
-        return self._charge(self.core, state)
+        shape = self._shapes.get(view.ctx)
+        if shape is None:
+            shape = self._shapes[view.ctx] = _Shape(view.ctx)
+        views = self._views(view, shape.fresh)
+        return self._charge(self._combine(self.core, shape, s1, s2, views))
 
     # -- leaf initialization -----------------------------------------------------
 
-    def _init(self, f, info, views):
+    def _init(self, f, leaf, views):
         if isinstance(f, F.Member):
-            return self._member_state("U", f, views)
+            return self._member_state(_U, f, views)
         if isinstance(f, F.ElemEq):
-            return self._elemeq_state("U", f, views)
+            return self._elemeq_state(_U, f, views)
         if isinstance(f, F.SetEq):
-            return self._seteq_state("OK", f, info, views)
+            return self._seteq_state(_T, f, leaf.fresh, views)
         if isinstance(f, F.InClosure):
-            return self._closure_leaf(f, info, views)
+            return self._closure_leaf(f, leaf, views)
         if isinstance(f, F.Indep):
-            view = info.view
-            rows = self._leaf_rows.get(view.shape)
-            if rows is None:
-                rows = self._leaf_rows[view.shape] = leaf_signatures(view.k, view.boundary)
-            rank, size, sig = rows[view.k.mask_of(self._term_view(f.term, views))]
-            return (sig, rank == size)
+            rank, size, sig = leaf.rows[self._term_mask(f.term, views)]
+            return self._intern((sig, rank == size))
         if isinstance(f, F.Not):
-            return self._init(f.inner, info, views)
+            return self._init(f.inner, leaf, views)
         if isinstance(f, F.Or):
-            return (
-                self._init(f.left, info, views),
-                self._init(f.right, info, views),
-            )
+            a = self._init(f.left, leaf, views)
+            b = self._init(f.right, leaf, views)
+            return self._intern((a, b), self._sizes[a] + self._sizes[b])
         if isinstance(f, F.Exists):
-            below = _NO_SET if F.is_set_name(f.var) else _OUT
-            out = set()
-            for comp, view in self._merge_choices(f.var, info, below, below):
-                out.add((comp, self._init(f.inner, info, {**views, f.var: view})))
-            return frozenset(out)
+            return self._exists_state(
+                {
+                    (comp, self._init(f.inner, leaf, {**views, f.var: view}))
+                    for comp, view in self._leaf_choices(f.var, leaf)
+                }
+            )
         raise DomainError(f"not a core formula node: {f!r}")
+
+    def _leaf_choices(self, var, leaf):
+        """Every placement of ``var`` at a leaf, where all of K is fresh,
+        with the variable's view there."""
+        gather = leaf.side.gather
+        if F.is_set_name(var):
+            return [(gather[x], x) for x in range(leaf.fresh + 1)]
+        bits = (1 << p for p in range(leaf.k.size))
+        return [(_OUT, (0, "out"))] + [(gather[b], (b, "here")) for b in bits]
 
     # -- combination at internal nodes ----------------------------------------------
 
-    def _combine(self, f, info, s1, s2, views):
+    def _combine(self, f, shape, s1, s2, views):
         key = (id(f), s1, s2, self._viewkey(f, views))
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._combine_raw(f, info, s1, s2, views)
-        self._memo[key] = out
-        return out
+        sid = shape.memo.get(key)
+        if sid is None:
+            sid = shape.memo[key] = self._combine_raw(f, shape, s1, s2, views)
+        return sid
 
-    def _combine_raw(self, f, info, s1, s2, views):
+    def _combine_raw(self, f, shape, s1, s2, views):
         if isinstance(f, F.Member):
             return self._member_state(_merge3(s1, s2), f, views)
         if isinstance(f, F.ElemEq):
             return self._elemeq_state(_merge3(s1, s2), f, views)
         if isinstance(f, F.SetEq):
-            prev = "F" if "F" in (s1, s2) else "OK"
-            return self._seteq_state(prev, f, info, views)
+            prev = _F if _F in (s1, s2) else _T
+            return self._seteq_state(prev, f, shape.fresh, views)
         if isinstance(f, F.InClosure):
-            return self._closure_combine(f, info, s1, s2, views)
+            return self._closure_combine(f, shape, s1, s2, views)
         if isinstance(f, F.Indep):
-            view = info.view
-            fresh = self._term_view(f.term, views).intersection(view.fresh)
-            sig, delta = view.ctx.extended_join(s1[0], s2[0], view.k.mask_of(fresh))
-            return (sig, s1[1] and s2[1] and delta == len(fresh))
+            (sig1, ok1), (sig2, ok2) = self._states[s1], self._states[s2]
+            fresh = self._term_mask(f.term, views) & shape.fresh
+            sig, delta = shape.ctx.extended_join(sig1, sig2, fresh)
+            return self._intern((sig, ok1 and ok2 and delta == fresh.bit_count()))
         if isinstance(f, F.Not):
-            return self._combine(f.inner, info, s1, s2, views)
+            return self._combine(f.inner, shape, s1, s2, views)
         if isinstance(f, F.Or):
-            return (
-                self._combine(f.left, info, s1[0], s2[0], views),
-                self._combine(f.right, info, s1[1], s2[1], views),
-            )
+            (l1, r1), (l2, r2) = self._states[s1], self._states[s2]
+            a = self._combine(f.left, shape, l1, l2, views)
+            b = self._combine(f.right, shape, r1, r2, views)
+            return self._intern((a, b), self._sizes[a] + self._sizes[b])
         if isinstance(f, F.Exists):
-            out = set()
-            for c1, a1 in s1:
-                for c2, a2 in s2:
-                    for comp, view in self._merge_choices(f.var, info, c1, c2):
-                        out.add(
-                            (
-                                comp,
-                                self._combine(
-                                    f.inner, info, a1, a2, {**views, f.var: view}
-                                ),
-                            )
-                        )
-            return frozenset(out)
+            return self._exists_state(
+                {
+                    (comp, self._combine(f.inner, shape, a1, a2, {**views, f.var: view}))
+                    for c1, a1 in self._states[s1]
+                    for c2, a2 in self._states[s2]
+                    for comp, view in self._choices(f.var, shape, c1, c2)
+                }
+            )
         raise DomainError(f"not a core formula node: {f!r}")
 
-    def _merge_choices(self, var, info, c1, c2):
-        """Consistent variable placements at this node, with local views.
-
-        c1 and c2 are the children's placements; a leaf passes the empty
-        placement for both.
-        """
-        deletions = info.view.node.D
+    def _choices(self, var, shape, c1, c2):
+        """Consistent placements of ``var`` at an internal node, given the
+        children's placements c1 and c2, with the variable's view here."""
+        ctx = shape.ctx
+        gather = ctx.parent.gather
         if F.is_set_name(var):
-            base = c1[1] | c2[1]
-            if base & deletions:
-                return []
-            views = [base | s for s in info.view.fresh_subsets]
-            return [(("set", v & info.bset), v) for v in views]
-        in1, in2 = c1 != _OUT, c2 != _OUT
-        if in1 and in2:
-            return []
-        if in1 or in2:
-            comp = c1 if in1 else c2
-            side = "c1" if in1 else "c2"
-            if comp == _HID:
-                return [(_HID, (None, side))]
-            j = comp[1]
-            if j in deletions:
-                return []
-            new = ("in", j) if j in info.bset else _HID
-            return [(new, (j, side))]
-        out = [(_OUT, (None, "out"))]
-        for e in info.view.fresh:
-            comp = ("in", e) if e in info.bset else _HID
-            out.append((comp, (e, "here")))
-        return out
+            base = ctx.side1.scatter[c1] | ctx.side2.scatter[c2]
+            if base & ctx.dmask:
+                return ()
+            return [(gather[x], x) for x in (base | s for s in ctx.fresh_masks)]
+        if c1 != _OUT and c2 != _OUT:
+            return ()
+        if c1 != _OUT or c2 != _OUT:
+            comp, side, where = (c1, ctx.side1, "c1") if c1 != _OUT else (c2, ctx.side2, "c2")
+            bit = side.scatter[comp]
+            if bit & ctx.dmask:
+                return ()
+            return ((gather[bit], (bit, where)),)
+        return [(_OUT, (0, "out"))] + [(gather[b], (b, "here")) for b in shape.fresh_bits]
 
     # -- atoms -----------------------------------------------------------------------
 
-    def _term_view(self, term, views):
+    def _term_mask(self, term, views):
         if isinstance(term, F.Var):
             return views[term.name]
         if isinstance(term, F.Remove):
-            base = self._term_view(term.term, views)
-            vid, _ = views[term.elem]
-            return base - {vid} if vid is not None else base
+            return self._term_mask(term.term, views) & ~views[term.elem][0]
         if isinstance(term, F.Add):
-            base = self._term_view(term.term, views)
-            vid, _ = views[term.elem]
-            return base | {vid} if vid is not None else base
+            return self._term_mask(term.term, views) | views[term.elem][0]
         raise DomainError(f"not a set term: {term!r}")
 
     def _member_state(self, prev, f, views):
-        if prev in ("T", "F"):
+        if prev != _U:
             return prev
-        vid, _ = views[f.elem]
-        if vid is None:
-            return "U"
-        return "T" if vid in self._term_view(f.term, views) else "F"
+        bit, _ = views[f.elem]
+        if not bit:
+            return _U
+        return _T if bit & self._term_mask(f.term, views) else _F
 
     def _elemeq_state(self, prev, f, views):
-        if prev in ("T", "F"):
+        if prev != _U:
             return prev
-        xv, xw = views[f.left]
-        yv, yw = views[f.right]
+        xb, xw = views[f.left]
+        yb, yw = views[f.right]
         xin, yin = xw != "out", yw != "out"
         if not xin and not yin:
-            return "U"
+            return _U
         if xin != yin:
-            return "F"
-        if xv is not None and yv is not None:
-            return "T" if xv == yv else "F"
-        return "F"  # at least one hidden below; nice trees keep them distinct
+            return _F
+        if xb and yb:
+            return _T if xb == yb else _F
+        return _F  # at least one hidden below; nice trees keep them distinct
 
-    def _seteq_state(self, prev, f, info, views):
-        if prev == "F":
-            return "F"
-        va = self._term_view(f.left, views)
-        vb = self._term_view(f.right, views)
-        for e in info.view.fresh:
-            if (e in va) != (e in vb):
-                return "F"
-        return "OK"
+    def _seteq_state(self, prev, f, fresh, views):
+        if prev == _F:
+            return _F
+        va = self._term_mask(f.left, views)
+        vb = self._term_mask(f.right, views)
+        return _F if (va ^ vb) & fresh else _T
 
-    def _closure_leaf(self, f, info, views):
-        view = info.view
-        k, side = view.k, self._leaf_sides.get(view.shape)
-        if side is None:
-            # a MaskMap costs two numpy calls: build one per leaf shape
-            pos = [k._index[e] for e in view.boundary]
-            side = self._leaf_sides[view.shape] = _Side(k.size, pos)
-        xk = k.mask_of(self._term_view(f.term, views))
-        vid, where = views[f.elem]
+    def _closure_leaf(self, f, leaf, views):
+        k, side = leaf.k, leaf.side
+        xk = self._term_mask(f.term, views)
+        bit, where = views[f.elem]
         fmap = _signature(k, side, xk).base.fmap
-        if where == "out":
-            return (fmap, None)
-        vbit = 1 << k._index[vid]
-        return (fmap, tuple(bool(k.closure_mask(xk | y) & vbit) for y in side.scatter))
+        g = None
+        if where != "out":
+            g = tuple(bool(k.closure_mask(xk | y) & bit) for y in side.scatter)
+        return self._intern((fmap, g))
 
-    def _closure_combine(self, f, info, s1, s2, views):
-        k, ctx = info.view.k, info.view.ctx
-        xk = k.mask_of(self._term_view(f.term, views))
-        vid, where = views[f.elem]
-        zs = ctx.fixpoints(NodeType(s1[0]), NodeType(s2[0]), xk)
+    def _closure_combine(self, f, shape, s1, s2, views):
+        ctx = shape.ctx
+        (fmap1, g1), (fmap2, g2) = self._states[s1], self._states[s2]
+        xk = self._term_mask(f.term, views)
+        bit, where = views[f.elem]
+        zs = ctx.fixpoints(NodeType(fmap1), NodeType(fmap2), xk)
         fmap = tuple(ctx.parent.gather[z] for z in zs)
         if where == "out":
-            return (fmap, None)
-        g = []
-        for z in zs:
-            if vid is not None:
-                g.append(bool(z >> k._index[vid] & 1))
-            elif where == "c1":
-                g.append(s1[1][ctx.side1.gather[z]])
-            elif where == "c2":
-                g.append(s2[1][ctx.side2.gather[z]])
-            else:
-                raise DomainError("closure query on an unplaced element")
-        return (fmap, tuple(g))
+            g = None
+        elif bit:
+            g = tuple(bool(z & bit) for z in zs)
+        elif where == "c1":
+            g = tuple(g1[ctx.side1.gather[z]] for z in zs)
+        elif where == "c2":
+            g = tuple(g2[ctx.side2.gather[z]] for z in zs)
+        else:
+            raise DomainError("closure query on an unplaced element")
+        return self._intern((fmap, g))
 
     # -- resolution at the root ---------------------------------------------------------
 
-    def _resolve(self, f, state):
+    def _resolve(self, f, sid):
+        state = self._states[sid]
         if isinstance(f, (F.Member, F.ElemEq)):
-            if state == "U":
+            if state == _U:
                 raise DomainError(f"unresolved atom {F.to_text(f)!r}")
-            return state == "T"
+            return state == _T
         if isinstance(f, F.SetEq):
-            return state == "OK"
+            return state == _T
         if isinstance(f, F.InClosure):
             if state[1] is None:
                 raise DomainError(f"unresolved closure atom {F.to_text(f)!r}")
@@ -329,11 +358,9 @@ class _Run:
         if isinstance(f, F.Indep):
             return state[1]
         if isinstance(f, F.Not):
-            return not self._resolve(f.inner, state)
+            return not self._resolve(f.inner, sid)
         if isinstance(f, F.Or):
-            return self._resolve(f.left, state[0]) or self._resolve(
-                f.right, state[1]
-            )
+            return self._resolve(f.left, state[0]) or self._resolve(f.right, state[1])
         if isinstance(f, F.Exists):
             for comp, inner in state:
                 if not F.is_set_name(f.var) and comp == _OUT:
@@ -354,44 +381,35 @@ def _children(f):
     return ()
 
 
-def _state_size(f, state):
-    if isinstance(f, F.Not):
-        return _state_size(f.inner, state)
-    if isinstance(f, F.Or):
-        return _state_size(f.left, state[0]) + _state_size(f.right, state[1])
-    if isinstance(f, F.Exists):
-        return sum(1 + _state_size(f.inner, s) for _, s in state)
-    return 1
+def _no_views(views):
+    return ()
 
 
 def _merge3(s1, s2):
-    if s1 in ("T", "F"):
+    if s1 != _U:
         return s1
-    if s2 in ("T", "F"):
-        return s2
-    return "U"
+    return s2
 
 
-def _prepare(tree, formula, assignment):
+def eval_with_counts(tree, formula, assignment=None):
+    """Truth of ``formula`` on realize(tree) without realizing it, with the
+    per-subformula accumulated state sizes of the debug dump."""
     tree = tree.prepared()
     F.check_kinds(formula)
     values = check_assignment(tree.ground(), formula, assignment)
-    core = F.desugar(formula)
-    return tree, core, values
+    run = _Run(tree, F.desugar(formula), values)
+    verdict = run.result()
+    return verdict, {run.label: run.total}
 
 
 def eval_decomposition(tree, formula, assignment=None):
     """Truth of ``formula`` on realize(tree) without realizing it."""
-    tree, core, values = _prepare(tree, formula, assignment)
-    return _Run(tree, core, values).result()
+    return eval_with_counts(tree, formula, assignment)[0]
 
 
 def compiled_state_counts(tree, formula, assignment=None):
     """Per-subformula accumulated state sizes, for the debug dump."""
-    tree, core, values = _prepare(tree, formula, assignment)
-    run = _Run(tree, core, values)
-    run.result()
-    return {run.labels[k]: v for k, v in run.counts.items()}
+    return eval_with_counts(tree, formula, assignment)[1]
 
 
 def msom(tree, formula, assignment=None):

@@ -18,16 +18,22 @@ Types hold no element ids: a boundary subset is a mask over the sorted
 boundary.  A node's *shape* is its glue matroid's rank table, the
 K-positions of sorted J1, sorted J2 and the sorted parent boundary, and
 the mask of D; every rank-level fact of a join depends on the shape
-alone.  So one ``JoinContext`` per shape serves every node of that shape
-in a DP run, with its memo of joined signatures and closure fixed
-points; contexts are private to a run, making concurrent runs over
-shared decompositions safe.  A bounded-width tree has boundedly many
-shapes, so the memos turn the DP into a finite tree automaton.
+alone.  Shapes are made canonical before a context is built: K is
+reordered by role (``canonical_shape``), so two nodes that differ only
+in the order their K lists its elements, as string-sorted ids in a
+loaded file do, get one shape.  Each shape met is made canonical once
+per run, one ``MaskMap`` permutation of its table, and each node gets
+the id -> position index of its canonical K.  So one ``JoinContext`` per
+canonical shape serves every node of that shape in a DP run, with its
+memo of joined signatures and closure fixed points; contexts are
+private to a run, making concurrent runs over shared decompositions
+safe.  A bounded-width tree has boundedly many shapes, so the memos
+turn the DP into a finite tree automaton.
 
 ``bottom_up`` is the one leaves-to-root pass of both dynamic programs,
 the Tutte DP and compiled MSO: a loop over the postorder, not recursion,
 so depth is bounded by memory alone.  It hands each node a ``NodeView``
-(boundary, shape, shared context, fresh elements) and frees each child's
+(boundary, shape, shared context, K index) and frees each child's
 result once the parent has used it.
 """
 
@@ -45,6 +51,7 @@ __all__ = [
     "JoinContext",
     "NodeView",
     "node_shape",
+    "canonical_shape",
     "bottom_up",
     "type_of",
     "extended_type_of",
@@ -154,8 +161,8 @@ class JoinContext:
         self.parent = _Side(n, pos_parent)
         self.clk = kernels.closure_table(tk, n).tolist()
         self.tk = tk.tolist()
-        fresh = (1 << n) - 1 & ~(self.side1.mask | self.side2.mask | self.dmask)
-        self.fresh_masks = _submasks(fresh)  # K-masks of the fresh subsets
+        self.fresh = (1 << n) - 1 & ~(self.side1.mask | self.side2.mask | self.dmask)
+        self.fresh_masks = _submasks(self.fresh)  # K-masks of the fresh subsets
         self._memo = {}
         self._fix_memo = {}
 
@@ -261,11 +268,13 @@ class JoinContext:
 class NodeView:
     """One node as both dynamic programs see it.
 
-    ``boundary`` and ``fresh`` are sorted element ids; ``shape`` keys what
-    the node shares with nodes of the same shape in a run, and ``ctx`` is
-    the shared context (None at a leaf).  The fresh elements are all of K
-    at a leaf and K - J1 - J2 - D otherwise; ``fresh_subsets`` lists their
-    subsets as frozensets in the order of ``ctx.fresh_masks``.
+    ``boundary`` holds the sorted element ids of the parent boundary.  At
+    a leaf ``ctx`` is None, ``shape`` is the leaf's rank table with the
+    K-positions of its boundary, and ``index`` is K's own id -> position
+    map.  At an internal node ``shape`` is the ``node_shape`` as the node
+    lists K, ``ctx`` is the context of its canonical form, shared by every
+    node of that form in a run, and ``index`` maps each element of K to
+    its position in that context.
     """
 
     def __init__(self, tree, nid, contexts):
@@ -273,31 +282,69 @@ class NodeView:
         self.nid = nid
         self.k = k = node.K
         self.boundary = _boundary_order(tree.boundary(nid))
-        self.ctx = None
+        self.ctx = self._order = None
         if node.is_leaf:
             self.shape = (k.table.tobytes(), _positions(k, self.boundary))
         else:
             self.shape = node_shape(k, node.J1, node.J2, self.boundary, node.D)
-            self.ctx = contexts.get(self.shape)
-            if self.ctx is None:
-                self.ctx = contexts[self.shape] = JoinContext(self.shape)
+            entry = contexts.get(self.shape)
+            if entry is None:
+                entry = contexts[self.shape] = _context(contexts, self.shape)
+            self.ctx, self._order = entry
 
     @cached_property
-    def fresh(self):
-        node = self.node
-        return _boundary_order(node.K.ground_set - node.J1 - node.J2 - node.D)
+    def index(self):
+        if self._order is None:
+            return self.k._index
+        elements = self.k.elements
+        return {elements[p]: i for i, p in enumerate(self._order)}
 
-    @cached_property
-    def fresh_subsets(self):
-        masks = self.ctx.fresh_masks if self.ctx else _submasks(self.k.full_mask)
-        return [self.k.set_of(m) for m in masks]
+
+def canonical_shape(shape):
+    """The same node's shape with K ordered by role, and that order.
+
+    K is renumbered as sorted J1, then sorted J2, the sorted parent
+    boundary, D and the other elements, each at its first role and the
+    last two in K order; ``order[i]`` is the given position of canonical
+    position i, or None when nothing moves.  Nodes that differ only in
+    how their K lists its elements get one canonical shape, and a
+    canonical shape is its own canonical form.
+    """
+    table, pos1, pos2, pos_parent, dmask = shape
+    n = len(table).bit_length() - 1
+    dpos = [p for p in range(n) if dmask >> p & 1]
+    order = list(dict.fromkeys([*pos1, *pos2, *pos_parent, *dpos, *range(n)]))
+    if order == list(range(n)):
+        return shape, None
+    new = {p: i for i, p in enumerate(order)}
+    tk = np.frombuffer(table, dtype=np.int8)[kernels.MaskMap(n, order).scatter]
+    return (
+        tk.tobytes(),
+        tuple(new[p] for p in pos1),
+        tuple(new[p] for p in pos2),
+        tuple(new[p] for p in pos_parent),
+        sum(1 << new[p] for p in dpos),
+    ), order
+
+
+def _context(contexts, shape):
+    """(context, order) of a shape met first: the context of its canonical
+    form, taken from or added to ``contexts``, and the order
+    ``canonical_shape`` gives."""
+    canon, order = canonical_shape(shape)
+    entry = contexts.get(canon)
+    if entry is None:
+        entry = contexts[canon] = (JoinContext(canon), None)
+    return entry[0], order
 
 
 def bottom_up(tree, leaf, join):
     """Root result of ``leaf(view)`` and ``join(view, r1, r2)`` in postorder.
 
     ``tree`` must be prepared (``AmalgamDecomposition.prepared``).  One
-    ``JoinContext`` per node shape serves the whole run.
+    ``JoinContext`` per canonical node shape serves the whole run:
+    ``contexts`` maps each shape met, and each canonical one, to its
+    context and canonical order.
     """
     contexts = {}
     results = {}

@@ -23,7 +23,8 @@ import oracles
 
 
 # the numpy kernels under the test id ``py``: a relic of a second
-# implementation that once ran beside them, kept so the tests keep their ids
+# implementation that once ran beside them, now on one test only; the
+# other kernel tests call ``kernels`` directly
 @pytest.fixture(params=[kernels], ids=["py"])
 def impl(request):
     return request.param
@@ -94,11 +95,11 @@ def test_popcounts():
     assert [int(pops[m]) for m in range(16)] == [bin(m).count("1") for m in range(16)]
 
 
-def test_gf_rank_table_vs_enumeration(impl):
+def test_gf_rank_table_vs_enumeration():
     cols = {0: (1, 0, 1), 1: (0, 1, 1), 2: (1, 1, 0), 3: (2, 0, 1), 4: (0, 0, 0)}
     p = 3
     mat = np.array([cols[e] for e in range(5)], dtype=np.int64).T
-    tbl = impl.gf_rank_table(mat, p)
+    tbl = kernels.gf_rank_table(mat, p)
     for mask in range(1 << 5):
         subset = [e for e in range(5) if mask >> e & 1]
         want = oracles.brute_rank(
@@ -114,7 +115,7 @@ def test_gf_rank_table_vs_enumeration(impl):
                 mat = _random_columns(rng, p, n, d)
                 cols = {e: tuple(int(x) for x in mat[:, e]) for e in range(n)}
                 want = _oracle_table(lambda s: oracles.gf_independent(cols, p, s), n)
-                assert impl.gf_rank_table(mat, p).tolist() == want, mat
+                assert kernels.gf_rank_table(mat, p).tolist() == want, mat
 
 
 # multigraphs: (edges as (u, v) pairs, vertex count)
@@ -135,11 +136,11 @@ def _incidence(edges, nv):
     return inc
 
 
-def test_graphic_rank_table_vs_dfs(impl):
+def test_graphic_rank_table_vs_dfs():
     edges = {0: (0, 1), 1: (1, 2), 2: (0, 2), 3: (2, 2), 4: (0, 1)}
     eu = np.array([edges[e][0] for e in range(5)], dtype=np.int64)
     ev = np.array([edges[e][1] for e in range(5)], dtype=np.int64)
-    tbl = impl.graphic_rank_table(eu, ev, 3)
+    tbl = kernels.graphic_rank_table(eu, ev, 3)
     for mask in range(1 << 5):
         subset = [e for e in range(5) if mask >> e & 1]
         want = oracles.brute_rank(
@@ -150,10 +151,10 @@ def test_graphic_rank_table_vs_dfs(impl):
         eu, ev = np.array(edges, dtype=np.int64).T
         independent = lambda s: oracles.graphic_independent(dict(enumerate(edges)), s)
         want = _oracle_table(independent, len(edges))
-        assert impl.graphic_rank_table(eu, ev, nv).tolist() == want, edges
+        assert kernels.graphic_rank_table(eu, ev, nv).tolist() == want, edges
 
 
-def test_graphic_equals_gf2_incidence(impl):
+def test_graphic_equals_gf2_incidence():
     # cycle matroids are binary: vertex-edge incidence over GF(2)
     rng = np.random.default_rng(12)
     graphs = GRAPHS + [
@@ -166,63 +167,63 @@ def test_graphic_equals_gf2_incidence(impl):
     for edges, nv in graphs:
         eu, ev = np.array(edges, dtype=np.int64).reshape(-1, 2).T
         assert np.array_equal(
-            impl.graphic_rank_table(eu, ev, nv), impl.gf_rank_table(_incidence(edges, nv), 2)
+            kernels.graphic_rank_table(eu, ev, nv), kernels.gf_rank_table(_incidence(edges, nv), 2)
         ), edges
 
 
-def test_rank_table_from_independence(impl):
+def test_rank_table_from_independence():
     # U_{2,4}: independent iff size <= 2
     ind = np.array([bin(m).count("1") <= 2 for m in range(16)])
-    tbl = impl.rank_table_from_independence(ind)
+    tbl = kernels.rank_table_from_independence(ind)
     assert [int(tbl[m]) for m in range(16)] == [
         min(bin(m).count("1"), 2) for m in range(16)
     ]
 
 
-def test_closure_table(impl):
+def test_closure_table():
     tbl = np.array([min(bin(m).count("1"), 2) for m in range(16)], dtype=np.int8)
-    cl = impl.closure_table(tbl, 4)
+    cl = kernels.closure_table(tbl, 4)
     # closure of any 2-subset of U_{2,4} is everything, singletons are flats
     assert int(cl[0b0011]) == 0b1111
     assert int(cl[0b0001]) == 0b0001
     assert int(cl[0]) == 0
 
 
-def test_superset_min(impl):
+def test_superset_min():
     vals = np.array([7, 5, 6, 1, 9, 2, 8, 3], dtype=np.int64)
-    out = impl.superset_min(vals, 3)
+    out = kernels.superset_min(vals, 3)
     for m in range(8):
         want = min(vals[s] for s in range(8) if s & m == m)
         assert int(out[m]) == want
 
 
-def test_subset_any(impl):
+def test_subset_any():
     flags = np.zeros(8, dtype=bool)
     flags[0b011] = True
-    out = impl.subset_any(flags, 3)
+    out = kernels.subset_any(flags, 3)
     for m in range(8):
         assert bool(out[m]) == (m & 0b011 == 0b011)
 
 
-def test_check_rank_axioms_pass(impl):
+def test_check_rank_axioms_pass():
     tbl = np.array([min(bin(m).count("1"), 2) for m in range(16)], dtype=np.int8)
-    assert impl.check_rank_axioms(tbl, 4)[0] == 0
+    assert kernels.check_rank_axioms(tbl, 4)[0] == 0
 
 
-def test_check_rank_axioms_violations(impl):
+def test_check_rank_axioms_violations():
     bad_empty = np.array([1, 1], dtype=np.int8)
-    assert impl.check_rank_axioms(bad_empty, 1)[0] == 1
+    assert kernels.check_rank_axioms(bad_empty, 1)[0] == 1
     bad_jump = np.array([0, 2], dtype=np.int8)
-    assert impl.check_rank_axioms(bad_jump, 1)[0] == 2
+    assert kernels.check_rank_axioms(bad_jump, 1)[0] == 2
     # fails submodularity: r{a}=r{b}=1, r{ab}=2, r{abc}=3 but r{ac}=r{bc}=1
     bad_sub = np.array([0, 1, 1, 2, 1, 1, 1, 3], dtype=np.int8)
-    code, a, b = impl.check_rank_axioms(bad_sub, 3)
+    code, a, b = kernels.check_rank_axioms(bad_sub, 3)
     assert code in (2, 3)
 
 
-def test_translate_all_masks(impl):
+def test_translate_all_masks():
     bitmap = np.array([2, -1, 0], dtype=np.int64)
-    out = impl.translate_all_masks(3, bitmap)
+    out = kernels.translate_all_masks(3, bitmap)
     assert [int(x) for x in out] == [0, 4, 0, 4, 1, 5, 1, 5]
 
 

@@ -1,16 +1,21 @@
-"""Compiled MSO evaluation against the naive oracle on the corpus."""
+"""Compiled MSO evaluation against the naive oracle on the corpus, and
+the id-free states that let nodes of one shape share their work."""
 
 import random
 import sys
 
 import pytest
 
-from amwidth import files, zoo
+from amwidth import files, kernels, types_dp, zoo
 from amwidth.config import NAIVE_MSO_CAP
+from amwidth.decomposition import AmalgamDecomposition, DecompositionNode
+from amwidth.matroid import Matroid
+from amwidth.mso import compiled
 from amwidth.mso import formulas as F
-from amwidth.mso.compiled import eval_decomposition
+from amwidth.mso.compiled import compiled_state_counts, eval_decomposition
 from amwidth.mso.naive import eval_naive
 from amwidth.mso.parser import parse
+from amwidth.tutte import tutte_decomposition
 
 from conftest import CORPUS
 
@@ -64,3 +69,98 @@ def test_deeper_than_recursion_limit():
     # one tree level per triangle: the walk must not use a frame per level
     tree = zoo.triangle_chain(sys.getrecursionlimit() + 100)
     assert eval_decomposition(tree, parse("exists X (indep(X))")) is True
+
+
+def _renamed(tree, seed):
+    """``tree`` with every element id renamed at random and each glue
+    matroid listing its elements in a shuffled order; returns the tree and
+    the renaming."""
+    rng = random.Random(seed)
+    ids = sorted(set().union(*(node.K.ground_set for node in tree.nodes.values())))
+    new = dict(zip(ids, rng.sample(range(1, 10**6), len(ids))))
+    nodes = []
+    for node in tree.nodes.values():
+        k = node.K
+        order = rng.sample(range(k.size), k.size)
+        table = k.table[kernels.MaskMap(k.size, order).scatter]
+        nodes.append(
+            DecompositionNode(
+                nid=node.nid,
+                children=node.children,
+                K=Matroid([new[k.elements[p]] for p in order], table),
+                J1=frozenset(new[e] for e in node.J1),
+                J2=frozenset(new[e] for e in node.J2),
+                D=frozenset(new[e] for e in node.D),
+            )
+        )
+    return AmalgamDecomposition(nodes, tree.root), new
+
+
+def test_renamed_and_reordered_chain(corpus_formulas):
+    # states and shapes hold no ids and no K order: renaming every id and
+    # shuffling every K changes no verdict, state count or polynomial
+    tree = zoo.triangle_chain(9)
+    other, new = _renamed(tree, 7)
+    ground = sorted(tree.ground())
+    rng = random.Random(9)
+    for label, text in sorted(corpus_formulas.items()):
+        formula = parse(text)
+        for _ in range(ASSIGNMENTS_PER_FORMULA):
+            assignment = _assignment(formula, ground, rng)
+            moved = {
+                name: [new[e] for e in value] if F.is_set_name(name) else new[value]
+                for name, value in assignment.items()
+            }
+            assert eval_decomposition(other, formula, moved) == eval_decomposition(
+                tree, formula, assignment
+            ), (label, assignment)
+            assert compiled_state_counts(other, formula, moved) == compiled_state_counts(
+                tree, formula, assignment
+            ), (label, assignment)
+    assert tutte_decomposition(other) == tutte_decomposition(tree)
+
+
+@pytest.mark.parametrize("label", ["connected-closure", "hamiltonian", "spanning-indep"])
+def test_chain_work_does_not_grow(label, corpus_formulas, monkeypatch):
+    # one combine memo per node shape for the whole run: once the states
+    # settle, every further triangle of the chain is a memo hit
+    calls = []
+    combine = compiled._Run._combine_raw
+
+    def counted(run, *args):
+        calls.append(1)
+        return combine(run, *args)
+
+    monkeypatch.setattr(compiled._Run, "_combine_raw", counted)
+    formula = parse(corpus_formulas[label])
+    work = []
+    verdicts = set()
+    for n in (40, 160):
+        calls.clear()
+        verdicts.add(eval_decomposition(zoo.triangle_chain(n), formula))
+        work.append(len(calls))
+    assert len(verdicts) == 1
+    assert work[0] == work[1] > 0
+
+
+def test_loaded_chain_shares_contexts(tmp_path, monkeypatch):
+    # a loaded file lists each K in string order of its ids; canonical
+    # shapes order K by role, so the chain still needs only a few contexts
+    tree, _ = _renamed(zoo.triangle_chain(64), 3)
+    path = tmp_path / "chain.json"
+    path.write_text(files.dumps(files.decomposition_to_obj(tree)))
+    loaded = files.load_decomposition(path)
+    contexts = []
+    build = types_dp.JoinContext.__init__
+
+    def counted(ctx, shape):
+        contexts.append(shape)
+        build(ctx, shape)
+
+    want = tutte_decomposition(tree)
+    monkeypatch.setattr(types_dp.JoinContext, "__init__", counted)
+    assert tutte_decomposition(loaded) == want
+    assert 1 <= len(contexts) <= 4
+    contexts.clear()
+    assert eval_decomposition(loaded, parse("exists X (spanning(X) & indep(X))")) is True
+    assert 1 <= len(contexts) <= 4
