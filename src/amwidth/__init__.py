@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .matroid import GraphDescription, LinearRep, Matroid, restrictions_equal, two_sum
-from .mso.compiled import eval_decomposition, msom
+from .mso.compiled import eval_decomposition
 from .mso.naive import eval_naive
 from .mso.parser import parse as parse_formula
 from .tutte import TuttePolynomial, tutte_bruteforce, tutte_decomposition
@@ -64,7 +64,6 @@ __all__ = [
     "is_modular_flat",
     "is_modular_semiflat",
     "is_proper_amalgam",
-    "msom",
     "parse_formula",
     "proper_amalgam",
     "restrictions_equal",

@@ -12,6 +12,16 @@ the point sets of subspaces, are modular semiflats.  Fresh elements are
 deleted at the highest node whose glue span still contains their point,
 which empties them out by the root.  Original elements enter through one
 wrapper node per leaf.
+
+The branch tree is rooted once (``_rooted``), and three loops over one
+postorder, none of them recursive, do the rest: the space V of each
+subtree bottom-up, as the sum of its children's spaces; then top-down
+the space of everything outside each subtree and from it each node's
+glue span; then the nodes themselves, in postorder.  Each distinct span
+has its points enumerated once, and a node's J from a child is what
+that child kept of its own fresh elements, not deleting them.  One
+table memo per conversion (``Matroid.from_linear(tables=...)``) builds
+each distinct glue matroid's rank table once.
 """
 
 from dataclasses import dataclass
@@ -42,15 +52,8 @@ class BranchDecomposition:
         )
 
     def nodes(self):
-        seen = []
-        for a, b in self.edges:
-            for x in (a, b):
-                if x not in seen:
-                    seen.append(x)
-        for x in self.leaf_labels:
-            if x not in seen:
-                seen.append(x)
-        return seen
+        ends = [x for edge in self.edges for x in edge]
+        return list(dict.fromkeys(ends + list(self.leaf_labels)))
 
     def adjacency(self):
         adj = {x: [] for x in self.nodes()}
@@ -115,189 +118,29 @@ def branch_width_of(m, b):
     return best
 
 
-class _Converter:
-    def __init__(self, m, b):
-        if m.linear is None:
-            raise DomainError(
-                "conversion needs a matroid with a GF(p) representation"
-            )
-        linalg.check_field(m.linear.field)
-        b.check(m)
-        self.m = m
-        self.b = b
-        self.p = m.linear.field
-        self.dim = m.linear.dimension
-        self.cols = {e: np.array(v, dtype=np.int64) for e, v in m.linear.columns.items()}
-        self.fresh_ids = {}
-        self.next_id = max(m.elements, default=0) + 1
-        self.counter = 0
-        self.nodes = []
+def _rooted(b):
+    """Root b as a binary tree: (root, kids), kids[x] = (left, right).
 
-    # -- rooted shape -----------------------------------------------------
-
-    def rooted_children(self):
-        """Binary rooted tree over B: lists of (tag, payload) child subtrees.
-
-        Returns the root entry.  Subtrees are ('leaf', element) or
-        ('node', (children,)) pairs.
-        """
-        adj = self.b.adjacency()
-        internal = [x for x in self.b.nodes() if x not in self.b.leaf_labels]
-
-        def subtree(x, parent):
-            if x in self.b.leaf_labels:
-                return ("leaf", self.b.leaf_labels[x])
-            kids = [subtree(y, x) for y in adj[x] if y != parent]
-            return ("node", tuple(kids))
-
-        if not internal:
-            leaves = [("leaf", self.b.leaf_labels[x]) for x in self.b.nodes()]
-            if len(leaves) == 1:
-                return leaves[0]
-            return ("node", tuple(leaves))
-        r0 = internal[0]
-        subs = [subtree(y, r0) for y in adj[r0]]
-        return ("node", (subs[0], ("node", (subs[1], subs[2]))))
-
-    # -- subspace plumbing ---------------------------------------------------
-
-    def space_of(self, elems):
-        if not elems:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return linalg.row_basis(
-            np.array([self.cols[e] for e in sorted(elems)], dtype=np.int64), self.p
-        )
-
-    def fresh(self, point):
-        if point not in self.fresh_ids:
-            self.fresh_ids[point] = self.next_id
-            self.next_id += 1
-        return self.fresh_ids[point]
-
-    def points(self, span_basis):
-        """Projective points of a span; the cap is checked before enumerating."""
-        count = linalg.point_count(span_basis.shape[0], self.p)
-        check_cap(count, "glue matroid")
-        return linalg.span_vectors(span_basis, self.p)
-
-    def glue_matroid(self, span_basis, extra=None):
-        """One fresh element per projective point of the span, plus originals."""
-        columns = {}
-        if extra:
-            for e in extra:
-                columns[e] = tuple(int(x) for x in self.cols[e])
-        for v in self.points(span_basis):
-            columns[self.fresh(v)] = v
-        return Matroid.from_linear(columns, self.p)
-
-    def surplus_ids(self, span_basis):
-        return frozenset(self.fresh(v) for v in self.points(span_basis))
-
-    def new_id(self, prefix):
-        self.counter += 1
-        return f"{prefix}{self.counter}"
-
-    # -- construction ------------------------------------------------------
-
-    def build(self):
-        root = self.rooted_children()
-        if root[0] == "leaf":
-            nid = self.new_id("n")
-            self.nodes.append(
-                DecompositionNode(nid, (), Matroid.from_linear(
-                    {root[1]: tuple(int(x) for x in self.cols[root[1]])}, self.p
-                ))
-            )
-            return AmalgamDecomposition(self.nodes, nid)
-        root_id = self._walk(root, np.zeros((0, self.dim), dtype=np.int64), None)
-        return AmalgamDecomposition(self.nodes, root_id)
-
-    def _walk(self, entry, up_space, parent_span):
-        """Emit nodes for this subtree; returns the subtree root id.
-
-        up_space is V(E - elems(subtree)); parent_span the parent's glue
-        span (None at the root), used for the deletion schedule.
-        """
-        kind, payload = entry
-        if kind == "leaf":
-            return self._wrapper(payload, up_space, parent_span)
-        left, right = payload
-        elems_l = _elements_of(left)
-        elems_r = _elements_of(right)
-        v_l = self.space_of(elems_l)
-        v_r = self.space_of(elems_r)
-        g_l = linalg.intersect_spaces(v_l, linalg.sum_spaces(v_r, up_space, self.p), self.p)
-        g_r = linalg.intersect_spaces(v_r, linalg.sum_spaces(v_l, up_space, self.p), self.p)
-        g_up = linalg.intersect_spaces(
-            linalg.sum_spaces(v_l, v_r, self.p), up_space, self.p
-        )
-        span = linalg.sum_spaces(linalg.sum_spaces(g_l, g_r, self.p), g_up, self.p)
-        cid_l = self._walk(left, linalg.sum_spaces(v_r, up_space, self.p), span)
-        cid_r = self._walk(right, linalg.sum_spaces(v_l, up_space, self.p), span)
-        k = self.glue_matroid(span)
-        here = self.surplus_ids(span)
-        j1 = self._child_boundary(cid_l, here)
-        j2 = self._child_boundary(cid_r, here)
-        if parent_span is None:
-            deletions = here
-        else:
-            keep = self.surplus_ids(parent_span)
-            deletions = here - keep
-        nid = self.new_id("n")
-        self.nodes.append(DecompositionNode(nid, (cid_l, cid_r), k, j1, j2, deletions))
-        return nid
-
-    def _child_boundary(self, cid, glue_ids):
-        child = next(n for n in self.nodes if n.nid == cid)
-        ground = self._ground_of(cid)
-        return frozenset(ground & glue_ids)
-
-    def _ground_of(self, cid):
-        by_id = {n.nid: n for n in self.nodes}
-
-        def rec(nid):
-            node = by_id[nid]
-            if node.is_leaf:
-                return node.K.ground_set
-            a, b = node.children
-            return (rec(a) | rec(b) | node.K.ground_set) - node.D
-
-        return rec(cid)
-
-    def _wrapper(self, element, up_space, parent_span):
-        """Wrapper node gluing a single-element leaf onto its interface span."""
-        own = self.space_of([element])
-        g = linalg.intersect_spaces(own, up_space, self.p)
-        leaf_id = self.new_id("n")
-        leaf_k = Matroid.from_linear(
-            {element: tuple(int(x) for x in self.cols[element])}, self.p
-        )
-        self.nodes.append(DecompositionNode(leaf_id, (), leaf_k))
-        empty_id = self.new_id("n")
-        self.nodes.append(DecompositionNode(empty_id, (), Matroid.empty()))
-        k = self.glue_matroid(g, extra=[element])
-        here = self.surplus_ids(g)
-        if parent_span is None:
-            deletions = here
-        else:
-            deletions = here - self.surplus_ids(parent_span)
-        nid = self.new_id("n")
-        self.nodes.append(
-            DecompositionNode(
-                nid, (leaf_id, empty_id), k, frozenset([element]), frozenset(), deletions
-            )
-        )
-        return nid
-
-
-def _elements_of(entry):
-    kind, payload = entry
-    if kind == "leaf":
-        return frozenset([payload])
-    out = frozenset()
-    for child in payload:
-        out |= _elements_of(child)
-    return out
+    The first internal node is the root, with its first neighbor on the
+    left and an added vertex None joining the other two on the right; a
+    tree of two leaves hangs both from None.  b's leaves are the
+    vertices without kids.
+    """
+    adj = b.adjacency()
+    nodes = b.nodes()
+    internal = [x for x in nodes if x not in b.leaf_labels]
+    if not internal:
+        return (None, {None: tuple(nodes)}) if len(nodes) == 2 else (nodes[0], {})
+    root = internal[0]
+    first, *others = adj[root]
+    kids = {root: (first, None), None: tuple(others)}
+    stack = [(y, root) for y in adj[root]]
+    while stack:
+        x, parent = stack.pop()
+        if x not in b.leaf_labels:
+            kids[x] = tuple(y for y in adj[x] if y != parent)
+            stack.extend((y, x) for y in kids[x])
+    return root, kids
 
 
 def from_branch_decomposition(m, b):
@@ -308,4 +151,78 @@ def from_branch_decomposition(m, b):
     d costs (p**d - 1)/(p - 1) elements; ResourceError is raised, before
     any point is enumerated, when that exceeds the rank-table cap.
     """
-    return _Converter(m, b).build()
+    if m.linear is None:
+        raise DomainError("conversion needs a matroid with a GF(p) representation")
+    p, cols = m.linear.field, m.linear.columns
+    linalg.check_field(p)
+    b.check(m)
+    root, kids = _rooted(b)
+    if root not in kids:
+        e = b.leaf_labels[root]
+        k = Matroid.from_linear({e: cols[e]}, p)
+        return AmalgamDecomposition([DecompositionNode("n1", (), k)], "n1")
+    post, stack = [], [root]
+    while stack:
+        post.append(stack.pop())
+        stack.extend(kids.get(post[-1], ()))
+    post.reverse()  # left subtree, right subtree, vertex
+    parent = {c: x for x, pair in kids.items() for c in pair}
+
+    space = {}  # V(elements below x), bottom-up
+    for x in post:
+        if x in kids:
+            space[x] = linalg.sum_spaces(*(space[c] for c in kids[x]), p)
+        else:
+            vec = np.array([cols[b.leaf_labels[x]]], dtype=np.int64)
+            space[x] = linalg.row_basis(vec, p)
+
+    # top-down: rest = V(elements not below x), cut = V(below) & rest
+    zero = np.zeros((0, m.linear.dimension), dtype=np.int64)
+    rest, cut, span = {root: zero}, {root: zero}, {}
+    for x in reversed(post):
+        if x not in kids:
+            span[x] = cut[x]
+            continue
+        left, right = kids[x]
+        rest[left] = linalg.sum_spaces(space[right], rest[x], p)
+        rest[right] = linalg.sum_spaces(space[left], rest[x], p)
+        for c in kids[x]:
+            cut[c] = linalg.intersect_spaces(space[c], rest[c], p)
+        span[x] = linalg.sum_spaces(linalg.sum_spaces(cut[left], cut[right], p), cut[x], p)
+
+    fresh, points = {}, {}
+    first_fresh = max(m.elements, default=0) + 1
+
+    def fresh_points(x):
+        """{fresh id: point} over x's glue span; ids are given on first sight."""
+        key = span[x].tobytes()
+        if key not in points:
+            check_cap(linalg.point_count(span[x].shape[0], p), "glue matroid")
+            points[key] = {
+                fresh.setdefault(v, first_fresh + len(fresh)): v
+                for v in linalg.span_vectors(span[x], p)
+            }
+        return points[key]
+
+    nodes, nid, kept, tables = [], {}, {}, {}
+
+    def emit(children, k, j1=frozenset(), j2=frozenset(), d=frozenset()):
+        nodes.append(DecompositionNode(f"n{len(nodes) + 1}", children, k, j1, j2, d))
+        return nodes[-1].nid
+
+    for x in post:
+        here = fresh_points(x)
+        if x in kids:
+            left, right = kids[x]
+            children, j1, j2 = (nid[left], nid[right]), kept[left], kept[right]
+            k = Matroid.from_linear(here, p, tables=tables)
+        else:
+            e = b.leaf_labels[x]
+            leaf = Matroid.from_linear({e: cols[e]}, p, tables=tables)
+            children = (emit((), leaf), emit((), Matroid.empty()))
+            j1, j2 = frozenset([e]), frozenset()
+            k = Matroid.from_linear({e: cols[e], **here}, p, tables=tables)
+        above = fresh_points(parent[x]) if x in parent else {}
+        kept[x] = frozenset(here.keys() & above.keys())
+        nid[x] = emit(children, k, j1, j2, frozenset(here.keys() - above.keys()))
+    return AmalgamDecomposition(nodes, nid[root])

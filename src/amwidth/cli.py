@@ -9,6 +9,7 @@ AMALGAM_MAX_ELEMENTS, which overrides the rank-table cap.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -276,7 +277,9 @@ def _cmd_glue(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of a process, built on first use; parsing leaves it unchanged."""
     top = _Parser(prog="amwidth", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -348,9 +351,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _Usage as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 3

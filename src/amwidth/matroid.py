@@ -250,10 +250,6 @@ class Matroid:
     def closure_mask(self, mask):
         return int(self.closure_table()[mask])
 
-    def is_flat(self, subset):
-        m = self.mask_of(subset)
-        return int(self.closure_table()[m]) == m
-
     def flat_masks(self):
         cl = self.closure_table()
         masks = np.arange(1 << len(self.elements), dtype=np.int64)

@@ -1,6 +1,6 @@
 """MSO formulas over matroids: parsing, naive and compiled evaluation."""
 
-from .compiled import compiled_state_counts, eval_decomposition, msom
+from .compiled import compiled_state_counts, eval_decomposition
 from .naive import Assignment, eval_naive
 from .parser import parse
 
@@ -9,6 +9,5 @@ __all__ = [
     "compiled_state_counts",
     "eval_decomposition",
     "eval_naive",
-    "msom",
     "parse",
 ]

@@ -51,7 +51,7 @@ from ..types_dp import NodeType, _Side, _signature, bottom_up, leaf_signatures
 from . import formulas as F
 from .naive import check_assignment
 
-__all__ = ["eval_decomposition", "eval_with_counts", "msom", "compiled_state_counts"]
+__all__ = ["eval_decomposition", "eval_with_counts", "compiled_state_counts"]
 
 # atom states: undecided, true, false; each is its own interned id
 _U, _T, _F = 0, 1, 2
@@ -410,8 +410,3 @@ def eval_decomposition(tree, formula, assignment=None):
 def compiled_state_counts(tree, formula, assignment=None):
     """Per-subformula accumulated state sizes, for the debug dump."""
     return eval_with_counts(tree, formula, assignment)[1]
-
-
-def msom(tree, formula, assignment=None):
-    """The free-variable decision problem: ACCEPT or REJECT."""
-    return "ACCEPT" if eval_decomposition(tree, formula, assignment) else "REJECT"

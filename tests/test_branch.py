@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from amwidth import files, zoo
+from amwidth import files, kernels, zoo
 from amwidth.branch import (
     BranchDecomposition,
     branch_width_of,
@@ -179,3 +179,27 @@ def test_conversion_gf3_dimension3_span():
     assert tree.validate().ok
     assert tree.realize().rank_equal(m)
     assert_fresh_points_simple(tree, m)
+
+
+def test_conversion_builds_each_glue_table_once(monkeypatch):
+    # a GF(3) caterpillar of parallel and scaled columns: many nodes have
+    # the same glue matroid, column for column
+    vecs = [(1, 0), (2, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 2), (1, 1), (0, 1)]
+    m = Matroid.from_linear(dict(enumerate(vecs, 1)), 3)
+    built = []
+    original = kernels.gf_rank_table
+
+    def counting(cols, p):
+        built.append(p)
+        return original(cols, p)
+
+    monkeypatch.setattr(kernels, "gf_rank_table", counting)
+    tree = from_branch_decomposition(m, caterpillar(range(1, len(vecs) + 1)))
+    keys = [
+        (node.K.linear.field, tuple(node.K.linear.columns.values()))
+        for node in tree.nodes.values()
+        if node.K.linear is not None
+    ]
+    assert len(built) == len(set(keys)) < len(keys)
+    assert tree.validate().ok
+    assert tree.realize().rank_equal(m)

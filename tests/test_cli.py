@@ -314,3 +314,48 @@ def test_dump_types_boundary_is_the_nodes(corpus_dir, tmp_path, capsys):
             for row in rows:
                 assert row["boundary"] == want, (path.stem, nid)
                 assert len(row["fmap"]) == len(row["offsets"]) == 1 << len(want)
+
+
+def test_successive_main_calls_match_each_alone(corpus_dir, tmp_path, capsys):
+    """One parser serves every call in a process; no flag or default carries over."""
+    d = str(corpus_dir / "decompositions" / "chain3-c5.json")
+    f = str(corpus_dir / "formulas" / "spanning.mso")
+    m = str(corpus_dir / "branch" / "c5-gf2.matroid.json")
+    b = str(corpus_dir / "branch" / "c5-gf2.branch.json")
+    invalid = _write(tmp_path / "invalid.json", _chain_decomposition(J1=[3]))
+    malformed = _write(tmp_path / "malformed.json", _chain_decomposition(J1=["x"]))
+    good = _write(tmp_path / "good.json", _chain_decomposition())
+    sequence = [
+        ["mso", "--pretty", "-f", f, "-d", d],
+        ["mso", "-f", f, "-d", d],
+        ["mso", "--engine", "dp", "-f", f, "-d", d],
+        ["mso", "-f", f, "-d", d, "-a", '{"X1": [1]}'],
+        ["validate", "-d", invalid],
+        ["validate", "-d", good],
+        ["validate", "-d", malformed],
+        ["validate", "--pretty", "-d", good],
+        ["tutte", "--dp", "--eval", "2", "3", "-d", d],
+        ["tutte", "-d", d],
+        ["width", "--pretty", "-d", d],
+        ["width", "-b", b, "-m", m],
+        ["width"],
+        ["convert", "-m", m, "-b", b, "-o", str(tmp_path / "out.json")],
+        ["convert", "-m", m, "-b", b],
+        ["info", "-m", m, "--no-such-flag"],
+        ["info", "-m", m],
+    ]
+
+    def run(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        alone.append(run(argv))
+    assert {code for code, _, _ in alone} == {0, 1, 3}
+    cli._build_parser.cache_clear()
+    assert [run(argv) for argv in sequence] == alone
+    assert [run(argv) for argv in reversed(sequence)] == alone[::-1]
+    assert cli._build_parser() is cli._build_parser()

@@ -22,14 +22,6 @@ from amwidth import kernels, linalg
 import oracles
 
 
-# the numpy kernels under the test id ``py``: a relic of a second
-# implementation that once ran beside them, now on one test only; the
-# other kernel tests call ``kernels`` directly
-@pytest.fixture(params=[kernels], ids=["py"])
-def impl(request):
-    return request.param
-
-
 def _oracle_table(independent, n):
     """Rank of every mask as its largest independent submask, by enumeration."""
     ind = [independent([e for e in range(n) if m >> e & 1]) for m in range(1 << n)]
@@ -304,9 +296,9 @@ def test_fold_vs_enumeration(op, dtype, reduce, supersets):
         assert out.tolist() == want, (n, op)
 
 
-def test_whitney_counts(impl):
+def test_whitney_counts():
     tbl = np.array([min(bin(m).count("1"), 2) for m in range(16)], dtype=np.int8)
-    counts = impl.whitney_counts(tbl, 4)
+    counts = kernels.whitney_counts(tbl, 4)
     # U_{2,4}: 1 empty (a=2,b=0), 4 singletons (1,0), 6 pairs (0,0),
     # 4 triples (0,1), 1 full (0,2)
     assert counts[2][0] == 1 and counts[1][0] == 4 and counts[0][0] == 6
