@@ -43,6 +43,17 @@ def _emit(obj, pretty_lines=None, pretty=False):
             sys.stdout.write(f"# {line}\n")
 
 
+def _write_or_emit(obj, output, summary):
+    """Write ``obj`` to the file ``output`` and print ``{"written": output,
+    **summary}``, or print ``obj`` when no output file is named."""
+    if not output:
+        _emit(obj)
+        return
+    with open(output, "w") as fh:
+        fh.write(files.dumps(obj))
+    _emit({"written": output, **summary})
+
+
 def _cmd_info(args):
     m = files.load_matroid(args.matroid)
     out = {
@@ -94,12 +105,7 @@ def _cmd_nice(args):
     tree = files.load_decomposition(args.decomposition)
     nice = tree.to_nice()
     obj = files.decomposition_to_obj(nice)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(files.dumps(obj))
-        _emit({"written": args.output, "width": nice.width()}, None, False)
-    else:
-        _emit(obj)
+    _write_or_emit(obj, args.output, {"width": nice.width()})
     return 0
 
 
@@ -108,12 +114,7 @@ def _cmd_convert(args):
     b = files.load_branch(args.branch)
     tree = from_branch_decomposition(m, b)
     obj = files.decomposition_to_obj(tree)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(files.dumps(obj))
-        _emit({"written": args.output, "width": tree.width()}, None, False)
-    else:
-        _emit(obj)
+    _write_or_emit(obj, args.output, {"width": tree.width()})
     return 0
 
 
@@ -268,12 +269,7 @@ def _cmd_glue(args):
     deletions = [files._int(x, "--delete id") for x in ids if x]
     result = glue(m1, m2, k, deletions)
     obj = files.matroid_to_obj(result)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(files.dumps(obj))
-        _emit({"written": args.output, "size": result.size, "rank": result.rank()})
-    else:
-        _emit(obj)
+    _write_or_emit(obj, args.output, {"size": result.size, "rank": result.rank()})
     return 0
 
 

@@ -383,11 +383,14 @@ class AmalgamDecomposition:
         return AmalgamDecomposition(out.values(), self.root)
 
     def prepared(self):
-        """The validated, nice, anchored tree the dynamic programs walk.
+        """The validated, nice, anchored tree the dynamic programs walk; a
+        tree that is not nice makes its nice form once.
 
         Raises ValidationError for an invalid tree and DomainError when a
         parent boundary leaves a node's glue matroid.
         """
+        if "prepared" in self._cache:
+            return self._cache["prepared"]
         report = self.validate()
         if not report.ok:
             raise ValidationError(report)
@@ -397,6 +400,8 @@ class AmalgamDecomposition:
                 "the dynamic programs need parent boundaries inside each "
                 "node's glue matroid"
             )
+        if tree is not self:  # caching self would make a reference cycle
+            self._cache["prepared"] = tree
         return tree
 
 

@@ -15,11 +15,16 @@ membership bit per boundary subset, both advanced through the glue
 matroid by the type-join fixed point.  An independence atom indep(T)
 carries the extended type of T restricted to the subtree, the same
 signature the Tutte DP keys its tables by, together with one bit saying
-whether that restriction is independent so far: a leaf reads both from
-its glue matroid, and an internal node joins the children's extended
-types with its fresh part F of T and keeps the bit only when both
-children's bits hold and the join's rank increment equals |F|, since
-r(X1 + X2 + F) <= r(X1) + r(X2) + |F|.
+whether that restriction is independent so far: a node joins the
+children's extended types with its fresh part F of T and keeps the bit
+only when both children's bits hold and the join's rank increment equals
+|F|, since r(X1 + X2 + F) <= r(X1) + r(X2) + |F|.
+
+A leaf is a node like any other, with empty J1, J2 and D, so all of its
+K is fresh; its children are two empty subtrees.  ``_empty`` gives each
+subformula's state there: atoms undecided or vacuously true, closure
+and independence atoms the empty signature, and a quantified variable
+not placed (a set's empty trace).
 
 States hold no element ids.  A placed element is its mask over the
 node's sorted boundary (0 when it is hidden below), a set trace is a
@@ -31,23 +36,22 @@ transition depends only on the node's canonical shape, the children's
 states and the views of the subformula's free variables.  Each distinct
 state is interned once per run as an int that carries its size, and one
 memo per node shape, kept for the whole run, maps (subformula, child
-states, views) to the combined state; leaves keep one per leaf shape.
+states, views) to the combined state.
 Along a chain of identical nodes the states settle after a few nodes,
 and every further node is a dict hit.
 
-Elements are introduced at a unique node (their leaf, or the glue
-matroid where they are fresh), so guesses extend states locally; choices
-that touch a node's deleted set die there.  State sizes are bounded by
+Elements are introduced at a unique node (the one whose glue matroid
+has them fresh, at a leaf all of its K), so guesses extend states
+locally; choices that touch a node's deleted set die there.  State sizes are bounded by
 width and formula only; a budget, charged at every node from the
 interned sizes, guards explosion and names the offending formula.
 """
 
-from functools import cached_property
 from operator import itemgetter
 
 from ..config import MSO_BUDGET
 from ..errors import CompilationBudgetError, DomainError
-from ..types_dp import NodeType, _Side, _signature, bottom_up, leaf_signatures
+from ..types_dp import EMPTY, NodeType, bottom_up
 from . import formulas as F
 from .naive import check_assignment
 
@@ -60,32 +64,14 @@ _OUT = -1
 
 
 class _Shape:
-    """An internal node shape for the whole run: its join context, the
-    K-bits of its fresh elements and its memo of combined states."""
+    """A node shape for the whole run: its join context, the K-bits of its
+    fresh elements and its memo of combined states."""
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.fresh = ctx.fresh
         self.fresh_bits = [1 << p for p in range(ctx.size) if ctx.fresh >> p & 1]
         self.memo = {}
-
-
-class _LeafShape:
-    """A leaf shape for the whole run: its glue matroid (any leaf's of the
-    shape, read through masks only), its boundary as a ``_Side``, the
-    ``leaf_signatures`` rows once an indep atom asks, and its memo of leaf
-    states by view."""
-
-    def __init__(self, view):
-        k = self.k = view.k
-        self.boundary = view.boundary
-        self.side = _Side(k.size, [k._index[e] for e in view.boundary])
-        self.fresh = k.full_mask
-        self.memo = {}
-
-    @cached_property
-    def rows(self):
-        return leaf_signatures(self.k, self.boundary)
 
 
 class _Run:
@@ -101,7 +87,6 @@ class _Run:
         self._states = [_U, _T, _F]  # interned id -> state
         self._sizes = [1, 1, 1]  # interned id -> size
         self._shapes = {}  # JoinContext -> _Shape
-        self._leaf_shapes = {}  # leaf shape -> _LeafShape
 
     def _key_views(self, f):
         names = sorted(F.free_variables(f))
@@ -152,18 +137,8 @@ class _Run:
     # -- evaluation -----------------------------------------------------------
 
     def result(self):
-        return self._resolve(self.core, bottom_up(self.tree, self._leaf, self._join))
-
-    def _leaf(self, view):
-        leaf = self._leaf_shapes.get(view.shape)
-        if leaf is None:
-            leaf = self._leaf_shapes[view.shape] = _LeafShape(view)
-        views = self._views(view, leaf.fresh)
-        key = self._viewkey(self.core, views)
-        sid = leaf.memo.get(key)
-        if sid is None:
-            sid = leaf.memo[key] = self._init(self.core, leaf, views)
-        return self._charge(sid)
+        empty = self._empty(self.core)
+        return self._resolve(self.core, bottom_up(self.tree, empty, self._join))
 
     def _join(self, view, s1, s2):
         shape = self._shapes.get(view.ctx)
@@ -172,45 +147,29 @@ class _Run:
         views = self._views(view, shape.fresh)
         return self._charge(self._combine(self.core, shape, s1, s2, views))
 
-    # -- leaf initialization -----------------------------------------------------
+    # -- the empty subtree ----------------------------------------------------------
 
-    def _init(self, f, leaf, views):
-        if isinstance(f, F.Member):
-            return self._member_state(_U, f, views)
-        if isinstance(f, F.ElemEq):
-            return self._elemeq_state(_U, f, views)
+    def _empty(self, f):
+        """The state of ``f`` on an empty subtree, both children's at a leaf."""
+        if isinstance(f, (F.Member, F.ElemEq)):
+            return _U
         if isinstance(f, F.SetEq):
-            return self._seteq_state(_T, f, leaf.fresh, views)
+            return _T
         if isinstance(f, F.InClosure):
-            return self._closure_leaf(f, leaf, views)
+            return self._intern((EMPTY.base.fmap, None))
         if isinstance(f, F.Indep):
-            rank, size, sig = leaf.rows[self._term_mask(f.term, views)]
-            return self._intern((sig, rank == size))
+            return self._intern((EMPTY, True))
         if isinstance(f, F.Not):
-            return self._init(f.inner, leaf, views)
+            return self._empty(f.inner)
         if isinstance(f, F.Or):
-            a = self._init(f.left, leaf, views)
-            b = self._init(f.right, leaf, views)
+            a, b = self._empty(f.left), self._empty(f.right)
             return self._intern((a, b), self._sizes[a] + self._sizes[b])
         if isinstance(f, F.Exists):
-            return self._exists_state(
-                {
-                    (comp, self._init(f.inner, leaf, {**views, f.var: view}))
-                    for comp, view in self._leaf_choices(f.var, leaf)
-                }
-            )
+            comp = 0 if F.is_set_name(f.var) else _OUT
+            return self._exists_state({(comp, self._empty(f.inner))})
         raise DomainError(f"not a core formula node: {f!r}")
 
-    def _leaf_choices(self, var, leaf):
-        """Every placement of ``var`` at a leaf, where all of K is fresh,
-        with the variable's view there."""
-        gather = leaf.side.gather
-        if F.is_set_name(var):
-            return [(gather[x], x) for x in range(leaf.fresh + 1)]
-        bits = (1 << p for p in range(leaf.k.size))
-        return [(_OUT, (0, "out"))] + [(gather[b], (b, "here")) for b in bits]
-
-    # -- combination at internal nodes ----------------------------------------------
+    # -- combination at a node ------------------------------------------------------
 
     def _combine(self, f, shape, s1, s2, views):
         key = (id(f), s1, s2, self._viewkey(f, views))
@@ -253,8 +212,8 @@ class _Run:
         raise DomainError(f"not a core formula node: {f!r}")
 
     def _choices(self, var, shape, c1, c2):
-        """Consistent placements of ``var`` at an internal node, given the
-        children's placements c1 and c2, with the variable's view here."""
+        """Consistent placements of ``var`` at a node, given the children's
+        placements c1 and c2, with the variable's view here."""
         ctx = shape.ctx
         gather = ctx.parent.gather
         if F.is_set_name(var):
@@ -311,16 +270,6 @@ class _Run:
         va = self._term_mask(f.left, views)
         vb = self._term_mask(f.right, views)
         return _F if (va ^ vb) & fresh else _T
-
-    def _closure_leaf(self, f, leaf, views):
-        k, side = leaf.k, leaf.side
-        xk = self._term_mask(f.term, views)
-        bit, where = views[f.elem]
-        fmap = _signature(k, side, xk).base.fmap
-        g = None
-        if where != "out":
-            g = tuple(bool(k.closure_mask(xk | y) & bit) for y in side.scatter)
-        return self._intern((fmap, g))
 
     def _closure_combine(self, f, shape, s1, s2, views):
         ctx = shape.ctx

@@ -161,36 +161,14 @@ class _Parser:
                 self.take(")")
                 return inner
             self.pos = start
-        if tok in ("indep", "ind"):
-            self.take()
-            self.take("(")
-            term = self.set_term()
-            self.take(")")
-            return F.Indep(term)
-        if tok == "is_circuit":
-            self.take()
-            self.take("(")
-            term = self.set_term()
-            self.take(")")
-            return self._is_circuit(term)
-        if tok == "is_base":
-            self.take()
-            self.take("(")
-            term = self.set_term()
-            self.take(")")
-            return self._is_base(term)
-        if tok == "spanning":
-            self.take()
-            self.take("(")
-            term = self.set_term()
-            self.take(")")
-            return self._spanning(term)
+        if tok in _SET_PREDICATES:
+            return _SET_PREDICATES[tok](self, self.set_argument(tok))
         if tok == "cl":
-            left = self.closure_value()
+            left = self.set_argument("cl")
             self.take("=")
             if self.peek() != "cl":
                 self.fail("closure can only be compared with another closure")
-            right = self.closure_value()
+            right = self.set_argument("cl")
             return F.ClosureEq(left, right)
         return self.comparison()
 
@@ -213,8 +191,9 @@ class _Parser:
                 return True
         return False
 
-    def closure_value(self):
-        self.take("cl")
+    def set_argument(self, keyword):
+        """The set term of ``keyword ( set_term )``."""
+        self.take(keyword)
         self.take("(")
         term = self.set_term()
         self.take(")")
@@ -234,7 +213,7 @@ class _Parser:
         if op == "in":
             self.take()
             if self.peek() == "cl":
-                return F.InClosure(var, self.closure_value())
+                return F.InClosure(var, self.set_argument("cl"))
             return F.Member(var, self.set_term())
         if op == "=":
             self.take()
@@ -270,6 +249,9 @@ class _Parser:
     def _fresh(self, base):
         return f"{base}_{self.pos}"
 
+    def _indep(self, term):
+        return F.Indep(term)
+
     def _is_circuit(self, term):
         e = self._fresh("e")
         return F.And(
@@ -290,6 +272,16 @@ class _Parser:
     def _spanning(self, term):
         e = self._fresh("e")
         return F.Forall(e, F.InClosure(e, term))
+
+
+# keyword -> builder of the formula ``keyword ( set_term )`` stands for
+_SET_PREDICATES = {
+    "indep": _Parser._indep,
+    "ind": _Parser._indep,
+    "is_circuit": _Parser._is_circuit,
+    "is_base": _Parser._is_base,
+    "spanning": _Parser._spanning,
+}
 
 
 def parse(text):

@@ -10,6 +10,11 @@ join's rank increment delta then shifts the product by delta slots.  A
 negative delta is an exact right shift: no parent rank is below 0, so
 the product's lowest -delta slots are empty.  Ranks come from the
 extended-type join, never from realization.
+
+Every node, a leaf too, joins its children's tables through its glue
+matroid.  A leaf's children are empty subtrees, whose table is one row:
+the signature ``EMPTY`` at nullity 0, one subset of rank 0.  Leaves of
+one canonical shape get one table, built once per run.
 """
 
 from collections import Counter
@@ -20,7 +25,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .types_dp import bottom_up, leaf_signatures
+from .types_dp import EMPTY, bottom_up
+from .types_dp import leaf_signatures  # unused here: only benchmarks/tracing.py patches this name
 
 __all__ = ["TuttePolynomial", "tutte_bruteforce", "tutte_decomposition"]
 
@@ -159,19 +165,22 @@ def tutte_decomposition(tree, want_tables=False):
     tree = tree.prepared()
     width = 1 + len(set().union(*(node.K.ground_set for node in tree.nodes.values())))
     tables = {}
-    leaf_tables = {}  # one per leaf shape; tables are never changed once built
+    empty = _NodeTable(width)
+    empty.add(EMPTY, 0, 1)
+    leaf_tables = {}  # context -> leaf table; tables are never changed once built
 
-    def leaf(view):
-        table = leaf_tables.get(view.shape)
+    def join(view, t1, t2):
+        if t1 is not empty or t2 is not empty:
+            return _join_tables(view, t1, t2)
+        table = leaf_tables.get(view.ctx)
         if table is None:
-            table = leaf_tables[view.shape] = _leaf_table(view, width)
+            table = leaf_tables[view.ctx] = _join_tables(view, t1, t2)
         return table
 
-    join = _join_tables
     if want_tables:
-        leaf, join = _kept(tables, leaf), _kept(tables, join)
+        join = _kept(tables, join)
     by_nu = Counter()
-    for rows in bottom_up(tree, leaf, join).by_sig.values():
+    for rows in bottom_up(tree, empty, join).by_sig.values():
         by_nu.update(rows)
     full_rank = max(((p.bit_length() - 1) // width for p in by_nu.values()), default=0)
     whitney = {
@@ -183,13 +192,6 @@ def tutte_decomposition(tree, want_tables=False):
     if want_tables:
         return poly, tables
     return poly
-
-
-def _leaf_table(view, width):
-    table = _NodeTable(width)
-    for r, s, sig in leaf_signatures(view.k, view.boundary):
-        table.add(sig, s - r, 1 << width * r)
-    return table
 
 
 def _join_tables(view, t1, t2):

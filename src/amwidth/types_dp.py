@@ -7,12 +7,11 @@ closures.  Extended types add the tracked set's boundary trace and, for
 each Y, the rank increment of the restricted tracked set when Y joins it.
 The join computes the parent's signature from the children's without
 realizing anything; ``type_of``/``extended_type_of`` recompute the same
-data on the realized matroid and serve as the oracle in tests.  That
-direct computation, ``_signature(m, side, x)``, also gives the leaves
-their signatures (``leaf_signatures``) and compiled MSO its closure
-atoms at leaves.  A ``_Side`` is the ``kernels.MaskMap`` of a boundary
-inside a matroid's positions, its gather/scatter tables held as lists
-for the join's scalar lookups.
+data on the realized matroid, through the direct computation
+``_signature(m, side, x)``, and serve as the oracle in tests.  A
+``_Side`` is the ``kernels.MaskMap`` of a boundary inside a matroid's
+positions, its gather/scatter tables held as lists for the join's scalar
+lookups.
 
 Types hold no element ids: a boundary subset is a mask over the sorted
 boundary.  A node's *shape* is its glue matroid's rank table, the
@@ -30,11 +29,15 @@ private to a run, making concurrent runs over shared decompositions
 safe.  A bounded-width tree has boundedly many shapes, so the memos
 turn the DP into a finite tree automaton.
 
-``bottom_up`` is the one leaves-to-root pass of both dynamic programs,
-the Tutte DP and compiled MSO: a loop over the postorder, not recursion,
-so depth is bounded by memory alone.  It hands each node a ``NodeView``
-(boundary, shape, shared context, K index) and frees each child's
-result once the parent has used it.
+There is one node kind.  A leaf's matroid is its K, and gluing two
+empty matroids through K with D empty gives exactly K; so a leaf is a
+node whose J1, J2 and D are empty, joined from two empty subtrees, whose
+signature is ``EMPTY``.  ``bottom_up`` is the one leaves-to-root pass of
+both dynamic programs, the Tutte DP and compiled MSO: a loop over the
+postorder, not recursion, so depth is bounded by memory alone.  It hands
+each node a ``NodeView`` (shared context, K index), joins the children's
+results (the empty subtree's at a leaf) and frees each child's result
+once the parent has used it.
 """
 
 from dataclasses import dataclass
@@ -48,6 +51,7 @@ from .errors import DomainError
 __all__ = [
     "NodeType",
     "ExtendedType",
+    "EMPTY",
     "JoinContext",
     "NodeView",
     "node_shape",
@@ -74,8 +78,8 @@ class ExtendedType:
     offsets: tuple  # offsets[Ymask] = r(X' + Y) - r(X')
 
 
-def _boundary_order(ids):
-    return tuple(sorted(ids))
+# the signature of an empty subtree: empty boundary, empty tracked set
+EMPTY = ExtendedType(NodeType((0,)), 0, (0,))
 
 
 def type_of(tree, nid, tracked):
@@ -100,7 +104,7 @@ def _signature(m, side, x):
 
 def _positions(k, ids):
     """K-positions of the sorted ids."""
-    ids = _boundary_order(ids)
+    ids = sorted(ids)
     missing = [e for e in ids if e not in k._index]
     if missing:
         raise DomainError(
@@ -268,29 +272,21 @@ class JoinContext:
 class NodeView:
     """One node as both dynamic programs see it.
 
-    ``boundary`` holds the sorted element ids of the parent boundary.  At
-    a leaf ``ctx`` is None, ``shape`` is the leaf's rank table with the
-    K-positions of its boundary, and ``index`` is K's own id -> position
-    map.  At an internal node ``shape`` is the ``node_shape`` as the node
-    lists K, ``ctx`` is the context of its canonical form, shared by every
-    node of that form in a run, and ``index`` maps each element of K to
-    its position in that context.
+    ``ctx`` is the context of the canonical form of the node's shape (a
+    leaf's has empty J1, J2 and D), shared by every node of that form in
+    a run, and ``index`` maps each element of K to its position in that
+    context.
     """
 
     def __init__(self, tree, nid, contexts):
         node = self.node = tree.nodes[nid]
         self.nid = nid
-        self.k = k = node.K
-        self.boundary = _boundary_order(tree.boundary(nid))
-        self.ctx = self._order = None
-        if node.is_leaf:
-            self.shape = (k.table.tobytes(), _positions(k, self.boundary))
-        else:
-            self.shape = node_shape(k, node.J1, node.J2, self.boundary, node.D)
-            entry = contexts.get(self.shape)
-            if entry is None:
-                entry = contexts[self.shape] = _context(contexts, self.shape)
-            self.ctx, self._order = entry
+        self.k = node.K
+        shape = node_shape(node.K, node.J1, node.J2, tree.boundary(nid), node.D)
+        entry = contexts.get(shape)
+        if entry is None:
+            entry = contexts[shape] = _context(contexts, shape)
+        self.ctx, self._order = entry
 
     @cached_property
     def index(self):
@@ -338,11 +334,12 @@ def _context(contexts, shape):
     return entry[0], order
 
 
-def bottom_up(tree, leaf, join):
-    """Root result of ``leaf(view)`` and ``join(view, r1, r2)`` in postorder.
+def bottom_up(tree, empty, join):
+    """Root result of ``join(view, r1, r2)`` in postorder.
 
-    ``tree`` must be prepared (``AmalgamDecomposition.prepared``).  One
-    ``JoinContext`` per canonical node shape serves the whole run:
+    ``empty`` is the result of an empty subtree, both children's at a
+    leaf.  ``tree`` must be prepared (``AmalgamDecomposition.prepared``).
+    One ``JoinContext`` per canonical node shape serves the whole run:
     ``contexts`` maps each shape met, and each canonical one, to its
     context and canonical order.
     """
@@ -350,17 +347,14 @@ def bottom_up(tree, leaf, join):
     results = {}
     for nid in tree.postorder():
         view = NodeView(tree, nid, contexts)
-        if view.ctx is None:
-            results[nid] = leaf(view)
-        else:
-            c1, c2 = view.node.children
-            results[nid] = join(view, results.pop(c1), results.pop(c2))
+        children = [results.pop(c) for c in view.node.children] or (empty, empty)
+        results[nid] = join(view, *children)
     return results[tree.root]
 
 
 def leaf_signatures(k, boundary):
-    """(rank, size, ExtendedType) of every subset of a leaf with matroid k,
-    indexed by the subset's K-mask."""
+    """Oracle: (rank, size, ExtendedType) of every subset of a leaf with
+    matroid k, indexed by the subset's K-mask."""
     side = _Side(k.size, _positions(k, boundary))
     return [
         (k.rank_mask(x), x.bit_count(), _signature(k, side, x)) for x in range(1 << k.size)

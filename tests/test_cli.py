@@ -7,6 +7,7 @@ import pytest
 
 from amwidth import cli, files, linalg, zoo
 from amwidth.config import NAIVE_MSO_CAP, table_cap
+from amwidth.matroid import Matroid
 
 from test_branch import caterpillar
 
@@ -227,6 +228,28 @@ def test_bad_eval_exits_1(corpus_dir, capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err, captured.err
     assert "Traceback" not in captured.err
+
+
+def test_glue_writes_output_file(tmp_path, capsys):
+    # two triangles 2-summed along element 10: the 4-circuit
+    paths = [
+        _write(tmp_path / f"{name}.json", files.matroid_to_obj(m))
+        for name, m in (
+            ("m1", zoo.triangle(1, 2, 10)),
+            ("m2", zoo.triangle(3, 4, 10)),
+            ("k", Matroid.single(10)),
+        )
+    ]
+    assert cli.main(["glue", *paths, "--delete", "10"]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["elements"] == [1, 2, 3, 4]
+    out = str(tmp_path / "glued.json")
+    assert cli.main(["glue", *paths, "--delete", "10", "-o", out]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == files.dumps({"written": out, "size": 4, "rank": 3})
+    assert captured.err == ""
+    with open(out) as fh:
+        assert fh.read() == printed
 
 
 def test_bad_glue_deletion_exits_1(corpus_dir, capsys):

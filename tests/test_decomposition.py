@@ -145,6 +145,16 @@ def test_to_nice_duplicates_shared_boundary():
     assert nice.realize().rank_equal(tree.realize())
 
 
+def test_prepared_once_per_tree():
+    tree = twosum_tree()
+    assert not tree.is_nice()
+    prepared = tree.prepared()
+    assert prepared is not tree and prepared.is_nice()
+    assert tree.prepared() is prepared
+    nice = zoo.triangle_chain(3)
+    assert nice.prepared() is nice
+
+
 def test_corpus_all_valid(corpus_decompositions):
     for name, tree in corpus_decompositions.items():
         report = tree.validate()

@@ -55,6 +55,20 @@ def test_hamiltonian_macro_expansion():
     assert F.free_variables(got) == set()
 
 
+def test_macro_expansion_text():
+    # the fresh element names carry the token position, and reach the CLI output
+    assert F.to_text(parse("is_circuit(X)")) == (
+        r"(!(indep(X)) & (forall e_4 ((e_4 in X -> indep(X \ {e_4})))))"
+    )
+    assert F.to_text(parse(r"is_base(X \ {x})")) == (
+        r"(indep(X \ {x}) & (forall e_8 ((!(e_8 in X \ {x}) -> !(indep(X \ {x} + {e_8}))))))"
+    )
+    assert F.to_text(parse("spanning(X + {y})")) == "(forall e_8 (e_8 in cl(X + {y})))"
+    assert F.to_text(parse("ind(X) | is_circuit((Y))")) == (
+        r"(indep(X) | (!(indep(Y)) & (forall e_11 ((e_11 in Y -> indep(Y \ {e_11}))))))"
+    )
+
+
 def test_roundtrip(corpus_formulas):
     for name, text in corpus_formulas.items():
         ast = parse(text)

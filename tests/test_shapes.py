@@ -21,7 +21,7 @@ from amwidth.mso.parser import parse
 from amwidth.tutte import tutte_bruteforce, tutte_decomposition
 from amwidth.types_dp import JoinContext, node_shape
 
-from test_mso_compiled import _assignment
+from test_mso_compiled import _assignment, _split_by_children
 from test_tutte import _cycle_polynomial, _parallel_chain
 
 MSO_FORMULAS = (
@@ -173,5 +173,9 @@ def test_one_context_and_frame_per_shape(monkeypatch):
     tree = zoo.triangle_chain(300)
     assert tutte_decomposition(tree).coeff_dict() == _cycle_polynomial(302)
     assert len(tree.nodes) == 601
-    assert 1 <= len(contexts) <= 3
+    assert sum(node.is_leaf for node in tree.nodes.values()) == 301
+    # a leaf's shape has empty J1 and J2: the 301 single-element leaves share one
+    joins, leaves = _split_by_children(contexts)
+    assert len(leaves) == 1
+    assert 1 <= len(joins) <= 3
     assert 1 <= len(frames) <= 3
