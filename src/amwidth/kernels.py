@@ -7,25 +7,33 @@ position order of the owning matroid.  Every kernel is a short sequence
 of whole-array numpy operations: no Python loop runs over the 2^n
 subsets.
 
-The two rank-table builders avoid eliminating each subset from scratch:
+Rank tables come from counting codewords.  A rank-k matroid represented
+over GF(p) (a graph's cycle matroid over GF(2)) has a code C: the row
+space of k independent rows, such as the cut space of a graph, spanned
+by the incidence rows of all vertices but one per component.  The words
+of C that vanish on S form a subspace of dimension k - r(S) (Greene,
+"Weight enumeration and the geometry of linear codes", Stud. Appl. Math.
+55, 1976), so ``_count_ranks`` bincounts the zero sets of all p^k words,
+sums the histogram over supersets with one ``fold``, and reads
+r(S) = k - log_p(count[S]) from a table indexed by count.  No Python
+loop runs over the subsets, and no subset is eliminated on its own.
 
-* ``gf_rank_table`` fills the table layer by layer.  The masks whose
-  highest element is i are the masks below 2^i with element i added, so
-  each mask's rank is the rank of its layer-(i-1) mask plus one if v_i is
-  independent of that mask's basis.  The basis of every mask is kept in
-  reduced form, one uint8 row per pivot coordinate, so reducing v_i
-  against all 2^i bases is one tensor contraction and inserting the
-  reduced vector is one broadcast update: O(2^n r^2) byte work in O(n)
-  numpy calls for a rank-r matrix.  The bases take 2^(n-1) r^2 bytes;
-  when twice that would exceed ``GF_BASIS_BUDGET`` the table is split on
-  its top element into the deletion (same rank) and the contraction
-  (rank one lower), each built the same way.
-* ``graphic_rank_table`` counts 2-colourings.  With one vertex fixed in
-  each component of the whole graph, the 2-colourings of the other
-  r(E) vertices that leave every edge of S monochromatic number
-  2^(r(E) - r(S)).  One ``bincount`` of the bichromatic edge sets of all
-  2^r(E) colourings and an n-step subset sum give those counts, and
-  their base-2 logarithm gives the ranks.
+* ``graphic_rank_table`` picks its basis rows by union-find and
+  enumerates the 2^k words by doubling.
+* ``gf_rank_table`` reduces the columns to r independent rows and counts
+  the smaller of the code and its dual, the null space of dimension
+  n - r, as long as that one has at most 2^n words; from the dual,
+  r(S) = r*(E - S) + |S| - (n - r).  That covers GF(2) and GF(3) at every
+  rank.  Over GF(5) and GF(7) at near-balanced rank both codes are
+  larger than the table, and counting them would cost more than the
+  layered builder ``_gf_layers``: the masks whose highest element is i
+  are the masks below 2^i with element i added, so each rank is the
+  rank one layer down plus one if v_i is independent of that mask's
+  basis, kept reduced as uint8 rows: O(2^n r^2) byte work in O(n) numpy
+  calls.  Its bases take 2^(n-1) r^2 bytes; when twice that would
+  exceed ``GF_BASIS_BUDGET`` the table is split on its top element into
+  the deletion (same rank) and the contraction (rank one lower), each
+  built again by whichever method fits it.
 
 Two helpers carry every other subset-mask operation of the package:
 
@@ -45,11 +53,14 @@ Two helpers carry every other subset-mask operation of the package:
 
 import numpy as np
 
-from .linalg import inverse_mod, row_basis
+from .linalg import inverse_mod, reduced_nullspace, row_basis
 
 # bytes of reduced bases (and as much again of temporaries) that one
 # layered GF(p) pass may hold before the table is split on its top element
 GF_BASIS_BUDGET = 1 << 22
+
+# table length from which ``fold`` walks its short-block passes transposed
+_LONG_FOLD = 1 << 10
 
 
 def popcounts(n):
@@ -69,8 +80,14 @@ def gf_rank_table(cols, p):
 def _gf_rank_table(cols, p):
     basis = row_basis(cols, p)
     r, n = basis.shape
-    if r == 0:
-        return np.zeros(1 << n, dtype=np.int8)
+    if r in (0, n):  # no circuit, or only loops
+        return popcounts(n) if r else np.zeros(1 << n, dtype=np.int8)
+    if p ** min(r, n - r) <= 1 << n:
+        if 2 * r <= n:
+            return _count_ranks(_zero_sets(basis, p), r, p, n)
+        # the dual code is the smaller: r(S) = r*(E - S) + |S| - r*(E)
+        dual = _count_ranks(_zero_sets(reduced_nullspace(basis, p), p), n - r, p, n)
+        return dual[::-1] + popcounts(n) - (n - r)
     if (1 << n) * r * r <= GF_BASIS_BUDGET:
         return _gf_layers(basis.T.astype(np.uint8), p)
     # split on the top element t: r(S + t) = r(S) for a loop t, and
@@ -139,16 +156,62 @@ def graphic_rank_table(eu, ev, nv):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    # bichromatic edge set of each colouring of the non-root vertices
-    free = [v for v in range(nv) if find(v) != v]
-    bich = np.zeros(1 << len(free), dtype=np.int64)
-    for k, v in enumerate(free):
-        bich[1 << k : 2 << k] = bich[: 1 << k] ^ inc[v]
-    # counts[U] = colourings whose bichromatic set lies inside U; those
-    # leaving S monochromatic are counted at U = E - S, the reversed index
-    counts = fold(np.bincount(bich, minlength=1 << n), np.add)
-    exps = np.frexp(counts[::-1])[1]  # 2^k has exponent k + 1
-    return (len(free) + 1 - exps).astype(np.int8)
+    # the incidence rows of all vertices but one per component are a basis
+    # of the cut space, the code of the cycle matroid over GF(2)
+    rows = [inc[v] for v in range(nv) if find(v) != v]
+    return _count_ranks(_binary_zero_sets(rows, n), len(rows), 2, n)
+
+
+def _count_ranks(zero_sets, k, p, n):
+    """Rank table from the zero-set masks of all p^k words of a k-dim code.
+
+    The words vanishing on S form a subspace of dimension k - r(S), where
+    r is the rank of the code's columns: the histogram of the zero sets,
+    summed over supersets, is p^(k - r(S)) at every S.
+    """
+    # the counts are at most p^k <= 2^n, within uint32 for any table in memory
+    counts = np.bincount(zero_sets, minlength=1 << n).astype(np.uint32)
+    fold(counts, np.add, supersets=True)
+    rank_of = np.zeros(p**k + 1, dtype=np.int8)
+    for j in range(k):
+        rank_of[p**j] = k - j
+    return rank_of[counts]
+
+
+def _zero_sets(rows, p):
+    """Zero-set mask of each of the p^k combinations of k rows, int64."""
+    n = rows.shape[1]
+    if p == 2:
+        return _binary_zero_sets(rows @ (1 << np.arange(n)), n)
+    # a - b vanishes where a = b, and as a and b run over the words of the
+    # first rows (fewer than 2^14) and of the others, a - b runs over all
+    # words: each b is compared with every a at once
+    head = 14 // p.bit_length()
+    heads = _codewords(rows[:head], p)
+    tails = _codewords(rows[head:], p)
+    out = np.zeros((len(tails), len(heads), 8), dtype=np.uint8)
+    for block, b in zip(out, tails):
+        block[:, : (n + 7) // 8] = np.packbits(heads == b, axis=1, bitorder="little")
+    return out.view("<i8").ravel()
+
+
+def _binary_zero_sets(supports, n):
+    """Zero-set mask of each sum of rows over GF(2), from the rows' supports."""
+    words = np.empty(1 << len(supports), dtype=np.int64)
+    words[0] = (1 << n) - 1
+    # adding a row flips the zero set on the row's support
+    for i, m in enumerate(supports):
+        words[1 << i : 2 << i] = words[: 1 << i] ^ m
+    return words
+
+
+def _codewords(rows, p):
+    """Every combination of the rows over GF(p), as a (p^k, n) uint8 matrix."""
+    words = np.zeros((1, rows.shape[1]), dtype=np.uint8)
+    for row in rows:
+        multiples = (np.arange(p)[:, None] * row % p).astype(np.uint8)
+        words = ((multiples[:, None, :] + words) % p).reshape(-1, rows.shape[1])
+    return words
 
 
 def rank_table_from_independence(ind):
@@ -176,14 +239,20 @@ def fold(vals, op, supersets=False):
     ``vals`` is a contiguous array of length 2**n and ``op`` a binary
     numpy ufunc such as ``np.add`` or ``np.minimum``.  Each pass views
     vals as pairs of blocks of 2**b masks, without bit b and with it.
+    numpy runs one inner loop per block, so on a large table the passes
+    with blocks of two or four masks go down the transposed views in C
+    order instead: one strided inner loop per position in the block.
     """
     for b in range(vals.size.bit_length() - 1):
         halves = vals.reshape(-1, 2, 1 << b)
         lo, hi = halves[:, 0], halves[:, 1]
+        order = "K"
+        if b in (1, 2) and vals.size >= _LONG_FOLD:
+            lo, hi, order = lo.T, hi.T, "C"
         if supersets:
-            op(lo, hi, out=lo)
+            op(lo, hi, out=lo, order=order)
         else:
-            op(hi, lo, out=hi)
+            op(hi, lo, out=hi, order=order)
     return vals
 
 

@@ -100,23 +100,21 @@ def intersect_spaces(a, b, p):
 
 def nullspace(mat, p):
     """Basis (rows) of the right nullspace of ``mat`` over GF(p)."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    red, r = rref(a, p)
-    pivots = []
-    c = 0
-    for i in range(r):
-        while c < cols and red[i, c] == 0:
-            c += 1
-        pivots.append(c)
-        c += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-red[i, fc]) % p
-    return basis
+    red, r = rref(mat, p)
+    return reduced_nullspace(red[:r], p)
+
+
+def reduced_nullspace(basis, p):
+    """Nullspace basis of a row-reduced basis with no zero rows, such as
+    ``row_basis`` returns: one row per non-pivot column, 1 there."""
+    r, n = basis.shape
+    pivots = (basis != 0).argmax(axis=1) if r else np.zeros(0, dtype=np.intp)
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    out = np.zeros((n - r, n), dtype=np.int64)
+    out[:, free] = np.eye(n - r, dtype=np.int64)
+    out[:, pivots] = -basis[:, free].T % p
+    return out
 
 
 def point_count(dim, p):

@@ -127,11 +127,12 @@ class _NodeTable:
 
     ``by_sig[sig][nu]`` is one int packing the counts of the subsets with
     extended type ``sig`` and nullity ``nu = s - r``: the count for rank r
-    sits in bits ``width * r`` up to ``width * (r + 1)``.  ``width`` is one
-    more than the number of distinct elements of the tree.  A slot counts
+    sits in bits ``width * r`` up to ``width * (r + 1)``.  A slot counts
     subsets of E(M(v)), and a join's product counts pairs of subsets of the
-    children's ground sets, disjoint in a nice tree; so no slot, not even
-    a partial sum, reaches ``2**width``, and slots never carry.
+    children's ground sets E(M1) and E(M2).  So ``width`` is one more than
+    the largest of |E(M(v))| and |E(M1)| + |E(M2)| over the nodes: no
+    slot, not even a partial sum, reaches ``2**width``, and slots never
+    carry.
     """
 
     __slots__ = ("by_sig", "width")
@@ -163,7 +164,10 @@ def tutte_decomposition(tree, want_tables=False):
     polynomial, or (polynomial, per-node tables) when ``want_tables``.
     """
     tree = tree.prepared()
-    width = 1 + len(set().union(*(node.K.ground_set for node in tree.nodes.values())))
+    width = 1 + max(
+        max(len(tree.ground(v)), sum(len(tree.ground(c)) for c in node.children))
+        for v, node in tree.nodes.items()
+    )
     tables = {}
     empty = _NodeTable(width)
     empty.add(EMPTY, 0, 1)

@@ -2,14 +2,20 @@
 
 The rank tables are checked on every subset of small seeded inputs:
 GF(p) matrices (zero, repeated and scaled columns, more rows than
-columns) against coefficient enumeration, and multigraphs (loops,
-parallel edges, several components, perfect matchings) against DFS
-cycle detection and against GF(2) vertex-edge incidence.  Splitting the
-GF(p) table on its top element, which the kernel does once the reduced
-bases would exceed ``GF_BASIS_BUDGET``, is tested at full size on a
-16 x 16 GF(2) matrix and on small inputs under a budget shrunk to zero.
-``MaskMap`` and ``fold`` are checked against bit-by-bit loops and
-enumeration of all submasks and supersets up to six elements.
+columns) against coefficient enumeration and ``linalg.rank``, and
+multigraphs (loops, parallel edges, several components, perfect
+matchings) against DFS cycle detection and against GF(2) vertex-edge
+incidence.  Most tables come from counting codewords, on the code or on
+its dual; the tests at full size check a 20-element GF(3) table built
+that way, and a 17-element GF(7) table of balanced rank, where both
+codes are too large and the layered builder splits the table on its top
+element to stay within ``GF_BASIS_BUDGET``.  Unsplit layered tables are
+also compared on small GF(5) and GF(7) inputs with tables split once
+into layered halves, and split down to counted ones under a budget
+shrunk to zero.  ``MaskMap`` and ``fold`` are checked against bit-by-bit
+loops and enumeration up to six elements, and ``fold`` against one plain
+pass per bit up to 14 elements.  ``tests/test_rank_tables_generated.py``
+draws further inputs with Hypothesis.
 """
 
 import tracemalloc
@@ -52,34 +58,94 @@ def test_gf_rank_table_vs_rref(p):
             assert int(tbl[mask]) == linalg.rank(sub, p), (cols, mask)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def _rank_r_columns(rng, p, n, r):
+    """A (r + 1, n) matrix of rank r over GF(p) with a loop and a scaled pair."""
+    cols = rng.integers(0, p, size=(r + 1, n))
+    cols[:r, :r] = np.eye(r, dtype=np.int64)
+    cols[r] = cols[:r].sum(axis=0) % p  # a dependent row
+    if n >= r + 2:
+        cols[:, r] = 0
+        cols[:, r + 1] = cols[:, 0] * int(rng.integers(1, p)) % p
+    return cols[:, rng.permutation(n)]
+
+
+def _layered_sizes(monkeypatch):
+    """Record the element count of every table the layered builder fills."""
+    sizes = []
+    original = kernels._gf_layers
+
+    def recording(vecs, p):
+        sizes.append(len(vecs))
+        return original(vecs, p)
+
+    monkeypatch.setattr(kernels, "_gf_layers", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("p", [5, 7])
 def test_gf_rank_table_split_matches_layers(p, monkeypatch):
+    # balanced ranks, where both the code and its dual have more than 2^n
+    # words, so that the layered builder fills the whole table
     rng = np.random.default_rng(p)
-    for n, d in ((8, 2), (8, 3), (8, 5), (8, 8), (6, 9)):
-        cols = _random_columns(rng, p, n, d)
+    layered_halves = 0
+    for n, r in ((6, 3), (8, 4), (9, 4), (9, 5), (10, 5)):
+        assert p ** min(r, n - r) > 1 << n
+        cols = _rank_r_columns(rng, p, n, r)
+        sizes = _layered_sizes(monkeypatch)
         layered = kernels.gf_rank_table(cols, p)
-        monkeypatch.setattr(kernels, "GF_BASIS_BUDGET", 0)
-        assert np.array_equal(kernels.gf_rank_table(cols, p), layered)
+        assert sizes == [n]
+        # a budget one element short splits once; no budget splits down to
+        # tables that are counted
+        for budget in ((1 << (n - 1)) * r * r, 0):
+            monkeypatch.setattr(kernels, "GF_BASIS_BUDGET", budget)
+            assert np.array_equal(kernels.gf_rank_table(cols, p), layered)
+        assert n not in sizes[1:]
+        layered_halves += sizes.count(n - 1)
         monkeypatch.undo()
+    assert layered_halves
 
 
-def test_gf2_rank_table_16_split_in_budget():
-    rng = np.random.default_rng(16)
-    cols = np.triu(rng.integers(0, 2, size=(16, 16)), 1) + np.eye(16, dtype=np.int64)
-    cols = cols[:, rng.permutation(16)]
-    assert (1 << 16) * 16 * 16 > kernels.GF_BASIS_BUDGET  # forces the split
+def _built_in_budget(cols, p):
+    """The rank table and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
-        tbl = kernels.gf_rank_table(cols, 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        tbl = kernels.gf_rank_table(cols, p)
+        return tbl, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _check_sampled_masks(tbl, cols, p, rng):
+    n = cols.shape[1]
+    for mask in rng.integers(0, 1 << n, size=100).tolist():
+        sub = cols[:, [e for e in range(n) if mask >> e & 1]]
+        assert int(tbl[mask]) == linalg.rank(sub, p), mask
+
+
+def test_gf7_rank_table_17_split_in_budget(monkeypatch):
+    rng = np.random.default_rng(17)
+    cols = _rank_r_columns(rng, 7, 17, 8)
+    # neither code is countable, and the layered bases would pass the budget
+    assert 7**8 > 1 << 17 and (1 << 17) * 8 * 8 > kernels.GF_BASIS_BUDGET
+    sizes = _layered_sizes(monkeypatch)
+    tbl, peak = _built_in_budget(cols, 7)
+    assert sizes and max(sizes) == 16  # split once, then layered
     assert peak < 16 << 20, peak
-    assert int(tbl[-1]) == 16
-    assert kernels.check_rank_axioms(tbl, 16) == (0, 0, 0)
-    for mask in rng.integers(0, 1 << 16, size=100).tolist():
-        sub = cols[:, [e for e in range(16) if mask >> e & 1]]
-        assert int(tbl[mask]) == linalg.rank(sub, 2), mask
+    assert int(tbl[-1]) == 8
+    assert kernels.check_rank_axioms(tbl, 17) == (0, 0, 0)
+    _check_sampled_masks(tbl, cols, 7, rng)
+
+
+def test_gf3_rank_table_20_counts_in_budget(monkeypatch):
+    rng = np.random.default_rng(20)
+    cols = _rank_r_columns(rng, 3, 20, 10)
+    assert 3**10 <= 1 << 20
+    sizes = _layered_sizes(monkeypatch)
+    tbl, peak = _built_in_budget(cols, 3)
+    assert sizes == []  # counted, not layered
+    assert peak < 16 << 20, peak
+    assert int(tbl[-1]) == 10
+    _check_sampled_masks(tbl, cols, 3, rng)
 
 
 def test_popcounts():
@@ -294,6 +360,34 @@ def test_fold_vs_enumeration(op, dtype, reduce, supersets):
         assert kernels.fold(out, op, supersets=supersets) is out  # in place
         assert out.dtype == dtype
         assert out.tolist() == want, (n, op)
+
+
+def _fold_by_passes(vals, op, supersets):
+    """The zeta transform one bit at a time, by index arithmetic."""
+    out = vals.copy()
+    masks = np.arange(out.size)
+    for b in range(out.size.bit_length() - 1):
+        lo = masks[masks >> b & 1 == 0]
+        hi = lo | 1 << b
+        if supersets:
+            out[lo] = op(out[lo], out[hi])
+        else:
+            out[hi] = op(out[hi], out[lo])
+    return out
+
+
+@pytest.mark.parametrize("op,dtype,reduce", FOLDS, ids=lambda x: getattr(x, "__name__", ""))
+@pytest.mark.parametrize("supersets", [False, True])
+def test_fold_vs_passes_on_long_tables(op, dtype, reduce, supersets):
+    # from 10 elements up, the short-block passes walk transposed views
+    rng = np.random.default_rng(8)
+    for n in range(10, 15):
+        vals = rng.integers(-5, 6, size=1 << n).astype(dtype)
+        want = _fold_by_passes(vals, op, supersets)
+        out = vals.copy()
+        assert kernels.fold(out, op, supersets=supersets) is out  # in place
+        assert out.dtype == dtype
+        assert np.array_equal(out, want), (n, op)
 
 
 def test_whitney_counts():

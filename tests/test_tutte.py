@@ -172,6 +172,20 @@ def test_dp_parallel_chain_matches_dual_cycle(monkeypatch):
     assert min(deltas) == -1
 
 
+def test_dp_padded_chain_slots_fit_the_ground_set():
+    # the deleted ids (one per glue matroid, plus the pad) outnumber the
+    # realized elements, so a slot sized by every id would be twice as wide
+    tree = zoo.triangle_chain(150, pad=8)
+    prepared = tree.prepared()
+    ids = set().union(*(node.K.ground_set for node in prepared.nodes.values()))
+    ground = prepared.ground()
+    assert len(ids - ground) > len(ground)
+    poly, tables = tutte_decomposition(tree, want_tables=True)
+    assert poly.coeff_dict() == _cycle_polynomial(152)
+    assert max(c for _, _, c in poly.whitney) > 2**64
+    assert tables[prepared.root].width == len(ground) + 1
+
+
 def test_count_table_row_sums(corpus_decompositions):
     chains = [zoo.triangle_chain(3), zoo.triangle_chain(70), zoo.triangle_chain(9, pad=3)]
     for tree in chains + list(corpus_decompositions.values()):
