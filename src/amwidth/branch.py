@@ -107,15 +107,7 @@ class BranchDecomposition:
 def branch_width_of(m, b):
     """Maximum edge width r(E1) + r(E2) - r(E) + 1 over the tree."""
     b.check(m)
-    if not b.edges:
-        return 1
-    total = m.rank()
-    best = 1
-    for x, y in b.edges:
-        e1 = b.side_elements(x, y)
-        w = m.rank(e1) + m.rank(m.ground_set - e1) - total + 1
-        best = max(best, w)
-    return best
+    return max((m.separation_width(b.side_elements(x, y)) for x, y in b.edges), default=1)
 
 
 def _rooted(b):

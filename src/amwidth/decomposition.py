@@ -2,29 +2,34 @@
 
 A tree node carries its glue matroid K and the sets J1, J2, D of the
 glueing step that produces M(v) from the children's matroids.  Ground
-sets are derived structurally; rank-level checks run through a bottom-up
-"frame" pass that restricts each M(v) to E(K(v)) - D(v) without
-realizing the whole matroid, so validation scales to trees whose
-realization would be far beyond the brute-force caps.  ``realize`` is
-the capped oracle path.
+sets are derived structurally.  Rank-level checks read the glue matroids
+themselves: once the glueing at a node is defined, M(v) restricted to
+E(K(v)) - D(v) is K(v) with D(v) deleted, since the generalized parallel
+connection changes no rank inside K.  So M_i|J_i = K|J_i compares two
+glue tables whenever J_i lies inside the child's K, and validation
+scales to trees whose realization would be far beyond the brute-force
+caps.  ``realize`` is the capped oracle path; validation calls it only
+when J_i leaves the child's K.
 
 A rank-level verdict depends on rank tables and positions in them, not
 on element ids, so one ``validate`` call reaches each distinct verdict
-once: a semiflat check per (K table, J positions), a frame with its
-rank-axiom check per (K table, D positions), and a restriction check per
-(child frame, positions, K table, positions).  Nodes of one shape (glue
-table and the positions of J1, J2, D) share them, and a failing verdict
-is reported at every node it applies to.
+once: a rank-axiom check per K table, a semiflat check per (K table,
+J mask), and a restriction check per (child table, positions, K table,
+positions).  Nodes of one shape (glue table and the positions of J1, J2,
+D) share them, and a failing verdict is reported at every node it
+applies to.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
+
+# glue_violations is not called here: benchmarks/tracing.py patches it
+# under this module's name
 from .amalgam import glue, glue_violations, is_modular_semiflat
-from .config import REALIZE_CAP, check_cap, table_cap
+from .config import REALIZE_CAP, table_cap
 from .errors import DomainError, ResourceError, ValidationError
 from .matroid import Matroid
 
@@ -190,7 +195,6 @@ class AmalgamDecomposition:
             self._cache["report"] = report
             return report
         clean = {}
-        frames = {}
         checks = _ShapeChecks()
         for v in order:
             node = self.nodes[v]
@@ -201,6 +205,7 @@ class AmalgamDecomposition:
                 )
                 clean[v] = False
                 continue
+            kids_clean = all(clean.get(c, False) for c in node.children)
             if node.is_leaf:
                 if node.K.size > 1:
                     violations.append(
@@ -210,59 +215,55 @@ class AmalgamDecomposition:
                     violations.append(
                         Violation(v, "leaf-sets", "leaves carry no J1/J2/D sets")
                     )
-                clean[v] = len(violations) == before
-                if clean[v]:
-                    frames[v] = _Frame(node.K.elements, node.K.table)
-                continue
-            c1, c2 = node.children
-            g1, g2 = self.ground(c1), self.ground(c2)
-            kg = node.K.ground_set
-            if node.J1 != g1 & kg:
+            else:
+                c1, c2 = node.children
+                g1, g2 = self.ground(c1), self.ground(c2)
+                kg = node.K.ground_set
+                if node.J1 != g1 & kg:
+                    violations.append(
+                        Violation(v, "boundary-mismatch", "J1 is not E(M1) & E(K)")
+                    )
+                if node.J2 != g2 & kg:
+                    violations.append(
+                        Violation(v, "boundary-mismatch", "J2 is not E(M2) & E(K)")
+                    )
+                if not g1 & g2 <= kg:
+                    violations.append(
+                        Violation(v, "shared-not-in-glue", "E(M1) & E(M2) is not inside E(K)")
+                    )
+                if not node.D <= kg:
+                    violations.append(
+                        Violation(v, "deletions-not-in-glue", "D is not inside E(K)")
+                    )
+                for label, j in (("j1", node.J1), ("j2", node.J2)):
+                    ok, error = checks.semiflat(node.K, j)
+                    if not ok:
+                        message = error or f"{label.upper()} is not a modular semiflat in K"
+                        violations.append(Violation(v, f"semiflat-{label}", message))
+                if len(violations) == before and kids_clean:
+                    self._check_restrictions(v, checks, violations)
+            if len(violations) == before and kids_clean and not checks.is_matroid(node.K):
                 violations.append(
-                    Violation(v, "boundary-mismatch", "J1 is not E(M1) & E(K)")
+                    Violation(v, "glue-broken", "glue at this node is not a matroid")
                 )
-            if node.J2 != g2 & kg:
-                violations.append(
-                    Violation(v, "boundary-mismatch", "J2 is not E(M2) & E(K)")
-                )
-            if not g1 & g2 <= kg:
-                violations.append(
-                    Violation(v, "shared-not-in-glue", "E(M1) & E(M2) is not inside E(K)")
-                )
-            if not node.D <= kg:
-                violations.append(
-                    Violation(v, "deletions-not-in-glue", "D is not inside E(K)")
-                )
-            for label, j in (("j1", node.J1), ("j2", node.J2)):
-                ok, error = checks.semiflat(node.K, j)
-                if not ok:
-                    message = error or f"{label.upper()} is not a modular semiflat in K"
-                    violations.append(Violation(v, f"semiflat-{label}", message))
-            structurally_ok = len(violations) == before
-            kids_clean = clean.get(c1, False) and clean.get(c2, False)
-            if structurally_ok and kids_clean:
-                frame = self._check_restrictions(v, frames, checks, violations)
-                if frame is not None and len(violations) == before:
-                    frames[v] = frame
             clean[v] = len(violations) == before and kids_clean
         width = max(len(self.nodes[v].K.ground_set) for v in order) if order else 0
         report = ValidationReport(violations, width)
         self._cache["report"] = report
         return report
 
-    def _check_restrictions(self, v, frames, checks, violations):
-        """Verify M_i|J_i = K|J_i at node v and return frame(v) if possible.
+    def _check_restrictions(self, v, checks, violations):
+        """Verify M_i|J_i = K|J_i at node v, whose children are clean.
 
-        frame(v) is M(v) restricted to E(K(v)) minus D(v); children frames
-        supply the ranks without realizing anything when the tree is
-        anchored, otherwise the capped realization is the fallback.
+        A clean child's matroid agrees with its own K outside its D, and
+        J_i never meets that D, so the child's K supplies the ranks; only
+        when J_i leaves it is the child realized, under the cap.
         """
         node = self.nodes[v]
         sides = []
         for c, j in zip(node.children, (node.J1, node.J2)):
-            fr = frames.get(c)
-            pos = fr.positions(j) if fr is not None else None
-            if pos is None:
+            m = self.nodes[c].K
+            if not j <= m.ground_set:
                 try:
                     m = self.realize(c, _validated=False)
                 except ResourceError:
@@ -274,22 +275,14 @@ class AmalgamDecomposition:
                             "subtree is too large to realize",
                         )
                     )
-                    return None
-                fr = _Frame(m.elements, m.table)
-                pos = fr.positions(j)
-            sides.append((fr, pos))
-        for i, ((fr, pos), j) in enumerate(zip(sides, (node.J1, node.J2)), start=1):
-            if not checks.restriction_agrees(fr, pos, node.K, j):
+                    return
+            sides.append(m)
+        for i, (m, j) in enumerate(zip(sides, (node.J1, node.J2)), start=1):
+            if not checks.restriction_agrees(m, node.K, j):
                 violations.append(
                     Violation(v, f"restriction-j{i}", f"M{i}|J{i} differs from K|J{i}")
                 )
-                return None
-        frame = checks.glue_frame(node.K, node.D)
-        if frame is None:
-            violations.append(
-                Violation(v, "glue-broken", "glue at this node is not a matroid")
-            )
-        return frame
+                return
 
     # -- realization -------------------------------------------------------
 
@@ -303,29 +296,22 @@ class AmalgamDecomposition:
         key = ("realized", nid)
         if key in self._cache:
             return self._cache[key]
-        sub = [w for w in self.postorder() if self._in_subtree(w, nid)]
         if len(self.ground(nid)) > min(REALIZE_CAP, table_cap()):
             raise ResourceError(
                 f"realized ground set of node {nid!r} exceeds the brute-force cap"
             )
-        done = {}
-        for w in sub:
+        walk = [nid]  # top-down, stopping at realized nodes
+        for w in walk:
+            walk.extend(c for c in self.nodes[w].children if ("realized", c) not in self._cache)
+        for w in reversed(walk):  # every node after its children
             node = self.nodes[w]
             if node.is_leaf:
-                done[w] = node.K
+                m = node.K
             else:
-                c1, c2 = node.children
-                done[w] = glue(done[c1], done[c2], node.K, node.D)
-            self._cache[("realized", w)] = done[w]
-        return done[nid]
-
-    def _in_subtree(self, w, top):
-        parents = self.parent_map()
-        while w is not None:
-            if w == top:
-                return True
-            w = parents.get(w)
-        return False
+                m1, m2 = (self._cache[("realized", c)] for c in node.children)
+                m = glue(m1, m2, node.K, node.D)
+            self._cache[("realized", w)] = m
+        return self._cache[key]
 
     # -- niceness ------------------------------------------------------------
 
@@ -420,20 +406,6 @@ def _parallel_extend(m, twins):
     return Matroid(elements, m.table[trans], names=m.names)
 
 
-class _Frame(NamedTuple):
-    """M(v) restricted to E(K(v)) - D(v), as element order and rank table."""
-
-    elements: tuple
-    table: np.ndarray
-
-    def positions(self, ids):
-        """Positions of the sorted ids, or None when one is not in the frame."""
-        index = {e: i for i, e in enumerate(self.elements)}
-        if not all(e in index for e in ids):
-            return None
-        return tuple(index[e] for e in sorted(ids))
-
-
 class _ShapeChecks:
     """The rank-level verdicts of one ``validate`` call, each computed once.
 
@@ -443,9 +415,16 @@ class _ShapeChecks:
     """
 
     def __init__(self):
+        self.matroids = {}
         self.semiflats = {}
-        self.glue_tables = {}
         self.restrictions = {}
+
+    def is_matroid(self, k):
+        """Whether k's table satisfies the rank axioms."""
+        key = k.table.tobytes()
+        if key not in self.matroids:
+            self.matroids[key] = k.rank_axiom_violation() is None
+        return self.matroids[key]
 
     def semiflat(self, k, j):
         """(whether j is a modular semiflat in k, DomainError text or None)."""
@@ -456,27 +435,18 @@ class _ShapeChecks:
             self.semiflats[key] = _semiflat(k, j)
         return self.semiflats[key]
 
-    def restriction_agrees(self, frame, pos, k, j):
-        """Whether ``frame`` at ``pos`` and k agree on every subset of j,
-        matched element by element in sorted order."""
-        kpos = tuple(k._index[e] for e in sorted(j))
-        key = (frame.table.tobytes(), pos, k.table.tobytes(), kpos)
+    def restriction_agrees(self, m, k, j):
+        """Whether m and k agree on every subset of j, matched element by
+        element in sorted order."""
+        ids = sorted(j)
+        mpos = tuple(m._index[e] for e in ids)
+        kpos = tuple(k._index[e] for e in ids)
+        key = (m.table.tobytes(), mpos, k.table.tobytes(), kpos)
         if key not in self.restrictions:
-            mine = frame.table[kernels.MaskMap(len(frame.elements), pos).scatter]
+            mine = m.table[kernels.MaskMap(m.size, mpos).scatter]
             theirs = k.table[kernels.MaskMap(k.size, kpos).scatter]
             self.restrictions[key] = bool(np.array_equal(mine, theirs))
         return self.restrictions[key]
-
-    def glue_frame(self, k, d):
-        """frame(v) once the child restrictions agree with K, else None
-        when it breaks the rank axioms (see ``_glue_frame``)."""
-        key = (k.table.tobytes(), k.mask_of(d))
-        if key not in self.glue_tables:
-            self.glue_tables[key] = _glue_frame(k, key[1])
-        table = self.glue_tables[key]
-        if table is None:
-            return None
-        return _Frame(tuple(e for e in k.elements if e not in d), table)
 
 
 def _semiflat(k, j):
@@ -484,18 +454,3 @@ def _semiflat(k, j):
         return is_modular_semiflat(k, j), None
     except DomainError as exc:
         return False, str(exc)
-
-
-def _glue_frame(k, d):
-    """Rank table of M(v) restricted to E(K) - D, or None if not a matroid.
-
-    Once M_i|J_i = K|J_i, the parallel-connection rank formula over E(K)
-    reduces to K's own ranks: what child i adds to X, cl_{M_i}(X & J_i)
-    & J_i, lies inside cl_K(X) and changes no rank.  So the frame is K
-    with the K-mask d deleted.
-    """
-    keep = [i for i in range(k.size) if not d >> i & 1]
-    table = k.table[kernels.MaskMap(k.size, keep).scatter]
-    if kernels.check_rank_axioms(table, len(keep))[0]:
-        return None
-    return table

@@ -272,6 +272,30 @@ def test_tutte_matroid_alone_uses_brute_force(corpus_dir, capsys):
     assert "--dp needs a decomposition file" in capsys.readouterr().err
 
 
+def test_unnamed_cross_check_only_within_its_cap(tmp_path, corpus_dir, capsys):
+    # a 40-triangle chain realizes a 42-element circuit, past the brute-force
+    # and naive caps: with no engine named the DP answers alone, while a
+    # named oracle still exits 2
+    path = _write(tmp_path / "chain.json", files.decomposition_to_obj(zoo.triangle_chain(40)))
+    formula = str(corpus_dir / "formulas" / "hamiltonian.mso")
+    assert cli.main(["tutte", "--dp", "-d", path]) == 0
+    dp = capsys.readouterr().out
+    assert cli.main(["tutte", "-d", path]) == 0
+    assert capsys.readouterr().out == dp
+    assert cli.main(["mso", "-f", formula, "-d", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["result"], out["engines"]) == ("ACCEPT", ["dp"])
+    for argv in (
+        ["tutte", "--brute", "-d", path],
+        ["mso", "--engine", "naive", "-f", formula, "-d", path],
+        ["mso", "--engine", "both", "-f", formula, "-d", path],
+    ):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the brute-force cap" in captured.err
+
+
 def test_nice_deeper_than_recursion_limit(tmp_path, capsys):
     tree = zoo.triangle_chain(sys.getrecursionlimit() + 100)
     path = _write(tmp_path / "chain.json", files.decomposition_to_obj(tree))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from amwidth import decomposition, zoo
+from amwidth import zoo
 from amwidth.decomposition import AmalgamDecomposition, DecompositionNode
 from amwidth.errors import ResourceError, ValidationError
 from amwidth.matroid import Matroid, two_sum
@@ -235,9 +235,9 @@ def test_repeated_non_semiflat_reported_at_each_node():
 
 
 def test_shared_frame_checked_at_each_boundary_position():
-    # the two lower triangle nodes share a shape, so their frames are the
-    # same table; the upper nodes read it at different positions: {1}, a
-    # point, on the left and {13}, a loop of the frame, on the right
+    # the two lower triangle nodes share a shape, so their K is the same
+    # table; the upper nodes read it at different positions: {1}, a point,
+    # on the left and {13}, a loop of that K, on the right
     def build(tb, o):
         lower = tb.glue(
             tb.leaf(Matroid.single(o + 1)),
@@ -272,20 +272,21 @@ def test_same_table_other_deletions_get_own_frames():
     assert tutte_decomposition(tree) == tutte_bruteforce(tree.realize())
 
 
-def test_glue_frames_are_realized_restrictions(corpus_decompositions):
-    # frame(v) is M(v) restricted to E(K(v)) - D(v), here against realize
+def test_glue_matroids_agree_with_realization(corpus_decompositions):
+    # validation reads ranks off the glue matroids: M(v) restricted to
+    # E(K) - D is K with D deleted, and an anchored child's K agrees with
+    # M(c) on its parent boundary; here against realize
     for name, tree in corpus_decompositions.items():
         if len(tree.ground()) > 12:
             continue
         for v in tree.postorder():
             node = tree.nodes[v]
-            if node.is_leaf:
-                continue
-            k = node.K
-            table = decomposition._glue_frame(k, k.mask_of(node.D))
-            kept = [e for e in k.elements if e not in node.D]
-            want = tree.realize(v).restrict(kept)
-            assert Matroid(kept, table).rank_equal(want), (name, v)
+            m = tree.realize(v)
+            kept = node.K.ground_set - node.D
+            assert node.K.delete(node.D).rank_equal(m.restrict(kept)), (name, v)
+            j = tree.boundary(v)
+            if j <= node.K.ground_set:
+                assert node.K.restrict(j).rank_equal(m.restrict(j)), (name, v)
 
 
 def test_same_table_other_deletions_read_at_same_positions():
@@ -327,6 +328,26 @@ def test_glue_broken_when_k_minus_d_is_no_matroid():
     )
     report = tree.validate()
     assert [(v.node, v.code) for v in report.violations] == [("r", "glue-broken")]
+
+
+def test_glue_broken_when_k_breaks_the_axioms_inside_d():
+    # K is free on {1, 2} but r({3}) = 2; 3 is deleted, so K \ D is a
+    # matroid and only K itself shows the fault
+    k = Matroid([1, 2, 3], [0, 1, 1, 2, 2, 2, 2, 2])
+    tb = zoo.TreeBuilder()
+    top = tb.glue(tb.leaf(Matroid.single(1)), tb.leaf(Matroid.single(2)), k, [3])
+    report = tb.done(top).validate()
+    assert [(v.node, v.code) for v in report.violations] == [(top, "glue-broken")]
+
+
+def test_glue_broken_at_a_leaf():
+    # a leaf of one element with rank 2, under an empty glue matroid
+    tb = zoo.TreeBuilder()
+    bad = tb.leaf(Matroid([5], [0, 2]))
+    tree = tb.done(tb.glue(bad, tb.leaf(Matroid.single(6)), Matroid.empty()))
+    assert str(tree.validate()) == (
+        f"invalid, width 1\n[{bad}] glue-broken: glue at this node is not a matroid"
+    )
 
 
 def test_unverifiable_restriction_past_the_cap(monkeypatch):

@@ -1,4 +1,4 @@
-"""Nodes of one shape share a join context, memos and validation frames.
+"""Nodes of one shape share a join context, memos and validation verdicts.
 
 A node's shape is its glue matroid's rank table with the K-positions of
 J1, J2, the parent boundary and D.  Trees that repeat shapes, or nearly
@@ -12,7 +12,7 @@ from itertools import permutations
 
 import pytest
 
-from amwidth import decomposition, zoo
+from amwidth import kernels, zoo
 from amwidth.config import NAIVE_MSO_CAP
 from amwidth.matroid import Matroid
 from amwidth.mso.compiled import eval_decomposition
@@ -154,22 +154,22 @@ def test_same_table_other_sides(corpus_formulas):
     _assert_compiled_matches_naive(tree, corpus_formulas, 5)
 
 
-def test_one_context_and_frame_per_shape(monkeypatch):
+def test_one_context_and_axiom_check_per_shape(monkeypatch):
     contexts = []
-    frames = []
+    axiom_checks = []
     build_context = JoinContext.__init__
-    build_frame = decomposition._glue_frame
+    check_axioms = kernels.check_rank_axioms
 
     def counted_context(ctx, shape):
         contexts.append(shape)
         build_context(ctx, shape)
 
-    def counted_frame(*args):
-        frames.append(args)
-        return build_frame(*args)
+    def counted_check(table, n):
+        axiom_checks.append(n)
+        return check_axioms(table, n)
 
     monkeypatch.setattr(JoinContext, "__init__", counted_context)
-    monkeypatch.setattr(decomposition, "_glue_frame", counted_frame)
+    monkeypatch.setattr(kernels, "check_rank_axioms", counted_check)
     tree = zoo.triangle_chain(300)
     assert tutte_decomposition(tree).coeff_dict() == _cycle_polynomial(302)
     assert len(tree.nodes) == 601
@@ -178,4 +178,5 @@ def test_one_context_and_frame_per_shape(monkeypatch):
     joins, leaves = _split_by_children(contexts)
     assert len(leaves) == 1
     assert 1 <= len(joins) <= 3
-    assert 1 <= len(frames) <= 3
+    # one rank-axiom check per distinct glue table: the leaves' and the triangles'
+    assert sorted(axiom_checks) == [1, 3]
