@@ -235,7 +235,9 @@ def _cmd_mso(args):
     tree = None
     if args.decomposition:
         tree = files.load_decomposition(args.decomposition)
-    engine = args.engine or "both"
+    # with no engine named, run every engine the inputs allow; a states
+    # dump asks for the DP
+    engine = args.engine or ("both" if tree is not None or args.dump_states else "naive")
     if engine in ("naive", "both"):
         m = files.load_matroid(args.matroid) if args.matroid else None
         if m is None and tree is None:
@@ -341,7 +343,7 @@ def _build_parser():
     p.add_argument(
         "--engine",
         choices=("naive", "dp", "both"),
-        help="default: both, naive only when its cap admits the input",
+        help="default: every engine the inputs allow, naive only when its cap admits the input",
     )
     p.add_argument("--dump-states", metavar="FILE")
     common(p)

@@ -22,8 +22,6 @@ applies to.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
 
 # glue_violations is not called here: benchmarks/tracing.py patches it
@@ -31,7 +29,7 @@ from . import kernels
 from .amalgam import glue, glue_violations, is_modular_semiflat
 from .config import REALIZE_CAP, table_cap
 from .errors import DomainError, ResourceError, ValidationError
-from .matroid import Matroid
+from .matroid import Matroid, restrictions_equal
 
 __all__ = [
     "DecompositionNode",
@@ -443,9 +441,7 @@ class _ShapeChecks:
         kpos = tuple(k._index[e] for e in ids)
         key = (m.table.tobytes(), mpos, k.table.tobytes(), kpos)
         if key not in self.restrictions:
-            mine = m.table[kernels.MaskMap(m.size, mpos).scatter]
-            theirs = k.table[kernels.MaskMap(k.size, kpos).scatter]
-            self.restrictions[key] = bool(np.array_equal(mine, theirs))
+            self.restrictions[key] = restrictions_equal(m, k, ids)
         return self.restrictions[key]
 
 

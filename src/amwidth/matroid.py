@@ -327,10 +327,9 @@ class Matroid:
 
     def rank_equal(self, other):
         """Label-sensitive equality: same ground set, same rank on every subset."""
-        if self.ground_set != other.ground_set:
-            return False
-        trans = kernels.MaskMap.of(self._index, other.elements).scatter
-        return bool(np.array_equal(other._tbl, self._tbl[trans]))
+        return self.ground_set == other.ground_set and restrictions_equal(
+            self, other, other.elements
+        )
 
     def __repr__(self):
         return f"Matroid(n={len(self.elements)}, r={self.rank() if self.elements else 0})"

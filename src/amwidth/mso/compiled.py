@@ -89,10 +89,16 @@ class _Run:
         self._shapes = {}  # JoinContext -> _Shape
 
     def _key_views(self, f):
-        names = sorted(F.free_variables(f))
-        self._keys[id(f)] = itemgetter(*names) if names else _no_views
-        for child in _children(f):
-            self._key_views(child)
+        """Record the view key of f and of each of its subformulas, bottom
+        up; return the free variables of f."""
+        names, subs, binds = F.parts(f)
+        free = {name for name, _ in names}
+        for g in subs:
+            free |= self._key_views(g)
+        free.difference_update(binds)
+        key = sorted(free)
+        self._keys[id(f)] = itemgetter(*key) if key else _no_views
+        return free
 
     def _viewkey(self, f, views):
         return self._keys[id(f)](views)
@@ -318,16 +324,6 @@ class _Run:
                     return True
             return False
         raise DomainError(f"not a core formula node: {f!r}")
-
-
-def _children(f):
-    if isinstance(f, F.Not):
-        return (f.inner,)
-    if isinstance(f, F.Or):
-        return (f.left, f.right)
-    if isinstance(f, F.Exists):
-        return (f.inner,)
-    return ()
 
 
 def _no_views(views):

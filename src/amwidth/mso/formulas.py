@@ -6,6 +6,13 @@ terms built from a set variable by removing or adding single elements,
 which is what the circuit/base/independence idioms need.  ``desugar``
 lowers a formula to the compiled evaluator's core: atoms, disjunction,
 negation, and existential quantifiers.
+
+The table ``_FIELDS`` is the one place that knows which fields of each
+node kind hold element names, set terms, subformulas and the bound
+variable.  ``parts`` reads it, and every walk that needs only a node's
+shape (free variables, kind checks, the names in use) recurses over
+``parts``; the functions that give each kind its meaning (``to_text``,
+``desugar`` and the evaluators) name the kinds themselves.
 """
 
 from dataclasses import dataclass
@@ -29,6 +36,7 @@ __all__ = [
     "Exists",
     "Forall",
     "is_set_name",
+    "parts",
     "free_variables",
     "to_text",
     "desugar",
@@ -136,86 +144,64 @@ class Forall:
     inner: object
 
 
-def _term_vars(term, acc):
-    if isinstance(term, Var):
-        acc.add(term.name)
-    elif isinstance(term, (Remove, Add)):
-        acc.add(term.elem)
-        _term_vars(term.term, acc)
-    else:
-        raise DomainError(f"not a set term: {term!r}")
+# node class -> the fields that hold (element names, set terms, subformulas,
+# the variable it binds); the one place that knows each kind's fields
+_FIELDS = {
+    ElemEq: (("left", "right"), (), (), ()),
+    SetEq: ((), ("left", "right"), (), ()),
+    Member: (("elem",), ("term",), (), ()),
+    InClosure: (("elem",), ("term",), (), ()),
+    ClosureEq: ((), ("left", "right"), (), ()),
+    Indep: ((), ("term",), (), ()),
+    Not: ((), (), ("inner",), ()),
+    And: ((), (), ("left", "right"), ()),
+    Or: ((), (), ("left", "right"), ()),
+    Implies: ((), (), ("left", "right"), ()),
+    Exists: ((), (), ("inner",), ("var",)),
+    Forall: ((), (), ("inner",), ("var",)),
+}
+
+
+def parts(f):
+    """What a formula node holds: the variable names it uses outside its
+    subformulas, each paired with whether it sits in a set position (a
+    term gives its removed or added elements, outermost first, then its
+    set variable); its subformulas; the names it binds."""
+    fields = _FIELDS.get(type(f))
+    if fields is None:
+        raise DomainError(f"not a formula node: {f!r}")
+    elems, terms, subs, binds = fields
+    names = [(getattr(f, a), False) for a in elems]
+    for a in terms:
+        t = getattr(f, a)
+        while isinstance(t, (Remove, Add)):
+            names.append((t.elem, False))
+            t = t.term
+        if not isinstance(t, Var):
+            raise DomainError(f"not a set term: {t!r}")
+        names.append((t.name, True))
+    return names, [getattr(f, a) for a in subs], [getattr(f, a) for a in binds]
 
 
 def free_variables(formula):
     """Free variable names of the formula."""
-    out = set()
-
-    def walk(f, bound):
-        if isinstance(f, ElemEq):
-            out.update({f.left, f.right} - bound)
-        elif isinstance(f, (SetEq, ClosureEq)):
-            acc = set()
-            _term_vars(f.left, acc)
-            _term_vars(f.right, acc)
-            out.update(acc - bound)
-        elif isinstance(f, (Member, InClosure)):
-            acc = {f.elem}
-            _term_vars(f.term, acc)
-            out.update(acc - bound)
-        elif isinstance(f, Indep):
-            acc = set()
-            _term_vars(f.term, acc)
-            out.update(acc - bound)
-        elif isinstance(f, Not):
-            walk(f.inner, bound)
-        elif isinstance(f, (And, Or, Implies)):
-            walk(f.left, bound)
-            walk(f.right, bound)
-        elif isinstance(f, (Exists, Forall)):
-            walk(f.inner, bound | {f.var})
-        else:
-            raise DomainError(f"not a formula node: {f!r}")
-
-    walk(formula, set())
-    return out
+    names, subs, binds = parts(formula)
+    out = {name for name, _ in names}
+    for g in subs:
+        out |= free_variables(g)
+    return out.difference(binds)
 
 
 def check_kinds(formula):
     """Reject element variables in set positions and vice versa."""
-
-    def term(t, want_set=True):
-        if isinstance(t, Var):
-            if is_set_name(t.name) != want_set:
-                kind = "set" if want_set else "element"
-                raise DomainError(f"variable {t.name!r} used as a {kind} variable")
-        elif isinstance(t, (Remove, Add)):
-            if is_set_name(t.elem):
-                raise DomainError(f"set variable {t.elem!r} used as an element")
-            term(t.term, want_set=True)
-
-    def walk(f):
-        if isinstance(f, ElemEq):
-            for v in (f.left, f.right):
-                if is_set_name(v):
-                    raise DomainError(f"set variable {v!r} used as an element")
-        elif isinstance(f, (SetEq, ClosureEq)):
-            term(f.left)
-            term(f.right)
-        elif isinstance(f, (Member, InClosure)):
-            if is_set_name(f.elem):
-                raise DomainError(f"set variable {f.elem!r} used as an element")
-            term(f.term)
-        elif isinstance(f, Indep):
-            term(f.term)
-        elif isinstance(f, Not):
-            walk(f.inner)
-        elif isinstance(f, (And, Or, Implies)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, (Exists, Forall)):
-            walk(f.inner)
-
-    walk(formula)
+    names, subs, _ = parts(formula)
+    for name, in_set in names:
+        if is_set_name(name) != in_set:
+            if in_set:
+                raise DomainError(f"variable {name!r} used as a set variable")
+            raise DomainError(f"set variable {name!r} used as an element")
+    for g in subs:
+        check_kinds(g)
     return formula
 
 
@@ -265,37 +251,11 @@ def _fresh_name(used, base="w"):
 
 def _all_names(f):
     """All variable names occurring in f, bound ones included."""
-    names = set()
-
-    def term(t):
-        if isinstance(t, Var):
-            names.add(t.name)
-        elif isinstance(t, (Remove, Add)):
-            names.add(t.elem)
-            term(t.term)
-
-    def walk(g):
-        if isinstance(g, ElemEq):
-            names.update((g.left, g.right))
-        elif isinstance(g, (SetEq, ClosureEq)):
-            term(g.left)
-            term(g.right)
-        elif isinstance(g, (Member, InClosure)):
-            names.add(g.elem)
-            term(g.term)
-        elif isinstance(g, Indep):
-            term(g.term)
-        elif isinstance(g, Not):
-            walk(g.inner)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Exists, Forall)):
-            names.add(g.var)
-            walk(g.inner)
-
-    walk(f)
-    return names
+    names, subs, binds = parts(f)
+    out = {name for name, _ in names}.union(binds)
+    for g in subs:
+        out |= _all_names(g)
+    return out
 
 
 def desugar(formula):

@@ -12,7 +12,7 @@ from ..errors import DomainError
 from ..files import _int
 from . import formulas as F
 
-__all__ = ["eval_naive", "Assignment", "check_assignment"]
+__all__ = ["eval_naive", "check_assignment"]
 
 
 def _subsets(ground):
@@ -20,10 +20,6 @@ def _subsets(ground):
     return chain.from_iterable(
         combinations(items, r) for r in range(len(items) + 1)
     )
-
-
-class Assignment(dict):
-    """Variable name -> element id or frozenset of element ids."""
 
 
 def check_assignment(ground, formula, assignment):

@@ -51,8 +51,7 @@ def tokenize(text):
             i += 1
             continue
         if ch in _UNICODE:
-            word = _UNICODE[ch]
-            tokens.append((word if word in _KEYWORDS else word, i))
+            tokens.append((_UNICODE[ch], i))
             i += 1
             continue
         if text.startswith("->", i):
@@ -147,7 +146,7 @@ class _Parser:
 
     def variable(self):
         tok = self.peek()
-        if tok is None or not (tok[0].isalpha() or tok[0] == "_") or tok in _KEYWORDS:
+        if not _is_name(tok):
             self.fail(f"expected a variable name, found {tok!r}")
         return self.take()
 
@@ -246,21 +245,27 @@ class _Parser:
 
     # -- macros ------------------------------------------------------------
 
-    def _fresh(self, base):
-        return f"{base}_{self.pos}"
+    def _fresh(self, term):
+        """An element name for a macro to bind over ``term``: ``e_<token
+        position>``, lengthened until the term does not use it."""
+        used = {name for name, _ in F.parts(F.Indep(term))[0]}
+        name = f"e_{self.pos}"
+        while name in used:
+            name += "_"
+        return name
 
     def _indep(self, term):
         return F.Indep(term)
 
     def _is_circuit(self, term):
-        e = self._fresh("e")
+        e = self._fresh(term)
         return F.And(
             F.Not(F.Indep(term)),
             F.Forall(e, F.Implies(F.Member(e, term), F.Indep(F.Remove(term, e)))),
         )
 
     def _is_base(self, term):
-        e = self._fresh("e")
+        e = self._fresh(term)
         return F.And(
             F.Indep(term),
             F.Forall(
@@ -270,7 +275,7 @@ class _Parser:
         )
 
     def _spanning(self, term):
-        e = self._fresh("e")
+        e = self._fresh(term)
         return F.Forall(e, F.InClosure(e, term))
 
 

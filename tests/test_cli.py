@@ -272,6 +272,24 @@ def test_tutte_matroid_alone_uses_brute_force(corpus_dir, capsys):
     assert "--dp needs a decomposition file" in capsys.readouterr().err
 
 
+def test_mso_matroid_alone_uses_naive(tmp_path, corpus_dir, capsys):
+    path = str(corpus_dir / "matroids" / "k3.json")
+    formula = str(corpus_dir / "formulas" / "hamiltonian.mso")
+    assert cli.main(["mso", "--engine", "naive", "-f", formula, "-m", path]) == 0
+    naive = capsys.readouterr().out
+    assert json.loads(naive)["engines"] == ["naive"]
+    assert cli.main(["mso", "-f", formula, "-m", path]) == 0
+    assert capsys.readouterr().out == naive
+    # naming the DP or its states dump still needs a decomposition, and
+    # some input is needed
+    for extra in (["--engine", "dp"], ["--dump-states", str(tmp_path / "states.json")]):
+        assert cli.main(["mso", "-f", formula, "-m", path] + extra) == 3
+        assert "--engine dp needs a decomposition file" in capsys.readouterr().err
+    assert not (tmp_path / "states.json").exists()
+    assert cli.main(["mso", "-f", formula]) == 3
+    assert "mso needs --matroid or --decomposition" in capsys.readouterr().err
+
+
 def test_unnamed_cross_check_only_within_its_cap(tmp_path, corpus_dir, capsys):
     # a 40-triangle chain realizes a 42-element circuit, past the brute-force
     # and naive caps: with no engine named the DP answers alone, while a

@@ -2,8 +2,11 @@
 
 import pytest
 
+from amwidth import files
 from amwidth.errors import DomainError, FormulaSyntaxError
 from amwidth.mso import formulas as F
+from amwidth.mso.compiled import eval_decomposition
+from amwidth.mso.naive import eval_naive
 from amwidth.mso.parser import parse, tokenize
 
 
@@ -69,6 +72,24 @@ def test_macro_expansion_text():
     )
 
 
+def test_macro_variable_avoids_the_terms_names(corpus_dir, k3):
+    # the macro would bind e_8 here, which the term already uses freely
+    assert F.to_text(parse("is_base(X1 + {e_8})")) == (
+        r"(indep(X1 + {e_8}) & (forall e_8_ ((!(e_8_ in X1 + {e_8})"
+        r" -> !(indep(X1 + {e_8} + {e_8_}))))))"
+    )
+    assert F.to_text(parse("spanning(X + {e_12} + {e_12_})")) == (
+        "(forall e_12__ (e_12__ in cl(X + {e_12} + {e_12_})))"
+    )
+    tree = files.load_decomposition(corpus_dir / "decompositions" / "k3-node.json")
+    for name in ("e", "e_8"):
+        # {1} is not a base of the triangle
+        formula = parse(f"is_base(X1 + {{{name}}})")
+        assignment = {"X1": [], name: 1}
+        assert not eval_naive(k3, formula, assignment), name
+        assert not eval_decomposition(tree, formula, assignment), name
+
+
 def test_roundtrip(corpus_formulas):
     for name, text in corpus_formulas.items():
         ast = parse(text)
@@ -128,3 +149,69 @@ def test_desugar_core_only():
             check(child)
 
     check(core)
+
+
+_E = "set variable 'E' used as an element"
+_Y = "variable 'y' used as a set variable"
+_MEMBER = F.Member("x", F.Var("X"))
+
+
+# every node kind and term shape built in code: a well-kinded node, its free
+# variables, and a misuse of one of its positions with check_kinds' message
+_KINDS = [
+    (F.ElemEq("x", "z"), {"x", "z"}, F.ElemEq("x", "E"), _E),
+    (F.SetEq(F.Var("X"), F.Var("Z")), {"X", "Z"}, F.SetEq(F.Var("X"), F.Var("y")), _Y),
+    (F.Member("x", F.Var("X")), {"x", "X"}, F.Member("E", F.Var("X")), _E),
+    (F.InClosure("x", F.Var("X")), {"x", "X"}, F.InClosure("x", F.Var("y")), _Y),
+    (
+        F.ClosureEq(F.Var("X"), F.Remove(F.Var("Z"), "z")),
+        {"X", "Z", "z"},
+        F.ClosureEq(F.Var("X"), F.Remove(F.Var("Z"), "E")),
+        _E,
+    ),
+    (F.Indep(F.Add(F.Var("X"), "x")), {"X", "x"}, F.Indep(F.Add(F.Var("y"), "x")), _Y),
+    (F.Not(_MEMBER), {"x", "X"}, F.Not(F.Indep(F.Var("y"))), _Y),
+    (
+        F.And(_MEMBER, F.ElemEq("z", "x")),
+        {"x", "X", "z"},
+        F.And(_MEMBER, F.ElemEq("z", "E")),
+        _E,
+    ),
+    (F.Or(F.Indep(F.Var("Z")), _MEMBER), {"Z", "x", "X"}, F.Or(_MEMBER, F.Indep(F.Var("y"))), _Y),
+    (
+        F.Implies(_MEMBER, F.Indep(F.Remove(F.Add(F.Var("Z"), "z"), "x"))),
+        {"x", "X", "Z", "z"},
+        F.Implies(_MEMBER, F.Indep(F.Remove(F.Add(F.Var("Z"), "E"), "x"))),
+        _E,
+    ),
+    (F.Exists("x", _MEMBER), {"X"}, F.Exists("x", F.Member("x", F.Var("y"))), _Y),
+    (
+        F.Forall("X", F.And(_MEMBER, F.Indep(F.Var("X")))),
+        {"x"},
+        F.Forall("X", F.Member("E", F.Var("X"))),
+        _E,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "good,free,bad,message", _KINDS, ids=[type(good).__name__ for good, *_ in _KINDS]
+)
+def test_node_kinds_built_in_code(good, free, bad, message):
+    assert F.free_variables(good) == free
+    assert F.check_kinds(good) is good
+    assert parse(F.to_text(good)) == good
+    with pytest.raises(DomainError) as err:
+        F.check_kinds(bad)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "node",
+    [F.Var("X"), "x", None, F.Indep(F.ElemEq("x", "z")), F.Not(F.Remove(F.Var("X"), "x"))],
+    ids=["term", "str", "None", "formula-as-term", "term-as-subformula"],
+)
+def test_non_formula_objects_rejected(node):
+    for walk in (F.free_variables, F.check_kinds):
+        with pytest.raises(DomainError):
+            walk(node)
