@@ -142,8 +142,9 @@ def _cmd_tutte(args):
     # with neither engine named, run every engine the inputs allow
     want_brute = args.brute or not args.dp
     want_dp = args.dp or (not args.brute and tree is not None)
+    if args.dump_types and not want_dp:
+        raise _Usage("--dump-types needs the DP engine and a decomposition file")
     results = {}
-    tables = None
     if want_dp:
         if tree is None:
             raise _Usage("--dp needs a decomposition file")
@@ -181,7 +182,7 @@ def _cmd_tutte(args):
             "y": str(y),
             "value": str(value),
         }
-    if args.dump_types and tables is not None:
+    if args.dump_types:
         prepared = tree.prepared()  # the tree the tables were computed on
         dump = {}
         for nid, table in tables.items():

@@ -3,15 +3,18 @@
 The type of a node v with respect to a tracked set X maps each boundary
 subset Y to the boundary part of cl((X restricted to the subtree) + Y);
 it is exactly what a parent needs to know about a subtree when resolving
-closures.  Extended types add the tracked set's boundary trace and, for
-each Y, the rank increment of the restricted tracked set when Y joins it.
-The join computes the parent's signature from the children's without
-realizing anything; ``type_of``/``extended_type_of`` recompute the same
-data on the realized matroid, through the direct computation
-``_signature(m, side, x)``, and serve as the oracle in tests.  A
-``_Side`` is the ``kernels.MaskMap`` of a boundary inside a matroid's
-positions, its gather/scatter tables held as lists for the join's scalar
-lookups.
+closures.  Extended types add the tracked set's boundary trace.  The
+rank increment of the restricted tracked set X' when Y joins it is read
+off the closure map: adding the top element t of Y to Y - t raises the
+rank of X' + Y - t exactly when t is outside its closure, so
+offsets[Y] = offsets[Y - t] + (0 if t in fmap[Y - t] else 1) for any
+matroid.  The join computes the parent's type by closure fixed points,
+and one rank query gives the rank increment of the combination; nothing
+is realized.  ``type_of``/``extended_type_of`` recompute the types on the
+realized matroid, through the direct computation ``_signature(m, side,
+x)``, and serve as the oracle in tests.  A ``_Side`` is a boundary's
+sub-order of K's positions, its gather/scatter tables built as lists by
+doubling for the join's scalar lookups.
 
 Types hold no element ids: a boundary subset is a mask over the sorted
 boundary.  A node's *shape* is its glue matroid's rank table, the
@@ -40,7 +43,7 @@ results (the empty subtree's at a leaf) and frees each child's result
 once the parent has used it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -73,13 +76,26 @@ class NodeType:
 
 @dataclass(frozen=True)
 class ExtendedType:
+    """A node type and the tracked set's boundary trace.  ``offsets`` is
+    read off ``base`` when built (see the module doc), so it takes no part
+    in equality or hashing."""
+
     base: NodeType
     trace: int  # tracked set's boundary mask
-    offsets: tuple  # offsets[Ymask] = r(X' + Y) - r(X')
+    offsets: tuple = field(init=False, compare=False)  # [Ymask] = r(X' + Y) - r(X')
+
+    def __post_init__(self):
+        fmap = self.base.fmap
+        offsets = [0]
+        bit = 1
+        while bit < len(fmap):
+            offsets += [o + (not fmap[y] & bit) for y, o in enumerate(offsets)]
+            bit <<= 1
+        object.__setattr__(self, "offsets", tuple(offsets))
 
 
 # the signature of an empty subtree: empty boundary, empty tracked set
-EMPTY = ExtendedType(NodeType((0,)), 0, (0,))
+EMPTY = ExtendedType(NodeType((0,)), 0)
 
 
 def type_of(tree, nid, tracked):
@@ -88,7 +104,7 @@ def type_of(tree, nid, tracked):
 
 
 def extended_type_of(tree, nid, tracked):
-    """Oracle: extended type (type, trace, rank offsets) on the realized M(v)."""
+    """Oracle: extended type (type, trace) on the realized M(v)."""
     m = tree.realize(nid)
     side = _Side(m.size, _positions(m, tree.boundary(nid)))
     return _signature(m, side, m.mask_of(set(tracked) & m.ground_set))
@@ -96,10 +112,8 @@ def extended_type_of(tree, nid, tracked):
 
 def _signature(m, side, x):
     """Extended type of the mask x of matroid m over the boundary ``side``."""
-    r0 = m.rank_mask(x)
     fmap = tuple(side.gather[m.closure_mask(x | y)] for y in side.scatter)
-    offsets = tuple(m.rank_mask(x | y) - r0 for y in side.scatter)
-    return ExtendedType(NodeType(fmap), side.gather[x], offsets)
+    return ExtendedType(NodeType(fmap), side.gather[x])
 
 
 def _positions(k, ids):
@@ -125,26 +139,28 @@ def node_shape(k, j1, j2, j_parent, deletions=()):
     )
 
 
-def _submasks(mask):
-    """Every submask of ``mask``, built bit by bit from the lowest."""
+def _unions(bits):
+    """The union of every subset of ``bits`` in subset order: entry s is
+    the OR of bits[i] over the bits i of s.  Built by doubling."""
     out = [0]
-    bit = 1
-    while bit <= mask:
-        if mask & bit:
-            out += [m | bit for m in out]
-        bit <<= 1
+    for b in bits:
+        out += [m | b for m in out]
     return out
 
 
 class _Side:
-    """A ``kernels.MaskMap`` from a boundary into K, its tables as lists:
-    the scalar lookups of the join are slower on numpy scalars.  ``gather``
-    takes any K-mask and ignores the bits outside the boundary."""
+    """A boundary's sub-order of the n positions of K, as lists: the
+    scalar lookups of the join are slower on numpy scalars.  ``bits[i]``
+    is the K-bit of boundary element i, ``scatter[s]`` the K-mask of the
+    boundary sub-mask s, ``mask`` the whole boundary's, and ``gather``
+    takes any K-mask to its boundary sub-mask, ignoring the other bits."""
 
     def __init__(self, n, pos):
-        side = kernels.MaskMap(n, pos)
-        self.mask = side.mask
-        self.gather, self.scatter = side.gather.tolist(), side.scatter.tolist()
+        self.bits = [1 << p for p in pos]
+        self.scatter = _unions(self.bits)
+        self.mask = self.scatter[-1]
+        where = {p: i for i, p in enumerate(pos)}
+        self.gather = _unions([1 << where[p] if p in where else 0 for p in range(n)])
 
 
 class JoinContext:
@@ -166,46 +182,38 @@ class JoinContext:
         self.clk = kernels.closure_table(tk, n).tolist()
         self.tk = tk.tolist()
         self.fresh = (1 << n) - 1 & ~(self.side1.mask | self.side2.mask | self.dmask)
-        self.fresh_masks = _submasks(self.fresh)  # K-masks of the fresh subsets
+        # K-masks of the fresh subsets
+        self.fresh_masks = _unions([1 << p for p in range(n) if self.fresh >> p & 1])
         self._memo = {}
         self._fix_memo = {}
 
     # -- plumbing -----------------------------------------------------------
 
-    def _reflect(self, side, ntype, mask, shift=0):
-        """K-mask of f((mask | shift) & J) for a child's type map.
+    def _reflect(self, side, ntype, mask):
+        """K-mask of f(mask & J) for a child's type map; mask is a K-mask."""
+        return side.scatter[ntype.fmap[side.gather[mask]]]
 
-        Both mask and shift are K-masks; shift adds boundary seeds when
-        evaluating signatures of the tracked set extended by a Y.
-        """
-        return side.scatter[ntype.fmap[side.gather[mask | shift]]]
-
-    def _rank(self, e1, e2, xk, y1=0, y2=0):
+    def _rank(self, e1, e2, xk):
         """Rank of the tracked set inside M(v), minus r1 + r2.
 
-        xk is the tracked set's K-part (already including any extra Y);
-        y1/y2 are K-masks of boundary seeds added to the children's
-        tracked sets (used to evaluate parent offsets).  Offsets are
-        absolute, so shifted signatures reduce to shifted lookups.
+        xk is the tracked set's K-part; each child's rank increment is one
+        lookup in its offsets.
         """
         s1, s2 = self.side1, self.side2
         clk, tk = self.clk, self.tk
-        off1, off2 = e1.offsets, e2.offsets
-        f2_0 = self._reflect(s2, e2.base, 0, shift=y2)
+        f2_0 = self._reflect(s2, e2.base, 0)
         xk2 = xk | f2_0
         a1 = clk[xk2]
-        off1_arg = s1.gather[a1 | f2_0 | y1]
-        f1f20 = self._reflect(s1, e1.base, f2_0, shift=y1)
+        f1f20 = self._reflect(s1, e1.base, f2_0)
         w2k = f1f20 | xk2
         n1arg = (a1 & s1.mask) | f1f20
-        rp1_delta = tk[w2k] + off1[off1_arg] - tk[n1arg]
+        rp1_delta = tk[w2k] + e1.offsets[s1.gather[a1 | f2_0]] - tk[n1arg]
         # closure of the K-part in the first connection, restricted to J2
-        f1_0 = self._reflect(s1, e1.base, 0, shift=y1)
+        f1_0 = self._reflect(s1, e1.base, 0)
         a = clk[xk | f1_0]
-        b = self._reflect(s1, e1.base, (clk[xk] | xk) & s1.mask, shift=y1)
+        b = self._reflect(s1, e1.base, (clk[xk] | xk) & s1.mask)
         y2m = (a | b | xk) & s2.mask
-        off2_arg = s2.gather[y2m | y2]
-        return rp1_delta + off2[off2_arg] - tk[y2m | f2_0]
+        return rp1_delta + e2.offsets[s2.gather[y2m]] - tk[y2m | f2_0]
 
     def fixpoint(self, t1, t2, seed):
         z = seed
@@ -220,13 +228,19 @@ class JoinContext:
 
     def fixpoints(self, t1, t2, xk):
         """The closure fixed point seeded by xk and each parent-boundary
-        subset, in subset order; memoized per context."""
+        subset, in subset order; memoized per context.
+
+        A subset's point grows from that of the subset without its top
+        element t, as cl(A + t) = cl(cl(A) + t): it is that point itself
+        when the point holds t, else ``fixpoint`` from the point plus t.
+        """
         key = (t1, t2, xk)
         hit = self._fix_memo.get(key)
         if hit is None:
-            scatter = self.parent.scatter
-            hit = tuple(self.fixpoint(t1, t2, ym | xk) for ym in scatter)
-            self._fix_memo[key] = hit
+            out = [self.fixpoint(t1, t2, xk)]
+            for t in self.parent.bits:
+                out += [z if z & t else self.fixpoint(t1, t2, z | t) for z in out]
+            hit = self._fix_memo[key] = tuple(out)
         return hit
 
     # -- public joins -----------------------------------------------------
@@ -242,7 +256,8 @@ class JoinContext:
         ``fresh`` is a K-mask over E(K) - (J1 | J2).  Returns
         (ExtendedType, delta) with delta = r(X') - r1 - r2, or raises
         DomainError when the combination includes deleted elements or the
-        traces disagree on the shared boundary.
+        traces disagree on the shared boundary.  One rank query per new
+        combination: the parent's offsets are read off its type.
         """
         tr1 = self.side1.scatter[e1.trace]
         tr2 = self.side2.scatter[e2.trace]
@@ -256,15 +271,8 @@ class JoinContext:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        delta = self._rank(e1, e2, xk)
         base = self.join_types(e1.base, e2.base, xk)
-        trace = self.parent.gather[xk]
-        offsets = tuple(
-            self._rank(e1, e2, xk | ym, y1=ym & self.side1.mask, y2=ym & self.side2.mask)
-            - delta
-            for ym in self.parent.scatter
-        )
-        result = (ExtendedType(base, trace, offsets), delta)
+        result = (ExtendedType(base, self.parent.gather[xk]), self._rank(e1, e2, xk))
         self._memo[key] = result
         return result
 

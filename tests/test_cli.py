@@ -1,6 +1,8 @@
 """Command-line exit codes on malformed or oversized inputs."""
 
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -9,6 +11,7 @@ from amwidth import cli, files, linalg, zoo
 from amwidth.config import NAIVE_MSO_CAP, table_cap
 from amwidth.matroid import Matroid
 
+from conftest import ROOT
 from test_branch import caterpillar
 
 
@@ -270,6 +273,32 @@ def test_tutte_matroid_alone_uses_brute_force(corpus_dir, capsys):
     # naming the DP still needs a decomposition
     assert cli.main(["tutte", "--dp", "-m", path]) == 3
     assert "--dp needs a decomposition file" in capsys.readouterr().err
+
+
+def test_dump_types_needs_the_dp(tmp_path, corpus_dir, capsys):
+    # a types dump asks for the DP: without it the dump would be dropped
+    out = tmp_path / "types.json"
+    matroid = str(corpus_dir / "matroids" / "k3.json")
+    tree = str(corpus_dir / "decompositions" / "k3-node.json")
+    for argv in (["-m", matroid], ["--brute", "-d", tree]):
+        assert cli.main(["tutte", *argv, "--dump-types", str(out)]) == 3
+        assert "--dump-types needs the DP engine" in capsys.readouterr().err
+        assert not out.exists()
+    # with no engine named, a decomposition runs the DP and writes the dump
+    assert cli.main(["tutte", "-d", tree, "--dump-types", str(out)]) == 0
+    assert json.loads(out.read_text())
+
+
+def test_python_dash_m_runs_the_cli(corpus_dir):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    argv = ["tutte", "-m", str(corpus_dir / "matroids" / "k3.json")]
+    done = subprocess.run(
+        [sys.executable, "-m", "amwidth", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["text"] == "x^2 + x + y"
 
 
 def test_mso_matroid_alone_uses_naive(tmp_path, corpus_dir, capsys):

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from amwidth import zoo
+from amwidth import kernels, zoo
+from amwidth.branch import from_branch_decomposition
 from amwidth.errors import DomainError
 from amwidth.matroid import Matroid
 from amwidth.types_dp import (
     JoinContext,
     NodeType,
+    _Side,
     all_types,
     extended_type_of,
     leaf_signatures,
@@ -18,6 +20,7 @@ from amwidth.types_dp import (
 )
 
 import oracles
+from test_branch import caterpillar
 
 
 def twosum_tree():
@@ -38,6 +41,29 @@ def sweep_trees():
         "parallel6": zoo.parallel_elements_tree(6),
         "u24comb": zoo.comb(Matroid.uniform(2, [1, 2, 3, 4])),
     }
+
+
+def fano_width7_tree():
+    """An 8-element GF(2) rank-3 matroid converted at width 7: the glue
+    spans of this leaf order are Fano planes, so parent boundaries reach 3
+    or more elements and closures are nontrivial."""
+    cols = {
+        1: (1, 0, 0), 2: (0, 1, 0), 3: (1, 1, 0), 4: (0, 0, 1),
+        5: (1, 0, 1), 6: (1, 0, 0), 7: (0, 1, 1), 8: (1, 1, 1),
+    }
+    m = Matroid.from_linear(cols, 2)
+    return from_branch_decomposition(m, caterpillar([1, 4, 2, 6, 3, 5, 8, 7])).prepared()
+
+
+def test_side_tables_match_maskmap():
+    rng = random.Random(2)
+    for n in range(8):
+        for k in range(n + 1):
+            pos = rng.sample(range(n), k)
+            side, want = _Side(n, pos), kernels.MaskMap(n, pos)
+            assert side.scatter == want.scatter.tolist(), (n, pos)
+            assert side.gather == want.gather.tolist(), (n, pos)
+            assert side.mask == want.mask, (n, pos)
 
 
 def test_type_map_properties():
@@ -130,6 +156,45 @@ def test_extended_join_matches_oracle():
                     - m2.rank(tracked & m2.ground_set)
                 )
                 assert delta == want_delta, (name, v, tracked)
+
+
+def test_joined_offsets_and_fixpoints_match_realized_ranks():
+    # a joined signature reads its offsets off its closure map, and each
+    # parent subset's fixed point grows from a smaller subset's: check both
+    # against ranks on the realized M(v) and against one fixpoint per subset
+    trees = {**sweep_trees(), "fano7": fano_width7_tree()}
+    for name, tree in trees.items():
+        rng = random.Random(7)
+        widest = nontrivial = 0
+        for v in tree.postorder():
+            node = tree.nodes[v]
+            if node.is_leaf:
+                continue
+            c1, c2 = node.children
+            jp = sorted(tree.boundary(v))
+            ctx = JoinContext(node_shape(node.K, sorted(node.J1), sorted(node.J2), jp, node.D))
+            m = tree.realize(v)
+            pool = list(oracles.subsets(sorted(tree.ground(v))))
+            if len(pool) > 24:
+                pool = rng.sample(pool, 24)
+            for tracked in pool:
+                tracked = frozenset(tracked)
+                e1 = extended_type_of(tree, c1, tracked)
+                e2 = extended_type_of(tree, c2, tracked)
+                fresh = tracked & node.K.ground_set - node.J1 - node.J2
+                got, _ = ctx.extended_join(e1, e2, node.K.mask_of(fresh))
+                x = m.mask_of(tracked & m.ground_set)
+                for ymask, offset in enumerate(got.offsets):
+                    y = m.mask_of([e for i, e in enumerate(jp) if ymask >> i & 1])
+                    assert offset == m.rank_mask(x | y) - m.rank_mask(x), (name, v, tracked)
+                    nontrivial |= got.base.fmap[ymask] != ymask
+                xk = node.K.mask_of(tracked & node.K.ground_set)
+                t1, t2 = e1.base, e2.base
+                want = tuple(ctx.fixpoint(t1, t2, ym | xk) for ym in ctx.parent.scatter)
+                assert ctx.fixpoints(t1, t2, xk) == want, (name, v, tracked)
+            widest = max(widest, len(jp))
+        if name == "fano7":
+            assert widest >= 3 and nontrivial
 
 
 def test_extended_type_invariants():
