@@ -33,7 +33,7 @@ from .mso.compiled import eval_decomposition
 from .mso.naive import eval_naive
 from .mso.parser import parse as parse_formula
 from .tutte import TuttePolynomial, tutte_bruteforce, tutte_decomposition
-from .types_dp import ExtendedType, NodeType, extended_type_of, type_of
+from .types_dp import ExtendedType, extended_type_of, type_of
 
 __all__ = [
     "AmalgamDecomposition",
@@ -47,7 +47,6 @@ __all__ = [
     "GraphDescription",
     "LinearRep",
     "Matroid",
-    "NodeType",
     "NoProperAmalgamError",
     "ResourceError",
     "TuttePolynomial",

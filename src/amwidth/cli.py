@@ -193,7 +193,7 @@ def _cmd_tutte(args):
                 rows.append(
                     {
                         "boundary": boundary,
-                        "fmap": list(sig.base.fmap),
+                        "fmap": list(sig.base),
                         "trace": sig.trace,
                         "offsets": list(sig.offsets),
                         "counts": {f"{r},{s}": c for (r, s), c in sorted(cells.items())},

@@ -42,7 +42,8 @@ Two helpers carry every other subset-mask operation of the package:
   pos[i]).  ``scatter`` maps each sub-mask to its whole-set mask, so
   ``tbl[MaskMap(n, pos).scatter]`` is the rank table of the restriction
   in sub-order; ``gather`` maps each whole-set mask to the sub-mask of
-  the bits the sub-order holds.
+  the bits the sub-order holds.  ``translate_all_masks`` builds both
+  by doubling, in O(2^n) work.
 * ``fold(vals, op)`` is the zeta transform over the subset lattice
   (Yates' algorithm, as in Björklund-Husfeldt-Kaski-Koivisto, "Fourier
   meets Möbius: fast subset convolution", STOC 2007): in place, one
@@ -299,13 +300,15 @@ def check_rank_axioms(tbl, n):
 
 
 def translate_all_masks(n, bitmap):
-    """out[m] = mask with bit bitmap[b] set for every b in m with bitmap[b] >= 0."""
-    bitmap = np.asarray(bitmap, dtype=np.int64)
-    masks = np.arange(1 << n, dtype=np.int64)
+    """out[m] = mask with bit bitmap[b] set for every b in m with bitmap[b] >= 0;
+    out[2^b : 2^(b+1)] is out[:2^b] with that bit set (copied if none)."""
     out = np.zeros(1 << n, dtype=np.int64)
     for b in range(n):
+        low, high = out[: 1 << b], out[1 << b : 2 << b]
         if bitmap[b] >= 0:
-            out |= ((masks >> b) & 1) << bitmap[b]
+            np.bitwise_or(low, 1 << int(bitmap[b]), out=high)
+        else:
+            high[:] = low
     return out
 
 

@@ -152,7 +152,7 @@ class Matroid:
         return m
 
     @classmethod
-    def from_circuits(cls, elements, circs, names=None, validate=True):
+    def from_circuits(cls, elements, circs, names=None):
         """Matroid whose dependent sets are supersets of the given circuits."""
         elements = list(elements)
         check_cap(len(elements), "rank table")
@@ -167,10 +167,9 @@ class Matroid:
         dep = kernels.subset_any(flags, n)
         tbl = kernels.rank_table_from_independence(~dep)
         m = cls(elements, tbl, names=names)
-        if validate:
-            bad = m.rank_axiom_violation()
-            if bad is not None:
-                raise DomainError(f"circuits do not define a matroid: {bad}")
+        bad = m.rank_axiom_violation()
+        if bad is not None:
+            raise DomainError(f"circuits do not define a matroid: {bad}")
         return m
 
     @classmethod

@@ -34,9 +34,9 @@ of its part in K, an element as its bit in K (0 outside K) with where it
 sits (below child 1 or 2, fresh here, or not in the subtree).  So a
 transition depends only on the node's canonical shape, the children's
 states and the views of the subformula's free variables.  Each distinct
-state is interned once per run as an int that carries its size, and one
-memo per node shape, kept for the whole run, maps (subformula, child
-states, views) to the combined state.
+state is interned once per run as an int that carries its size, and the
+memo of each shape's ``JoinContext``, kept for the whole run, maps
+(subformula, child states, views) to the combined state.
 Along a chain of identical nodes the states settle after a few nodes,
 and every further node is a dict hit.
 
@@ -51,7 +51,7 @@ from operator import itemgetter
 
 from ..config import MSO_BUDGET
 from ..errors import CompilationBudgetError, DomainError
-from ..types_dp import EMPTY, NodeType, bottom_up
+from ..types_dp import EMPTY, bottom_up
 from . import formulas as F
 from .naive import check_assignment
 
@@ -61,17 +61,6 @@ __all__ = ["eval_decomposition", "eval_with_counts", "compiled_state_counts"]
 _U, _T, _F = 0, 1, 2
 # the placement of an element variable not placed in the subtree
 _OUT = -1
-
-
-class _Shape:
-    """A node shape for the whole run: its join context, the K-bits of its
-    fresh elements and its memo of combined states."""
-
-    def __init__(self, ctx):
-        self.ctx = ctx
-        self.fresh = ctx.fresh
-        self.fresh_bits = [1 << p for p in range(ctx.size) if ctx.fresh >> p & 1]
-        self.memo = {}
 
 
 class _Run:
@@ -86,7 +75,6 @@ class _Run:
         self._ids = {_U: _U, _T: _T, _F: _F}  # state -> interned id
         self._states = [_U, _T, _F]  # interned id -> state
         self._sizes = [1, 1, 1]  # interned id -> size
-        self._shapes = {}  # JoinContext -> _Shape
 
     def _key_views(self, f):
         """Record the view key of f and of each of its subformulas, bottom
@@ -122,7 +110,7 @@ class _Run:
             )
         return sid
 
-    def _views(self, view, fresh):
+    def _views(self, view):
         """The free variables as this node sees them (see the module doc)."""
         index = view.index
         views = {}
@@ -132,7 +120,7 @@ class _Run:
                 continue
             p = index.get(value)
             bit = 0 if p is None else 1 << p
-            where = "here" if bit & fresh else "out"
+            where = "here" if bit & view.ctx.fresh else "out"
             for side, child in zip(("c1", "c2"), view.node.children):
                 if value in self.tree.ground(child):
                     where = side
@@ -147,11 +135,7 @@ class _Run:
         return self._resolve(self.core, bottom_up(self.tree, empty, self._join))
 
     def _join(self, view, s1, s2):
-        shape = self._shapes.get(view.ctx)
-        if shape is None:
-            shape = self._shapes[view.ctx] = _Shape(view.ctx)
-        views = self._views(view, shape.fresh)
-        return self._charge(self._combine(self.core, shape, s1, s2, views))
+        return self._charge(self._combine(self.core, view.ctx, s1, s2, self._views(view)))
 
     # -- the empty subtree ----------------------------------------------------------
 
@@ -162,7 +146,7 @@ class _Run:
         if isinstance(f, F.SetEq):
             return _T
         if isinstance(f, F.InClosure):
-            return self._intern((EMPTY.base.fmap, None))
+            return self._intern((EMPTY.base, None))
         if isinstance(f, F.Indep):
             return self._intern((EMPTY, True))
         if isinstance(f, F.Not):
@@ -177,50 +161,49 @@ class _Run:
 
     # -- combination at a node ------------------------------------------------------
 
-    def _combine(self, f, shape, s1, s2, views):
+    def _combine(self, f, ctx, s1, s2, views):
         key = (id(f), s1, s2, self._viewkey(f, views))
-        sid = shape.memo.get(key)
+        sid = ctx.memo.get(key)
         if sid is None:
-            sid = shape.memo[key] = self._combine_raw(f, shape, s1, s2, views)
+            sid = ctx.memo[key] = self._combine_raw(f, ctx, s1, s2, views)
         return sid
 
-    def _combine_raw(self, f, shape, s1, s2, views):
+    def _combine_raw(self, f, ctx, s1, s2, views):
         if isinstance(f, F.Member):
             return self._member_state(_merge3(s1, s2), f, views)
         if isinstance(f, F.ElemEq):
             return self._elemeq_state(_merge3(s1, s2), f, views)
         if isinstance(f, F.SetEq):
             prev = _F if _F in (s1, s2) else _T
-            return self._seteq_state(prev, f, shape.fresh, views)
+            return self._seteq_state(prev, f, ctx.fresh, views)
         if isinstance(f, F.InClosure):
-            return self._closure_combine(f, shape, s1, s2, views)
+            return self._closure_combine(f, ctx, s1, s2, views)
         if isinstance(f, F.Indep):
             (sig1, ok1), (sig2, ok2) = self._states[s1], self._states[s2]
-            fresh = self._term_mask(f.term, views) & shape.fresh
-            sig, delta = shape.ctx.extended_join(sig1, sig2, fresh)
+            fresh = self._term_mask(f.term, views) & ctx.fresh
+            sig, delta = ctx.extended_join(sig1, sig2, fresh)
             return self._intern((sig, ok1 and ok2 and delta == fresh.bit_count()))
         if isinstance(f, F.Not):
-            return self._combine(f.inner, shape, s1, s2, views)
+            return self._combine(f.inner, ctx, s1, s2, views)
         if isinstance(f, F.Or):
             (l1, r1), (l2, r2) = self._states[s1], self._states[s2]
-            a = self._combine(f.left, shape, l1, l2, views)
-            b = self._combine(f.right, shape, r1, r2, views)
+            a = self._combine(f.left, ctx, l1, l2, views)
+            b = self._combine(f.right, ctx, r1, r2, views)
             return self._intern((a, b), self._sizes[a] + self._sizes[b])
         if isinstance(f, F.Exists):
             return self._exists_state(
                 {
-                    (comp, self._combine(f.inner, shape, a1, a2, {**views, f.var: view}))
+                    (comp, self._combine(f.inner, ctx, a1, a2, {**views, f.var: view}))
                     for c1, a1 in self._states[s1]
                     for c2, a2 in self._states[s2]
-                    for comp, view in self._choices(f.var, shape, c1, c2)
+                    for comp, view in self._choices(f.var, ctx, c1, c2)
                 }
             )
         raise DomainError(f"not a core formula node: {f!r}")
 
-    def _choices(self, var, shape, c1, c2):
+    def _choices(self, var, ctx, c1, c2):
         """Consistent placements of ``var`` at a node, given the children's
         placements c1 and c2, with the variable's view here."""
-        ctx = shape.ctx
         gather = ctx.parent.gather
         if F.is_set_name(var):
             base = ctx.side1.scatter[c1] | ctx.side2.scatter[c2]
@@ -235,7 +218,7 @@ class _Run:
             if bit & ctx.dmask:
                 return ()
             return ((gather[bit], (bit, where)),)
-        return [(_OUT, (0, "out"))] + [(gather[b], (b, "here")) for b in shape.fresh_bits]
+        return [(_OUT, (0, "out"))] + [(gather[b], (b, "here")) for b in ctx.fresh_bits]
 
     # -- atoms -----------------------------------------------------------------------
 
@@ -277,12 +260,11 @@ class _Run:
         vb = self._term_mask(f.right, views)
         return _F if (va ^ vb) & fresh else _T
 
-    def _closure_combine(self, f, shape, s1, s2, views):
-        ctx = shape.ctx
+    def _closure_combine(self, f, ctx, s1, s2, views):
         (fmap1, g1), (fmap2, g2) = self._states[s1], self._states[s2]
         xk = self._term_mask(f.term, views)
         bit, where = views[f.elem]
-        zs = ctx.fixpoints(NodeType(fmap1), NodeType(fmap2), xk)
+        zs = ctx.fixpoints(fmap1, fmap2, xk)
         fmap = tuple(ctx.parent.gather[z] for z in zs)
         if where == "out":
             g = None

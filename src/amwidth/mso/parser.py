@@ -3,13 +3,17 @@
 ASCII aliases: forall, exists, &, |, !, ->, in, cl, indep, = and the set
 terms ``T \\ {e}`` / ``T + {e}``; the unicode forms of the connectives
 are accepted too.  ``is_circuit``, ``is_base`` and ``spanning`` expand to
-their definitions at parse time.
+their definitions at parse time.  Every walk over a formula, this
+descent included, recurses once per level, so ``parse`` rejects a formula
+nested more than ``MAX_DEPTH`` levels deep, in its text or in its tree.
 """
 
 from ..errors import FormulaSyntaxError
 from . import formulas as F
 
 __all__ = ["parse", "tokenize"]
+
+MAX_DEPTH = 100  # fixed, far inside Python's recursion limit
 
 _KEYWORDS = {
     "exists",
@@ -83,6 +87,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses and operators the descent is inside
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -100,6 +105,15 @@ class _Parser:
     def fail(self, message):
         raise FormulaSyntaxError(message, self.here())
 
+    def nested(self, production):
+        """``production()`` one level deeper, failing past ``MAX_DEPTH``."""
+        if self.depth == MAX_DEPTH:
+            self.fail(f"formula nests deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        out = production()
+        self.depth -= 1
+        return out
+
     # formula := quantified
     def formula(self):
         return self.quantified()
@@ -110,7 +124,7 @@ class _Parser:
             var = self.variable()
             if self.peek() == ":":
                 self.take()
-            inner = self.quantified()
+            inner = self.nested(self.quantified)
             return F.Exists(var, inner) if kind == "exists" else F.Forall(var, inner)
         return self.implies()
 
@@ -118,7 +132,7 @@ class _Parser:
         left = self.disjunction()
         if self.peek() == "->":
             self.take()
-            return F.Implies(left, self.implies())
+            return F.Implies(left, self.nested(self.implies))
         return left
 
     def disjunction(self):
@@ -138,7 +152,7 @@ class _Parser:
     def unary(self):
         if self.peek() == "!":
             self.take()
-            return F.Not(self.unary())
+            return F.Not(self.nested(self.unary))
         if self.peek() in ("exists", "forall"):
             # quantifier scope extends as far right as possible
             return self.quantified()
@@ -156,7 +170,7 @@ class _Parser:
             start = self.pos
             self.take("(")
             if self.peek() in ("exists", "forall") or self._looks_like_formula():
-                inner = self.formula()
+                inner = self.nested(self.formula)
                 self.take(")")
                 return inner
             self.pos = start
@@ -201,12 +215,12 @@ class _Parser:
     def comparison(self):
         if F.is_set_name(self.peek() or ""):
             left = self.set_term()
-            op = self.take()
-            if op == "=":
-                return F.SetEq(left, self.set_term())
-            if op == "!=":
-                return F.Not(F.SetEq(left, self.set_term()))
-            self.fail(f"expected '=' after a set term, found {op!r}")
+            op = self.peek()
+            if op not in ("=", "!="):
+                self.fail(f"expected '=' after a set term, found {op!r}")
+            self.take()
+            eq = F.SetEq(left, self.set_term())
+            return eq if op == "=" else F.Not(eq)
         var = self.variable()
         op = self.peek()
         if op == "in":
@@ -226,7 +240,7 @@ class _Parser:
         tok = self.peek()
         if tok == "(":
             self.take("(")
-            term = self.set_term()
+            term = self.nested(self.set_term)
             self.take(")")
         else:
             name = self.variable()
@@ -295,4 +309,10 @@ def parse(text):
     out = p.formula()
     if p.peek() is not None:
         p.fail(f"unexpected trailing input {p.peek()!r}")
+    stack = [(out, 0)]  # the tree's formula and set-term nodes, with their levels
+    while stack:
+        node, level = stack.pop()
+        if level > MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nests deeper than {MAX_DEPTH} levels", 0)
+        stack += [(v, level + 1) for v in vars(node).values() if not isinstance(v, (str, F.Var))]
     return F.check_kinds(out)

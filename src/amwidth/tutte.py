@@ -14,7 +14,8 @@ extended-type join, never from realization.
 Every node, a leaf too, joins its children's tables through its glue
 matroid.  A leaf's children are empty subtrees, whose table is one row:
 the signature ``EMPTY`` at nullity 0, one subset of rank 0.  Leaves of
-one canonical shape get one table, built once per run.
+one canonical shape get one table, built once per run and kept in the
+memo of the shape's ``JoinContext``.
 """
 
 from collections import Counter
@@ -171,15 +172,14 @@ def tutte_decomposition(tree, want_tables=False):
     tables = {}
     empty = _NodeTable(width)
     empty.add(EMPTY, 0, 1)
-    leaf_tables = {}  # context -> leaf table; tables are never changed once built
 
     def join(view, t1, t2):
         if t1 is not empty or t2 is not empty:
             return _join_tables(view, t1, t2)
-        table = leaf_tables.get(view.ctx)
-        if table is None:
-            table = leaf_tables[view.ctx] = _join_tables(view, t1, t2)
-        return table
+        memo = view.ctx.memo  # tables are never changed once built
+        if "leaf" not in memo:
+            memo["leaf"] = _join_tables(view, t1, t2)
+        return memo["leaf"]
 
     if want_tables:
         join = _kept(tables, join)

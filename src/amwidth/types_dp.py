@@ -3,10 +3,11 @@
 The type of a node v with respect to a tracked set X maps each boundary
 subset Y to the boundary part of cl((X restricted to the subtree) + Y);
 it is exactly what a parent needs to know about a subtree when resolving
-closures.  Extended types add the tracked set's boundary trace.  The
-rank increment of the restricted tracked set X' when Y joins it is read
-off the closure map: adding the top element t of Y to Y - t raises the
-rank of X' + Y - t exactly when t is outside its closure, so
+closures, and it is that map's tuple, indexed by Y's mask.  Extended
+types add the tracked set's boundary trace.  The rank increment of the
+restricted tracked set X' when Y joins it is read off the closure map:
+adding the top element t of Y to Y - t raises the rank of X' + Y - t
+exactly when t is outside its closure, so
 offsets[Y] = offsets[Y - t] + (0 if t in fmap[Y - t] else 1) for any
 matroid.  The join computes the parent's type by closure fixed points,
 and one rank query gives the rank increment of the combination; nothing
@@ -26,11 +27,11 @@ in the order their K lists its elements, as string-sorted ids in a
 loaded file do, get one shape.  Each shape met is made canonical once
 per run, one ``MaskMap`` permutation of its table, and each node gets
 the id -> position index of its canonical K.  So one ``JoinContext`` per
-canonical shape serves every node of that shape in a DP run, with its
-memo of joined signatures and closure fixed points; contexts are
-private to a run, making concurrent runs over shared decompositions
-safe.  A bounded-width tree has boundedly many shapes, so the memos
-turn the DP into a finite tree automaton.
+canonical shape serves every node of that shape in a DP run; it holds
+all of the shape's state for the run, the running DP's ``memo`` too.
+Contexts are private to a run, making concurrent runs over shared
+decompositions safe.  A bounded-width tree has boundedly many shapes,
+so the memos turn the DP into a finite tree automaton.
 
 There is one node kind.  A leaf's matroid is its K, and gluing two
 empty matroids through K with D empty gives exactly K; so a leaf is a
@@ -52,7 +53,6 @@ from . import kernels
 from .errors import DomainError
 
 __all__ = [
-    "NodeType",
     "ExtendedType",
     "EMPTY",
     "JoinContext",
@@ -67,25 +67,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class NodeType:
-    fmap: tuple  # fmap[Ymask] = closure mask over the sorted boundary
-
-    def apply(self, ymask):
-        return self.fmap[ymask]
-
-
-@dataclass(frozen=True)
 class ExtendedType:
-    """A node type and the tracked set's boundary trace.  ``offsets`` is
-    read off ``base`` when built (see the module doc), so it takes no part
-    in equality or hashing."""
+    """A node type, the closure-map tuple ``base``, and the tracked set's
+    boundary trace.  ``offsets`` is read off ``base`` when built (see the
+    module doc), so it takes no part in equality or hashing."""
 
-    base: NodeType
+    base: tuple  # the node type: [Ymask] = closure mask over the sorted boundary
     trace: int  # tracked set's boundary mask
     offsets: tuple = field(init=False, compare=False)  # [Ymask] = r(X' + Y) - r(X')
 
     def __post_init__(self):
-        fmap = self.base.fmap
+        fmap = self.base
         offsets = [0]
         bit = 1
         while bit < len(fmap):
@@ -95,7 +87,7 @@ class ExtendedType:
 
 
 # the signature of an empty subtree: empty boundary, empty tracked set
-EMPTY = ExtendedType(NodeType((0,)), 0)
+EMPTY = ExtendedType((0,), 0)
 
 
 def type_of(tree, nid, tracked):
@@ -113,7 +105,7 @@ def extended_type_of(tree, nid, tracked):
 def _signature(m, side, x):
     """Extended type of the mask x of matroid m over the boundary ``side``."""
     fmap = tuple(side.gather[m.closure_mask(x | y)] for y in side.scatter)
-    return ExtendedType(NodeType(fmap), side.gather[x])
+    return ExtendedType(fmap, side.gather[x])
 
 
 def _positions(k, ids):
@@ -182,16 +174,17 @@ class JoinContext:
         self.clk = kernels.closure_table(tk, n).tolist()
         self.tk = tk.tolist()
         self.fresh = (1 << n) - 1 & ~(self.side1.mask | self.side2.mask | self.dmask)
-        # K-masks of the fresh subsets
-        self.fresh_masks = _unions([1 << p for p in range(n) if self.fresh >> p & 1])
-        self._memo = {}
+        self.fresh_bits = [1 << p for p in range(n) if self.fresh >> p & 1]
+        self.fresh_masks = _unions(self.fresh_bits)  # K-masks of the fresh subsets
+        self.memo = {}  # the results the running DP keeps for this shape
+        self._join_memo = {}
         self._fix_memo = {}
 
     # -- plumbing -----------------------------------------------------------
 
-    def _reflect(self, side, ntype, mask):
+    def _reflect(self, side, fmap, mask):
         """K-mask of f(mask & J) for a child's type map; mask is a K-mask."""
-        return side.scatter[ntype.fmap[side.gather[mask]]]
+        return side.scatter[fmap[side.gather[mask]]]
 
     def _rank(self, e1, e2, xk):
         """Rank of the tracked set inside M(v), minus r1 + r2.
@@ -248,7 +241,7 @@ class JoinContext:
     def join_types(self, t1, t2, xk):
         """Definition-of-join fixed point, restricted to the parent boundary."""
         gather = self.parent.gather
-        return NodeType(tuple(gather[z] for z in self.fixpoints(t1, t2, xk)))
+        return tuple(gather[z] for z in self.fixpoints(t1, t2, xk))
 
     def extended_join(self, e1, e2, fresh):
         """Parent signature and rank increment for one combination.
@@ -268,12 +261,12 @@ class JoinContext:
         if xk & self.dmask:
             raise DomainError("tracked set meets the deleted set D")
         key = (e1, e2, fresh)
-        hit = self._memo.get(key)
+        hit = self._join_memo.get(key)
         if hit is not None:
             return hit
         base = self.join_types(e1.base, e2.base, xk)
         result = (ExtendedType(base, self.parent.gather[xk]), self._rank(e1, e2, xk))
-        self._memo[key] = result
+        self._join_memo[key] = result
         return result
 
 
@@ -396,5 +389,5 @@ def all_types(boundary):
                 if s & y == y and s & close == s:
                     close = s
             fmap.append(close)
-        out.append(NodeType(tuple(fmap)))
+        out.append(tuple(fmap))
     return set(out)

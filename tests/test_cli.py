@@ -10,9 +10,11 @@ import pytest
 from amwidth import cli, files, linalg, zoo
 from amwidth.config import NAIVE_MSO_CAP, table_cap
 from amwidth.matroid import Matroid
+from amwidth.mso import compiled
 
 from conftest import ROOT
 from test_branch import caterpillar
+from test_mso_parser import nested_formula
 
 
 def _write(path, obj):
@@ -317,6 +319,47 @@ def test_mso_matroid_alone_uses_naive(tmp_path, corpus_dir, capsys):
     assert not (tmp_path / "states.json").exists()
     assert cli.main(["mso", "-f", formula]) == 3
     assert "mso needs --matroid or --decomposition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formula", ["Y", "x1 in X1 & Y"])
+def test_set_term_at_end_of_formula_exits_1(corpus_dir, capsys, formula):
+    argv = ["mso", "-f", formula, "-m", str(corpus_dir / "matroids" / "k3.json")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("depth", [100, 1000])
+@pytest.mark.parametrize("kind", ["&", "(", "!"])
+def test_deep_formulas_answer_or_exit_1(corpus_dir, capsys, kind, depth):
+    argv = ["mso", "-f", nested_formula(kind, depth), "-a", '{"x1": 1, "X1": [1]}']
+    for inputs in (["-d", "decompositions/k3-node.json"], ["-m", "matroids/k3.json"]):
+        code = cli.main(argv + [inputs[0], str(corpus_dir / inputs[1])])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if depth > 100:
+            assert code == 1 and captured.err.startswith("error: formula nests deeper")
+            continue
+        assert code == 0, captured.err
+        out = json.loads(captured.out)
+        assert out["engines"] == (["dp", "naive"] if inputs[0] == "-d" else ["naive"])
+        assert out["result"] == "ACCEPT"
+
+
+def test_mso_state_budget_exits_2(corpus_dir, capsys, monkeypatch):
+    argv = ["mso", "--engine", "dp", "-d", str(corpus_dir / "decompositions" / "chain4-c6.json")]
+    argv += ["-f", str(corpus_dir / "formulas" / "spanning-indep.mso")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(compiled, "MSO_BUDGET", 10)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "resource error: compiled evaluator exceeded its state budget: (exists X "
+    ), captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_unnamed_cross_check_only_within_its_cap(tmp_path, corpus_dir, capsys):

@@ -298,7 +298,7 @@ def _mask_map_oracle(n, pos):
 
 def test_mask_map_vs_bit_loops():
     rng = np.random.default_rng(5)
-    for n in range(7):
+    for n in range(11):
         for size in range(n + 1):
             for _ in range(4):
                 pos = rng.permutation(n)[:size].tolist()

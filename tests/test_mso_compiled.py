@@ -9,6 +9,7 @@ import pytest
 from amwidth import files, kernels, types_dp, zoo
 from amwidth.config import NAIVE_MSO_CAP
 from amwidth.decomposition import AmalgamDecomposition, DecompositionNode
+from amwidth.errors import CompilationBudgetError
 from amwidth.matroid import Matroid
 from amwidth.mso import compiled
 from amwidth.mso import formulas as F
@@ -141,6 +142,18 @@ def test_chain_work_does_not_grow(label, corpus_formulas, monkeypatch):
         work.append(len(calls))
     assert len(verdicts) == 1
     assert work[0] == work[1] > 0
+
+
+def test_state_budget_names_the_formula(monkeypatch):
+    formula = parse("exists X (spanning(X) & indep(X))")
+    tree = zoo.triangle_chain(4)
+    assert eval_decomposition(tree, formula) is True
+    monkeypatch.setattr(compiled, "MSO_BUDGET", 10)
+    with pytest.raises(CompilationBudgetError) as err:
+        eval_decomposition(tree, formula)
+    label = F.to_text(F.desugar(formula))
+    assert err.value.subformula == label
+    assert str(err.value) == f"compiled evaluator exceeded its state budget: {label}"
 
 
 def _split_by_children(shapes):

@@ -7,7 +7,7 @@ from amwidth.errors import DomainError, FormulaSyntaxError
 from amwidth.mso import formulas as F
 from amwidth.mso.compiled import eval_decomposition
 from amwidth.mso.naive import eval_naive
-from amwidth.mso.parser import parse, tokenize
+from amwidth.mso.parser import MAX_DEPTH, parse, tokenize
 
 
 def test_atoms():
@@ -106,6 +106,49 @@ def test_syntax_error_has_position():
         parse("exists (x1 in X1)")
     with pytest.raises(FormulaSyntaxError):
         parse("x1 in X1 )")
+
+
+def test_set_term_at_end_of_input():
+    # the end of the text where '=' should follow a set term
+    for text in ("Y", "x1 in X1 & X2"):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text)
+        assert err.value.position == len(text)
+        assert "expected '=' after a set term, found None" in str(err.value)
+
+
+def nested_formula(kind, depth):
+    """``depth`` levels of ``kind`` (&, parentheses or !) over one atom."""
+    atom = "x1 in X1"
+    if kind == "&":
+        return " & ".join([atom] * (depth + 1))
+    if kind == "(":
+        return "(" * depth + atom + ")" * depth
+    return "!" * depth + atom
+
+
+@pytest.mark.parametrize("kind", ["&", "(", "!"])
+def test_nesting_bound(kind):
+    assert MAX_DEPTH == 100
+    parse(nested_formula(kind, MAX_DEPTH))
+    for depth in (MAX_DEPTH + 1, 1000, 5000):
+        with pytest.raises(FormulaSyntaxError, match="nests deeper than 100 levels"):
+            parse(nested_formula(kind, depth))
+
+
+def test_nesting_bound_counts_macros_terms_and_prefixes():
+    parse("x1 in X1" + " + {x2}" * MAX_DEPTH)
+    too_deep = [
+        "x1 in X1" + " + {x2}" * (MAX_DEPTH + 1),
+        "!" * (MAX_DEPTH - 1) + "is_base(X1)",
+        "exists y " * (MAX_DEPTH + 1) + "y in X1",
+        "x1 in X1 -> " * (MAX_DEPTH + 1) + "x1 in X1",
+        "! exists y " * (MAX_DEPTH // 2 + 1) + "y in X1",
+        "x1 in " + "(" * (MAX_DEPTH + 1) + "X1" + ")" * (MAX_DEPTH + 1),
+    ]
+    for text in too_deep:
+        with pytest.raises(FormulaSyntaxError, match="nests deeper"):
+            parse(text)
 
 
 def test_kind_errors():

@@ -10,7 +10,6 @@ from amwidth.errors import DomainError
 from amwidth.matroid import Matroid
 from amwidth.types_dp import (
     JoinContext,
-    NodeType,
     _Side,
     all_types,
     extended_type_of,
@@ -72,14 +71,14 @@ def test_type_map_properties():
         for tracked in oracles.subsets(tree.ground()):
             nt = type_of(tree, v, tracked)
             j = len(tree.boundary(v))
-            assert len(nt.fmap) == 1 << j
+            assert len(nt) == 1 << j
             for ymask in range(1 << j):
-                fy = nt.fmap[ymask]
+                fy = nt[ymask]
                 assert fy & ymask == ymask  # extensive
-                assert nt.fmap[fy] == fy  # idempotent
+                assert nt[fy] == fy  # idempotent
                 for other in range(1 << j):
                     if other & ymask == ymask:
-                        assert nt.fmap[other] & fy == fy  # monotone
+                        assert nt[other] & fy == fy  # monotone
 
 
 def test_type_trivial_cases():
@@ -87,21 +86,21 @@ def test_type_trivial_cases():
     # loop-free nodes: type of the empty set maps empty to empty
     for v in tree.postorder():
         nt = type_of(tree, v, [])
-        assert nt.fmap[0] == 0
+        assert nt[0] == 0
         full = (1 << len(tree.boundary(v))) - 1
-        assert nt.fmap[full] == full
+        assert nt[full] == full
 
 
 def test_join_identity_reflections():
     # children with identity type maps: join(Y) = cl_K(Y) & J
     k = zoo.triangle(1, 2, 3)
-    f_id = NodeType((0,))
+    f_id = (0,)
     ctx = JoinContext(node_shape(k, [], [], [1, 2, 3]))
     got = ctx.join_types(f_id, f_id, k.mask_of([]))
     for ymask in range(8):
         ym = k.mask_of([e for i, e in enumerate((1, 2, 3)) if ymask >> i & 1])
         want = k.closure_mask(ym)
-        assert got.fmap[ymask] == want
+        assert got[ymask] == want
 
 
 def test_join_matches_type_of_everywhere():
@@ -187,7 +186,7 @@ def test_joined_offsets_and_fixpoints_match_realized_ranks():
                 for ymask, offset in enumerate(got.offsets):
                     y = m.mask_of([e for i, e in enumerate(jp) if ymask >> i & 1])
                     assert offset == m.rank_mask(x | y) - m.rank_mask(x), (name, v, tracked)
-                    nontrivial |= got.base.fmap[ymask] != ymask
+                    nontrivial |= got.base[ymask] != ymask
                 xk = node.K.mask_of(tracked & node.K.ground_set)
                 t1, t2 = e1.base, e2.base
                 want = tuple(ctx.fixpoint(t1, t2, ym | xk) for ym in ctx.parent.scatter)
@@ -249,9 +248,9 @@ def test_all_types_enumeration():
         # every enumerated map is a closure operator
         for nt in types:
             for y in range(1 << j):
-                fy = nt.fmap[y]
+                fy = nt[y]
                 assert fy & y == y
-                assert nt.fmap[fy] == fy
+                assert nt[fy] == fy
     assert len(all_types((1,))) == 2
     assert len(all_types((1, 2))) == 7
 
