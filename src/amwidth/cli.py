@@ -207,23 +207,21 @@ def _cmd_tutte(args):
 
 
 def _read_formula(spec):
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            return parse_formula(fh.read())
-    return parse_formula(spec)
+    return parse_formula(files.read_text(spec) if os.path.exists(spec) else spec)
 
 
 def _read_assignment(spec):
     if not spec:
         return {}
-    try:
-        if os.path.exists(spec):
-            with open(spec) as fh:
-                raw = json.load(fh)
-        else:
+    if os.path.exists(spec):
+        raw = files._load(spec)
+    else:
+        try:
             raw = json.loads(spec)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"assignment is not valid JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"assignment is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise DomainError("assignment is nested too deeply to decode") from None
     if not isinstance(raw, dict):
         raise DomainError("assignment must be a JSON object")
     return raw

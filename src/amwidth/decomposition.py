@@ -80,17 +80,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _node(nid, children, k, j1=(), j2=(), d=()):
-    return DecompositionNode(
-        nid=str(nid),
-        children=tuple(str(c) for c in children),
-        K=k,
-        J1=frozenset(j1),
-        J2=frozenset(j2),
-        D=frozenset(d),
-    )
-
-
 class AmalgamDecomposition:
     """Rooted binary construction tree; immutable once built."""
 
@@ -101,27 +90,7 @@ class AmalgamDecomposition:
             raise DomainError(f"root node {root!r} is missing")
         self._cache = {}
 
-    @classmethod
-    def build(cls, spec, root):
-        """spec: mapping nid -> (children, K, J1, J2, D)."""
-        nodes = []
-        for nid, entry in spec.items():
-            children, k, j1, j2, d = entry
-            nodes.append(_node(nid, children, k, j1, j2, d))
-        return cls(nodes, root)
-
     # -- structure ------------------------------------------------------
-
-    def parent_map(self):
-        if "parents" not in self._cache:
-            parents = {}
-            for nid, node in self.nodes.items():
-                for c in node.children:
-                    if c in parents:
-                        raise DomainError(f"node {c!r} has two parents")
-                    parents[c] = nid
-            self._cache["parents"] = parents
-        return self._cache["parents"]
 
     def postorder(self):
         if "postorder" not in self._cache:
@@ -161,12 +130,21 @@ class AmalgamDecomposition:
         return self._cache["grounds"][str(nid) if nid is not None else self.root]
 
     def boundary(self, nid):
-        """J(v): elements shared with the parent's glue matroid."""
-        nid = str(nid)
-        parent = self.parent_map().get(nid)
-        if parent is None:
-            return frozenset()
-        return frozenset(self.ground(nid) & self.nodes[parent].K.ground_set)
+        """J(v): the J1 or J2 that v's parent lists for it; empty at the root.
+
+        That is E(M(v)) & E(K(parent)) on a tree that passed ``validate``,
+        as its ``boundary-mismatch`` check tests, and every caller runs on
+        one: ``NodeView``, ``is_anchored`` and ``tutte --dump-types`` on
+        ``prepared()`` trees, the oracle ``extended_type_of`` through
+        ``realize``.
+        """
+        if "boundaries" not in self._cache:
+            self._cache["boundaries"] = {
+                c: j
+                for v in self.postorder()
+                for c, j in zip(self.nodes[v].children, (self.nodes[v].J1, self.nodes[v].J2))
+            }
+        return self._cache["boundaries"].get(str(nid), frozenset())
 
     def width(self):
         """Maximum |E(K(v))| over the nodes."""
@@ -418,7 +396,10 @@ class _ShapeChecks:
         self.restrictions = {}
 
     def is_matroid(self, k):
-        """Whether k's table satisfies the rank axioms."""
+        """Whether k's table satisfies the rank axioms; one built from
+        columns or from a graph does by construction."""
+        if k.linear is not None or k.graph is not None:
+            return True
         key = k.table.tobytes()
         if key not in self.matroids:
             self.matroids[key] = k.rank_axiom_violation() is None

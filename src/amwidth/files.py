@@ -30,6 +30,7 @@ __all__ = [
     "load_matroid",
     "load_decomposition",
     "load_branch",
+    "read_text",
     "dumps",
 ]
 
@@ -284,12 +285,22 @@ def branch_from_obj(obj):
     return BranchDecomposition.build(edges, labels)
 
 
+def read_text(path):
+    """The text of the file at ``path``, read as UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _load(path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: not valid JSON ({exc})") from exc
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise DomainError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def load_matroid(path):

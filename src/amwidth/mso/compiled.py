@@ -30,13 +30,20 @@ States hold no element ids.  A placed element is its mask over the
 node's sorted boundary (0 when it is hidden below), a set trace is a
 boundary mask, and a node sees each variable, free or being guessed,
 through K-masks in the positions of its join context: a set as the mask
-of its part in K, an element as its bit in K (0 outside K) with where it
-sits (below child 1 or 2, fresh here, or not in the subtree).  So a
-transition depends only on the node's canonical shape, the children's
-states and the views of the subformula's free variables.  Each distinct
-state is interned once per run as an int that carries its size, and the
-memo of each shape's ``JoinContext``, kept for the whole run, maps
-(subformula, child states, views) to the combined state.
+of its part in K, an element as its bit in K alone (0 outside K).  An
+element is met at the nodes whose K holds it, the lowest of them first,
+so membership and equality atoms decide there: once either bit is set,
+two elements are equal exactly when both bits are set and equal, and no
+decided atom needs to know where a hidden element sits.  A closure atom
+reads its membership tuple off the fixed points where the element's bit
+is set, carries it up from the one child that holds one elsewhere, and
+drops it where D deletes the element, since the same id met above names
+another element.  So a transition depends only on the node's canonical
+shape, the children's states and the views of the subformula's free
+variables.  Each distinct state is interned once per run as an int that
+carries its size, and the memo of each shape's ``JoinContext``, kept for
+the whole run, maps (subformula, child states, views) to the combined
+state.
 Along a chain of identical nodes the states settle after a few nodes,
 and every further node is a dict hit.
 
@@ -119,13 +126,7 @@ class _Run:
                 views[name] = sum(1 << p for e, p in index.items() if e in value)
                 continue
             p = index.get(value)
-            bit = 0 if p is None else 1 << p
-            where = "here" if bit & view.ctx.fresh else "out"
-            for side, child in zip(("c1", "c2"), view.node.children):
-                if value in self.tree.ground(child):
-                    where = side
-                    break
-            views[name] = (bit, where)
+            views[name] = 0 if p is None else 1 << p
         return views
 
     # -- evaluation -----------------------------------------------------------
@@ -213,12 +214,12 @@ class _Run:
         if c1 != _OUT and c2 != _OUT:
             return ()
         if c1 != _OUT or c2 != _OUT:
-            comp, side, where = (c1, ctx.side1, "c1") if c1 != _OUT else (c2, ctx.side2, "c2")
+            comp, side = (c1, ctx.side1) if c1 != _OUT else (c2, ctx.side2)
             bit = side.scatter[comp]
             if bit & ctx.dmask:
                 return ()
-            return ((gather[bit], (bit, where)),)
-        return [(_OUT, (0, "out"))] + [(gather[b], (b, "here")) for b in ctx.fresh_bits]
+            return ((gather[bit], bit),)
+        return [(_OUT, 0)] + [(gather[b], b) for b in ctx.fresh_bits]
 
     # -- atoms -----------------------------------------------------------------------
 
@@ -226,15 +227,15 @@ class _Run:
         if isinstance(term, F.Var):
             return views[term.name]
         if isinstance(term, F.Remove):
-            return self._term_mask(term.term, views) & ~views[term.elem][0]
+            return self._term_mask(term.term, views) & ~views[term.elem]
         if isinstance(term, F.Add):
-            return self._term_mask(term.term, views) | views[term.elem][0]
+            return self._term_mask(term.term, views) | views[term.elem]
         raise DomainError(f"not a set term: {term!r}")
 
     def _member_state(self, prev, f, views):
         if prev != _U:
             return prev
-        bit, _ = views[f.elem]
+        bit = views[f.elem]
         if not bit:
             return _U
         return _T if bit & self._term_mask(f.term, views) else _F
@@ -242,16 +243,10 @@ class _Run:
     def _elemeq_state(self, prev, f, views):
         if prev != _U:
             return prev
-        xb, xw = views[f.left]
-        yb, yw = views[f.right]
-        xin, yin = xw != "out", yw != "out"
-        if not xin and not yin:
+        xb, yb = views[f.left], views[f.right]
+        if not xb and not yb:
             return _U
-        if xin != yin:
-            return _F
-        if xb and yb:
-            return _T if xb == yb else _F
-        return _F  # at least one hidden below; nice trees keep them distinct
+        return _T if xb == yb else _F  # each is met where its K holds it
 
     def _seteq_state(self, prev, f, fresh, views):
         if prev == _F:
@@ -262,20 +257,21 @@ class _Run:
 
     def _closure_combine(self, f, ctx, s1, s2, views):
         (fmap1, g1), (fmap2, g2) = self._states[s1], self._states[s2]
-        xk = self._term_mask(f.term, views)
-        bit, where = views[f.elem]
+        # D is outside M(v): a deleted id met here names another element
+        xk = self._term_mask(f.term, views) & ~ctx.dmask
+        bit = views[f.elem]
         zs = ctx.fixpoints(fmap1, fmap2, xk)
         fmap = tuple(ctx.parent.gather[z] for z in zs)
-        if where == "out":
+        if bit & ctx.dmask:
             g = None
         elif bit:
             g = tuple(bool(z & bit) for z in zs)
-        elif where == "c1":
+        elif g1 is not None:
             g = tuple(g1[ctx.side1.gather[z]] for z in zs)
-        elif where == "c2":
+        elif g2 is not None:
             g = tuple(g2[ctx.side2.gather[z]] for z in zs)
         else:
-            raise DomainError("closure query on an unplaced element")
+            g = None
         return self._intern((fmap, g))
 
     # -- resolution at the root ---------------------------------------------------------
@@ -322,7 +318,6 @@ def eval_with_counts(tree, formula, assignment=None):
     """Truth of ``formula`` on realize(tree) without realizing it, with the
     per-subformula accumulated state sizes of the debug dump."""
     tree = tree.prepared()
-    F.check_kinds(formula)
     values = check_assignment(tree.ground(), formula, assignment)
     run = _Run(tree, F.desugar(formula), values)
     verdict = run.result()

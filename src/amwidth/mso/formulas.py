@@ -184,24 +184,25 @@ def parts(f):
 
 
 def free_variables(formula):
-    """Free variable names of the formula."""
+    """Free variable names of the formula; rejects element variables in
+    set positions and vice versa."""
     names, subs, binds = parts(formula)
-    out = {name for name, _ in names}
+    out = set()
+    for name, in_set in names:
+        if is_set_name(name) != in_set:
+            if in_set:
+                raise DomainError(f"variable {name!r} used as a set variable")
+            raise DomainError(f"set variable {name!r} used as an element")
+        out.add(name)
     for g in subs:
         out |= free_variables(g)
     return out.difference(binds)
 
 
 def check_kinds(formula):
-    """Reject element variables in set positions and vice versa."""
-    names, subs, _ = parts(formula)
-    for name, in_set in names:
-        if is_set_name(name) != in_set:
-            if in_set:
-                raise DomainError(f"variable {name!r} used as a set variable")
-            raise DomainError(f"set variable {name!r} used as an element")
-    for g in subs:
-        check_kinds(g)
+    """Reject element variables in set positions and vice versa, in the
+    walk of ``free_variables``; return ``formula``."""
+    free_variables(formula)
     return formula
 
 

@@ -67,7 +67,6 @@ def _term_value(term, env):
 def eval_naive(m, formula, assignment=None):
     """Evaluate ``formula`` on matroid ``m`` under ``assignment``."""
     check_cap(m.size, "naive MSO evaluation", NAIVE_MSO_CAP)
-    F.check_kinds(formula)
     env = check_assignment(m.ground_set, formula, assignment)
     ground = m.ground_set
 

@@ -213,7 +213,7 @@ class _Parser:
         return term
 
     def comparison(self):
-        if F.is_set_name(self.peek() or ""):
+        if self.peek() == "(" or F.is_set_name(self.peek() or ""):
             left = self.set_term()
             op = self.peek()
             if op not in ("=", "!="):

@@ -15,6 +15,8 @@ from amwidth.errors import DomainError
 from amwidth.matroid import Matroid
 from amwidth.tutte import tutte_bruteforce, tutte_decomposition
 
+from test_decomposition import assert_boundaries_from_grounds
+
 
 def caterpillar(ids):
     ids = list(ids)
@@ -104,6 +106,7 @@ def test_corpus_conversions(corpus_dir):
         bound = (p ** ((3 * k) // 2) - 1) // (p - 1)
         assert tree.width() <= bound, (name, tree.width(), bound)
         assert_fresh_points_simple(tree, m)
+        assert_boundaries_from_grounds(tree, name)
         seen += 1
     assert seen >= 5
 

@@ -172,6 +172,45 @@ def test_malformed_decomposition_file_exits_1(tmp_path, capsys, fields, field):
     assert "Traceback" not in err
 
 
+# bytes that are not UTF-8, and JSON nested past the decoder's recursion limit
+_UNDECODABLE = {
+    "binary": b"\x7fELF\x02\x01\x01\x00\xd0\xff\xfe",
+    "deep-array": b"[" * 100000,
+    "deep-object": b'{"a":' * 50000,
+}
+
+
+# each command names its input files by their keys above
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        (["info", "-m", "binary"], "binary"),
+        (["validate", "-d", "binary"], "binary"),
+        (["convert", "-m", "binary", "-b", "binary"], "binary"),
+        (["mso", "-f", "binary", "-m", "k3"], "binary"),
+        (["mso", "-f", "indep(X1)", "-m", "k3", "-a", "binary"], "binary"),
+        (["info", "-m", "deep-array"], "deep-array"),
+        (["mso", "-f", "indep(X1)", "-m", "k3", "-a", "deep-array"], "deep-array"),
+        (["mso", "-f", "indep(X1)", "-m", "k3", "-a", "[" * 100000], None),
+        (["validate", "-d", "deep-object"], "deep-object"),
+    ],
+    ids=["info", "validate", "convert", "formula", "assignment", "deep-matroid",
+         "deep-assignment", "deep-inline-assignment", "deep-decomposition"],
+)
+def test_undecodable_input_exits_1(corpus_dir, tmp_path, capsys, command, name):
+    paths = {"k3": str(corpus_dir / "matroids" / "k3.json")}
+    for key, data in _UNDECODABLE.items():
+        paths[key] = str(tmp_path / key)
+        (tmp_path / key).write_bytes(data)
+    argv = [paths.get(arg, arg) for arg in command]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    if name is not None:
+        assert paths[name] in captured.err, captured.err
+
+
 def test_graphic_string_endpoints_accepted(tmp_path, capsys):
     path = _write(
         tmp_path / "g.json", {"type": "graphic", "edges": {"1": ["a", "b"], "2": ["b", "c"]}}

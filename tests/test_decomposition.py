@@ -115,8 +115,20 @@ def test_realize_respects_cap():
         tree.realize()
 
 
+def assert_boundaries_from_grounds(tree, label):
+    """J(v), read off the parent's J1 or J2, is E(M(v)) & E(K(parent)) at
+    every non-root node of the valid ``tree`` and of its prepared form."""
+    for t in (tree, tree.prepared()):
+        for nid, node in t.nodes.items():
+            for c in node.children:
+                want = t.ground(c) & node.K.ground_set
+                assert t.boundary(c) == want, (label, c)
+        assert t.boundary(t.root) == frozenset(), label
+
+
 def test_to_nice_roundtrip(corpus_decompositions):
     for name, tree in corpus_decompositions.items():
+        assert_boundaries_from_grounds(tree, name)
         nice = tree.to_nice()
         assert nice.validate().ok, name
         assert nice.is_nice(), name

@@ -3,6 +3,7 @@ the id-free states that let nodes of one shape share their work."""
 
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,7 @@ from amwidth.mso import formulas as F
 from amwidth.mso.compiled import compiled_state_counts, eval_decomposition
 from amwidth.mso.naive import eval_naive
 from amwidth.mso.parser import parse
-from amwidth.tutte import tutte_decomposition
+from amwidth.tutte import tutte_bruteforce, tutte_decomposition
 
 from conftest import CORPUS
 
@@ -119,6 +120,45 @@ def test_renamed_and_reordered_chain(corpus_formulas):
                 tree, formula, assignment
             ), (label, assignment)
     assert tutte_decomposition(other) == tutte_decomposition(tree)
+
+
+def _reintroduced_id_tree(where):
+    """A valid tree whose node N has a K with id 3 parallel to 1, deleted
+    on the spot, and that holds a coloop with id 3 again: in the sibling
+    subtree under a K without 3 (either child order), or fresh in the K
+    right above N."""
+    tb = zoo.TreeBuilder()
+    k = Matroid.from_graph({1: (0, 1), 3: (0, 1), 2: (1, 2)})
+    n = tb.glue(tb.leaf(Matroid.single(1)), tb.leaf(Matroid.single(2)), k, {3})
+    if where == "sibling":
+        top = tb.glue(n, tb.leaf(Matroid.single(3)), zoo.triangle(2, 4, 5))
+    elif where == "sibling-first":
+        top = tb.glue(tb.leaf(Matroid.single(3)), n, zoo.triangle(2, 4, 5))
+    else:
+        top = tb.glue(n, tb.leaf(Matroid.single(5)), zoo.triangle(2, 3, 4))
+    return tb.done(top)
+
+
+@pytest.mark.parametrize("where", ["sibling", "sibling-first", "above"])
+def test_reintroduced_id_matches_naive(where):
+    # the deleted 3 lies in cl({1}) at N and the reintroduced 3 does not,
+    # so a state that read N's 3 for x1 would disagree with naive MSO
+    tree = _reintroduced_id_tree(where)
+    m = tree.realize()
+    ground = sorted(m.ground_set)
+    assert tutte_decomposition(tree) == tutte_bruteforce(m)
+    texts = ["x1 in X1", "x1 in cl(X1)", "x1 = x2", "indep(X1 + {x1})", "x2 in cl(X1 + {x1})"]
+    for text in texts:
+        formula = parse(text)
+        free = F.free_variables(formula)
+        for r in range(len(ground) + 1):
+            for x1s in combinations(ground, r):
+                for x2 in ground:
+                    assignment = {"X1": x1s, "x1": 3, "x2": x2}
+                    assignment = {k: v for k, v in assignment.items() if k in free}
+                    want = eval_naive(m, formula, assignment)
+                    got = eval_decomposition(tree, formula, assignment)
+                    assert got == want, (text, assignment)
 
 
 @pytest.mark.parametrize("label", ["connected-closure", "hamiltonian", "spanning-indep"])

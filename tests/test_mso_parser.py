@@ -28,6 +28,21 @@ def test_set_terms():
     assert got == F.ClosureEq(F.Var("X1"), F.Remove(F.Var("X1"), "e"))
 
 
+@pytest.mark.parametrize(
+    "text,plain",
+    [
+        ("(X1) = X2", "X1 = X2"),
+        ("X2 = (X1)", "X2 = X1"),
+        ("(X1 + {x}) = X2", "X1 + {x} = X2"),
+        ("X2 = (X1 + {x})", "X2 = X1 + {x}"),
+        (r"((X1) \ {x}) != (X2)", r"X1 \ {x} != X2"),
+        ("exists x ((X1 + {x}) = X2)", "exists x (X1 + {x} = X2)"),
+    ],
+)
+def test_parenthesized_set_terms_on_either_side(text, plain):
+    assert parse(text) == parse(plain)
+
+
 def test_connectives_and_precedence():
     got = parse("x1 in X1 & x2 in X1 | x3 in X1")
     assert isinstance(got, F.Or) and isinstance(got.left, F.And)
