@@ -121,13 +121,14 @@ class AmalgamDecomposition:
                 node = self.nodes[v]
                 if node.is_leaf:
                     grounds[v] = node.K.ground_set
-                else:
-                    c1, c2 = node.children
-                    grounds[v] = (
-                        grounds[c1] | grounds[c2] | node.K.ground_set
-                    ) - node.D
+                else:  # any number of children: validate reports arity
+                    kids = (grounds[c] for c in node.children)
+                    grounds[v] = node.K.ground_set.union(*kids) - node.D
             self._cache["grounds"] = grounds
-        return self._cache["grounds"][str(nid) if nid is not None else self.root]
+        nid = str(nid) if nid is not None else self.root
+        if nid not in self._cache["grounds"]:
+            raise DomainError(f"node {nid!r} is not in the decomposition")
+        return self._cache["grounds"][nid]
 
     def boundary(self, nid):
         """J(v): the J1 or J2 that v's parent lists for it; empty at the root.
@@ -299,11 +300,15 @@ class AmalgamDecomposition:
         )
 
     def to_nice(self):
-        """Disjoint child boundaries via parallel duplicates, deleted in place.
+        """Disjoint child boundaries via parallel duplicates, deleted in
+        place, and one id per element.
 
         Whenever J1 and J2 share elements, the right subtree's copies are
         renamed to fresh ids, K gains parallel twins under the fresh ids,
         and the twins join D at the same node.  Width at most doubles.
+        An id that a node deletes while the root's ground set holds it
+        names two elements; the deleted one gets a fresh id at that node
+        and in its subtree.  So no D holds an id of ``ground()``.
         """
         report = self.validate()
         if not report.ok:
@@ -314,13 +319,18 @@ class AmalgamDecomposition:
             used.update(node.K.ground_set)
             used.update(node.J1 | node.J2 | node.D)
         next_id = max(used, default=0) + 1
+        ground = self.ground()
         out = {}
         # preorder, left child first: fresh ids are numbered top-down and
-        # left to right; rho maps ids an ancestor replaced by twins
+        # left to right; rho maps ids an ancestor renamed
         stack = [(self.root, {})]
         while stack:
             v, rho = stack.pop()
             node = self.nodes[v]
+            reused = sorted(e for e in node.D if e not in rho and e in ground)
+            if reused:
+                rho = {**rho, **{e: next_id + i for i, e in enumerate(reused)}}
+                next_id += len(reused)
             k = _rename_matroid(node.K, rho)
             j1 = frozenset(rho.get(e, e) for e in node.J1)
             j2 = frozenset(rho.get(e, e) for e in node.J2)
@@ -345,8 +355,9 @@ class AmalgamDecomposition:
         return AmalgamDecomposition(out.values(), self.root)
 
     def prepared(self):
-        """The validated, nice, anchored tree the dynamic programs walk; a
-        tree that is not nice makes its nice form once.
+        """The validated, nice, anchored tree the dynamic programs walk,
+        with one id per element: no node's D holds an id of ``ground()``.
+        Any other tree makes its ``to_nice`` form once.
 
         Raises ValidationError for an invalid tree and DomainError when a
         parent boundary leaves a node's glue matroid.
@@ -356,7 +367,9 @@ class AmalgamDecomposition:
         report = self.validate()
         if not report.ok:
             raise ValidationError(report)
-        tree = self if self.is_nice() else self.to_nice()
+        ground = self.ground()
+        reuses = any(self.nodes[v].D & ground for v in self.postorder())
+        tree = self.to_nice() if reuses or not self.is_nice() else self
         if not tree.is_anchored():
             raise DomainError(
                 "the dynamic programs need parent boundaries inside each "

@@ -36,22 +36,23 @@ so membership and equality atoms decide there: once either bit is set,
 two elements are equal exactly when both bits are set and equal, and no
 decided atom needs to know where a hidden element sits.  A closure atom
 reads its membership tuple off the fixed points where the element's bit
-is set, carries it up from the one child that holds one elsewhere, and
-drops it where D deletes the element, since the same id met above names
-another element.  So a transition depends only on the node's canonical
-shape, the children's states and the views of the subformula's free
-variables.  Each distinct state is interned once per run as an int that
-carries its size, and the memo of each shape's ``JoinContext``, kept for
-the whole run, maps (subformula, child states, views) to the combined
-state.
+is set and carries it up from the one child that holds one elsewhere.
+A prepared tree gives each element one id: no node's D holds an id of
+its ground set, so a free variable's view never meets D.  So a
+transition depends only on the node's canonical shape, the children's
+states and the views of the subformula's free variables.  Each
+distinct state is interned once per run as an int that carries its
+size, and the memo of each shape's ``JoinContext``, kept for the whole
+run, maps (subformula, child states, views) to the combined state.
 Along a chain of identical nodes the states settle after a few nodes,
 and every further node is a dict hit.
 
 Elements are introduced at a unique node (the one whose glue matroid
 has them fresh, at a leaf all of its K), so guesses extend states
-locally; choices that touch a node's deleted set die there.  State sizes are bounded by
-width and formula only; a budget, charged at every node from the
-interned sizes, guards explosion and names the offending formula.
+locally; choices that touch a node's deleted set die there.  State
+sizes are bounded by width and formula only; a budget on the summed
+sizes of the distinct interned states a run reaches guards explosion
+and names the offending formula.
 """
 
 from operator import itemgetter
@@ -76,7 +77,9 @@ class _Run:
         self.core = core
         self.values = values
         self.label = F.to_text(core)
-        self.total = 0
+        self.total = 0  # every charge, as the debug dump reports it
+        self._charged = set()  # interned ids charged so far
+        self._budget_used = 0  # their sizes, each counted once
         self._keys = {}  # id(subformula) -> views -> its free variables' views
         self._key_views(core)
         self._ids = {_U: _U, _T: _T, _F: _F}  # state -> interned id
@@ -110,8 +113,14 @@ class _Run:
         return self._intern(frozenset(pairs), sum(1 + self._sizes[s] for _, s in pairs))
 
     def _charge(self, sid):
+        """Count a node's state; the budget sees each distinct state once,
+        so it bounds the states a run builds, not the tree's size."""
         self.total += self._sizes[sid]
-        if self.total > MSO_BUDGET:
+        if sid in self._charged:
+            return sid
+        self._charged.add(sid)
+        self._budget_used += self._sizes[sid]
+        if self._budget_used > MSO_BUDGET:
             raise CompilationBudgetError(
                 "compiled evaluator exceeded its state budget", self.label
             )
@@ -257,14 +266,10 @@ class _Run:
 
     def _closure_combine(self, f, ctx, s1, s2, views):
         (fmap1, g1), (fmap2, g2) = self._states[s1], self._states[s2]
-        # D is outside M(v): a deleted id met here names another element
-        xk = self._term_mask(f.term, views) & ~ctx.dmask
         bit = views[f.elem]
-        zs = ctx.fixpoints(fmap1, fmap2, xk)
+        zs = ctx.fixpoints(fmap1, fmap2, self._term_mask(f.term, views))
         fmap = tuple(ctx.parent.gather[z] for z in zs)
-        if bit & ctx.dmask:
-            g = None
-        elif bit:
+        if bit:
             g = tuple(bool(z & bit) for z in zs)
         elif g1 is not None:
             g = tuple(g1[ctx.side1.gather[z]] for z in zs)

@@ -25,7 +25,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .errors import DomainError
 from .types_dp import EMPTY, bottom_up
 from .types_dp import leaf_signatures  # unused here: only benchmarks/tracing.py patches this name
 
@@ -211,14 +210,9 @@ def _join_tables(view, t1, t2):
             if _trace_hits(ctx.side2, sig2.trace, ctx.dmask):
                 continue
             joined = []
-            for fmask in ctx.fresh_masks:
-                try:
-                    sig, delta = ctx.extended_join(sig1, sig2, fmask)
-                except DomainError:
-                    continue
+            for fmask in ctx.fresh_masks:  # fresh masks and these traces miss D
+                sig, delta = ctx.extended_join(sig1, sig2, fmask)
                 joined.append((sig, delta, fmask.bit_count() - delta))
-            if not joined:
-                continue
             for nu1, p1 in rows1.items():
                 for nu2, p2 in rows2.items():
                     product = _product(p1, p2, width)

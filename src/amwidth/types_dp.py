@@ -109,15 +109,9 @@ def _signature(m, side, x):
 
 
 def _positions(k, ids):
-    """K-positions of the sorted ids."""
-    ids = sorted(ids)
-    missing = [e for e in ids if e not in k._index]
-    if missing:
-        raise DomainError(
-            f"boundary elements {missing} are outside the glue matroid; "
-            "the decomposition is not anchored"
-        )
-    return tuple(k._index[e] for e in ids)
+    """K-positions of the sorted ids, all of them in K: ``prepared`` trees
+    are anchored, and the oracles pass realized matroids."""
+    return tuple(k._index[e] for e in sorted(ids))
 
 
 def node_shape(k, j1, j2, j_parent, deletions=()):
@@ -248,16 +242,12 @@ class JoinContext:
 
         ``fresh`` is a K-mask over E(K) - (J1 | J2).  Returns
         (ExtendedType, delta) with delta = r(X') - r1 - r2, or raises
-        DomainError when the combination includes deleted elements or the
-        traces disagree on the shared boundary.  One rank query per new
-        combination: the parent's offsets are read off its type.
+        DomainError when the tracked set meets D: through a child's trace
+        or through ``fresh``.  J1 and J2 are disjoint on a nice tree, so
+        the traces cannot disagree.  One rank query per new combination:
+        the parent's offsets are read off its type.
         """
-        tr1 = self.side1.scatter[e1.trace]
-        tr2 = self.side2.scatter[e2.trace]
-        shared = self.side1.mask & self.side2.mask
-        if (tr1 ^ tr2) & shared:
-            raise DomainError("child traces disagree on the shared boundary")
-        xk = tr1 | tr2 | fresh
+        xk = self.side1.scatter[e1.trace] | self.side2.scatter[e2.trace] | fresh
         if xk & self.dmask:
             raise DomainError("tracked set meets the deleted set D")
         key = (e1, e2, fresh)

@@ -172,6 +172,27 @@ def test_malformed_decomposition_file_exits_1(tmp_path, capsys, fields, field):
     assert "Traceback" not in err
 
 
+def test_unanchored_tree_valid_but_not_for_dynamic_programs(tmp_path, corpus_dir, capsys):
+    # the top node's J1 = {1} sits outside its left child's K = {2}
+    tb = zoo.TreeBuilder()
+    left = tb.glue(tb.leaf(Matroid.single(1)), tb.leaf(Matroid.single(2)), Matroid.single(2))
+    top = tb.glue(left, tb.leaf(Matroid.single(4)), Matroid.uniform(1, [1, 4]))
+    path = _write(tmp_path / "d.json", files.decomposition_to_obj(tb.done(top)))
+    assert cli.main(["validate", "-d", path]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    formula = str(corpus_dir / "formulas" / "spanning-indep.mso")
+    for argv in (
+        ["tutte", "--dp", "-d", path],
+        ["mso", "--engine", "dp", "-f", formula, "-d", path],
+    ):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err == (
+            "error: the dynamic programs need parent boundaries inside each "
+            "node's glue matroid\n"
+        ), err
+
+
 # bytes that are not UTF-8, and JSON nested past the decoder's recursion limit
 _UNDECODABLE = {
     "binary": b"\x7fELF\x02\x01\x01\x00\xd0\xff\xfe",

@@ -4,9 +4,11 @@ import pytest
 
 from amwidth import zoo
 from amwidth.decomposition import AmalgamDecomposition, DecompositionNode
-from amwidth.errors import ResourceError, ValidationError
+from amwidth.errors import DomainError, ResourceError, ValidationError
 from amwidth.matroid import Matroid, two_sum
 from amwidth.tutte import tutte_bruteforce, tutte_decomposition
+
+from conftest import REINTRODUCED_PLACEMENTS, reintroduced_id_tree
 
 
 def twosum_tree(deletions=(10,)):
@@ -157,14 +159,53 @@ def test_to_nice_duplicates_shared_boundary():
     assert nice.realize().rank_equal(tree.realize())
 
 
-def test_prepared_once_per_tree():
+def test_prepared_once_per_tree(corpus_decompositions):
     tree = twosum_tree()
     assert not tree.is_nice()
     prepared = tree.prepared()
     assert prepared is not tree and prepared.is_nice()
     assert tree.prepared() is prepared
-    nice = zoo.triangle_chain(3)
-    assert nice.prepared() is nice
+    # no nice corpus tree or chain deletes an id of its ground set
+    trees = {**corpus_decompositions, "chain3": zoo.triangle_chain(3)}
+    trees["chain9-pad2"] = zoo.triangle_chain(9, pad=2)
+    for name, nice in trees.items():
+        if nice.is_nice():
+            assert nice.prepared() is nice, name
+
+
+@pytest.mark.parametrize("where", REINTRODUCED_PLACEMENTS)
+def test_prepared_gives_each_element_one_id(where):
+    # N deletes a 3 while the root's ground set holds another 3: the
+    # prepared tree renames N's 3, below N too, and changes no rank
+    tree = reintroduced_id_tree(where)
+    assert tree.is_nice() and 3 in tree.ground()
+    prepared = tree.prepared()
+    assert prepared is not tree
+    assert prepared.validate().ok and prepared.is_nice()
+    assert prepared.realize().rank_equal(tree.realize())
+    ground = prepared.ground()
+    assert not any(node.D & ground for node in prepared.nodes.values())
+
+
+def test_arity_below_a_binary_node_reported():
+    nodes = [
+        DecompositionNode("a", (), Matroid.single(1)),
+        DecompositionNode("u", ("a",), zoo.triangle(1, 2, 3)),
+        DecompositionNode("b", (), Matroid.single(4)),
+        DecompositionNode("r", ("u", "b"), Matroid.uniform(1, [1, 4])),
+    ]
+    # the parent's ground set is read over u's one child, not unpacked
+    report = AmalgamDecomposition(nodes, "r").validate()
+    assert not report.ok
+    assert ("u", "arity") in {(v.node, v.code) for v in report.violations}
+
+
+def test_unknown_node_named():
+    tree = twosum_tree()
+    for call in (tree.ground, tree.realize):
+        with pytest.raises(DomainError, match="'nope'"):
+            call("nope")
+    assert tree.boundary(tree.root) == frozenset()
 
 
 def test_corpus_all_valid(corpus_decompositions):

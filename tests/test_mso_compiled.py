@@ -19,7 +19,7 @@ from amwidth.mso.naive import eval_naive
 from amwidth.mso.parser import parse
 from amwidth.tutte import tutte_bruteforce, tutte_decomposition
 
-from conftest import CORPUS
+from conftest import CORPUS, REINTRODUCED_PLACEMENTS, reintroduced_id_tree
 
 # Independence idioms beyond the corpus formulas: added and removed
 # elements inside indep, a circuit as two indep atoms, and indep under
@@ -122,28 +122,11 @@ def test_renamed_and_reordered_chain(corpus_formulas):
     assert tutte_decomposition(other) == tutte_decomposition(tree)
 
 
-def _reintroduced_id_tree(where):
-    """A valid tree whose node N has a K with id 3 parallel to 1, deleted
-    on the spot, and that holds a coloop with id 3 again: in the sibling
-    subtree under a K without 3 (either child order), or fresh in the K
-    right above N."""
-    tb = zoo.TreeBuilder()
-    k = Matroid.from_graph({1: (0, 1), 3: (0, 1), 2: (1, 2)})
-    n = tb.glue(tb.leaf(Matroid.single(1)), tb.leaf(Matroid.single(2)), k, {3})
-    if where == "sibling":
-        top = tb.glue(n, tb.leaf(Matroid.single(3)), zoo.triangle(2, 4, 5))
-    elif where == "sibling-first":
-        top = tb.glue(tb.leaf(Matroid.single(3)), n, zoo.triangle(2, 4, 5))
-    else:
-        top = tb.glue(n, tb.leaf(Matroid.single(5)), zoo.triangle(2, 3, 4))
-    return tb.done(top)
-
-
-@pytest.mark.parametrize("where", ["sibling", "sibling-first", "above"])
+@pytest.mark.parametrize("where", REINTRODUCED_PLACEMENTS)
 def test_reintroduced_id_matches_naive(where):
     # the deleted 3 lies in cl({1}) at N and the reintroduced 3 does not,
     # so a state that read N's 3 for x1 would disagree with naive MSO
-    tree = _reintroduced_id_tree(where)
+    tree = reintroduced_id_tree(where)
     m = tree.realize()
     ground = sorted(m.ground_set)
     assert tutte_decomposition(tree) == tutte_bruteforce(m)
@@ -194,6 +177,14 @@ def test_state_budget_names_the_formula(monkeypatch):
     label = F.to_text(F.desugar(formula))
     assert err.value.subformula == label
     assert str(err.value) == f"compiled evaluator exceeded its state budget: {label}"
+
+
+@pytest.mark.parametrize("label", ["hamiltonian", "spanning-indep"])
+def test_budget_counts_distinct_states(label, corpus_formulas):
+    # every further triangle of a long chain reuses interned states, which
+    # the budget charges once: the verdict does not hit the budget
+    formula = parse(corpus_formulas[label])
+    assert eval_decomposition(zoo.triangle_chain(2000), formula) is True
 
 
 def _split_by_children(shapes):
