@@ -3,13 +3,14 @@
 The pass is ``types_dp.bottom_up``, the driver the Tutte DP runs on too.
 Every subformula gets one deterministic state per node, mirroring the
 bottom-up tree-automaton construction: atoms keep a small progress
-summary, disjunctions run their parts in parallel as a product, negation
-reuses the same states, and quantifiers determinize on the fly, holding
-the set of (placement abstraction, inner state) pairs reachable over all
-ways of guessing the variable inside the subtree.  A placement
-abstraction is all the ancestors can still see: for an element, whether
-it is placed and, if it sits on the boundary, where; for a set, its
-boundary trace.  Closure atoms carry the node type of the tracked set
+summary, disjunctions run their parts in parallel as a product, and
+quantifiers determinize on the fly, holding the set of (placement
+abstraction, inner state) pairs reachable over all ways of guessing the
+variable inside the subtree.  A negation has no state of its own: its
+inner subformula's state serves, and only the reading at the root flips
+it.  A placement abstraction is all the ancestors can still see: for an
+element, whether it is placed and, if it sits on the boundary, where;
+for a set, its boundary trace.  Closure atoms carry the node type of the tracked set
 and, once the queried element lies in the subtree, a conditional
 membership bit per boundary subset, both advanced through the glue
 matroid by the type-join fixed point.  An independence atom indep(T)
@@ -21,8 +22,8 @@ only when both children's bits hold and the join's rank increment equals
 |F|, since r(X1 + X2 + F) <= r(X1) + r(X2) + |F|.
 
 A leaf is a node like any other, with empty J1, J2 and D, so all of its
-K is fresh; its children are two empty subtrees.  ``_empty`` gives each
-subformula's state there: atoms undecided or vacuously true, closure
+K is fresh; its children are two empty subtrees.  A subformula's state
+there, its empty state, is: atoms undecided or vacuously true, closure
 and independence atoms the empty signature, and a quantified variable
 not placed (a set's empty trace).
 
@@ -47,12 +48,24 @@ run, maps (subformula, child states, views) to the combined state.
 Along a chain of identical nodes the states settle after a few nodes,
 and every further node is a dict hit.
 
+The core is compiled once per run (``_Run._compile``): each subformula's
+transition is chosen by its kind then, together with its empty state and
+its reading at the root, so no call dispatches on the kind again.
+Membership and equality atoms, set equality too, are computed in
+place, without a memo entry.  The views of a node are one list with a slot per variable name;
+a quantifier writes each guess into its variable's slot and puts the
+outer value back after, so a rebound name shadows only inside.  Its
+choices at a node depend on the variable's kind and the children's
+placements alone, so the context's memo keeps each such list too, under
+(is a set, c1, c2).
+
 Elements are introduced at a unique node (the one whose glue matroid
 has them fresh, at a leaf all of its K), so guesses extend states
 locally; choices that touch a node's deleted set die there.  State
-sizes are bounded by width and formula only; a budget on the summed
-sizes of the distinct interned states a run reaches guards explosion
-and names the offending formula.
+sizes are bounded by width and formula only.  A budget on the state DAG
+a run builds guards explosion and names the offending formula: each
+distinct interned state is charged once, 1 for an atom or disjunction
+state and 1 plus its pair count for a quantifier state.
 """
 
 from operator import itemgetter
@@ -74,249 +87,292 @@ _OUT = -1
 class _Run:
     def __init__(self, tree, core, values):
         self.tree = tree
-        self.core = core
-        self.values = values
         self.label = F.to_text(core)
-        self.total = 0  # every charge, as the debug dump reports it
-        self._charged = set()  # interned ids charged so far
-        self._budget_used = 0  # their sizes, each counted once
-        self._keys = {}  # id(subformula) -> views -> its free variables' views
-        self._key_views(core)
+        self.total = 0  # every node's expanded state size, as the debug dump reports it
+        self._budget_used = 0  # own sizes of the distinct interned states
         self._ids = {_U: _U, _T: _T, _F: _F}  # state -> interned id
         self._states = [_U, _T, _F]  # interned id -> state
-        self._sizes = [1, 1, 1]  # interned id -> size
+        self._sizes = [1, 1, 1]  # interned id -> expanded size
+        self._slots = {}  # variable name -> its index in a views list
+        self._step, self._empty, self._resolve, _ = self._compile(core)
+        self._values = [
+            (self._slots[name], F.is_set_name(name), value) for name, value in values.items()
+        ]
 
-    def _key_views(self, f):
-        """Record the view key of f and of each of its subformulas, bottom
-        up; return the free variables of f."""
-        names, subs, binds = F.parts(f)
-        free = {name for name, _ in names}
-        for g in subs:
-            free |= self._key_views(g)
-        free.difference_update(binds)
-        key = sorted(free)
-        self._keys[id(f)] = itemgetter(*key) if key else _no_views
-        return free
+    def _slot(self, name):
+        return self._slots.setdefault(name, len(self._slots))
 
-    def _viewkey(self, f, views):
-        return self._keys[id(f)](views)
-
-    def _intern(self, state, size=1):
+    def _intern(self, state, size=1, own=1):
+        """The interned id of ``state``.  Its expanded ``size`` goes to the
+        debug total at each node that holds it; its ``own`` size is charged
+        to the budget once, when the state is first seen, so the budget
+        bounds the state DAG a run builds, not the trees it shares."""
         sid = self._ids.get(state)
         if sid is None:
+            self._budget_used += own
+            if self._budget_used > MSO_BUDGET:
+                raise CompilationBudgetError(
+                    "compiled evaluator exceeded its state budget", self.label
+                )
             sid = self._ids[state] = len(self._states)
             self._states.append(state)
             self._sizes.append(size)
         return sid
 
     def _exists_state(self, pairs):
-        return self._intern(frozenset(pairs), sum(1 + self._sizes[s] for _, s in pairs))
-
-    def _charge(self, sid):
-        """Count a node's state; the budget sees each distinct state once,
-        so it bounds the states a run builds, not the tree's size."""
-        self.total += self._sizes[sid]
-        if sid in self._charged:
-            return sid
-        self._charged.add(sid)
-        self._budget_used += self._sizes[sid]
-        if self._budget_used > MSO_BUDGET:
-            raise CompilationBudgetError(
-                "compiled evaluator exceeded its state budget", self.label
-            )
-        return sid
+        sizes = self._sizes
+        return self._intern(
+            frozenset(pairs), sum(1 + sizes[s] for _, s in pairs), 1 + len(pairs)
+        )
 
     def _views(self, view):
-        """The free variables as this node sees them (see the module doc)."""
+        """The free variables as this node sees them (see the module doc),
+        one slot each; a bound variable's slot reads 0 until guessed."""
         index = view.index
-        views = {}
-        for name, value in self.values.items():
-            if F.is_set_name(name):
-                views[name] = sum(1 << p for e, p in index.items() if e in value)
+        views = [0] * len(self._slots)
+        for slot, is_set, value in self._values:
+            if is_set:
+                views[slot] = sum(1 << p for e, p in index.items() if e in value)
                 continue
             p = index.get(value)
-            views[name] = 0 if p is None else 1 << p
+            if p is not None:
+                views[slot] = 1 << p
         return views
 
     # -- evaluation -----------------------------------------------------------
 
     def result(self):
-        empty = self._empty(self.core)
-        return self._resolve(self.core, bottom_up(self.tree, empty, self._join))
+        return self._resolve(bottom_up(self.tree, self._empty, self._join))
 
     def _join(self, view, s1, s2):
-        return self._charge(self._combine(self.core, view.ctx, s1, s2, self._views(view)))
-
-    # -- the empty subtree ----------------------------------------------------------
-
-    def _empty(self, f):
-        """The state of ``f`` on an empty subtree, both children's at a leaf."""
-        if isinstance(f, (F.Member, F.ElemEq)):
-            return _U
-        if isinstance(f, F.SetEq):
-            return _T
-        if isinstance(f, F.InClosure):
-            return self._intern((EMPTY.base, None))
-        if isinstance(f, F.Indep):
-            return self._intern((EMPTY, True))
-        if isinstance(f, F.Not):
-            return self._empty(f.inner)
-        if isinstance(f, F.Or):
-            a, b = self._empty(f.left), self._empty(f.right)
-            return self._intern((a, b), self._sizes[a] + self._sizes[b])
-        if isinstance(f, F.Exists):
-            comp = 0 if F.is_set_name(f.var) else _OUT
-            return self._exists_state({(comp, self._empty(f.inner))})
-        raise DomainError(f"not a core formula node: {f!r}")
-
-    # -- combination at a node ------------------------------------------------------
-
-    def _combine(self, f, ctx, s1, s2, views):
-        key = (id(f), s1, s2, self._viewkey(f, views))
-        sid = ctx.memo.get(key)
-        if sid is None:
-            sid = ctx.memo[key] = self._combine_raw(f, ctx, s1, s2, views)
+        sid = self._step(view.ctx, s1, s2, self._views(view))
+        self.total += self._sizes[sid]
         return sid
 
-    def _combine_raw(self, f, ctx, s1, s2, views):
-        if isinstance(f, F.Member):
-            return self._member_state(_merge3(s1, s2), f, views)
-        if isinstance(f, F.ElemEq):
-            return self._elemeq_state(_merge3(s1, s2), f, views)
-        if isinstance(f, F.SetEq):
-            prev = _F if _F in (s1, s2) else _T
-            return self._seteq_state(prev, f, ctx.fresh, views)
-        if isinstance(f, F.InClosure):
-            return self._closure_combine(f, ctx, s1, s2, views)
-        if isinstance(f, F.Indep):
-            (sig1, ok1), (sig2, ok2) = self._states[s1], self._states[s2]
-            fresh = self._term_mask(f.term, views) & ctx.fresh
-            sig, delta = ctx.extended_join(sig1, sig2, fresh)
-            return self._intern((sig, ok1 and ok2 and delta == fresh.bit_count()))
-        if isinstance(f, F.Not):
-            return self._combine(f.inner, ctx, s1, s2, views)
-        if isinstance(f, F.Or):
-            (l1, r1), (l2, r2) = self._states[s1], self._states[s2]
-            a = self._combine(f.left, ctx, l1, l2, views)
-            b = self._combine(f.right, ctx, r1, r2, views)
-            return self._intern((a, b), self._sizes[a] + self._sizes[b])
-        if isinstance(f, F.Exists):
-            return self._exists_state(
-                {
-                    (comp, self._combine(f.inner, ctx, a1, a2, {**views, f.var: view}))
-                    for c1, a1 in self._states[s1]
-                    for c2, a2 in self._states[s2]
-                    for comp, view in self._choices(f.var, ctx, c1, c2)
-                }
-            )
-        raise DomainError(f"not a core formula node: {f!r}")
+    # -- compiling the core once per run ----------------------------------------
 
-    def _choices(self, var, ctx, c1, c2):
-        """Consistent placements of ``var`` at a node, given the children's
-        placements c1 and c2, with the variable's view here."""
-        gather = ctx.parent.gather
-        if F.is_set_name(var):
-            base = ctx.side1.scatter[c1] | ctx.side2.scatter[c2]
-            if base & ctx.dmask:
-                return ()
-            return [(gather[x], x) for x in (base | s for s in ctx.fresh_masks)]
-        if c1 != _OUT and c2 != _OUT:
-            return ()
-        if c1 != _OUT or c2 != _OUT:
-            comp, side = (c1, ctx.side1) if c1 != _OUT else (c2, ctx.side2)
-            bit = side.scatter[comp]
-            if bit & ctx.dmask:
-                return ()
-            return ((gather[bit], bit),)
-        return [(_OUT, 0)] + [(gather[b], b) for b in ctx.fresh_bits]
+    def _compile(self, f):
+        """(step, empty, resolve, free) of the subformula ``f``.
+
+        ``step(ctx, s1, s2, views)`` is f's state at a node from its
+        children's, ``empty`` its state on an empty subtree (both
+        children's at a leaf), ``resolve(sid)`` the truth a root state
+        gives, and ``free`` the slots of f's free variables.  A negation
+        has no step of its own: its state is its inner subformula's.
+        """
+        names, subs, binds = F.parts(f)
+        parts = [self._compile(g) for g in subs]
+        free = {self._slot(name) for name, _ in names}.union(*(p[3] for p in parts))
+        free.difference_update(self._slot(name) for name in binds)
+        if isinstance(f, F.Not):
+            step, empty, resolve, _ = parts[0]
+            return step, empty, lambda sid: not resolve(sid), free
+        if isinstance(f, F.Member):
+            return (*self._member(f), free)
+        if isinstance(f, F.ElemEq):
+            return (*self._elemeq(f), free)
+        if isinstance(f, F.SetEq):
+            return (*self._seteq(f), free)
+        if isinstance(f, F.InClosure):
+            step, empty, resolve = self._closure(f)
+        elif isinstance(f, F.Indep):
+            step, empty, resolve = self._indep(f)
+        elif isinstance(f, F.Or):
+            step, empty, resolve = self._or(*parts)
+        elif isinstance(f, F.Exists):
+            step, empty, resolve = self._exists(f.var, *parts)
+        else:
+            raise DomainError(f"not a core formula node: {f!r}")
+        return self._memoized(f, free, step), empty, resolve, free
+
+    def _memoized(self, f, free, step):
+        """``step`` behind the memo of each node's context, keyed by f, the
+        children's states and the views of f's free variables."""
+        fid = id(f)
+        viewkey = itemgetter(*sorted(free)) if free else _no_views
+
+        def memo_step(ctx, s1, s2, views):
+            key = (fid, s1, s2, viewkey(views))
+            memo = ctx.memo
+            sid = memo.get(key)
+            if sid is None:
+                sid = memo[key] = step(ctx, s1, s2, views)
+            return sid
+
+        return memo_step
+
+    def _term(self, term):
+        """A set term as the function of the views that gives its mask."""
+        if isinstance(term, F.Var):
+            return itemgetter(self._slots[term.name])
+        inner, elem = self._term(term.term), self._slots[term.elem]
+        if isinstance(term, F.Remove):
+            return lambda views: inner(views) & ~views[elem]
+        return lambda views: inner(views) | views[elem]
 
     # -- atoms -----------------------------------------------------------------------
 
-    def _term_mask(self, term, views):
-        if isinstance(term, F.Var):
-            return views[term.name]
-        if isinstance(term, F.Remove):
-            return self._term_mask(term.term, views) & ~views[term.elem]
-        if isinstance(term, F.Add):
-            return self._term_mask(term.term, views) | views[term.elem]
-        raise DomainError(f"not a set term: {term!r}")
+    def _member(self, f):
+        elem, term = self._slots[f.elem], self._term(f.term)
 
-    def _member_state(self, prev, f, views):
-        if prev != _U:
-            return prev
-        bit = views[f.elem]
-        if not bit:
-            return _U
-        return _T if bit & self._term_mask(f.term, views) else _F
+        def step(ctx, s1, s2, views):
+            prev = s1 if s1 != _U else s2
+            if prev != _U:
+                return prev
+            bit = views[elem]
+            if not bit:
+                return _U
+            return _T if bit & term(views) else _F
 
-    def _elemeq_state(self, prev, f, views):
-        if prev != _U:
-            return prev
-        xb, yb = views[f.left], views[f.right]
-        if not xb and not yb:
-            return _U
-        return _T if xb == yb else _F  # each is met where its K holds it
+        return step, _U, _decided(f)
 
-    def _seteq_state(self, prev, f, fresh, views):
-        if prev == _F:
-            return _F
-        va = self._term_mask(f.left, views)
-        vb = self._term_mask(f.right, views)
-        return _F if (va ^ vb) & fresh else _T
+    def _elemeq(self, f):
+        x, y = self._slots[f.left], self._slots[f.right]
 
-    def _closure_combine(self, f, ctx, s1, s2, views):
-        (fmap1, g1), (fmap2, g2) = self._states[s1], self._states[s2]
-        bit = views[f.elem]
-        zs = ctx.fixpoints(fmap1, fmap2, self._term_mask(f.term, views))
-        fmap = tuple(ctx.parent.gather[z] for z in zs)
-        if bit:
-            g = tuple(bool(z & bit) for z in zs)
-        elif g1 is not None:
-            g = tuple(g1[ctx.side1.gather[z]] for z in zs)
-        elif g2 is not None:
-            g = tuple(g2[ctx.side2.gather[z]] for z in zs)
-        else:
-            g = None
-        return self._intern((fmap, g))
+        def step(ctx, s1, s2, views):
+            prev = s1 if s1 != _U else s2
+            if prev != _U:
+                return prev
+            xb, yb = views[x], views[y]
+            if not xb and not yb:
+                return _U
+            return _T if xb == yb else _F  # each is met where its K holds it
 
-    # -- resolution at the root ---------------------------------------------------------
+        return step, _U, _decided(f)
 
-    def _resolve(self, f, sid):
-        state = self._states[sid]
-        if isinstance(f, (F.Member, F.ElemEq)):
-            if state == _U:
-                raise DomainError(f"unresolved atom {F.to_text(f)!r}")
-            return state == _T
-        if isinstance(f, F.SetEq):
-            return state == _T
-        if isinstance(f, F.InClosure):
-            if state[1] is None:
+    def _seteq(self, f):
+        left, right = self._term(f.left), self._term(f.right)
+
+        def step(ctx, s1, s2, views):
+            if s1 == _F or s2 == _F:
+                return _F
+            return _F if (left(views) ^ right(views)) & ctx.fresh else _T
+
+        return step, _T, lambda sid: sid == _T
+
+    def _closure(self, f):
+        elem, term = self._slots[f.elem], self._term(f.term)
+        states, intern = self._states, self._intern
+
+        def step(ctx, s1, s2, views):
+            (fmap1, g1), (fmap2, g2) = states[s1], states[s2]
+            bit = views[elem]
+            zs = ctx.fixpoints(fmap1, fmap2, term(views))
+            gather = ctx.parent.gather
+            fmap = tuple([gather[z] for z in zs])
+            if bit:
+                g = tuple([bool(z & bit) for z in zs])
+            elif g1 is not None:
+                gather = ctx.side1.gather
+                g = tuple([g1[gather[z]] for z in zs])
+            elif g2 is not None:
+                gather = ctx.side2.gather
+                g = tuple([g2[gather[z]] for z in zs])
+            else:
+                g = None
+            return intern((fmap, g))
+
+        def resolve(sid):
+            g = states[sid][1]
+            if g is None:
                 raise DomainError(f"unresolved closure atom {F.to_text(f)!r}")
-            return state[1][0]
-        if isinstance(f, F.Indep):
-            return state[1]
-        if isinstance(f, F.Not):
-            return not self._resolve(f.inner, sid)
-        if isinstance(f, F.Or):
-            return self._resolve(f.left, state[0]) or self._resolve(f.right, state[1])
-        if isinstance(f, F.Exists):
-            for comp, inner in state:
-                if not F.is_set_name(f.var) and comp == _OUT:
-                    continue
-                if self._resolve(f.inner, inner):
-                    return True
-            return False
-        raise DomainError(f"not a core formula node: {f!r}")
+            return g[0]
+
+        return step, intern((EMPTY.base, None)), resolve
+
+    def _indep(self, f):
+        term = self._term(f.term)
+        states, intern = self._states, self._intern
+
+        def step(ctx, s1, s2, views):
+            (sig1, ok1), (sig2, ok2) = states[s1], states[s2]
+            fresh = term(views) & ctx.fresh
+            sig, delta = ctx.extended_join(sig1, sig2, fresh)
+            return intern((sig, ok1 and ok2 and delta == fresh.bit_count()))
+
+        return step, intern((EMPTY, True)), lambda sid: states[sid][1]
+
+    # -- disjunction and quantifier ------------------------------------------------------
+
+    def _or(self, left, right):
+        (lstep, lempty, lresolve, _), (rstep, rempty, rresolve, _) = left, right
+        states, sizes, intern = self._states, self._sizes, self._intern
+
+        def step(ctx, s1, s2, views):
+            (l1, r1), (l2, r2) = states[s1], states[s2]
+            a = lstep(ctx, l1, l2, views)
+            b = rstep(ctx, r1, r2, views)
+            return intern((a, b), sizes[a] + sizes[b])
+
+        def resolve(sid):
+            a, b = states[sid]
+            return lresolve(a) or rresolve(b)
+
+        return step, intern((lempty, rempty), sizes[lempty] + sizes[rempty]), resolve
+
+    def _exists(self, var, inner):
+        """Each guess of ``var`` is written into its slot for the inner
+        step, and the outer value is put back after: a rebound name, or a
+        bound name the assignment also gives, is shadowed only inside."""
+        istep, iempty, iresolve, _ = inner
+        slot, is_set = self._slots[var], F.is_set_name(var)
+        states = self._states
+
+        def step(ctx, s1, s2, views):
+            memo = ctx.memo
+            outer = views[slot]
+            pairs = set()
+            for c1, a1 in states[s1]:
+                for c2, a2 in states[s2]:
+                    key = (is_set, c1, c2)  # the context's choice list, built once
+                    choices = memo.get(key)
+                    if choices is None:
+                        choices = memo[key] = _choices(is_set, ctx, c1, c2)
+                    for comp, view in choices:
+                        views[slot] = view
+                        pairs.add((comp, istep(ctx, a1, a2, views)))
+            views[slot] = outer
+            return self._exists_state(pairs)
+
+        def resolve(sid):
+            return any(iresolve(a) for comp, a in states[sid] if is_set or comp != _OUT)
+
+        return step, self._exists_state({(0 if is_set else _OUT, iempty)}), resolve
+
+
+def _choices(is_set, ctx, c1, c2):
+    """Consistent placements of a variable at a node, given the children's
+    placements c1 and c2, with the variable's view here."""
+    gather = ctx.parent.gather
+    if is_set:
+        base = ctx.side1.scatter[c1] | ctx.side2.scatter[c2]
+        if base & ctx.dmask:
+            return ()
+        return [(gather[x], x) for x in (base | s for s in ctx.fresh_masks)]
+    if c1 != _OUT and c2 != _OUT:
+        return ()
+    if c1 != _OUT or c2 != _OUT:
+        comp, side = (c1, ctx.side1) if c1 != _OUT else (c2, ctx.side2)
+        bit = side.scatter[comp]
+        if bit & ctx.dmask:
+            return ()
+        return ((gather[bit], bit),)
+    return [(_OUT, 0)] + [(gather[b], b) for b in ctx.fresh_bits]
+
+
+def _decided(f):
+    """Reading of a membership or equality atom's root state."""
+
+    def resolve(sid):
+        if sid == _U:
+            raise DomainError(f"unresolved atom {F.to_text(f)!r}")
+        return sid == _T
+
+    return resolve
 
 
 def _no_views(views):
     return ()
-
-
-def _merge3(s1, s2):
-    if s1 != _U:
-        return s1
-    return s2
 
 
 def eval_with_counts(tree, formula, assignment=None):

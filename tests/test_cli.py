@@ -422,6 +422,26 @@ def test_mso_state_budget_exits_2(corpus_dir, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_nested_quantifiers_fit_the_state_budget(corpus_dir, tmp_path, capsys):
+    # each level's state shares the one below, so the budget, which charges
+    # each distinct state once, stays small; the dump still reports the
+    # expanded sizes, which double with each level
+    decomposition = str(corpus_dir / "decompositions" / "k3-node.json")
+    matroid = str(corpus_dir / "matroids" / "k3.json")
+    dump = tmp_path / "states.json"
+    for depth, total in ((8, 2298), (20, None)):
+        formula = "exists y (" * depth + "x in X" + ")" * depth
+        argv = ["mso", "-f", formula, "-a", '{"x": 1, "X": [1]}']
+        dp_argv = ["--engine", "dp", "-d", decomposition, "--dump-states", str(dump)]
+        assert cli.main(argv + dp_argv) == 0
+        dp = json.loads(capsys.readouterr().out)
+        assert cli.main(argv + ["--engine", "naive", "-m", matroid]) == 0
+        naive = json.loads(capsys.readouterr().out)
+        assert dp["result"] == naive["result"] == "ACCEPT"
+        if total is not None:
+            assert list(json.loads(dump.read_text()).values()) == [total]
+
+
 def test_unnamed_cross_check_only_within_its_cap(tmp_path, corpus_dir, capsys):
     # a 40-triangle chain realizes a 42-element circuit, past the brute-force
     # and naive caps: with no engine named the DP answers alone, while a

@@ -23,12 +23,16 @@ from conftest import CORPUS, REINTRODUCED_PLACEMENTS, reintroduced_id_tree
 
 # Independence idioms beyond the corpus formulas: added and removed
 # elements inside indep, a circuit as two indep atoms, and indep under
-# negation next to a closure atom.
+# negation next to a closure atom.  Then shadowing, which a quantifier's
+# in-place views must undo: a rebound name, and a name both free and bound.
 EXTRA_FORMULAS = {
     "indep-add": "indep(X1 + {x1})",
     "indep-minus-each": r"forall e (e in X1 -> indep(X1 \ {e}))",
     "is-circuit-macro": "is_circuit(X1)",
     "spanning-dependent": "exists X (spanning(X) & !indep(X))",
+    "shadow-rebound": "exists y (y in X1 & exists y (!(y in X1)))",
+    "shadow-free-element": "x1 in X1 & exists x1 (!(x1 in X1))",
+    "shadow-free-set": "exists X1 (x1 in X1) & x1 in X1",
 }
 
 ASSIGNMENTS_PER_FORMULA = 3
@@ -146,16 +150,20 @@ def test_reintroduced_id_matches_naive(where):
 
 @pytest.mark.parametrize("label", ["connected-closure", "hamiltonian", "spanning-indep"])
 def test_chain_work_does_not_grow(label, corpus_formulas, monkeypatch):
-    # one combine memo per node shape for the whole run: once the states
-    # settle, every further triangle of the chain is a memo hit
+    # one memo per node shape for the whole run: once the states settle,
+    # every further triangle of the chain is a memo hit, so no memoized
+    # transition runs its step again
     calls = []
-    combine = compiled._Run._combine_raw
+    memoized = compiled._Run._memoized
 
-    def counted(run, *args):
-        calls.append(1)
-        return combine(run, *args)
+    def counted(run, f, free, step):
+        def counted_step(*args):
+            calls.append(1)
+            return step(*args)
 
-    monkeypatch.setattr(compiled._Run, "_combine_raw", counted)
+        return memoized(run, f, free, counted_step)
+
+    monkeypatch.setattr(compiled._Run, "_memoized", counted)
     formula = parse(corpus_formulas[label])
     work = []
     verdicts = set()
@@ -165,6 +173,26 @@ def test_chain_work_does_not_grow(label, corpus_formulas, monkeypatch):
         work.append(len(calls))
     assert len(verdicts) == 1
     assert work[0] == work[1] > 0
+
+
+# ``--dump-states`` totals of the mso-chain formulas on a corpus chain, with
+# X1 every ground element but the largest where the formula has X1
+DUMP_TOTALS = {
+    "hamiltonian": 2565,
+    "connected-closure": 778,
+    "spanning-indep": 276,
+    "closure-extension": 249,
+    "is-base": 84,
+}
+
+
+def test_dump_state_totals_pinned(corpus_formulas):
+    tree = files.load_decomposition(CORPUS / "decompositions" / "chain4-c6.json")
+    ground = sorted(tree.ground())
+    for label, want in DUMP_TOTALS.items():
+        formula = parse(corpus_formulas[label])
+        assignment = {"X1": ground[:-1]} if "X1" in F.free_variables(formula) else {}
+        assert sum(compiled_state_counts(tree, formula, assignment).values()) == want, label
 
 
 def test_state_budget_names_the_formula(monkeypatch):
