@@ -21,7 +21,7 @@ glue span; then the nodes themselves, in postorder.  Each distinct span
 has its points enumerated once, and a node's J from a child is what
 that child kept of its own fresh elements, not deleting them.  One
 table memo per conversion (``Matroid.from_linear(tables=...)``) builds
-each distinct glue matroid's rank table once.
+each distinct glue matroid's rank table, one ``Matroid.key``, once.
 """
 
 from dataclasses import dataclass

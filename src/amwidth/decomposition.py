@@ -13,11 +13,10 @@ when J_i leaves the child's K.
 
 A rank-level verdict depends on rank tables and positions in them, not
 on element ids, so one ``validate`` call reaches each distinct verdict
-once: a rank-axiom check per K table, a semiflat check per (K table,
-J mask), and a restriction check per (child table, positions, K table,
-positions).  Nodes of one shape (glue table and the positions of J1, J2,
-D) share them, and a failing verdict is reported at every node it
-applies to.
+once, keyed by ``Matroid.key``: a rank-axiom check per K table, a
+semiflat check per (K table, J mask), and a restriction check per (child
+table, positions, K table, positions).  Nodes of one shape share them,
+and a failing verdict is reported at every node it applies to.
 """
 
 from dataclasses import dataclass
@@ -105,7 +104,9 @@ class AmalgamDecomposition:
                     order.append(nid)
                     continue
                 if nid in seen:
-                    raise DomainError("decomposition tree contains a cycle")
+                    if nid not in order:  # still open: it is its own descendant
+                        raise DomainError("decomposition tree contains a cycle")
+                    raise DomainError(f"node {nid!r} is reached twice from the root")
                 seen.add(nid)
                 stack.append((nid, True))
                 for c in reversed(self.nodes[nid].children):
@@ -396,47 +397,38 @@ def _parallel_extend(m, twins):
 
 
 class _ShapeChecks:
-    """The rank-level verdicts of one ``validate`` call, each computed once.
-
-    A verdict depends on rank tables and positions, never on element ids,
-    so all nodes of one shape share it; the caller still reports a failing
-    verdict at every node it applies to.
-    """
+    """The rank-level verdicts of one ``validate`` call, each computed once
+    (see the module doc)."""
 
     def __init__(self):
-        self.matroids = {}
-        self.semiflats = {}
-        self.restrictions = {}
+        self.verdicts = {}  # keyed by a table's key, or a tuple holding keys
 
     def is_matroid(self, k):
         """Whether k's table satisfies the rank axioms; one built from
         columns or from a graph does by construction."""
         if k.linear is not None or k.graph is not None:
             return True
-        key = k.table.tobytes()
-        if key not in self.matroids:
-            self.matroids[key] = k.rank_axiom_violation() is None
-        return self.matroids[key]
+        if k.key not in self.verdicts:
+            self.verdicts[k.key] = k.rank_axiom_violation() is None
+        return self.verdicts[k.key]
 
     def semiflat(self, k, j):
         """(whether j is a modular semiflat in k, DomainError text or None)."""
         if not j <= k.ground_set:  # the error names the stray id: not shared
             return _semiflat(k, j)
-        key = (k.table.tobytes(), k.mask_of(j))
-        if key not in self.semiflats:
-            self.semiflats[key] = _semiflat(k, j)
-        return self.semiflats[key]
+        key = (k.key, k.mask_of(j))
+        if key not in self.verdicts:
+            self.verdicts[key] = _semiflat(k, j)
+        return self.verdicts[key]
 
     def restriction_agrees(self, m, k, j):
         """Whether m and k agree on every subset of j, matched element by
         element in sorted order."""
         ids = sorted(j)
-        mpos = tuple(m._index[e] for e in ids)
-        kpos = tuple(k._index[e] for e in ids)
-        key = (m.table.tobytes(), mpos, k.table.tobytes(), kpos)
-        if key not in self.restrictions:
-            self.restrictions[key] = restrictions_equal(m, k, ids)
-        return self.restrictions[key]
+        key = (m.key, tuple(m._index[e] for e in ids), k.key, tuple(k._index[e] for e in ids))
+        if key not in self.verdicts:
+            self.verdicts[key] = restrictions_equal(m, k, ids)
+        return self.verdicts[key]
 
 
 def _semiflat(k, j):

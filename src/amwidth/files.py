@@ -9,7 +9,7 @@ A decomposition file names one glue matroid per node, but a long chain
 repeats a handful of structures.  Loading builds each distinct rank
 table (and checks an explicit one against the axioms) once per file; the
 nodes' matroids keep their own ids, names and descriptions and share
-that read-only table, which is never written.
+that table's one ``Matroid.key`` object.
 """
 
 import json
@@ -155,20 +155,7 @@ def _matroid(obj, tables):
         elements = _ints(obj["elements"], "element id")
         if "rank" in obj:
             ranks = _rank_list(elements, _dict(obj["rank"], "rank"))
-            key = ("explicit", bytes(ranks))
-            tbl = tables.get(key)
-            m = Matroid(elements, ranks if tbl is None else tbl, names=names)
-            if tbl is None:
-                # a bad table stops the load, so only good ones are kept
-                bad = m.rank_axiom_violation()
-                if bad is not None:
-                    kind, a, b = bad
-                    raise DomainError(
-                        f"rank table breaks the {kind} axiom at subsets "
-                        f"{sorted(a)} and {sorted(b)}"
-                    )
-                tables[key] = m.table
-            return m
+            return Matroid.from_ranks(elements, ranks, names=names, tables=tables)
         if "independent_sets" in obj:
             sets = obj["independent_sets"]
             if not isinstance(sets, list):
@@ -185,8 +172,8 @@ def _rank_list(elements, ranks):
     Keys are comma-separated element ids; each must be in ``elements``,
     and each subset must be given exactly once.  The ranks are gathered
     by mask first, so nothing larger than the object itself is allocated
-    before ``Matroid`` checks the table cap; only naming a missing subset
-    walks every mask, and the cap is checked before that walk.
+    before ``Matroid.from_ranks`` checks the table cap; only naming a
+    missing subset walks every mask, and the cap is checked before that.
     """
     if len(set(elements)) != len(elements):
         raise DomainError("duplicate element ids in ground set")
@@ -273,6 +260,8 @@ def branch_to_obj(b):
 def branch_from_obj(obj):
     if not isinstance(obj, dict) or "tree" not in obj or "leaf_labels" not in obj:
         raise DomainError("branch decomposition needs 'tree' and 'leaf_labels'")
+    if not isinstance(obj["tree"], list):
+        raise DomainError(f"tree must be a list, got {obj['tree']!r}")
     edges = []
     for e in obj["tree"]:
         if not isinstance(e, (list, tuple)) or len(e) != 2:

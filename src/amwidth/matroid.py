@@ -5,10 +5,10 @@ bitmask over a fixed element order (the hot paths in the rest of the
 package are table gathers).  Element ids are arbitrary ints, unique
 within a ground set and stable under minors.  Instances are immutable;
 all operations return new values and are safe to share across threads.
-Rank tables are read-only numpy arrays: an instance keeps a read-only
-table it is given as it is, so instances built from the same structure
-(``from_linear``/``from_graph`` with a shared ``tables`` dict) may share
-one table, and no table is ever written.
+A rank table is one ``bytes`` object, ``Matroid.key``, read through the
+read-only int8 view ``Matroid.table``.  A view given in is shared as it
+is, any other table copied in once under the cap; so two tables are the
+same exactly when their keys are equal, and no table is ever written.
 """
 
 from dataclasses import dataclass, field
@@ -58,14 +58,12 @@ class Matroid:
         elements = tuple(int(e) for e in elements)
         if len(set(elements)) != len(elements):
             raise DomainError("duplicate element ids in ground set")
-        check_cap(len(elements), "rank table")
         tbl = np.asarray(table, dtype=np.int8)
         if tbl.shape != (1 << len(elements),):
             raise DomainError("rank table size does not match the ground set")
-        # a read-only view could still be written through its base
-        if tbl.flags.writeable or tbl.base is not None:
-            tbl = tbl.copy()
-            tbl.setflags(write=False)
+        if type(tbl.base) is not bytes or len(tbl.base) != tbl.size:  # not a key's view
+            check_cap(len(elements), "rank table")
+            tbl = np.frombuffer(tbl.tobytes(), dtype=np.int8)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(elements)})
         object.__setattr__(self, "_tbl", tbl)
@@ -129,6 +127,23 @@ class Matroid:
         )
         m = cls(ids, tbl, names=names, graph=desc)
         tables.setdefault(key, m._tbl)
+        return m
+
+    @classmethod
+    def from_ranks(cls, elements, ranks, names=None, tables=None):
+        """Matroid of the ranks listed by subset mask, checked against the
+        rank axioms once per table; ``tables`` is as for ``from_linear``."""
+        check_cap(len(elements), "rank table")
+        tables = {} if tables is None else tables
+        key = np.asarray(ranks, dtype=np.int8).tobytes()
+        m = cls(elements, tables.get(key, np.frombuffer(key, dtype=np.int8)), names=names)
+        bad = None if key in tables else m.rank_axiom_violation()
+        if bad is not None:
+            kind, a, b = bad
+            raise DomainError(
+                f"rank table breaks the {kind} axiom at subsets {sorted(a)} and {sorted(b)}"
+            )
+        tables.setdefault(key, m.table)
         return m
 
     @classmethod
@@ -219,6 +234,10 @@ class Matroid:
     @property
     def table(self):
         return self._tbl
+
+    @property
+    def key(self):
+        return self._tbl.base
 
     def mask_of(self, subset):
         return mask_of(self._index, subset)

@@ -153,9 +153,6 @@ class _NodeTable:
             for r, c in _slots(packed, self.width).items()
         }
 
-    def total(self):
-        return sum(sum(self.counts(sig).values()) for sig in self.by_sig)
-
 
 def tutte_decomposition(tree, want_tables=False):
     """Tutte polynomial of realize(tree) straight from the decomposition.
@@ -165,8 +162,8 @@ def tutte_decomposition(tree, want_tables=False):
     """
     tree = tree.prepared()
     width = 1 + max(
-        max(len(tree.ground(v)), sum(len(tree.ground(c)) for c in node.children))
-        for v, node in tree.nodes.items()
+        max(len(tree.ground(v)), sum(len(tree.ground(c)) for c in tree.nodes[v].children))
+        for v in tree.postorder()
     )
     tables = {}
     empty = _NodeTable(width)

@@ -18,7 +18,7 @@ sub-order of K's positions, its gather/scatter tables built as lists by
 doubling for the join's scalar lookups.
 
 Types hold no element ids: a boundary subset is a mask over the sorted
-boundary.  A node's *shape* is its glue matroid's rank table, the
+boundary.  A node's *shape* is its glue matroid's ``Matroid.key``, the
 K-positions of sorted J1, sorted J2 and the sorted parent boundary, and
 the mask of D; every rank-level fact of a join depends on the shape
 alone.  Shapes are made canonical before a context is built: K is
@@ -117,7 +117,7 @@ def _positions(k, ids):
 def node_shape(k, j1, j2, j_parent, deletions=()):
     """The key one ``JoinContext`` is built from; see the module doc."""
     return (
-        k.table.tobytes(),
+        k.key,
         _positions(k, j1),
         _positions(k, j2),
         _positions(k, j_parent),

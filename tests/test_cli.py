@@ -172,6 +172,63 @@ def test_malformed_decomposition_file_exits_1(tmp_path, capsys, fields, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "children,message",
+    [
+        (["a", "gone"], "child node 'gone' is missing"),
+        (["a", "r"], "decomposition tree contains a cycle"),
+        (["a", "a"], "node 'a' is reached twice from the root"),
+    ],
+    ids=["missing-child", "cycle", "shared-child"],
+)
+def test_structure_violation_reported(tmp_path, capsys, children, message):
+    path = _write(tmp_path / "d.json", _chain_decomposition(children=children))
+    assert cli.main(["validate", "-d", path]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "valid": False,
+        "width": 0,
+        "violations": [{"node": "r", "code": "structure", "message": message}],
+    }
+
+
+def test_dynamic_programs_skip_nodes_the_root_does_not_reach(tmp_path, corpus_dir, capsys):
+    leaf = _chain_decomposition()["nodes"]["a"]
+    path = _write(tmp_path / "d.json", {"root": "r", "nodes": {"r": leaf, "z": leaf}})
+    formula = str(corpus_dir / "formulas" / "spanning-indep.mso")
+    outputs = []
+    for argv in (
+        ["validate", "-d", path],
+        ["tutte", "--dp", "-d", path],
+        ["tutte", "--brute", "-d", path],
+        ["mso", "--engine", "dp", "-f", formula, "-d", path, "-a", '{"X1": [1]}'],
+    ):
+        assert cli.main(argv) == 0, argv
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0]["valid"] is True
+    assert outputs[1] == outputs[2] and outputs[1]["text"] == "x"
+
+
+MALFORMED_BRANCHES = {
+    "tree": ({"tree": 5, "leaf_labels": {}}, "tree must be a list, got 5"),
+    "entry": ({"tree": [["l0", "i0", "i1"]], "leaf_labels": {}}, "node pairs"),
+    "labels": ({"tree": [], "leaf_labels": [1]}, "leaf_labels must be an object"),
+    "label": ({"tree": [["l0", "i0"]], "leaf_labels": {"l0": "x"}}, "label of leaf 'l0'"),
+}
+
+
+@pytest.mark.parametrize("command", ["width", "convert"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_BRANCHES))
+def test_malformed_branch_file_exits_1(tmp_path, corpus_dir, capsys, case, command):
+    obj, field = MALFORMED_BRANCHES[case]
+    path = _write(tmp_path / "b.json", obj)
+    matroid = str(corpus_dir / "branch" / "c4-gf3.matroid.json")
+    assert cli.main([command, "-m", matroid, "-b", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err, captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_unanchored_tree_valid_but_not_for_dynamic_programs(tmp_path, corpus_dir, capsys):
     # the top node's J1 = {1} sits outside its left child's K = {2}
     tb = zoo.TreeBuilder()

@@ -3,9 +3,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from amwidth import files, kernels, zoo
+from amwidth.errors import ResourceError
 from amwidth.matroid import Matroid
+from amwidth.types_dp import node_shape
 
 from conftest import CORPUS
 
@@ -164,3 +167,44 @@ def test_shared_table_is_kept_and_a_writable_one_copied():
     view = writable.view()
     view.setflags(write=False)
     assert Matroid([3, 4], view).table is not view  # its base can still be written
+
+
+def _structure(k):
+    """What the loader builds a table from: the endpoint pairs numbered by
+    first appearance for a graphic matroid, the table for an explicit one."""
+    if k.graph is None:
+        return k.key
+    number = {}
+    return tuple(number.setdefault(v, len(number)) for e in k.elements for v in k.graph.edges[e])
+
+
+def test_nodes_of_one_structure_share_one_key_object(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(files.dumps(files.decomposition_to_obj(zoo.triangle_chain(300))))
+    tree = files.load_decomposition(path)
+    keys = {}
+    for nid, node in tree.nodes.items():
+        assert keys.setdefault(_structure(node.K), node.K.key) is node.K.key, nid
+        assert type(node.K.key) is bytes and node.K.key == node.K.table.tobytes(), nid
+        shape = node_shape(node.K, node.J1, node.J2, tree.boundary(nid), node.D)
+        assert shape[0] is node.K.key, nid
+    assert len(keys) <= 8 < len(tree.nodes)
+
+
+def test_only_a_new_table_is_checked_against_the_cap(tmp_path, monkeypatch):
+    path = tmp_path / "chain.json"
+    path.write_text(files.dumps(files.decomposition_to_obj(zoo.triangle_chain(20))))
+    tree = files.load_decomposition(path)
+    monkeypatch.setenv("AMALGAM_MAX_ELEMENTS", "1")
+    for node in tree.nodes.values():
+        k = node.K
+        shared = Matroid(k.elements[::-1], k.table)
+        assert shared.table is k.table and shared.key is k.key
+        if k.size > 1:
+            with pytest.raises(ResourceError):
+                Matroid(k.elements, np.array(k.table))
+    # a view over mutable bytes, or over part of some bytes, is a new table
+    with pytest.raises(ResourceError):
+        Matroid([1, 2], np.frombuffer(bytearray([0, 1, 1, 1]), dtype=np.int8))
+    part = np.frombuffer(bytes([0, 1, 1, 1]), dtype=np.int8, count=2)
+    assert Matroid([1], part).key == bytes([0, 1])
