@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""One digest over every corpus CLI run, to compare two checkouts.
+
+Runs, in this process and against ``ROOT/src`` (default: this checkout),
+each command below over the corpus under ``ROOT/corpus``:
+
+- per branch pair: ``convert`` and ``width``;
+- per decomposition: ``validate``, ``width``, ``nice``, ``tutte`` and
+  ``tutte --dp --dump-types``;
+- per decomposition and formula: ``mso --engine dp --dump-states``, with
+  the free variables bound to the first ids of the tree's ground set.
+
+Prints the run count and one SHA-256 over each run's arguments, exit
+code, stdout, stderr and dump file.  Paths are relative to ROOT, so two
+checkouts with the same behaviour print the same line.
+
+    python3 scripts/corpus_digest.py [ROOT]
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+
+def runs(files):
+    """(argv, dump flag or None) for every run, in a fixed order."""
+    corpus = pathlib.Path("corpus")
+    for b in sorted((corpus / "branch").glob("*.branch.json")):
+        m = b.with_name(b.name.replace(".branch.", ".matroid."))
+        for command in ("convert", "width"):
+            yield [command, "-m", str(m), "-b", str(b)], None
+    formulas = sorted((corpus / "formulas").glob("*.mso"))
+    for d in sorted((corpus / "decompositions").glob("*.json")):
+        for command in ("validate", "width", "nice", "tutte"):
+            yield [command, "-d", str(d)], None
+        yield ["tutte", "--dp", "-d", str(d)], "--dump-types"
+        ground = sorted(files.load_decomposition(d).ground())
+        assign = json.dumps(
+            {"X1": ground[:2], "X2": ground[1:3], "x1": ground[0], "x2": ground[-1]}
+        )
+        for f in formulas:
+            argv = ["mso", "--engine", "dp", "-f", str(f), "-d", str(d), "-a", assign]
+            yield argv, "--dump-states"
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    default = pathlib.Path(__file__).resolve().parent.parent
+    parser.add_argument("root", nargs="?", default=str(default))
+    root = pathlib.Path(parser.parse_args().root).resolve()
+    sys.path.insert(0, str(root / "src"))
+    os.chdir(root)
+    from amwidth import cli, files
+
+    digest = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        dump = os.path.join(scratch, "dump.json")
+        for argv, flag in runs(files):
+            if flag:
+                argv = [*argv, flag, dump]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            dumped = b""
+            if flag and os.path.exists(dump):
+                with open(dump, "rb") as fh:
+                    dumped = fh.read()
+                os.remove(dump)
+            shown = [a if a != dump else "DUMP" for a in argv]
+            for part in (json.dumps(shown), str(code), out.getvalue(), err.getvalue()):
+                digest.update(part.encode() + b"\0")
+            digest.update(dumped + b"\0")
+            count += 1
+    print(f"{count} runs sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -17,11 +17,11 @@ The branch tree is rooted once (``_rooted``), and three loops over one
 postorder, none of them recursive, do the rest: the space V of each
 subtree bottom-up, as the sum of its children's spaces; then top-down
 the space of everything outside each subtree and from it each node's
-glue span; then the nodes themselves, in postorder.  Each distinct span
-has its points enumerated once, and a node's J from a child is what
-that child kept of its own fresh elements, not deleting them.  One
-table memo per conversion (``Matroid.from_linear(tables=...)``) builds
-each distinct glue matroid's rank table, one ``Matroid.key``, once.
+glue span; then the nodes themselves, in postorder, listed without the
+J1/J2 that ``AmalgamDecomposition.with_boundaries`` derives.  Each
+distinct span has its points enumerated once.  One table memo per
+conversion (``Matroid.from_linear(tables=...)``) builds each distinct
+glue matroid's rank table, one ``Matroid.key``, once.
 """
 
 from dataclasses import dataclass
@@ -196,25 +196,22 @@ def from_branch_decomposition(m, b):
             }
         return points[key]
 
-    nodes, nid, kept, tables = [], {}, {}, {}
+    nodes, nid, tables = [], {}, {}
 
-    def emit(children, k, j1=frozenset(), j2=frozenset(), d=frozenset()):
-        nodes.append(DecompositionNode(f"n{len(nodes) + 1}", children, k, j1, j2, d))
+    def emit(children, k, d=frozenset()):
+        nodes.append(DecompositionNode(f"n{len(nodes) + 1}", children, k, D=d))
         return nodes[-1].nid
 
     for x in post:
         here = fresh_points(x)
         if x in kids:
-            left, right = kids[x]
-            children, j1, j2 = (nid[left], nid[right]), kept[left], kept[right]
+            children = tuple(nid[c] for c in kids[x])
             k = Matroid.from_linear(here, p, tables=tables)
         else:
             e = b.leaf_labels[x]
             leaf = Matroid.from_linear({e: cols[e]}, p, tables=tables)
             children = (emit((), leaf), emit((), Matroid.empty()))
-            j1, j2 = frozenset([e]), frozenset()
             k = Matroid.from_linear({e: cols[e], **here}, p, tables=tables)
         above = fresh_points(parent[x]) if x in parent else {}
-        kept[x] = frozenset(here.keys() & above.keys())
-        nid[x] = emit(children, k, j1, j2, frozenset(here.keys() - above.keys()))
-    return AmalgamDecomposition(nodes, nid[root])
+        nid[x] = emit(children, k, frozenset(here.keys() - above.keys()))
+    return AmalgamDecomposition(nodes, nid[root]).with_boundaries()

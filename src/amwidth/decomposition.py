@@ -2,14 +2,16 @@
 
 A tree node carries its glue matroid K and the sets J1, J2, D of the
 glueing step that produces M(v) from the children's matroids.  Ground
-sets are derived structurally.  Rank-level checks read the glue matroids
-themselves: once the glueing at a node is defined, M(v) restricted to
-E(K(v)) - D(v) is K(v) with D(v) deleted, since the generalized parallel
-connection changes no rank inside K.  So M_i|J_i = K|J_i compares two
-glue tables whenever J_i lies inside the child's K, and validation
-scales to trees whose realization would be far beyond the brute-force
-caps.  ``realize`` is the capped oracle path; validation calls it only
-when J_i leaves the child's K.
+sets and boundaries are derived here only, by one walk up from the
+leaves (``_walk``) that keeps no node's set: E(M(v)) = (E(M1) | E(M2) |
+E(K)) - D, and J_i = E(M_i) & E(K) (``with_boundaries``).  Rank-level
+checks read the glue matroids themselves: once the glueing at a node is
+defined, M(v) restricted to E(K(v)) - D(v) is K(v) with D(v) deleted,
+since the generalized parallel connection changes no rank inside K.  So
+M_i|J_i = K|J_i compares two glue tables whenever J_i lies inside the
+child's K, and validation scales to trees whose realization would be far
+beyond the brute-force caps.  ``realize`` is the capped oracle path;
+validation calls it only when J_i leaves the child's K.
 
 A rank-level verdict depends on rank tables and positions in them, not
 on element ids, so one ``validate`` call reaches each distinct verdict
@@ -19,7 +21,7 @@ table, positions, K table, positions).  Nodes of one shape share them,
 and a failing verdict is reported at every node it applies to.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import kernels
 
@@ -114,22 +116,52 @@ class AmalgamDecomposition:
             self._cache["postorder"] = order
         return self._cache["postorder"]
 
-    def ground(self, nid=None):
-        """E(M(v)): derived bottom-up from glue ground-set algebra."""
-        if "grounds" not in self._cache:
-            grounds = {}
-            for v in self.postorder():
-                node = self.nodes[v]
-                if node.is_leaf:
-                    grounds[v] = node.K.ground_set
-                else:  # any number of children: validate reports arity
-                    kids = (grounds[c] for c in node.children)
-                    grounds[v] = node.K.ground_set.union(*kids) - node.D
-            self._cache["grounds"] = grounds
-        nid = str(nid) if nid is not None else self.root
-        if nid not in self._cache["grounds"]:
+    def _walk(self):
+        """Yield each node, in postorder, with its children's E(M(c)).
+
+        Each child's set then passes to its parent, which extends the
+        largest in place (small to large); a leaf's is a copy of E(K).  A
+        finished walk keeps E(M(root)) and |E(M(v))| per node.
+        """
+        sets, sizes = {}, {}
+        for v in self.postorder():
+            node = self.nodes[v]
+            kids = [sets.pop(c) for c in node.children]
+            yield v, kids
+            if kids:  # any number of children: validate reports arity
+                *small, g = sorted(kids, key=len)
+                g.update(*small, node.K.ground_set)
+                g -= node.D
+            else:
+                g = set(node.K.ground_set)
+            sets[v], sizes[v] = g, len(g)
+        self._cache.update(ground=frozenset(g), sizes=sizes)
+
+    def ground_size(self, nid):
+        """|E(M(v))|; DomainError for a node the root does not reach."""
+        if "sizes" not in self._cache:
+            for _ in self._walk():
+                pass
+        if str(nid) not in self._cache["sizes"]:
             raise DomainError(f"node {nid!r} is not in the decomposition")
-        return self._cache["grounds"][nid]
+        return self._cache["sizes"][str(nid)]
+
+    def ground(self, nid=None):
+        """E(M(v)), the root's by default; only the root's is kept."""
+        nid = str(nid) if nid is not None else self.root
+        self.ground_size(nid)
+        if nid != self.root:  # the walk of the subtree rooted at nid
+            return AmalgamDecomposition(self.nodes.values(), nid).ground()
+        return self._cache["ground"]
+
+    def with_boundaries(self):
+        """This tree with J_i = E(M_i) & E(K) at each node of two children."""
+        nodes = dict(self.nodes)
+        for v, sets in self._walk():
+            if len(sets) == 2:
+                kg = nodes[v].K.ground_set
+                nodes[v] = replace(nodes[v], J1=kg & sets[0], J2=kg & sets[1])
+        return AmalgamDecomposition(nodes.values(), self.root)
 
     def boundary(self, nid):
         """J(v): the J1 or J2 that v's parent lists for it; empty at the root.
@@ -174,7 +206,7 @@ class AmalgamDecomposition:
             return report
         clean = {}
         checks = _ShapeChecks()
-        for v in order:
+        for v, grounds in self._walk():
             node = self.nodes[v]
             before = len(violations)
             if len(node.children) not in (0, 2):
@@ -194,17 +226,12 @@ class AmalgamDecomposition:
                         Violation(v, "leaf-sets", "leaves carry no J1/J2/D sets")
                     )
             else:
-                c1, c2 = node.children
-                g1, g2 = self.ground(c1), self.ground(c2)
+                g1, g2 = grounds
                 kg = node.K.ground_set
-                if node.J1 != g1 & kg:
-                    violations.append(
-                        Violation(v, "boundary-mismatch", "J1 is not E(M1) & E(K)")
-                    )
-                if node.J2 != g2 & kg:
-                    violations.append(
-                        Violation(v, "boundary-mismatch", "J2 is not E(M2) & E(K)")
-                    )
+                for i, j, g in ((1, node.J1, g1), (2, node.J2, g2)):
+                    if j != g & kg:
+                        message = f"J{i} is not E(M{i}) & E(K)"
+                        violations.append(Violation(v, "boundary-mismatch", message))
                 if not g1 & g2 <= kg:
                     violations.append(
                         Violation(v, "shared-not-in-glue", "E(M1) & E(M2) is not inside E(K)")
@@ -274,7 +301,7 @@ class AmalgamDecomposition:
         key = ("realized", nid)
         if key in self._cache:
             return self._cache[key]
-        if len(self.ground(nid)) > min(REALIZE_CAP, table_cap()):
+        if self.ground_size(nid) > min(REALIZE_CAP, table_cap()):
             raise ResourceError(
                 f"realized ground set of node {nid!r} exceeds the brute-force cap"
             )
@@ -314,11 +341,8 @@ class AmalgamDecomposition:
         report = self.validate()
         if not report.ok:
             raise ValidationError(report)
-        used = set()
-        for v in self.postorder():
-            node = self.nodes[v]
-            used.update(node.K.ground_set)
-            used.update(node.J1 | node.J2 | node.D)
+        # J1, J2 and D lie inside K on a valid tree
+        used = [e for v in self.postorder() for e in self.nodes[v].K.elements]
         next_id = max(used, default=0) + 1
         ground = self.ground()
         out = {}

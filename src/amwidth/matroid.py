@@ -131,19 +131,21 @@ class Matroid:
 
     @classmethod
     def from_ranks(cls, elements, ranks, names=None, tables=None):
-        """Matroid of the ranks listed by subset mask, checked against the
-        rank axioms once per table; ``tables`` is as for ``from_linear``."""
-        check_cap(len(elements), "rank table")
+        """Matroid of the ranks listed by subset mask; only a table new to
+        ``tables`` (as for ``from_linear``) meets the cap and axiom checks."""
         tables = {} if tables is None else tables
         key = np.asarray(ranks, dtype=np.int8).tobytes()
-        m = cls(elements, tables.get(key, np.frombuffer(key, dtype=np.int8)), names=names)
-        bad = None if key in tables else m.rank_axiom_violation()
+        if key in tables:
+            return cls(elements, tables[key], names=names)
+        check_cap(len(elements), "rank table")
+        m = cls(elements, np.frombuffer(key, dtype=np.int8), names=names)
+        bad = m.rank_axiom_violation()
         if bad is not None:
             kind, a, b = bad
             raise DomainError(
                 f"rank table breaks the {kind} axiom at subsets {sorted(a)} and {sorted(b)}"
             )
-        tables.setdefault(key, m.table)
+        tables[key] = m.table
         return m
 
     @classmethod

@@ -162,7 +162,7 @@ def tutte_decomposition(tree, want_tables=False):
     """
     tree = tree.prepared()
     width = 1 + max(
-        max(len(tree.ground(v)), sum(len(tree.ground(c)) for c in tree.nodes[v].children))
+        max(tree.ground_size(v), sum(map(tree.ground_size, tree.nodes[v].children)))
         for v in tree.postorder()
     )
     tables = {}

@@ -62,7 +62,6 @@ __all__ = [
     "bottom_up",
     "type_of",
     "extended_type_of",
-    "all_types",
 ]
 
 
@@ -161,7 +160,7 @@ class JoinContext:
     def __init__(self, shape):
         table, pos1, pos2, pos_parent, self.dmask = shape
         tk = np.frombuffer(table, dtype=np.int8)
-        self.size = n = tk.size.bit_length() - 1
+        n = tk.size.bit_length() - 1
         self.side1 = _Side(n, pos1)
         self.side2 = _Side(n, pos2)
         self.parent = _Side(n, pos_parent)
@@ -202,16 +201,14 @@ class JoinContext:
         y2m = (a | b | xk) & s2.mask
         return rp1_delta + e2.offsets[s2.gather[y2m]] - tk[y2m | f2_0]
 
-    def fixpoint(self, t1, t2, seed):
-        z = seed
-        for _ in range(self.size + 1):
+    def fixpoint(self, t1, t2, z):
+        while True:  # z grows every round, so this ends within |K| + 1
             z2 = self.clk[z]
             z2 |= self._reflect(self.side1, t1, z2)
             z2 |= self._reflect(self.side2, t2, z2)
             if z2 == z:
                 return z
             z = z2
-        return z
 
     def fixpoints(self, t1, t2, xk):
         """The closure fixed point seeded by xk and each parent-boundary
@@ -350,34 +347,3 @@ def leaf_signatures(k, boundary):
     return [
         (k.rank_mask(x), x.bit_count(), _signature(k, side, x)) for x in range(1 << k.size)
     ]
-
-
-def all_types(boundary):
-    """Every closure operator on subsets of the boundary (j <= 3 is instant).
-
-    Enumerated through Moore families: intersection-closed set families
-    containing the full boundary.  Observed node types are always among
-    these; the count is far below the crude (2^j)^(2^j) bound.
-    """
-    j = len(boundary)
-    n_subsets = 1 << j
-    full = n_subsets - 1
-    out = []
-    for fam_mask in range(1 << n_subsets):
-        if not fam_mask >> full & 1:
-            continue
-        members = [s for s in range(n_subsets) if fam_mask >> s & 1]
-        ok = all(
-            fam_mask >> (a & b) & 1 for a in members for b in members
-        )
-        if not ok:
-            continue
-        fmap = []
-        for y in range(n_subsets):
-            close = full
-            for s in members:
-                if s & y == y and s & close == s:
-                    close = s
-            fmap.append(close)
-        out.append(tuple(fmap))
-    return set(out)

@@ -2,8 +2,8 @@
 
 Everything the bundled corpus and the test suite build repeatedly lives
 here: classic matroids (triangles, uniform, Fano, cycles, K4) and a tiny
-composer for decomposition trees that derives the boundary sets J1/J2
-from the ground sets, so hand-built trees cannot get them wrong.
+composer for decomposition trees that has ``with_boundaries`` derive the
+boundary sets J1/J2, so hand-built trees cannot get them wrong.
 """
 
 from .decomposition import AmalgamDecomposition, DecompositionNode
@@ -52,39 +52,27 @@ def fano(ids=(1, 2, 3, 4, 5, 6, 7)):
 
 
 class TreeBuilder:
-    """Compose decomposition trees; J1/J2 are always derived, never given."""
+    """Compose decomposition trees; ``done`` derives J1/J2, never given."""
 
     def __init__(self, prefix="n"):
         self.nodes = []
-        self.grounds = {}
         self.prefix = prefix
         self.counter = 0
 
-    def _nid(self):
+    def _add(self, children, k, deletions=()):
         self.counter += 1
-        return f"{self.prefix}{self.counter}"
+        nid = f"{self.prefix}{self.counter}"
+        self.nodes.append(DecompositionNode(nid, children, k, D=frozenset(deletions)))
+        return nid
 
     def leaf(self, m):
-        nid = self._nid()
-        self.nodes.append(DecompositionNode(nid, (), m))
-        self.grounds[nid] = m.ground_set
-        return nid
+        return self._add((), m)
 
     def glue(self, left, right, k, deletions=()):
-        nid = self._nid()
-        deletions = frozenset(deletions)
-        j1 = self.grounds[left] & k.ground_set
-        j2 = self.grounds[right] & k.ground_set
-        self.nodes.append(
-            DecompositionNode(nid, (left, right), k, j1, j2, deletions)
-        )
-        self.grounds[nid] = (
-            self.grounds[left] | self.grounds[right] | k.ground_set
-        ) - deletions
-        return nid
+        return self._add((left, right), k, deletions)
 
     def done(self, root):
-        return AmalgamDecomposition(self.nodes, root)
+        return AmalgamDecomposition(self.nodes, root).with_boundaries()
 
 
 def comb(m, prefix="c"):
@@ -150,22 +138,12 @@ def direct_sum_tree(builder_trees, prefix="s"):
     tb = TreeBuilder(prefix)
     roots = []
     for idx, sub in enumerate(builder_trees):
-        mapping = {
-            node.nid: f"{prefix}_{idx}_{node.nid}" for node in sub.nodes.values()
-        }
+        rename = f"{prefix}_{idx}_{{}}".format
         for nid in sub.postorder():
             node = sub.nodes[nid]
-            new = DecompositionNode(
-                mapping[nid],
-                tuple(mapping[ch] for ch in node.children),
-                node.K,
-                node.J1,
-                node.J2,
-                node.D,
-            )
-            tb.nodes.append(new)
-            tb.grounds[new.nid] = sub.ground(nid)
-        roots.append(mapping[sub.root])
+            children = tuple(map(rename, node.children))
+            tb.nodes.append(DecompositionNode(rename(nid), children, node.K, D=node.D))
+        roots.append(rename(sub.root))
     top = roots[0]
     for other in roots[1:]:
         top = tb.glue(top, other, Matroid.empty())

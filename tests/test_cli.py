@@ -191,6 +191,73 @@ def test_structure_violation_reported(tmp_path, capsys, children, message):
     }
 
 
+def _leaf_obj(e):
+    return {"children": [], "K": {"type": "explicit", "elements": [e], "rank": {"": 0, str(e): 1}}}
+
+
+# (root fields, fields by leaf, the violations reported) for the two-leaf tree
+VALIDATE_CASES = {
+    "leaf-size": (
+        {},
+        {"a": {"K": {"type": "graphic", "edges": {"1": [0, 1], "4": [1, 2]}}}},
+        [("a", "leaf-size", "leaf matroids have at most one element")],
+    ),
+    "leaf-sets": ({}, {"a": {"D": [1]}}, [("a", "leaf-sets", "leaves carry no J1/J2/D sets")]),
+    "shared-not-in-glue": (
+        {"J1": [], "J2": [], "D": []},
+        {"a": _leaf_obj(5), "b": _leaf_obj(5)},
+        [("r", "shared-not-in-glue", "E(M1) & E(M2) is not inside E(K)")],
+    ),
+    "deletions-not-in-glue": (
+        {"D": [1, 2, 9]},
+        {},
+        [("r", "deletions-not-in-glue", "D is not inside E(K)")],
+    ),
+    "semiflat-j1": (
+        {"J1": [1, 7]},
+        {},
+        [
+            ("r", "boundary-mismatch", "J1 is not E(M1) & E(K)"),
+            ("r", "semiflat-j1", "unknown element id 7"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+def test_validate_reports_violation(tmp_path, capsys, case):
+    root_fields, leaf_fields, want = VALIDATE_CASES[case]
+    obj = _chain_decomposition(**root_fields)
+    for nid, fields in leaf_fields.items():
+        obj["nodes"][nid] = {**obj["nodes"][nid], **fields}
+    path = _write(tmp_path / "d.json", obj)
+    assert cli.main(["validate", "-d", path]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out) == {
+        "valid": False,
+        "width": 3,
+        "violations": [{"node": n, "code": c, "message": m} for n, c, m in want],
+    }
+
+
+def test_info_on_independent_sets(tmp_path, capsys):
+    path = _write(
+        tmp_path / "u23.json",
+        {"type": "explicit", "elements": [1, 2, 3], "independent_sets": [[1, 2], [1, 3], [2, 3]]},
+    )
+    assert cli.main(["info", "-m", path]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "elements": [1, 2, 3],
+        "size": 3,
+        "rank": 2,
+        "loops": [],
+        "coloops": [],
+        "circuits": [[1, 2, 3]],
+        "flats_by_rank": {"0": 1, "1": 3, "2": 1},
+    }
+
+
 def test_dynamic_programs_skip_nodes_the_root_does_not_reach(tmp_path, corpus_dir, capsys):
     leaf = _chain_decomposition()["nodes"]["a"]
     path = _write(tmp_path / "d.json", {"root": "r", "nodes": {"r": leaf, "z": leaf}})

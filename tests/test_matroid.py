@@ -73,6 +73,15 @@ def test_circuits_cap():
         Matroid.free(range(17)).circuits()
 
 
+def test_from_ranks_checks_the_cap_only_for_a_new_table(monkeypatch):
+    tables = {}
+    Matroid.from_ranks([1, 2], [0, 1, 1, 1], tables=tables)
+    monkeypatch.setenv("AMALGAM_MAX_ELEMENTS", "1")
+    assert Matroid.from_ranks([3, 4], [0, 1, 1, 1], tables=tables).rank() == 1
+    with pytest.raises(ResourceError):
+        Matroid.from_ranks([3, 4], [0, 1, 1, 2], tables=tables)
+
+
 def test_delete_identity(k3):
     d = k3.delete([])
     assert d.rank_equal(k3)

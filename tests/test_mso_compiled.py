@@ -25,6 +25,7 @@ from conftest import CORPUS, REINTRODUCED_PLACEMENTS, reintroduced_id_tree
 # elements inside indep, a circuit as two indep atoms, and indep under
 # negation next to a closure atom.  Then shadowing, which a quantifier's
 # in-place views must undo: a rebound name, and a name both free and bound.
+# Last, closure equality and disjunction, which both engines lower.
 EXTRA_FORMULAS = {
     "indep-add": "indep(X1 + {x1})",
     "indep-minus-each": r"forall e (e in X1 -> indep(X1 \ {e}))",
@@ -33,6 +34,9 @@ EXTRA_FORMULAS = {
     "shadow-rebound": "exists y (y in X1 & exists y (!(y in X1)))",
     "shadow-free-element": "x1 in X1 & exists x1 (!(x1 in X1))",
     "shadow-free-set": "exists X1 (x1 in X1) & x1 in X1",
+    "closure-eq-add": "cl(X1) = cl(X1 + {x1})",
+    "member-or-closure": "x1 in X1 | x1 in cl(X2)",
+    "independent-spanner": "exists Y (cl(Y) = cl(X1) & indep(Y))",
 }
 
 ASSIGNMENTS_PER_FORMULA = 3

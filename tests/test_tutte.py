@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from amwidth import zoo
+from amwidth import tutte, zoo
 from amwidth.matroid import Matroid
 from amwidth.tutte import TuttePolynomial, _slots, tutte_bruteforce, tutte_decomposition
 from amwidth.types_dp import JoinContext
@@ -170,6 +170,40 @@ def test_dp_parallel_chain_matches_dual_cycle(monkeypatch):
     assert poly.coeff_dict() == {(j, i): c for (i, j), c in _cycle_polynomial(152).items()}
     assert max(c for _, _, c in poly.whitney) > 2**64
     assert min(deltas) == -1
+
+
+def _shifted_chain(n, offset, prefix):
+    """triangle_chain(n) with every element id raised by ``offset``."""
+    tree = zoo.triangle_chain(n)
+    tb = zoo.TreeBuilder(prefix)
+    made = {}
+    for v in tree.postorder():
+        node = tree.nodes[v]
+        k = Matroid([e + offset for e in node.K.elements], node.K.table)
+        if node.is_leaf:
+            made[v] = tb.leaf(k)
+        else:
+            kids = (made[c] for c in node.children)
+            made[v] = tb.glue(*kids, k, [e + offset for e in node.D])
+    return tb.done(made[tree.root])
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (4, 5), (6, 6)], ids=["3+3", "4+5", "6+6"])
+def test_dp_direct_sum_of_chains_multiplies_long_rows(monkeypatch, sizes):
+    # under the empty glue matroid both factors are whole chain tables,
+    # whose rows span more than _FEW_SLOTS ranks
+    long_pairs = []
+    product = tutte._product
+
+    def recording(p, q, width):
+        long_pairs.append(min(p.bit_length(), q.bit_length()) > tutte._FEW_SLOTS * width)
+        return product(p, q, width)
+
+    monkeypatch.setattr(tutte, "_product", recording)
+    a, b = sizes
+    tree = zoo.direct_sum_tree([_shifted_chain(a, 0, "a"), _shifted_chain(b, 100, "b")])
+    assert tutte_decomposition(tree) == tutte_bruteforce(tree.realize())
+    assert sum(long_pairs) == 4
 
 
 def test_dp_padded_chain_slots_fit_the_ground_set():

@@ -11,7 +11,6 @@ from amwidth.matroid import Matroid
 from amwidth.types_dp import (
     JoinContext,
     _Side,
-    all_types,
     extended_type_of,
     leaf_signatures,
     node_shape,
@@ -66,19 +65,19 @@ def test_side_tables_match_maskmap():
 
 
 def test_type_map_properties():
-    tree = twosum_tree()
-    for v in tree.postorder():
-        for tracked in oracles.subsets(tree.ground()):
-            nt = type_of(tree, v, tracked)
-            j = len(tree.boundary(v))
-            assert len(nt) == 1 << j
-            for ymask in range(1 << j):
-                fy = nt[ymask]
-                assert fy & ymask == ymask  # extensive
-                assert nt[fy] == fy  # idempotent
-                for other in range(1 << j):
-                    if other & ymask == ymask:
-                        assert nt[other] & fy == fy  # monotone
+    for tree in (twosum_tree(), zoo.triangle_chain(3)):
+        for v in tree.postorder():
+            for tracked in oracles.subsets(tree.ground()):
+                nt = type_of(tree, v, tracked)
+                j = len(tree.boundary(v))
+                assert len(nt) == 1 << j
+                for ymask in range(1 << j):
+                    fy = nt[ymask]
+                    assert fy & ymask == ymask  # extensive
+                    assert nt[fy] == fy  # idempotent
+                    for other in range(1 << j):
+                        if other & ymask == ymask:
+                            assert nt[other] & fy == fy  # monotone
 
 
 def test_type_trivial_cases():
@@ -238,32 +237,6 @@ def test_fixpoint_terminates_quickly():
             z = ctx.fixpoint(f1, f2, seed)
             z2 = ctx.fixpoint(f1, f2, z)
             assert z2 == z
-
-
-def test_all_types_enumeration():
-    for j in (0, 1, 2, 3):
-        boundary = tuple(range(1, j + 1))
-        types = all_types(boundary)
-        assert len(types) <= (2**j) ** (2**j)
-        # every enumerated map is a closure operator
-        for nt in types:
-            for y in range(1 << j):
-                fy = nt[y]
-                assert fy & y == y
-                assert nt[fy] == fy
-    assert len(all_types((1,))) == 2
-    assert len(all_types((1, 2))) == 7
-
-
-def test_observed_types_are_closure_operators():
-    tree = zoo.triangle_chain(3)
-    for v in tree.postorder():
-        boundary = tuple(sorted(tree.boundary(v)))
-        if len(boundary) > 3:
-            continue
-        candidates = all_types(boundary)
-        for tracked in oracles.subsets(sorted(tree.ground(v))):
-            assert type_of(tree, v, tracked) in candidates
 
 
 def test_leaf_signatures_cover_subsets():
