@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Time two checkouts phase by phase, interleaved in one process.
+
+Host speed can drift by up to 2x between processes, so timings taken in
+separate runs do not compare.  This script imports ``PARENT/src/amwidth``
+and ``CHANGE/src/amwidth`` side by side, each copied into a temporary
+directory under its own package name (the package imports itself only
+relatively), and writes ``zoo.triangle_chain`` decomposition files with
+the parent's writer.  Each round times both sides, which one goes first
+alternating, over every file and these phases:
+
+- ``json.loads`` of the file's text (the same code on both sides, so it
+  shows how steady the host was);
+- ``load``: ``files.decomposition_from_obj`` on the decoded object;
+- ``validate+prepared``: ``validate()`` and ``prepared()`` of a loaded tree;
+- ``dp``: ``tutte.tutte_decomposition`` on the prepared tree.
+
+It prints, per phase, each side's best round total and the median over
+rounds of the change/parent ratio of the round totals.
+
+    python3 scripts/phase_ab.py PARENT CHANGE [--rounds N] [--sizes 32 64 250]
+"""
+
+import argparse
+import importlib
+import json
+import pathlib
+import shutil
+import statistics
+import sys
+import tempfile
+from time import perf_counter
+
+PHASES = ("json.loads", "load", "validate+prepared", "dp")
+SIZES = (32, 45, 64, 90, 128, 180, 250)
+
+
+def import_side(root, alias, into):
+    """The package under ``root/src/amwidth``, imported as ``alias``."""
+    shutil.copytree(pathlib.Path(root) / "src" / "amwidth", into / alias)
+    return {
+        name: importlib.import_module(f"{alias}.{name}")
+        for name in ("files", "tutte", "zoo")
+    }
+
+
+def time_round(side, texts):
+    """Per-phase seconds, summed over the files, for one side."""
+    files, tutte = side["files"], side["tutte"]
+    spent = dict.fromkeys(PHASES, 0.0)
+    for text in texts:
+        t0 = perf_counter()
+        obj = json.loads(text)
+        t1 = perf_counter()
+        tree = files.decomposition_from_obj(obj)
+        t2 = perf_counter()
+        tree.validate()
+        prepared = tree.prepared()
+        t3 = perf_counter()
+        tutte.tutte_decomposition(prepared)
+        t4 = perf_counter()
+        for phase, dt in zip(PHASES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            spent[phase] += dt
+    return spent
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--rounds", type=int, default=11)
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        sys.path.insert(0, str(tmp))
+        sides = {
+            "parent": import_side(args.parent, "amwidth_parent", tmp),
+            "change": import_side(args.change, "amwidth_change", tmp),
+        }
+        writer = sides["parent"]
+        texts = [
+            writer["files"].dumps(
+                writer["files"].decomposition_to_obj(writer["zoo"].triangle_chain(n))
+            )
+            for n in args.sizes
+        ]
+        for side in sides.values():  # warm both sides' caches and imports
+            time_round(side, texts[:1])
+        totals = {name: [] for name in sides}
+        for r in range(args.rounds):
+            order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+            for name in order:
+                totals[name].append(time_round(sides[name], texts))
+    print(f"{args.rounds} rounds over triangle chains of sizes {args.sizes}")
+    print(f"{'phase':<20} {'parent best ms':>15} {'change best ms':>15} {'median ratio':>13}")
+    for phase in PHASES:
+        best = {name: min(t[phase] for t in totals[name]) * 1e3 for name in sides}
+        ratio = statistics.median(
+            c[phase] / p[phase] for p, c in zip(totals["parent"], totals["change"])
+        )
+        print(f"{phase:<20} {best['parent']:>15.2f} {best['change']:>15.2f} {ratio:>13.3f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -13,15 +13,22 @@ child's K, and validation scales to trees whose realization would be far
 beyond the brute-force caps.  ``realize`` is the capped oracle path;
 validation calls it only when J_i leaves the child's K.
 
-A rank-level verdict depends on rank tables and positions in them, not
-on element ids, so one ``validate`` call reaches each distinct verdict
-once, keyed by ``Matroid.key``: a rank-axiom check per K table, a
-semiflat check per (K table, J mask), and a restriction check per (child
-table, positions, K table, positions).  Nodes of one shape share them,
-and a failing verdict is reported at every node it applies to.
+Each node's ids are mapped to positions in its K once per tree: its
+``Positions`` record holds the K-positions of sorted J1, sorted J2 and
+the sorted parent boundary, and the K-mask of D.  Validation,
+``prepared`` (``is_anchored``) and the dynamic programs' ``NodeView``
+read it.  A rank-level verdict depends on rank tables and positions in
+them, not on element ids, so one ``validate`` call reaches each distinct
+verdict once, keyed by ``Matroid.key``: a rank-axiom check per K table,
+a semiflat check per (K table, J positions), and a restriction check per
+(child table, positions, K table, positions).  Nodes of one shape share
+them, and a failing verdict is reported at every node it applies to.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from . import kernels
 
@@ -30,18 +37,18 @@ from . import kernels
 from .amalgam import glue, glue_violations, is_modular_semiflat
 from .config import REALIZE_CAP, table_cap
 from .errors import DomainError, ResourceError, ValidationError
-from .matroid import Matroid, restrictions_equal
+from .matroid import Matroid
 
 __all__ = [
     "DecompositionNode",
+    "Positions",
     "AmalgamDecomposition",
     "ValidationReport",
     "Violation",
 ]
 
 
-@dataclass(frozen=True)
-class DecompositionNode:
+class DecompositionNode(NamedTuple):
     nid: str
     children: tuple
     K: Matroid
@@ -52,6 +59,47 @@ class DecompositionNode:
     @property
     def is_leaf(self):
         return not self.children
+
+
+_NO_IDS = frozenset()
+
+
+class Positions(NamedTuple):
+    """Where a node's sets sit in its glue matroid K: the K-positions of
+    sorted J1, sorted J2 and the sorted parent boundary, None for a set
+    that leaves K, and the K-mask of D, None when D leaves K."""
+
+    j1: tuple
+    j2: tuple
+    boundary: tuple
+    dmask: int
+
+
+def _positions(index, ids):
+    """The positions of the sorted ids in a ground set given as id ->
+    position, or None when one of them is not in it."""
+    if len(ids) == 1:  # most boundaries, and cheaper without a sort
+        (e,) = ids
+        return (index[e],) if e in index else None
+    try:
+        return tuple(map(index.__getitem__, sorted(ids)))
+    except KeyError:
+        return None
+
+
+def _positions_in(k, j1, j2, boundary, deletions):
+    """The ``Positions`` of sets J1, J2, parent boundary and D in K."""
+    index = k._index
+    dmask = 0
+    if deletions:
+        dpos = _positions(index, deletions)
+        dmask = None if dpos is None else sum(1 << p for p in dpos)
+    return Positions(
+        _positions(index, j1) if j1 else (),
+        _positions(index, j2) if j2 else (),
+        _positions(index, boundary) if boundary else (),
+        dmask,
+    )
 
 
 @dataclass(frozen=True)
@@ -160,25 +208,48 @@ class AmalgamDecomposition:
         for v, sets in self._walk():
             if len(sets) == 2:
                 kg = nodes[v].K.ground_set
-                nodes[v] = replace(nodes[v], J1=kg & sets[0], J2=kg & sets[1])
+                nodes[v] = nodes[v]._replace(J1=kg & sets[0], J2=kg & sets[1])
         return AmalgamDecomposition(nodes.values(), self.root)
 
     def boundary(self, nid):
         """J(v): the J1 or J2 that v's parent lists for it; empty at the root.
 
         That is E(M(v)) & E(K(parent)) on a tree that passed ``validate``,
-        as its ``boundary-mismatch`` check tests, and every caller runs on
-        one: ``NodeView``, ``is_anchored`` and ``tutte --dump-types`` on
+        as its ``boundary-mismatch`` check tests, and every reader but the
+        ``Positions`` records runs on one: ``tutte --dump-types`` on
         ``prepared()`` trees, the oracle ``extended_type_of`` through
         ``realize``.
         """
+        return self._boundaries().get(str(nid), _NO_IDS)
+
+    def _boundaries(self):
+        """J(v) by node id, for every node but the root."""
         if "boundaries" not in self._cache:
             self._cache["boundaries"] = {
                 c: j
                 for v in self.postorder()
                 for c, j in zip(self.nodes[v].children, (self.nodes[v].J1, self.nodes[v].J2))
             }
-        return self._cache["boundaries"].get(str(nid), frozenset())
+        return self._cache["boundaries"]
+
+    def positions(self, nid):
+        """Node nid's ``Positions``: validation, ``prepared`` and the
+        dynamic programs read them, computed once per tree."""
+        at = self._all_positions().get(str(nid))
+        if at is None:
+            raise DomainError(f"node {nid!r} is not in the decomposition")
+        return at
+
+    def _all_positions(self):
+        """Every node's ``Positions``, by node id."""
+        if "positions" not in self._cache:
+            bounds = self._boundaries()
+            self._cache["positions"] = {
+                v: _positions_in(node.K, node.J1, node.J2, bounds.get(v, _NO_IDS), node.D)
+                for v in self.postorder()
+                for node in (self.nodes[v],)
+            }
+        return self._cache["positions"]
 
     def width(self):
         """Maximum |E(K(v))| over the nodes."""
@@ -186,9 +257,7 @@ class AmalgamDecomposition:
 
     def is_anchored(self):
         """Whether every node's parent boundary sits inside its own K."""
-        return all(
-            self.boundary(v) <= self.nodes[v].K.ground_set for v in self.postorder()
-        )
+        return all(at.boundary is not None for at in self._all_positions().values())
 
     # -- validation -------------------------------------------------------
 
@@ -206,6 +275,7 @@ class AmalgamDecomposition:
             return report
         clean = {}
         checks = _ShapeChecks()
+        positions = self._all_positions()
         for v, grounds in self._walk():
             node = self.nodes[v]
             before = len(violations)
@@ -215,7 +285,7 @@ class AmalgamDecomposition:
                 )
                 clean[v] = False
                 continue
-            kids_clean = all(clean.get(c, False) for c in node.children)
+            kids_clean = all(map(clean.get, node.children))
             if node.is_leaf:
                 if node.K.size > 1:
                     violations.append(
@@ -228,6 +298,7 @@ class AmalgamDecomposition:
             else:
                 g1, g2 = grounds
                 kg = node.K.ground_set
+                at = positions[v]
                 for i, j, g in ((1, node.J1, g1), (2, node.J2, g2)):
                     if j != g & kg:
                         message = f"J{i} is not E(M{i}) & E(K)"
@@ -236,17 +307,17 @@ class AmalgamDecomposition:
                     violations.append(
                         Violation(v, "shared-not-in-glue", "E(M1) & E(M2) is not inside E(K)")
                     )
-                if not node.D <= kg:
+                if at.dmask is None:
                     violations.append(
                         Violation(v, "deletions-not-in-glue", "D is not inside E(K)")
                     )
-                for label, j in (("j1", node.J1), ("j2", node.J2)):
-                    ok, error = checks.semiflat(node.K, j)
+                for label, j, pos in (("j1", node.J1, at.j1), ("j2", node.J2, at.j2)):
+                    ok, error = checks.semiflat(node.K, j, pos)
                     if not ok:
                         message = error or f"{label.upper()} is not a modular semiflat in K"
                         violations.append(Violation(v, f"semiflat-{label}", message))
                 if len(violations) == before and kids_clean:
-                    self._check_restrictions(v, checks, violations)
+                    self._check_restrictions(v, positions, checks, violations)
             if len(violations) == before and kids_clean and not checks.is_matroid(node.K):
                 violations.append(
                     Violation(v, "glue-broken", "glue at this node is not a matroid")
@@ -257,7 +328,7 @@ class AmalgamDecomposition:
         self._cache["report"] = report
         return report
 
-    def _check_restrictions(self, v, checks, violations):
+    def _check_restrictions(self, v, positions, checks, violations):
         """Verify M_i|J_i = K|J_i at node v, whose children are clean.
 
         A clean child's matroid agrees with its own K outside its D, and
@@ -267,8 +338,8 @@ class AmalgamDecomposition:
         node = self.nodes[v]
         sides = []
         for c, j in zip(node.children, (node.J1, node.J2)):
-            m = self.nodes[c].K
-            if not j <= m.ground_set:
+            m, pos = self.nodes[c].K, positions[c].boundary
+            if pos is None:
                 try:
                     m = self.realize(c, _validated=False)
                 except ResourceError:
@@ -281,9 +352,11 @@ class AmalgamDecomposition:
                         )
                     )
                     return
-            sides.append(m)
-        for i, (m, j) in enumerate(zip(sides, (node.J1, node.J2)), start=1):
-            if not checks.restriction_agrees(m, node.K, j):
+                pos = _positions(m._index, j)
+            sides.append((m, pos))
+        at = positions[v]
+        for i, ((m, pos), kpos) in enumerate(zip(sides, (at.j1, at.j2)), start=1):
+            if not checks.restriction_agrees(m, pos, node.K, kpos):
                 violations.append(
                     Violation(v, f"restriction-j{i}", f"M{i}|J{i} differs from K|J{i}")
                 )
@@ -430,28 +503,30 @@ class _ShapeChecks:
     def is_matroid(self, k):
         """Whether k's table satisfies the rank axioms; one built from
         columns or from a graph does by construction."""
-        if k.linear is not None or k.graph is not None:
+        if k._shared.desc is not None:  # linear or graphic
             return True
         if k.key not in self.verdicts:
             self.verdicts[k.key] = k.rank_axiom_violation() is None
         return self.verdicts[k.key]
 
-    def semiflat(self, k, j):
-        """(whether j is a modular semiflat in k, DomainError text or None)."""
-        if not j <= k.ground_set:  # the error names the stray id: not shared
+    def semiflat(self, k, j, pos):
+        """(whether j, at positions ``pos`` of k, is a modular semiflat in
+        k, DomainError text or None)."""
+        if pos is None:  # the error names the stray id: not shared
             return _semiflat(k, j)
-        key = (k.key, k.mask_of(j))
+        key = (k.key, pos)
         if key not in self.verdicts:
             self.verdicts[key] = _semiflat(k, j)
         return self.verdicts[key]
 
-    def restriction_agrees(self, m, k, j):
-        """Whether m and k agree on every subset of j, matched element by
-        element in sorted order."""
-        ids = sorted(j)
-        key = (m.key, tuple(m._index[e] for e in ids), k.key, tuple(k._index[e] for e in ids))
+    def restriction_agrees(self, m, mpos, k, kpos):
+        """Whether m at positions ``mpos`` and k at ``kpos`` agree on every
+        subset, matched position by position."""
+        key = (m.key, mpos, k.key, kpos)
         if key not in self.verdicts:
-            self.verdicts[key] = restrictions_equal(m, k, ids)
+            t1 = m.table[kernels.MaskMap(m.size, mpos).scatter]
+            t2 = k.table[kernels.MaskMap(k.size, kpos).scatter]
+            self.verdicts[key] = bool(np.array_equal(t1, t2))
         return self.verdicts[key]
 
 

@@ -6,10 +6,14 @@ or subsets; writers emit canonical (sorted-key) JSON so identical inputs
 produce byte-identical outputs.
 
 A decomposition file names one glue matroid per node, but a long chain
-repeats a handful of structures.  Loading builds each distinct rank
-table (and checks an explicit one against the axioms) once per file; the
-nodes' matroids keep their own ids, names and descriptions and share
-that table's one ``Matroid.key`` object.
+repeats a handful of structures.  The loader parses each node's ids, its
+J1, J2 and D once, and runs every check that reads ids on every node:
+integer ids, keys such as ``"1"`` and ``"01"`` naming one id, the kinds
+of endpoints, rank keys and names keys naming ids outside the ground
+set.  It then looks the node's glue matroid up in one structure memo per
+file (``Matroid.from_linear`` and the like, ``tables=``): the first node
+of a structure builds its table and checks it, and every later node
+gets a matroid of its own ids and names over that shared structure.
 """
 
 import json
@@ -84,7 +88,16 @@ def _int(value, what):
     raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
-def _ints(values, what):
+def _ints(values, what, *about):
+    """``values`` as a list of integers; ``what``, formatted with ``about``
+    only when a value is not a JSON integer, names the field."""
+    if type(values) is list:
+        for x in values:
+            if type(x) is not int:
+                break
+        else:
+            return values
+    what = what.format(*about)
     if not isinstance(values, (list, tuple)):
         raise DomainError(f"{what} must be a list, got {values!r}")
     return [_int(x, what) for x in values]
@@ -115,21 +128,23 @@ def matroid_from_obj(obj):
 
 
 def _matroid(obj, tables):
-    """The matroid an object describes; ``tables`` maps the structure of
-    the matroids loaded before to their rank tables (see the module doc)."""
+    """The matroid an object describes; ``tables`` is the file's structure
+    memo (see the module doc).  Every check that reads ids runs here, on
+    every node; only the table's are left to the memo."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise DomainError("matroid object needs a 'type' field")
-    raw = _dict(obj.get("names", {}), "names")
-    names = {_int(k, "names key"): str(v) for k, v in raw.items()}
-    _one_id_each(raw, names, "names")
+    names = None
+    if "names" in obj:
+        raw = _dict(obj["names"], "names")
+        names = {_int(k, "names key"): str(v) for k, v in raw.items()}
+        _one_id_each(raw, names, "names")
     kind = obj["type"]
     if kind == "linear":
         if "field" not in obj or "columns" not in obj:
             raise DomainError("linear matroid needs 'field' and 'columns'")
         raw = _dict(obj["columns"], "columns")
         columns = {
-            _int(e, "column id"): tuple(_ints(v, f"residues of column {e!r}"))
-            for e, v in raw.items()
+            _int(e, "column id"): _ints(v, "residues of column {!r}", e) for e, v in raw.items()
         }
         _one_id_each(raw, columns, "columns")
         field = _int(obj["field"], "field")
@@ -137,17 +152,13 @@ def _matroid(obj, tables):
     if kind == "graphic":
         if "edges" not in obj:
             raise DomainError("graphic matroid needs 'edges'")
+        raw = _dict(obj["edges"], "edges")
         edges = {}
-        for e, uv in _dict(obj["edges"], "edges").items():
+        for e, uv in raw.items():
             if not isinstance(uv, (list, tuple)) or len(uv) != 2:
                 raise DomainError(f"edge {e!r} must be a pair of vertices")
-            edges[_int(e, "edge id")] = (uv[0], uv[1])
-        _one_id_each(obj["edges"], edges, "edges")
-        ends = [v for uv in edges.values() for v in uv]
-        if not (
-            all(type(v) is int for v in ends) or all(type(v) is str for v in ends)
-        ):
-            raise DomainError("graphic endpoints must be all integers or all strings")
+            edges[_int(e, "edge id")] = uv
+        _one_id_each(raw, edges, "edges")
         return Matroid.from_graph(edges, names=names, tables=tables)
     if kind == "explicit":
         if "elements" not in obj:
@@ -175,21 +186,24 @@ def _rank_list(elements, ranks):
     before ``Matroid.from_ranks`` checks the table cap; only naming a
     missing subset walks every mask, and the cap is checked before that.
     """
-    if len(set(elements)) != len(elements):
+    bit = {str(e): 1 << i for i, e in enumerate(elements)}  # ids as written out
+    if len(bit) != len(elements):
         raise DomainError("duplicate element ids in ground set")
-    bit = {e: 1 << i for i, e in enumerate(elements)}
     out = {}
     for key, value in ranks.items():
         mask = 0
         for x in key.split(","):
-            if x != "":
+            b = bit.get(x)
+            if b is None and x != "":
                 e = _int(x, "element id")
-                if e not in bit:
+                b = bit.get(str(e))
+                if b is None:
                     raise DomainError(
                         f"rank key {key!r} names {e}, which is not in elements"
                     )
-                mask |= bit[e]
-        value = _int(value, f"rank of {key!r}")
+            mask |= b or 0
+        if type(value) is not int:
+            value = _int(value, f"rank of {key!r}")
         if not 0 <= value <= mask.bit_count():
             raise DomainError(
                 f"rank of {_subset(elements, mask)} must lie between 0 and its size"
@@ -232,7 +246,9 @@ def decomposition_from_obj(obj):
     nodes = []
     tables = {}
     for nid, entry in _dict(obj["nodes"], "nodes").items():
-        if "K" not in _dict(entry, f"node {nid!r}"):
+        if not isinstance(entry, dict):
+            raise DomainError(f"node {nid!r} must be an object, got {entry!r}")
+        if "K" not in entry:
             raise DomainError(f"node {nid!r} is missing its glue matroid K")
         children = entry.get("children", [])
         if not isinstance(children, list) or len(children) not in (0, 2):
@@ -240,14 +256,21 @@ def decomposition_from_obj(obj):
         nodes.append(
             DecompositionNode(
                 nid=str(nid),
-                children=tuple(str(c) for c in children),
+                children=tuple(map(str, children)),
                 K=_matroid(entry["K"], tables),
-                J1=frozenset(_ints(entry.get("J1", []), f"J1 of node {nid!r}")),
-                J2=frozenset(_ints(entry.get("J2", []), f"J2 of node {nid!r}")),
-                D=frozenset(_ints(entry.get("D", []), f"D of node {nid!r}")),
+                J1=_id_set(entry, "J1", nid),
+                J2=_id_set(entry, "J2", nid),
+                D=_id_set(entry, "D", nid),
             )
         )
     return AmalgamDecomposition(nodes, str(obj["root"]))
+
+
+def _id_set(entry, field, nid):
+    """A node's J1, J2 or D; empty when the entry has none."""
+    if field not in entry:
+        return frozenset()
+    return frozenset(_ints(entry[field], "{} of node {!r}", field, nid))
 
 
 def branch_to_obj(b):

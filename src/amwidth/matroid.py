@@ -3,15 +3,32 @@
 Every matroid is materialized as a full rank table indexed by subset
 bitmask over a fixed element order (the hot paths in the rest of the
 package are table gathers).  Element ids are arbitrary ints, unique
-within a ground set and stable under minors.  Instances are immutable;
-all operations return new values and are safe to share across threads.
-A rank table is one ``bytes`` object, ``Matroid.key``, read through the
-read-only int8 view ``Matroid.table``.  A view given in is shared as it
-is, any other table copied in once under the cap; so two tables are the
-same exactly when their keys are equal, and no table is ever written.
+within a ground set and stable under minors.  No operation changes a
+matroid: all return new values, and matroids are safe to share across
+threads.
+
+What a matroid shares with the others of its structure lives apart from
+its ids, in one ``_Structure``: the rank table, one ``bytes`` object
+(``Matroid.key``) read through the read-only int8 view ``Matroid.table``;
+its closure table once asked for; and the id-free description of a
+linear or graphic matroid (the field and the reduced columns, or the
+endpoints, in element order), from which ``linear`` and ``graph`` are
+read with the matroid's own ids.  A matroid itself holds only its ids,
+its id -> position index, its names and its ground set.
+
+``from_linear``, ``from_graph`` and ``from_ranks`` take a ``tables`` memo
+from structure keys to structures: the reduced columns, the endpoint
+pattern (vertices numbered by first appearance) or the table itself.
+The first matroid of a key builds the table, under the cap and, for an
+explicit one, the axiom check; every later one shares the structure,
+with no numpy call and no cap check.  ``Matroid(elements, table)``
+shares a key's view given in and copies any other table in once under
+the cap; so two tables are the same exactly when their keys are equal,
+and no table is ever written.
 """
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -49,31 +66,67 @@ class GraphDescription:
     edges: dict = field(default_factory=dict)  # id -> (u, v)
 
 
-class Matroid:
-    """Immutable matroid backed by a dense rank table."""
+class _Structure:
+    """What the matroids of one structure share, ids aside (see the
+    module doc): ``table``, ``closure`` once computed, and ``desc``, the
+    id-free description or None."""
 
-    __slots__ = ("elements", "_index", "_tbl", "names", "linear", "graph", "_cl")
+    __slots__ = ("table", "closure", "desc")
+
+    def __init__(self, table, desc=None):
+        self.table = table
+        self.closure = None
+        self.desc = desc
+
+
+def _frozen(table):
+    """A new rank table as a key's read-only view."""
+    return np.frombuffer(np.asarray(table, dtype=np.int8).tobytes(), dtype=np.int8)
+
+
+class Matroid:
+    """A matroid backed by a dense rank table, never changed once built."""
+
+    __slots__ = ("elements", "_index", "names", "_shared", "_ground")
 
     def __init__(self, elements, table, names=None, linear=None, graph=None):
         elements = tuple(int(e) for e in elements)
-        if len(set(elements)) != len(elements):
-            raise DomainError("duplicate element ids in ground set")
         tbl = np.asarray(table, dtype=np.int8)
         if tbl.shape != (1 << len(elements),):
             raise DomainError("rank table size does not match the ground set")
         if type(tbl.base) is not bytes or len(tbl.base) != tbl.size:  # not a key's view
             check_cap(len(elements), "rank table")
-            tbl = np.frombuffer(tbl.tobytes(), dtype=np.int8)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(elements)})
-        object.__setattr__(self, "_tbl", tbl)
-        object.__setattr__(self, "names", dict(names or {}))
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "_cl", None)
+            tbl = _frozen(tbl)
+        desc = None
+        if linear is not None:
+            desc = ("linear", linear.field, tuple(linear.columns[e] for e in elements))
+        elif graph is not None:
+            desc = ("graphic", tuple(chain.from_iterable(graph.edges[e] for e in elements)))
+        self._fill(_Structure(tbl, desc), elements, names)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matroid instances are immutable")
+    @classmethod
+    def _of(cls, shared, ids, names):
+        """A matroid over ``shared`` with the given distinct ids."""
+        m = object.__new__(cls)
+        m._fill(shared, tuple(ids), names)
+        return m
+
+    def _fill(self, shared, elements, names):
+        index = {e: i for i, e in enumerate(elements)}
+        if len(index) != len(elements):
+            raise DomainError("duplicate element ids in ground set")
+        if names:
+            names = dict(names)
+            for e in names:
+                if e not in index:
+                    raise DomainError(f"names key {e} is not an element of the matroid")
+        else:
+            names = {}
+        self.elements = elements
+        self._index = index
+        self.names = names
+        self._shared = shared
+        self._ground = frozenset(elements)
 
     # -- construction -------------------------------------------------
 
@@ -81,62 +134,69 @@ class Matroid:
     def from_linear(cls, columns, p, names=None, tables=None):
         """Vector matroid of the given columns over GF(p).
 
-        ``tables`` maps the structure of matroids built before to their
-        rank tables: here the field and the reduced columns in order.  A
-        table found there is shared, and a new one is added to it.
+        ``tables`` maps structure keys to the structures of matroids built
+        before; here the key is the field and the reduced columns in
+        order.  A structure found there is shared, and a new one added.
         """
         check_field(p)
-        ids = list(columns)
-        vecs = tuple(tuple(int(x) % p for x in columns[e]) for e in ids)
+        vecs = tuple(tuple(int(x) % p for x in v) for v in columns.values())
         dims = {len(v) for v in vecs}
         if len(dims) > 1:
             raise DomainError("columns must share one dimension")
-        d = dims.pop() if dims else 0
         tables = {} if tables is None else tables
         key = ("linear", p, vecs)
-        tbl = tables.get(key)
-        if tbl is None:
-            check_cap(len(ids), "rank table")
-            mat = np.array(vecs, dtype=np.int64).T.reshape(d, len(ids))
-            tbl = kernels.gf_rank_table(mat, p)
-        rep = LinearRep(field=p, columns=dict(zip(ids, vecs)))
-        m = cls(ids, tbl, names=names, linear=rep)
-        tables.setdefault(key, m._tbl)
-        return m
+        shared = tables.get(key)
+        if shared is None:
+            check_cap(len(vecs), "rank table")
+            d = dims.pop() if dims else 0
+            mat = np.array(vecs, dtype=np.int64).T.reshape(d, len(vecs))
+            m = cls(columns, _frozen(kernels.gf_rank_table(mat, p)), names=names)
+            m._shared.desc = key
+            tables[key] = m._shared
+            return m
+        return cls._of(shared, columns, names)
 
     @classmethod
     def from_graph(cls, edges, names=None, tables=None):
         """Cycle matroid: rank of an edge set is |V touched| - #components.
 
-        ``tables`` is as for ``from_linear``, keyed by the endpoint pairs
-        in element order with vertices numbered by first appearance.
+        Endpoints are all ints or all strings.  ``tables`` is as for
+        ``from_linear``, keyed by the endpoint pairs in element order
+        with vertices numbered by first appearance.  The endpoints as
+        given also key their structure; a matroid whose vertices carry
+        other labels than the first of its key shares the table alone.
         """
-        ids = list(edges)
-        verts = sorted({v for pair in edges.values() for v in pair})
-        number = {}
-        ends = tuple(number.setdefault(v, len(number)) for e in ids for v in edges[e])
+        ends = tuple(chain.from_iterable(edges.values()))
+        kinds = set(map(type, ends))
+        if len(kinds) > 1 or not kinds <= {int, str}:
+            raise DomainError("graphic endpoints must be all integers or all strings")
         tables = {} if tables is None else tables
-        key = ("graphic", ends)
-        tbl = tables.get(key)
-        if tbl is None:
-            check_cap(len(ids), "rank table")
-            tbl = kernels.graphic_rank_table(ends[0::2], ends[1::2], max(len(verts), 1))
-        desc = GraphDescription(
-            vertices=tuple(verts),
-            edges={e: (edges[e][0], edges[e][1]) for e in ids},
-        )
-        m = cls(ids, tbl, names=names, graph=desc)
-        tables.setdefault(key, m._tbl)
-        return m
+        desc = ("graphic", ends)
+        shared = tables.get(("graphic ends", ends))
+        if shared is None:
+            number = {}
+            key = ("graphic", tuple(number.setdefault(v, len(number)) for v in ends))
+            first = tables.get(key)
+            if first is None:
+                check_cap(len(edges), "rank table")
+                tbl = kernels.graphic_rank_table(key[1][0::2], key[1][1::2], max(len(number), 1))
+                m = cls(edges, _frozen(tbl), names=names)
+                m._shared.desc = desc
+                tables[key] = tables[("graphic ends", ends)] = m._shared
+                return m
+            shared = tables[("graphic ends", ends)] = _Structure(first.table, desc)
+        return cls._of(shared, edges, names)
 
     @classmethod
     def from_ranks(cls, elements, ranks, names=None, tables=None):
-        """Matroid of the ranks listed by subset mask; only a table new to
-        ``tables`` (as for ``from_linear``) meets the cap and axiom checks."""
+        """Matroid of the ranks, a list indexed by subset mask, each in
+        0..127; only a table new to ``tables`` (as for ``from_linear``)
+        meets the cap and axiom checks."""
         tables = {} if tables is None else tables
-        key = np.asarray(ranks, dtype=np.int8).tobytes()
-        if key in tables:
-            return cls(elements, tables[key], names=names)
+        key = bytes(ranks)
+        shared = tables.get(key)
+        if shared is not None and len(key) == 1 << len(elements):
+            return cls._of(shared, elements, names)
         check_cap(len(elements), "rank table")
         m = cls(elements, np.frombuffer(key, dtype=np.int8), names=names)
         bad = m.rank_axiom_violation()
@@ -145,7 +205,7 @@ class Matroid:
             raise DomainError(
                 f"rank table breaks the {kind} axiom at subsets {sorted(a)} and {sorted(b)}"
             )
-        tables[key] = m.table
+        tables[key] = m._shared
         return m
 
     @classmethod
@@ -227,7 +287,7 @@ class Matroid:
 
     @property
     def ground_set(self):
-        return frozenset(self.elements)
+        return self._ground
 
     @property
     def full_mask(self):
@@ -235,11 +295,29 @@ class Matroid:
 
     @property
     def table(self):
-        return self._tbl
+        return self._shared.table
 
     @property
     def key(self):
-        return self._tbl.base
+        return self._shared.table.base
+
+    @property
+    def linear(self):
+        """The GF(p) representation over this matroid's ids, or None."""
+        desc = self._shared.desc
+        if desc is None or desc[0] != "linear":
+            return None
+        return LinearRep(field=desc[1], columns=dict(zip(self.elements, desc[2])))
+
+    @property
+    def graph(self):
+        """The edge map over this matroid's ids, or None."""
+        desc = self._shared.desc
+        if desc is None or desc[0] != "graphic":
+            return None
+        ends = desc[1]
+        edges = {e: (ends[2 * i], ends[2 * i + 1]) for i, e in enumerate(self.elements)}
+        return GraphDescription(vertices=tuple(sorted(set(ends))), edges=edges)
 
     def mask_of(self, subset):
         return mask_of(self._index, subset)
@@ -248,21 +326,20 @@ class Matroid:
         return set_of(self.elements, mask)
 
     def closure_table(self):
-        if self._cl is None:
-            object.__setattr__(
-                self, "_cl", kernels.closure_table(self._tbl, len(self.elements))
-            )
-        return self._cl
+        shared = self._shared
+        if shared.closure is None:
+            shared.closure = kernels.closure_table(shared.table, len(self.elements))
+        return shared.closure
 
     # -- rank primitives ----------------------------------------------
 
     def rank(self, subset=None):
         if subset is None:
-            return int(self._tbl[self.full_mask])
-        return int(self._tbl[self.mask_of(subset)])
+            return int(self.table[self.full_mask])
+        return int(self.table[self.mask_of(subset)])
 
     def rank_mask(self, mask):
-        return int(self._tbl[mask])
+        return int(self.table[mask])
 
     def closure(self, subset):
         return self.set_of(int(self.closure_table()[self.mask_of(subset)]))
@@ -286,13 +363,13 @@ class Matroid:
 
     def independent(self, subset):
         m = self.mask_of(subset)
-        return int(self._tbl[m]) == bin(m).count("1")
+        return int(self.table[m]) == bin(m).count("1")
 
     def circuits(self):
         """All inclusion-minimal dependent sets."""
         n = len(self.elements)
         check_cap(n, "circuit enumeration", CIRCUITS_CAP)
-        dep = np.asarray(self._tbl) < kernels.popcounts(n)
+        dep = self.table < kernels.popcounts(n)
         circ = dep.copy()
         # a dependent set is a circuit when no one-smaller subset is dependent
         for b in range(n):
@@ -309,7 +386,7 @@ class Matroid:
         dropped = frozenset(subset)
         self.mask_of(dropped)  # validates ids
         keep, trans = self._minor_tables(self.ground_set - dropped)
-        tbl = np.asarray(self._tbl)[trans]
+        tbl = self.table[trans]
         names = {e: n for e, n in self.names.items() if e in keep}
         return Matroid(keep, tbl, names=names)
 
@@ -322,8 +399,8 @@ class Matroid:
         cset = frozenset(subset)
         cmask = self.mask_of(cset)
         keep, trans = self._minor_tables(self.ground_set - cset)
-        base = int(self._tbl[cmask])
-        tbl = np.asarray(self._tbl)[trans | cmask] - base
+        base = int(self.table[cmask])
+        tbl = self.table[trans | cmask] - base
         names = {e: n for e, n in self.names.items() if e in keep}
         return Matroid(keep, tbl.astype(np.int8), names=names)
 
@@ -331,13 +408,13 @@ class Matroid:
         """Least k for which (side, complement) is a k-separation."""
         a = self.mask_of(side)
         b = self.full_mask ^ a
-        return int(self._tbl[a]) + int(self._tbl[b]) - int(self._tbl[self.full_mask]) + 1
+        return int(self.table[a]) + int(self.table[b]) - int(self.table[self.full_mask]) + 1
 
     # -- axioms ----------------------------------------------------------
 
     def rank_axiom_violation(self):
         """None if the table is a matroid rank function, else (kind, A, B)."""
-        code, a, b = kernels.check_rank_axioms(self._tbl, len(self.elements))
+        code, a, b = kernels.check_rank_axioms(self.table, len(self.elements))
         if code == 0:
             return None
         kind = {1: "empty-rank", 2: "unit-increase", 3: "submodularity"}[int(code)]
@@ -361,7 +438,7 @@ def restrictions_equal(m1, m2, shared):
     for e in shared:
         if e not in m1._index or e not in m2._index:
             raise DomainError(f"element {e!r} is not common to both matroids")
-    t1, t2 = (m._tbl[kernels.MaskMap.of(m._index, shared).scatter] for m in (m1, m2))
+    t1, t2 = (m.table[kernels.MaskMap.of(m._index, shared).scatter] for m in (m1, m2))
     return bool(np.array_equal(t1, t2))
 
 

@@ -18,10 +18,12 @@ sub-order of K's positions, its gather/scatter tables built as lists by
 doubling for the join's scalar lookups.
 
 Types hold no element ids: a boundary subset is a mask over the sorted
-boundary.  A node's *shape* is its glue matroid's ``Matroid.key``, the
-K-positions of sorted J1, sorted J2 and the sorted parent boundary, and
-the mask of D; every rank-level fact of a join depends on the shape
-alone.  Shapes are made canonical before a context is built: K is
+boundary.  A node's *shape* is its glue matroid's ``Matroid.key``
+followed by its ``Positions`` record (the K-positions of sorted J1,
+sorted J2 and the sorted parent boundary, and the mask of D), which the
+tree computes once and ``NodeView`` reads; ``node_shape`` recomputes it
+from ids as the oracle.  Every rank-level fact of a join depends on the
+shape alone.  Shapes are made canonical before a context is built: K is
 reordered by role (``canonical_shape``), so two nodes that differ only
 in the order their K lists its elements, as string-sorted ids in a
 loaded file do, get one shape.  Each shape met is made canonical once
@@ -108,13 +110,14 @@ def _signature(m, side, x):
 
 
 def _positions(k, ids):
-    """K-positions of the sorted ids, all of them in K: ``prepared`` trees
-    are anchored, and the oracles pass realized matroids."""
+    """K-positions of the sorted ids, all of them in K."""
     return tuple(k._index[e] for e in sorted(ids))
 
 
 def node_shape(k, j1, j2, j_parent, deletions=()):
-    """The key one ``JoinContext`` is built from; see the module doc."""
+    """The key one ``JoinContext`` is built from, computed from the ids;
+    see the module doc.  It is the oracle of ``tree.positions``, which
+    ``NodeView`` reads instead."""
     return (
         k.key,
         _positions(k, j1),
@@ -270,7 +273,7 @@ class NodeView:
         node = self.node = tree.nodes[nid]
         self.nid = nid
         self.k = node.K
-        shape = node_shape(node.K, node.J1, node.J2, tree.boundary(nid), node.D)
+        shape = (node.K.key, *tree.positions(nid))
         entry = contexts.get(shape)
         if entry is None:
             entry = contexts[shape] = _context(contexts, shape)

@@ -126,6 +126,10 @@ MALFORMED_MATROIDS = {
         {"type": "linear", "field": 2, "columns": {"2": [1, 0], "+2": [0, 1]}},
         "columns keys '2' and '+2' both name id 2",
     ),
+    "names id": (
+        {"type": "graphic", "edges": {"1": [0, 1], "2": [1, 2]}, "names": {"7": "x"}},
+        "names key 7",
+    ),
     "names key twice": (
         {"type": "graphic", "edges": {"1": [0, 1]}, "names": {"1": "a", " 1": "b"}},
         "names keys '1' and ' 1' both name id 1",
@@ -150,6 +154,28 @@ def test_malformed_matroid_file_exits_1(tmp_path, capsys, case):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err, err
         assert "Traceback" not in err
+
+
+# a well-formed K of each kind, with the table most malformed ones of
+# that kind would have
+WELL_FORMED = {
+    "explicit": {"type": "explicit", "elements": [1], "rank": {"": 0, "1": 1}},
+    "linear": {"type": "linear", "field": 2, "columns": {"1": [1, 0]}},
+    "graphic": {"type": "graphic", "edges": {"1": [0, 1], "2": [1, 2]}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MATROIDS))
+def test_malformed_k_after_a_well_formed_one_exits_1(tmp_path, capsys, case):
+    # the first node puts its structure in the loader's memo, so the
+    # second one's checks must not rest on it
+    bad, field = MALFORMED_MATROIDS[case]
+    nodes = {"a": {"children": [], "K": WELL_FORMED[bad["type"]]}, "b": {"children": [], "K": bad}}
+    path = _write(tmp_path / "d.json", {"root": "a", "nodes": nodes})
+    assert cli.main(["validate", "-d", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

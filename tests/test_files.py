@@ -182,12 +182,16 @@ def test_nodes_of_one_structure_share_one_key_object(tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(files.dumps(files.decomposition_to_obj(zoo.triangle_chain(300))))
     tree = files.load_decomposition(path)
-    keys = {}
+    keys, first = {}, {}
     for nid, node in tree.nodes.items():
         assert keys.setdefault(_structure(node.K), node.K.key) is node.K.key, nid
         assert type(node.K.key) is bytes and node.K.key == node.K.table.tobytes(), nid
         shape = node_shape(node.K, node.J1, node.J2, tree.boundary(nid), node.D)
         assert shape[0] is node.K.key, nid
+        # one table view and one closure cache per structure, too
+        k = first.setdefault(_structure(node.K), node.K)
+        assert node.K.table is k.table, nid
+        assert node.K.closure_table() is k.closure_table(), nid
     assert len(keys) <= 8 < len(tree.nodes)
 
 

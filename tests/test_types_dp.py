@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from amwidth import kernels, zoo
+from amwidth import files, kernels, zoo
 from amwidth.branch import from_branch_decomposition
 from amwidth.errors import DomainError
 from amwidth.matroid import Matroid
@@ -18,7 +18,9 @@ from amwidth.types_dp import (
 )
 
 import oracles
+from conftest import CORPUS
 from test_branch import caterpillar
+from test_leaves import TREES
 
 
 def twosum_tree():
@@ -250,3 +252,26 @@ def test_leaf_signatures_cover_subsets():
         assert sig.trace == sum(
             1 << i for i, e in enumerate((1, 2)) if e in subset
         )
+
+
+def _record_trees():
+    for path in sorted((CORPUS / "decompositions").glob("*.json")):
+        yield path.name, files.load_decomposition(path)
+    yield "triangle_chain(50, pad=2)", zoo.triangle_chain(50, pad=2)
+    for name, make in sorted(TREES.items()):
+        yield name, make()
+
+
+def test_positions_record_equals_node_shape():
+    # each node's record, computed once per tree, against its shape
+    # recomputed from the ids, on the loaded tree and on the prepared one
+    count = 0
+    for name, tree in _record_trees():
+        for t in {id(t): t for t in (tree, tree.prepared())}.values():
+            for v in t.postorder():
+                node = t.nodes[v]
+                want = node_shape(node.K, node.J1, node.J2, t.boundary(v), node.D)
+                assert (node.K.key, *t.positions(v)) == want, (name, v)
+                assert t.positions(v) is t.positions(v), (name, v)
+                count += 1
+    assert count > 300
