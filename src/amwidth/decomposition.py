@@ -15,16 +15,19 @@ validation calls it only when J_i leaves the child's K.
 
 Each node's ids are mapped to positions in its K once per tree: its
 ``Positions`` record holds the K-positions of sorted J1, sorted J2 and
-the sorted parent boundary, and the K-mask of D.  Validation,
-``prepared`` (``is_anchored``) and the dynamic programs' ``NodeView``
-read it.  A rank-level verdict depends on rank tables and positions in
-them, not on element ids, so one ``validate`` call reaches each distinct
-verdict once, keyed by ``Matroid.key``: a rank-axiom check per K table,
-a semiflat check per (K table, J positions), and a restriction check per
-(child table, positions, K table, positions).  Nodes of one shape share
-them, and a failing verdict is reported at every node it applies to.
+the sorted parent boundary, and the K-mask of D.  Validation and
+``prepared`` (``is_anchored``) read it, and ``shapes`` turns it, with
+K's table, into the node's canonical shape and K order for the dynamic
+programs, once per tree.  A rank-level verdict depends on rank tables
+and positions in them, not on element ids, so one ``validate`` call
+reaches each distinct verdict once, keyed by ``Matroid.key``: a
+rank-axiom check per K table, a semiflat check per (K table, J
+positions), and a restriction check per (child table, positions, K
+table, positions).  Nodes of one shape share them, and a failing verdict
+is reported at every node it applies to.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,6 +41,7 @@ from .amalgam import glue, glue_violations, is_modular_semiflat
 from .config import REALIZE_CAP, table_cap
 from .errors import DomainError, ResourceError, ValidationError
 from .matroid import Matroid
+from .types_dp import canonical_shape
 
 __all__ = [
     "DecompositionNode",
@@ -232,16 +236,9 @@ class AmalgamDecomposition:
             }
         return self._cache["boundaries"]
 
-    def positions(self, nid):
-        """Node nid's ``Positions``: validation, ``prepared`` and the
-        dynamic programs read them, computed once per tree."""
-        at = self._all_positions().get(str(nid))
-        if at is None:
-            raise DomainError(f"node {nid!r} is not in the decomposition")
-        return at
-
-    def _all_positions(self):
-        """Every node's ``Positions``, by node id."""
+    def positions(self):
+        """Every node's ``Positions``, by node id, computed once per tree;
+        validation, ``prepared`` and ``shapes`` read them."""
         if "positions" not in self._cache:
             bounds = self._boundaries()
             self._cache["positions"] = {
@@ -251,13 +248,24 @@ class AmalgamDecomposition:
             }
         return self._cache["positions"]
 
+    def shapes(self):
+        """Every node's canonical shape and K order (``canonical_shape``
+        of its ``Positions``), by node id; computed once per tree, and
+        once per distinct raw shape in it."""
+        if "shapes" not in self._cache:
+            canon = functools.cache(canonical_shape)
+            self._cache["shapes"] = {
+                v: canon((self.nodes[v].K.key, *at)) for v, at in self.positions().items()
+            }
+        return self._cache["shapes"]
+
     def width(self):
         """Maximum |E(K(v))| over the nodes."""
         return max(len(self.nodes[v].K.ground_set) for v in self.postorder())
 
     def is_anchored(self):
         """Whether every node's parent boundary sits inside its own K."""
-        return all(at.boundary is not None for at in self._all_positions().values())
+        return all(at.boundary is not None for at in self.positions().values())
 
     # -- validation -------------------------------------------------------
 
@@ -275,7 +283,7 @@ class AmalgamDecomposition:
             return report
         clean = {}
         checks = _ShapeChecks()
-        positions = self._all_positions()
+        positions = self.positions()
         for v, grounds in self._walk():
             node = self.nodes[v]
             before = len(violations)
@@ -503,7 +511,7 @@ class _ShapeChecks:
     def is_matroid(self, k):
         """Whether k's table satisfies the rank axioms; one built from
         columns or from a graph does by construction."""
-        if k._shared.desc is not None:  # linear or graphic
+        if k._desc is not None:  # linear or graphic
             return True
         if k.key not in self.verdicts:
             self.verdicts[k.key] = k.rank_axiom_violation() is None

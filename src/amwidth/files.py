@@ -10,10 +10,12 @@ repeats a handful of structures.  The loader parses each node's ids, its
 J1, J2 and D once, and runs every check that reads ids on every node:
 integer ids, keys such as ``"1"`` and ``"01"`` naming one id, the kinds
 of endpoints, rank keys and names keys naming ids outside the ground
-set.  It then looks the node's glue matroid up in one structure memo per
-file (``Matroid.from_linear`` and the like, ``tables=``): the first node
-of a structure builds its table and checks it, and every later node
-gets a matroid of its own ids and names over that shared structure.
+set.  It then hands the node's ids, names and id-free description (the
+reduced columns, the endpoints as given, or the ranks by mask) to
+``Matroid.from_linear``, ``from_graph`` or ``from_ranks``, whose one
+memo step, over one ``tables`` map per file, builds and checks each
+structure's table at its first node and gives every later node a
+matroid of its own ids over that shared structure.
 """
 
 import json
@@ -180,11 +182,12 @@ def _matroid(obj, tables):
 def _rank_list(elements, ranks):
     """An explicit rank object as a list indexed by subset mask.
 
-    Keys are comma-separated element ids; each must be in ``elements``,
-    and each subset must be given exactly once.  The ranks are gathered
-    by mask first, so nothing larger than the object itself is allocated
-    before ``Matroid.from_ranks`` checks the table cap; only naming a
-    missing subset walks every mask, and the cap is checked before that.
+    Keys are comma-separated element ids, none of them empty (the empty
+    set's key is ``""``); each must be in ``elements``, and each subset
+    must be given exactly once.  The ranks are gathered by mask first, so
+    nothing larger than the object itself is allocated before
+    ``Matroid.from_ranks`` checks the table cap; only naming a missing
+    subset walks every mask, and the cap is checked before that.
     """
     bit = {str(e): 1 << i for i, e in enumerate(elements)}  # ids as written out
     if len(bit) != len(elements):
@@ -192,16 +195,18 @@ def _rank_list(elements, ranks):
     out = {}
     for key, value in ranks.items():
         mask = 0
-        for x in key.split(","):
+        for x in key.split(",") if key else ():
             b = bit.get(x)
-            if b is None and x != "":
+            if b is None:
+                if not x:
+                    raise DomainError(f"rank key {key!r} has an empty element id")
                 e = _int(x, "element id")
                 b = bit.get(str(e))
                 if b is None:
                     raise DomainError(
                         f"rank key {key!r} names {e}, which is not in elements"
                     )
-            mask |= b or 0
+            mask |= b
         if type(value) is not int:
             value = _int(value, f"rank of {key!r}")
         if not 0 <= value <= mask.bit_count():
@@ -254,13 +259,13 @@ def decomposition_from_obj(obj):
         if not isinstance(children, list) or len(children) not in (0, 2):
             raise DomainError(f"node {nid!r} must have zero or two children")
         nodes.append(
-            DecompositionNode(
-                nid=str(nid),
-                children=tuple(map(str, children)),
-                K=_matroid(entry["K"], tables),
-                J1=_id_set(entry, "J1", nid),
-                J2=_id_set(entry, "J2", nid),
-                D=_id_set(entry, "D", nid),
+            DecompositionNode(  # positional: keywords cost about 0.3 µs more per node
+                str(nid),
+                tuple(map(str, children)),
+                _matroid(entry["K"], tables),
+                _id_set(entry, "J1", nid),
+                _id_set(entry, "J2", nid),
+                _id_set(entry, "D", nid),
             )
         )
     return AmalgamDecomposition(nodes, str(obj["root"]))

@@ -7,24 +7,25 @@ within a ground set and stable under minors.  No operation changes a
 matroid: all return new values, and matroids are safe to share across
 threads.
 
-What a matroid shares with the others of its structure lives apart from
-its ids, in one ``_Structure``: the rank table, one ``bytes`` object
-(``Matroid.key``) read through the read-only int8 view ``Matroid.table``;
-its closure table once asked for; and the id-free description of a
-linear or graphic matroid (the field and the reduced columns, or the
-endpoints, in element order), from which ``linear`` and ``graph`` are
-read with the matroid's own ids.  A matroid itself holds only its ids,
-its id -> position index, its names and its ground set.
+A matroid holds its ids, its id -> position index, its names, its
+ground set and its id-free description: the field and the reduced
+columns, or the endpoints as given, in element order, from which
+``linear`` and ``graph`` are read with its own ids; None for any other
+matroid.  What the matroids of one structure share lives apart, in one
+``_Structure``: the rank table, one ``bytes`` object (``Matroid.key``)
+read through the read-only int8 view ``Matroid.table``, and its closure
+table once asked for.
 
-``from_linear``, ``from_graph`` and ``from_ranks`` take a ``tables`` memo
-from structure keys to structures: the reduced columns, the endpoint
-pattern (vertices numbered by first appearance) or the table itself.
-The first matroid of a key builds the table, under the cap and, for an
-explicit one, the axiom check; every later one shares the structure,
-with no numpy call and no cap check.  ``Matroid(elements, table)``
-shares a key's view given in and copies any other table in once under
-the cap; so two tables are the same exactly when their keys are equal,
-and no table is ever written.
+``from_linear``, ``from_graph`` and ``from_ranks`` share one memo step,
+``_memo``, over a ``tables`` map from structure keys to structures: the
+reduced columns, the endpoint pattern (vertices numbered by first
+appearance) or the table itself.  A key met before gives a matroid over
+its structure, with no numpy call and no cap check; a new one builds its
+table once, under the cap and, for an explicit one, the axiom check,
+through ``Matroid.__init__``.  ``Matroid(elements, table)`` shares a
+key's view given in and copies any other table in once under the cap;
+so two tables are the same exactly when their keys are equal, and no
+table is ever written.
 """
 
 from dataclasses import dataclass, field
@@ -66,17 +67,18 @@ class GraphDescription:
     edges: dict = field(default_factory=dict)  # id -> (u, v)
 
 
+_ENDPOINT_KINDS = frozenset((int, str))
+
+
 class _Structure:
-    """What the matroids of one structure share, ids aside (see the
-    module doc): ``table``, ``closure`` once computed, and ``desc``, the
-    id-free description or None."""
+    """What the matroids of one structure share, ids aside: ``table`` and
+    ``closure`` once computed."""
 
-    __slots__ = ("table", "closure", "desc")
+    __slots__ = ("table", "closure")
 
-    def __init__(self, table, desc=None):
+    def __init__(self, table):
         self.table = table
         self.closure = None
-        self.desc = desc
 
 
 def _frozen(table):
@@ -87,9 +89,9 @@ def _frozen(table):
 class Matroid:
     """A matroid backed by a dense rank table, never changed once built."""
 
-    __slots__ = ("elements", "_index", "names", "_shared", "_ground")
+    __slots__ = ("elements", "_index", "names", "_shared", "_ground", "_desc")
 
-    def __init__(self, elements, table, names=None, linear=None, graph=None):
+    def __init__(self, elements, table, names=None):
         elements = tuple(int(e) for e in elements)
         tbl = np.asarray(table, dtype=np.int8)
         if tbl.shape != (1 << len(elements),):
@@ -97,21 +99,17 @@ class Matroid:
         if type(tbl.base) is not bytes or len(tbl.base) != tbl.size:  # not a key's view
             check_cap(len(elements), "rank table")
             tbl = _frozen(tbl)
-        desc = None
-        if linear is not None:
-            desc = ("linear", linear.field, tuple(linear.columns[e] for e in elements))
-        elif graph is not None:
-            desc = ("graphic", tuple(chain.from_iterable(graph.edges[e] for e in elements)))
-        self._fill(_Structure(tbl, desc), elements, names)
+        self._fill(_Structure(tbl), elements, names, None)
 
     @classmethod
-    def _of(cls, shared, ids, names):
-        """A matroid over ``shared`` with the given distinct ids."""
+    def _of(cls, shared, ids, names, desc):
+        """A matroid over ``shared`` with the given distinct ids and
+        description."""
         m = object.__new__(cls)
-        m._fill(shared, tuple(ids), names)
+        m._fill(shared, tuple(ids), names, desc)
         return m
 
-    def _fill(self, shared, elements, names):
+    def _fill(self, shared, elements, names, desc):
         index = {e: i for i, e in enumerate(elements)}
         if len(index) != len(elements):
             raise DomainError("duplicate element ids in ground set")
@@ -127,8 +125,33 @@ class Matroid:
         self.names = names
         self._shared = shared
         self._ground = frozenset(elements)
+        self._desc = desc
 
     # -- construction -------------------------------------------------
+
+    @classmethod
+    def _memo(cls, tables, key, ids, names, desc, build):
+        """The memo step of ``from_linear``, ``from_graph`` and
+        ``from_ranks`` (see the module doc): a matroid of ``ids`` over
+        the structure ``tables`` holds under ``key``, or over a new one
+        whose table ``build()`` makes under the cap and, when ``desc``
+        is None, meets the axiom check."""
+        tables = {} if tables is None else tables
+        shared = tables.get(key)
+        if shared is not None and len(shared.table) == 1 << len(ids):
+            return cls._of(shared, ids, names, desc)
+        check_cap(len(ids), "rank table")
+        m = cls(ids, build(), names)
+        if desc is None:  # an explicit table
+            bad = m.rank_axiom_violation()
+            if bad is not None:
+                kind, a, b = bad
+                raise DomainError(
+                    f"rank table breaks the {kind} axiom at subsets {sorted(a)} and {sorted(b)}"
+                )
+        m._desc = desc
+        tables[key] = m._shared
+        return m
 
     @classmethod
     def from_linear(cls, columns, p, names=None, tables=None):
@@ -136,25 +159,21 @@ class Matroid:
 
         ``tables`` maps structure keys to the structures of matroids built
         before; here the key is the field and the reduced columns in
-        order.  A structure found there is shared, and a new one added.
+        order, which are also the matroid's description.
         """
         check_field(p)
         vecs = tuple(tuple(int(x) % p for x in v) for v in columns.values())
         dims = {len(v) for v in vecs}
         if len(dims) > 1:
             raise DomainError("columns must share one dimension")
-        tables = {} if tables is None else tables
-        key = ("linear", p, vecs)
-        shared = tables.get(key)
-        if shared is None:
-            check_cap(len(vecs), "rank table")
-            d = dims.pop() if dims else 0
-            mat = np.array(vecs, dtype=np.int64).T.reshape(d, len(vecs))
-            m = cls(columns, _frozen(kernels.gf_rank_table(mat, p)), names=names)
-            m._shared.desc = key
-            tables[key] = m._shared
-            return m
-        return cls._of(shared, columns, names)
+        d = dims.pop() if dims else 0
+        desc = ("linear", p, vecs)
+        return cls._memo(
+            tables, desc, columns, names, desc,
+            lambda: kernels.gf_rank_table(
+                np.array(vecs, dtype=np.int64).T.reshape(d, len(vecs)), p
+            ),
+        )
 
     @classmethod
     def from_graph(cls, edges, names=None, tables=None):
@@ -162,51 +181,29 @@ class Matroid:
 
         Endpoints are all ints or all strings.  ``tables`` is as for
         ``from_linear``, keyed by the endpoint pairs in element order
-        with vertices numbered by first appearance.  The endpoints as
-        given also key their structure; a matroid whose vertices carry
-        other labels than the first of its key shares the table alone.
+        with vertices numbered by first appearance; the description is
+        the endpoints as given.
         """
         ends = tuple(chain.from_iterable(edges.values()))
         kinds = set(map(type, ends))
-        if len(kinds) > 1 or not kinds <= {int, str}:
+        if len(kinds) > 1 or not kinds <= _ENDPOINT_KINDS:
             raise DomainError("graphic endpoints must be all integers or all strings")
-        tables = {} if tables is None else tables
-        desc = ("graphic", ends)
-        shared = tables.get(("graphic ends", ends))
-        if shared is None:
-            number = {}
-            key = ("graphic", tuple(number.setdefault(v, len(number)) for v in ends))
-            first = tables.get(key)
-            if first is None:
-                check_cap(len(edges), "rank table")
-                tbl = kernels.graphic_rank_table(key[1][0::2], key[1][1::2], max(len(number), 1))
-                m = cls(edges, _frozen(tbl), names=names)
-                m._shared.desc = desc
-                tables[key] = tables[("graphic ends", ends)] = m._shared
-                return m
-            shared = tables[("graphic ends", ends)] = _Structure(first.table, desc)
-        return cls._of(shared, edges, names)
+        number = {}
+        pattern = tuple([number.setdefault(v, len(number)) for v in ends])
+        return cls._memo(
+            tables, ("graphic", pattern), edges, names, ("graphic", ends),
+            lambda: kernels.graphic_rank_table(pattern[0::2], pattern[1::2], max(len(number), 1)),
+        )
 
     @classmethod
     def from_ranks(cls, elements, ranks, names=None, tables=None):
         """Matroid of the ranks, a list indexed by subset mask, each in
-        0..127; only a table new to ``tables`` (as for ``from_linear``)
-        meets the cap and axiom checks."""
-        tables = {} if tables is None else tables
+        0..127, keyed in ``tables`` (as for ``from_linear``) by the table
+        itself."""
         key = bytes(ranks)
-        shared = tables.get(key)
-        if shared is not None and len(key) == 1 << len(elements):
-            return cls._of(shared, elements, names)
-        check_cap(len(elements), "rank table")
-        m = cls(elements, np.frombuffer(key, dtype=np.int8), names=names)
-        bad = m.rank_axiom_violation()
-        if bad is not None:
-            kind, a, b = bad
-            raise DomainError(
-                f"rank table breaks the {kind} axiom at subsets {sorted(a)} and {sorted(b)}"
-            )
-        tables[key] = m._shared
-        return m
+        return cls._memo(
+            tables, key, elements, names, None, lambda: np.frombuffer(key, dtype=np.int8)
+        )
 
     @classmethod
     def from_independent_sets(cls, elements, independent, names=None):
@@ -304,7 +301,7 @@ class Matroid:
     @property
     def linear(self):
         """The GF(p) representation over this matroid's ids, or None."""
-        desc = self._shared.desc
+        desc = self._desc
         if desc is None or desc[0] != "linear":
             return None
         return LinearRep(field=desc[1], columns=dict(zip(self.elements, desc[2])))
@@ -312,7 +309,7 @@ class Matroid:
     @property
     def graph(self):
         """The edge map over this matroid's ids, or None."""
-        desc = self._shared.desc
+        desc = self._desc
         if desc is None or desc[0] != "graphic":
             return None
         ends = desc[1]

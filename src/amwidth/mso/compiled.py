@@ -125,11 +125,16 @@ class _Run:
             frozenset(pairs), sum(1 + sizes[s] for _, s in pairs), 1 + len(pairs)
         )
 
-    def _views(self, view):
-        """The free variables as this node sees them (see the module doc),
-        one slot each; a bound variable's slot reads 0 until guessed."""
-        index = view.index
+    def _views(self, nid):
+        """The free variables as node nid sees them (see the module doc),
+        one slot each; a bound variable's slot reads 0 until guessed.  Only
+        a formula with free variables maps K's ids to canonical positions."""
         views = [0] * len(self._slots)
+        if not self._values:
+            return views
+        k = self.tree.nodes[nid].K
+        order = self.tree.shapes()[nid][1]
+        index = k._index if order is None else {k.elements[p]: i for i, p in enumerate(order)}
         for slot, is_set, value in self._values:
             if is_set:
                 views[slot] = sum(1 << p for e, p in index.items() if e in value)
@@ -144,8 +149,8 @@ class _Run:
     def result(self):
         return self._resolve(bottom_up(self.tree, self._empty, self._join))
 
-    def _join(self, view, s1, s2):
-        sid = self._step(view.ctx, s1, s2, self._views(view))
+    def _join(self, ctx, nid, s1, s2):
+        sid = self._step(ctx, s1, s2, self._views(nid))
         self.total += self._sizes[sid]
         return sid
 

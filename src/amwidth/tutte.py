@@ -169,16 +169,17 @@ def tutte_decomposition(tree, want_tables=False):
     empty = _NodeTable(width)
     empty.add(EMPTY, 0, 1)
 
-    def join(view, t1, t2):
+    def join(ctx, nid, t1, t2):
         if t1 is not empty or t2 is not empty:
-            return _join_tables(view, t1, t2)
-        memo = view.ctx.memo  # tables are never changed once built
-        if "leaf" not in memo:
-            memo["leaf"] = _join_tables(view, t1, t2)
-        return memo["leaf"]
+            table = _join_tables(ctx, t1, t2)
+        elif "leaf" in ctx.memo:  # a leaf: tables are never changed once built
+            table = ctx.memo["leaf"]
+        else:
+            table = ctx.memo["leaf"] = _join_tables(ctx, t1, t2)
+        if want_tables:
+            tables[nid] = table
+        return table
 
-    if want_tables:
-        join = _kept(tables, join)
     by_nu = Counter()
     for rows in bottom_up(tree, empty, join).by_sig.values():
         by_nu.update(rows)
@@ -194,10 +195,9 @@ def tutte_decomposition(tree, want_tables=False):
     return poly
 
 
-def _join_tables(view, t1, t2):
+def _join_tables(ctx, t1, t2):
     """Parent table: per signature pair, one product per pair of nullity
     rows, moved by each fresh choice's rank increment (see module doc)."""
-    ctx = view.ctx
     width = t1.width
     table = _NodeTable(width)
     for sig1, rows1 in t1.by_sig.items():
@@ -256,11 +256,6 @@ def _slots(packed, width):
         if c:
             out[r] = c
     return out
-
-
-def _kept(tables, build):
-    """``build``, also recording each node's table in ``tables``."""
-    return lambda view, *children: tables.setdefault(view.nid, build(view, *children))
 
 
 def _trace_hits(side, trace, dmask):

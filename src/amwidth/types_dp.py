@@ -20,20 +20,20 @@ doubling for the join's scalar lookups.
 Types hold no element ids: a boundary subset is a mask over the sorted
 boundary.  A node's *shape* is its glue matroid's ``Matroid.key``
 followed by its ``Positions`` record (the K-positions of sorted J1,
-sorted J2 and the sorted parent boundary, and the mask of D), which the
-tree computes once and ``NodeView`` reads; ``node_shape`` recomputes it
-from ids as the oracle.  Every rank-level fact of a join depends on the
-shape alone.  Shapes are made canonical before a context is built: K is
-reordered by role (``canonical_shape``), so two nodes that differ only
-in the order their K lists its elements, as string-sorted ids in a
-loaded file do, get one shape.  Each shape met is made canonical once
-per run, one ``MaskMap`` permutation of its table, and each node gets
-the id -> position index of its canonical K.  So one ``JoinContext`` per
-canonical shape serves every node of that shape in a DP run; it holds
-all of the shape's state for the run, the running DP's ``memo`` too.
-Contexts are private to a run, making concurrent runs over shared
-decompositions safe.  A bounded-width tree has boundedly many shapes,
-so the memos turn the DP into a finite tree automaton.
+sorted J2 and the sorted parent boundary, and the mask of D);
+``node_shape`` computes it from ids as the oracle.  Every rank-level
+fact of a join depends on the shape alone.  A shape is made canonical
+before a context is built: K is reordered by role (``canonical_shape``),
+so two nodes that differ only in the order their K lists its elements,
+as string-sorted ids in a loaded file do, get one shape.  The tree
+computes each node's canonical shape and K order once
+(``AmalgamDecomposition.shapes``), one ``MaskMap`` permutation of the
+table per distinct raw shape.  One ``JoinContext`` per canonical shape
+serves every node of that shape in a DP run; it holds all of the shape's
+state for the run, the running DP's ``memo`` too.  Contexts are private
+to a run, making concurrent runs over shared decompositions safe.  A
+bounded-width tree has boundedly many shapes, so the memos turn the DP
+into a finite tree automaton.
 
 There is one node kind.  A leaf's matroid is its K, and gluing two
 empty matroids through K with D empty gives exactly K; so a leaf is a
@@ -41,13 +41,13 @@ node whose J1, J2 and D are empty, joined from two empty subtrees, whose
 signature is ``EMPTY``.  ``bottom_up`` is the one leaves-to-root pass of
 both dynamic programs, the Tutte DP and compiled MSO: a loop over the
 postorder, not recursion, so depth is bounded by memory alone.  It hands
-each node a ``NodeView`` (shared context, K index), joins the children's
-results (the empty subtree's at a leaf) and frees each child's result
-once the parent has used it.
+each node's ``join`` the context of its canonical shape and its id,
+joins the children's results (the empty subtree's at a leaf) and frees
+each child's result once the parent has used it.
 """
 
+import functools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "ExtendedType",
     "EMPTY",
     "JoinContext",
-    "NodeView",
     "node_shape",
     "canonical_shape",
     "bottom_up",
@@ -115,9 +114,8 @@ def _positions(k, ids):
 
 
 def node_shape(k, j1, j2, j_parent, deletions=()):
-    """The key one ``JoinContext`` is built from, computed from the ids;
-    see the module doc.  It is the oracle of ``tree.positions``, which
-    ``NodeView`` reads instead."""
+    """A node's shape (see the module doc), computed from the ids: the
+    oracle of ``tree.positions``, which the dynamic programs read."""
     return (
         k.key,
         _positions(k, j1),
@@ -260,33 +258,6 @@ class JoinContext:
         return result
 
 
-class NodeView:
-    """One node as both dynamic programs see it.
-
-    ``ctx`` is the context of the canonical form of the node's shape (a
-    leaf's has empty J1, J2 and D), shared by every node of that form in
-    a run, and ``index`` maps each element of K to its position in that
-    context.
-    """
-
-    def __init__(self, tree, nid, contexts):
-        node = self.node = tree.nodes[nid]
-        self.nid = nid
-        self.k = node.K
-        shape = (node.K.key, *tree.positions(nid))
-        entry = contexts.get(shape)
-        if entry is None:
-            entry = contexts[shape] = _context(contexts, shape)
-        self.ctx, self._order = entry
-
-    @cached_property
-    def index(self):
-        if self._order is None:
-            return self.k._index
-        elements = self.k.elements
-        return {elements[p]: i for i, p in enumerate(self._order)}
-
-
 def canonical_shape(shape):
     """The same node's shape with K ordered by role, and that order.
 
@@ -314,32 +285,20 @@ def canonical_shape(shape):
     ), order
 
 
-def _context(contexts, shape):
-    """(context, order) of a shape met first: the context of its canonical
-    form, taken from or added to ``contexts``, and the order
-    ``canonical_shape`` gives."""
-    canon, order = canonical_shape(shape)
-    entry = contexts.get(canon)
-    if entry is None:
-        entry = contexts[canon] = (JoinContext(canon), None)
-    return entry[0], order
-
-
 def bottom_up(tree, empty, join):
-    """Root result of ``join(view, r1, r2)`` in postorder.
+    """Root result of ``join(ctx, nid, r1, r2)`` in postorder.
 
     ``empty`` is the result of an empty subtree, both children's at a
     leaf.  ``tree`` must be prepared (``AmalgamDecomposition.prepared``).
-    One ``JoinContext`` per canonical node shape serves the whole run:
-    ``contexts`` maps each shape met, and each canonical one, to its
-    context and canonical order.
+    One ``JoinContext`` per canonical shape (``tree.shapes()``) serves
+    the whole run; ``ctx`` is node nid's.
     """
-    contexts = {}
+    shapes = tree.shapes()
+    context = functools.cache(JoinContext)  # by canonical shape
     results = {}
     for nid in tree.postorder():
-        view = NodeView(tree, nid, contexts)
-        children = [results.pop(c) for c in view.node.children] or (empty, empty)
-        results[nid] = join(view, *children)
+        children = [results.pop(c) for c in tree.nodes[nid].children] or (empty, empty)
+        results[nid] = join(context(shapes[nid][0]), nid, *children)
     return results[tree.root]
 
 

@@ -8,9 +8,10 @@ import sys
 import pytest
 
 from amwidth import cli, files, linalg, zoo
-from amwidth.config import NAIVE_MSO_CAP, table_cap
+from amwidth.config import CIRCUITS_CAP, NAIVE_MSO_CAP, table_cap
 from amwidth.matroid import Matroid
 from amwidth.mso import compiled
+from amwidth.tutte import TuttePolynomial, tutte_bruteforce
 
 from conftest import ROOT
 from test_branch import caterpillar
@@ -142,6 +143,38 @@ MALFORMED_MATROIDS = {
         {"type": "explicit", "elements": [1], "independent_sets": 5},
         "independent_sets must be a list",
     ),
+    "no type": ({"elements": [1], "rank": {"": 0, "1": 1}}, "needs a 'type' field"),
+    "not an object": ([1], "needs a 'type' field"),
+    "no field": ({"type": "linear", "columns": {"1": [1]}}, "needs 'field' and 'columns'"),
+    "no columns": ({"type": "linear", "field": 2}, "needs 'field' and 'columns'"),
+    "no edges": ({"type": "graphic"}, "graphic matroid needs 'edges'"),
+    "edge pair": (
+        {"type": "graphic", "edges": {"1": [0, 1, 2]}},
+        "edge '1' must be a pair of vertices",
+    ),
+    "no elements": ({"type": "explicit", "rank": {"": 0}}, "explicit matroid needs 'elements'"),
+    "no ranks": ({"type": "explicit", "elements": [1]}, "needs 'rank' or 'independent_sets'"),
+    "unknown type": ({"type": "matroid"}, "unknown matroid type 'matroid'"),
+    "elements twice, rank": (
+        {"type": "explicit", "elements": [1, 1], "rank": {"": 0, "1": 1}},
+        "duplicate element ids",
+    ),
+    "elements twice, sets": (
+        {"type": "explicit", "elements": [1, 1], "independent_sets": [[1]]},
+        "duplicate element ids",
+    ),
+    "rank key empty last": (
+        {"type": "explicit", "elements": [1], "rank": {"": 0, "1,": 1}},
+        "rank key '1,' has an empty element id",
+    ),
+    "rank key empty first": (
+        {"type": "explicit", "elements": [1], "rank": {"": 0, ",1": 1}},
+        "rank key ',1' has an empty element id",
+    ),
+    "rank key empty inside": (
+        {"type": "explicit", "elements": [1, 2], "rank": {"": 0, "1": 1, "2": 1, "1,,2": 2}},
+        "rank key '1,,2' has an empty element id",
+    ),
 }
 
 
@@ -170,7 +203,9 @@ def test_malformed_k_after_a_well_formed_one_exits_1(tmp_path, capsys, case):
     # the first node puts its structure in the loader's memo, so the
     # second one's checks must not rest on it
     bad, field = MALFORMED_MATROIDS[case]
-    nodes = {"a": {"children": [], "K": WELL_FORMED[bad["type"]]}, "b": {"children": [], "K": bad}}
+    kind = bad.get("type") if isinstance(bad, dict) else None
+    good = WELL_FORMED.get(kind, WELL_FORMED["explicit"])  # no kind or an unknown one
+    nodes = {"a": {"children": [], "K": good}, "b": {"children": [], "K": bad}}
     path = _write(tmp_path / "d.json", {"root": "a", "nodes": nodes})
     assert cli.main(["validate", "-d", path]) == 1
     err = capsys.readouterr().err
@@ -185,14 +220,34 @@ def test_malformed_k_after_a_well_formed_one_exits_1(tmp_path, capsys, case):
         ({"J2": 2}, "J2 of node 'r'"),
         ({"D": [1, None]}, "D of node 'r'"),
         ({"children": "ab"}, "zero or two children"),
+        # the whole file's text
+        pytest.param('{"root": "r"}', "needs 'nodes' and 'root'", id="no-nodes"),
+        pytest.param('{"nodes": {}}', "needs 'nodes' and 'root'", id="no-root"),
+        pytest.param('{"root": "r", "nodes": {"r": 5}}', "node 'r' must be an object", id="node"),
+        pytest.param(
+            '{"root": "r", "nodes": {"r": {"children": []}}}',
+            "node 'r' is missing its glue matroid K",
+            id="no-K",
+        ),
+        pytest.param(
+            json.dumps({"root": "x", "nodes": {"r": _chain_decomposition()["nodes"]["a"]}}),
+            "root node 'x' is missing",
+            id="root",
+        ),
+        pytest.param('{"root": "r", ', "not valid JSON", id="json"),
     ],
 )
 def test_malformed_decomposition_file_exits_1(tmp_path, capsys, fields, field):
+    """``fields`` override the root node's, or are the whole file's text."""
     good = _write(tmp_path / "good.json", _chain_decomposition())
     assert cli.main(["validate", "-d", good]) == 0
     capsys.readouterr()
-    path = _write(tmp_path / "d.json", _chain_decomposition(**fields))
-    assert cli.main(["validate", "-d", path]) == 1
+    path = tmp_path / "d.json"
+    if isinstance(fields, str):
+        path.write_text(fields)
+    else:
+        _write(path, _chain_decomposition(**fields))
+    assert cli.main(["validate", "-d", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err, err
     assert "Traceback" not in err
@@ -306,6 +361,8 @@ MALFORMED_BRANCHES = {
     "entry": ({"tree": [["l0", "i0", "i1"]], "leaf_labels": {}}, "node pairs"),
     "labels": ({"tree": [], "leaf_labels": [1]}, "leaf_labels must be an object"),
     "label": ({"tree": [["l0", "i0"]], "leaf_labels": {"l0": "x"}}, "label of leaf 'l0'"),
+    "no tree": ({"leaf_labels": {}}, "needs 'tree' and 'leaf_labels'"),
+    "no labels": ({"tree": []}, "needs 'tree' and 'leaf_labels'"),
 }
 
 
@@ -614,6 +671,40 @@ def test_unnamed_cross_check_only_within_its_cap(tmp_path, corpus_dir, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds the brute-force cap" in captured.err
+
+
+def test_tutte_engines_disagreeing_exit_1(corpus_dir, capsys, monkeypatch):
+    path = str(corpus_dir / "decompositions" / "chain3-c5.json")
+    brute = tutte_bruteforce(files.load_decomposition(path).realize())
+    monkeypatch.setattr(cli, "tutte_decomposition", lambda tree: TuttePolynomial.from_whitney({}))
+    assert cli.main(["tutte", "-d", path]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "error": "engines disagree",
+        "dp": {"coeffs": []},
+        "brute": {"coeffs": [list(c) for c in brute.coeffs]},
+    }
+    assert "Traceback" not in captured.err
+
+
+def test_mso_engines_disagreeing_exit_1(corpus_dir, capsys, monkeypatch):
+    path = str(corpus_dir / "decompositions" / "chain3-c5.json")
+    formula = str(corpus_dir / "formulas" / "hamiltonian.mso")
+    assert cli.main(["mso", "--engine", "naive", "-f", formula, "-d", path]) == 0
+    naive = json.loads(capsys.readouterr().out)["result"] == "ACCEPT"
+    monkeypatch.setattr(cli, "eval_decomposition", lambda tree, f, a: not naive)
+    assert cli.main(["mso", "-f", formula, "-d", path]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": "engines disagree", "naive": naive, "dp": not naive}
+    assert "Traceback" not in captured.err
+
+
+def test_info_past_the_circuit_cap_prints_null_circuits(tmp_path, capsys):
+    ids = range(1, CIRCUITS_CAP + 2)
+    path = _write(tmp_path / "m.json", files.matroid_to_obj(zoo.path_graphic(list(ids))))
+    assert cli.main(["info", "-m", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["size"] == CIRCUITS_CAP + 1 and out["circuits"] is None
 
 
 def test_nice_deeper_than_recursion_limit(tmp_path, capsys):

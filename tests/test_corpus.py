@@ -1,4 +1,5 @@
-"""The bundled corpus is exactly what scripts/build_corpus.py writes."""
+"""The bundled corpus is exactly what scripts/build_corpus.py writes, and
+the CLI's outputs on it are pinned by one digest."""
 
 import subprocess
 import sys
@@ -21,3 +22,18 @@ def test_corpus_rebuilds_byte_identical(tmp_path):
     assert sorted(built) == sorted(bundled)
     changed = [str(name) for name in sorted(built) if built[name] != bundled[name]]
     assert not changed, changed
+
+
+# scripts/corpus_digest.py over this checkout; a change that alters a CLI
+# output on the corpus on purpose updates the pin and says so
+CORPUS_DIGEST = "318 runs sha256 7646bae976240d1eb9ac4b5531826d93dfe78fe3220bb9ea1f3ed025c13155b9"
+
+
+def test_corpus_outputs_match_the_pinned_digest():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "corpus_digest.py"), str(ROOT)],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    assert done.stdout.strip() == CORPUS_DIGEST

@@ -11,6 +11,7 @@ from amwidth.matroid import Matroid
 from amwidth.types_dp import (
     JoinContext,
     _Side,
+    canonical_shape,
     extended_type_of,
     leaf_signatures,
     node_shape,
@@ -271,7 +272,25 @@ def test_positions_record_equals_node_shape():
             for v in t.postorder():
                 node = t.nodes[v]
                 want = node_shape(node.K, node.J1, node.J2, t.boundary(v), node.D)
-                assert (node.K.key, *t.positions(v)) == want, (name, v)
-                assert t.positions(v) is t.positions(v), (name, v)
+                assert (node.K.key, *t.positions()[v]) == want, (name, v)
                 count += 1
+            assert t.positions() is t.positions(), name
     assert count > 300
+
+
+def test_tree_shapes_are_the_canonical_node_shapes():
+    # each prepared node's canonical shape and K order, computed once per
+    # tree and once per distinct raw shape, against node_shape's from ids
+    count = 0
+    for name, tree in _record_trees():
+        t = tree.prepared()
+        shapes = t.shapes()
+        assert t.shapes() is shapes
+        by_raw = {}
+        for v in t.postorder():
+            node = t.nodes[v]
+            raw = node_shape(node.K, node.J1, node.J2, t.boundary(v), node.D)
+            assert shapes[v] == canonical_shape(raw), (name, v)
+            assert by_raw.setdefault(raw, shapes[v]) is shapes[v], (name, v)
+            count += 1
+    assert count > 250
