@@ -12,9 +12,12 @@ each command below over the corpus under ``ROOT/corpus``:
 
 Prints the run count and one SHA-256 over each run's arguments, exit
 code, stdout, stderr and dump file.  Paths are relative to ROOT, so two
-checkouts with the same behaviour print the same line.
+checkouts with the same behaviour print the same line.  With ``--runs``,
+each run's short hash over the same parts and its arguments come first,
+one line each, so a diff of two checkouts' outputs names the runs whose
+outputs differ.
 
-    python3 scripts/corpus_digest.py [ROOT]
+    python3 scripts/corpus_digest.py [--runs] [ROOT]
 """
 
 import argparse
@@ -53,7 +56,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     default = pathlib.Path(__file__).resolve().parent.parent
     parser.add_argument("root", nargs="?", default=str(default))
-    root = pathlib.Path(parser.parse_args().root).resolve()
+    parser.add_argument("--runs", action="store_true", help="print each run's hash first")
+    args = parser.parse_args()
+    root = pathlib.Path(args.root).resolve()
     sys.path.insert(0, str(root / "src"))
     os.chdir(root)
     from amwidth import cli, files
@@ -74,9 +79,11 @@ def main():
                     dumped = fh.read()
                 os.remove(dump)
             shown = [a if a != dump else "DUMP" for a in argv]
-            for part in (json.dumps(shown), str(code), out.getvalue(), err.getvalue()):
-                digest.update(part.encode() + b"\0")
-            digest.update(dumped + b"\0")
+            parts = (json.dumps(shown), str(code), out.getvalue(), err.getvalue())
+            run = b"".join(part.encode() + b"\0" for part in parts) + dumped + b"\0"
+            digest.update(run)
+            if args.runs:
+                print(hashlib.sha256(run).hexdigest()[:12], *shown)
             count += 1
     print(f"{count} runs sha256 {digest.hexdigest()}")
 

@@ -417,7 +417,8 @@ class AmalgamDecomposition:
         and the twins join D at the same node.  Width at most doubles.
         An id that a node deletes while the root's ground set holds it
         names two elements; the deleted one gets a fresh id at that node
-        and in its subtree.  So no D holds an id of ``ground()``.
+        and in its subtree.  So no D holds an id of ``ground()``.  Each K
+        keeps its description, and twins of one structure share one table.
         """
         report = self.validate()
         if not report.ok:
@@ -427,6 +428,7 @@ class AmalgamDecomposition:
         next_id = max(used, default=0) + 1
         ground = self.ground()
         out = {}
+        twinned = {}  # K.with_twins memo, shared by the whole tree
         # preorder, left child first: fresh ids are numbered top-down and
         # left to right; rho maps ids an ancestor renamed
         stack = [(self.root, {})]
@@ -437,7 +439,7 @@ class AmalgamDecomposition:
             if reused:
                 rho = {**rho, **{e: next_id + i for i, e in enumerate(reused)}}
                 next_id += len(reused)
-            k = _rename_matroid(node.K, rho)
+            k = node.K.renamed(rho)
             j1 = frozenset(rho.get(e, e) for e in node.J1)
             j2 = frozenset(rho.get(e, e) for e in node.J2)
             d = frozenset(rho.get(e, e) for e in node.D)
@@ -449,7 +451,7 @@ class AmalgamDecomposition:
             if shared:
                 twins = {e: next_id + i for i, e in enumerate(shared)}
                 next_id += len(shared)
-                k = _parallel_extend(k, twins)
+                k = k.with_twins(twins, twinned)
                 j2 = (j2 - set(shared)) | set(twins.values())
                 d = d | set(twins.values())
                 rho2 = {o: twins.get(cur, cur) for o, cur in rho.items()}
@@ -484,21 +486,6 @@ class AmalgamDecomposition:
         if tree is not self:  # caching self would make a reference cycle
             self._cache["prepared"] = tree
         return tree
-
-
-def _rename_matroid(m, rho):
-    if not rho or not any(e in rho for e in m.elements):
-        return m
-    elements = [rho.get(e, e) for e in m.elements]
-    names = {rho.get(e, e): n for e, n in m.names.items()}
-    return Matroid(elements, m.table, names=names)
-
-
-def _parallel_extend(m, twins):
-    """Append a parallel copy (same rank behavior) for each mapped element."""
-    elements = list(m.elements) + list(twins.values())
-    trans = kernels.MaskMap.of(m._index, list(m.elements) + list(twins)).scatter
-    return Matroid(elements, m.table[trans], names=m.names)
 
 
 class _ShapeChecks:

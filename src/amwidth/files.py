@@ -10,12 +10,13 @@ repeats a handful of structures.  The loader parses each node's ids, its
 J1, J2 and D once, and runs every check that reads ids on every node:
 integer ids, keys such as ``"1"`` and ``"01"`` naming one id, the kinds
 of endpoints, rank keys and names keys naming ids outside the ground
-set.  It then hands the node's ids, names and id-free description (the
-reduced columns, the endpoints as given, or the ranks by mask) to
-``Matroid.from_linear``, ``from_graph`` or ``from_ranks``, whose one
-memo step, over one ``tables`` map per file, builds and checks each
-structure's table at its first node and gives every later node a
-matroid of its own ids over that shared structure.
+set.  It then hands the node's ids, names and description (the columns,
+the endpoints, the ranks by mask, or the independent sets) to
+``Matroid.from_linear``, ``from_graph``, ``from_ranks`` or
+``from_independent_sets``, whose one memo step, over one ``tables`` map
+per file, builds and checks each structure's table at its first node
+and gives every later node a matroid of its own ids over that shared
+structure.
 """
 
 import json
@@ -174,7 +175,7 @@ def _matroid(obj, tables):
             if not isinstance(sets, list):
                 raise DomainError(f"independent_sets must be a list, got {sets!r}")
             sets = [_ints(s, "independent set") for s in sets]
-            return Matroid.from_independent_sets(elements, sets, names=names)
+            return Matroid.from_independent_sets(elements, sets, names=names, tables=tables)
         raise DomainError("explicit matroid needs 'rank' or 'independent_sets'")
     raise DomainError(f"unknown matroid type {kind!r}")
 

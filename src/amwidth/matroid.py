@@ -16,16 +16,17 @@ matroid.  What the matroids of one structure share lives apart, in one
 read through the read-only int8 view ``Matroid.table``, and its closure
 table once asked for.
 
-``from_linear``, ``from_graph`` and ``from_ranks`` share one memo step,
-``_memo``, over a ``tables`` map from structure keys to structures: the
-reduced columns, the endpoint pattern (vertices numbered by first
-appearance) or the table itself.  A key met before gives a matroid over
-its structure, with no numpy call and no cap check; a new one builds its
-table once, under the cap and, for an explicit one, the axiom check,
-through ``Matroid.__init__``.  ``Matroid(elements, table)`` shares a
-key's view given in and copies any other table in once under the cap;
-so two tables are the same exactly when their keys are equal, and no
-table is ever written.
+Every constructor from a description, and ``with_twins``, goes through
+one memo step, ``_memo``, over a ``tables`` map from id-free keys to
+structures: the reduced columns, the endpoint pattern (vertices numbered
+by first appearance), the table, the independent sets' masks, or a key
+and twinned positions.  A key met before gives a matroid over its
+structure, with no numpy call and no cap check; a new one builds its
+table once, under the cap and, unless it is a matroid's by construction,
+the axiom check.  ``renamed`` keeps the structure under other ids.
+``Matroid(elements, table)`` shares a key's view given in and copies any
+other table in once under the cap; so two tables are the same exactly
+when their keys are equal, and no table is ever written.
 """
 
 from dataclasses import dataclass, field
@@ -130,25 +131,22 @@ class Matroid:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _memo(cls, tables, key, ids, names, desc, build):
-        """The memo step of ``from_linear``, ``from_graph`` and
-        ``from_ranks`` (see the module doc): a matroid of ``ids`` over
+    def _memo(cls, tables, key, ids, names, desc, build, axioms=None):
+        """The memo step (see the module doc): a matroid of ``ids`` over
         the structure ``tables`` holds under ``key``, or over a new one
-        whose table ``build()`` makes under the cap and, when ``desc``
-        is None, meets the axiom check."""
+        whose table ``build()`` makes under the cap.  With ``axioms``, what
+        the table came from and its verb ("circuits break"), a new table
+        meets the axiom check, whose error opens with it."""
         tables = {} if tables is None else tables
         shared = tables.get(key)
         if shared is not None and len(shared.table) == 1 << len(ids):
             return cls._of(shared, ids, names, desc)
         check_cap(len(ids), "rank table")
         m = cls(ids, build(), names)
-        if desc is None:  # an explicit table
-            bad = m.rank_axiom_violation()
-            if bad is not None:
-                kind, a, b = bad
-                raise DomainError(
-                    f"rank table breaks the {kind} axiom at subsets {sorted(a)} and {sorted(b)}"
-                )
+        bad = axioms and m.rank_axiom_violation()
+        if bad:
+            kind, a, b = bad
+            raise DomainError(f"{axioms} the {kind} axiom at subsets {sorted(a)} and {sorted(b)}")
         m._desc = desc
         tables[key] = m._shared
         return m
@@ -201,60 +199,73 @@ class Matroid:
         0..127, keyed in ``tables`` (as for ``from_linear``) by the table
         itself."""
         key = bytes(ranks)
-        return cls._memo(
-            tables, key, elements, names, None, lambda: np.frombuffer(key, dtype=np.int8)
-        )
+        build = lambda: np.frombuffer(key, dtype=np.int8)
+        return cls._memo(tables, key, elements, names, None, build, "rank table breaks")
 
     @classmethod
-    def from_independent_sets(cls, elements, independent, names=None):
-        """Matroid whose independent sets are the down-closure of ``independent``."""
+    def from_independent_sets(cls, elements, independent, names=None, tables=None):
+        """Matroid whose independent sets are the down-closure of
+        ``independent``, keyed in ``tables`` (as for ``from_linear``) by
+        the element count and the sets' masks."""
         elements = list(elements)
-        check_cap(len(elements), "rank table")
         index = {e: i for i, e in enumerate(elements)}
+        masks = frozenset(mask_of(index, s, " in independent set") for s in independent) | {0}
         n = len(elements)
-        ind = np.zeros(1 << n, dtype=bool)
-        ind[0] = True
-        for s in independent:
-            ind[mask_of(index, s, " in independent set")] = True
-        # down-close: subsets of independent sets are independent
-        kernels.fold(ind, np.logical_or, supersets=True)
-        tbl = kernels.rank_table_from_independence(ind)
-        m = cls(elements, tbl, names=names)
-        bad = m.rank_axiom_violation()
-        if bad is not None:
-            raise DomainError(f"independent sets do not define a matroid: {bad}")
-        return m
+
+        def build():
+            ind = np.zeros(1 << n, dtype=bool)
+            ind[list(masks)] = True
+            down = kernels.fold(ind, np.logical_or, supersets=True)  # down-close
+            return kernels.rank_table_from_independence(down)
+
+        key = ("independent", n, masks)
+        return cls._memo(tables, key, elements, names, None, build, "independent sets break")
 
     @classmethod
     def from_circuits(cls, elements, circs, names=None):
         """Matroid whose dependent sets are supersets of the given circuits."""
         elements = list(elements)
-        check_cap(len(elements), "rank table")
         index = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        flags = np.zeros(1 << n, dtype=bool)
-        for c in circs:
-            m = mask_of(index, c, " in circuit")
-            if m == 0:
-                raise DomainError("the empty set cannot be a circuit")
-            flags[m] = True
-        dep = kernels.subset_any(flags, n)
-        tbl = kernels.rank_table_from_independence(~dep)
-        m = cls(elements, tbl, names=names)
-        bad = m.rank_axiom_violation()
-        if bad is not None:
-            raise DomainError(f"circuits do not define a matroid: {bad}")
-        return m
+        masks = [mask_of(index, c, " in circuit") for c in circs]
+        if 0 in masks:
+            raise DomainError("the empty set cannot be a circuit")
+
+        def build():
+            flags = np.zeros(1 << len(elements), dtype=bool)
+            flags[masks] = True
+            return kernels.rank_table_from_independence(~kernels.subset_any(flags, len(elements)))
+
+        return cls._memo(None, None, elements, names, None, build, "circuits break")
 
     @classmethod
     def from_rank_function(cls, elements, fn, names=None):
+        """Matroid whose rank of each subset of ``elements`` is ``fn`` of it."""
         elements = list(elements)
-        check_cap(len(elements), "rank table")
-        n = len(elements)
-        tbl = np.zeros(1 << n, dtype=np.int8)
-        for mask in range(1 << n):
-            tbl[mask] = fn(set_of(elements, mask))
-        return cls(elements, tbl, names=names)
+        build = lambda: [fn(set_of(elements, mask)) for mask in range(1 << len(elements))]
+        return cls._memo(None, None, elements, names, None, build, "rank function breaks")
+
+    def renamed(self, rho):
+        """This matroid with each id e in ``rho`` renamed to ``rho[e]``:
+        the same structure and description under the new ids."""
+        if not any(e in rho for e in self.elements):
+            return self
+        names = {rho.get(e, e): n for e, n in self.names.items()}
+        return Matroid._of(self._shared, [rho.get(e, e) for e in self.elements], names, self._desc)
+
+    def with_twins(self, twins, tables):
+        """This matroid with a parallel twin ``twins[e]`` of each id e in
+        ``twins`` appended, in order; keyed in ``tables`` by this
+        matroid's key and the twinned positions.  A linear or graphic
+        description gains the twins' columns or endpoint pairs."""
+        pos = tuple(self._index[e] for e in twins)
+        desc = self._desc
+        if desc is not None:  # a column, or two endpoints, per element
+            *head, items = desc
+            per = 2 if head[0] == "graphic" else 1
+            desc = (*head, items + tuple(x for i in pos for x in items[per * i:per * i + per]))
+        ids = [*self.elements, *twins.values()]
+        build = lambda: self.table[kernels.MaskMap(self.size, [*range(self.size), *pos]).scatter]
+        return Matroid._memo(tables, (self.key, pos), ids, self.names, desc, build)
 
     @classmethod
     def uniform(cls, r, ids):

@@ -85,6 +85,26 @@ def test_conversion_requires_linear(k3):
         from_branch_decomposition(explicit, caterpillar([1, 2, 3]))
 
 
+def test_nice_of_a_wide_converted_tree_keeps_its_columns():
+    # a width-13 GF(3) caterpillar, one PG(2,3) glue matroid: explicit
+    # tables of its renamed and twinned glue matroids would be megabytes
+    rng = random.Random(1)
+    while True:
+        m = Matroid.from_linear({e: [rng.randrange(3) for _ in range(3)] for e in range(1, 11)}, 3)
+        if m.rank() == 3:
+            break
+    ids = list(m.elements)
+    random.Random(0).shuffle(ids)
+    tree = from_branch_decomposition(m, caterpillar(ids))
+    assert tree.width() == 13
+    nice = tree.to_nice()
+    for v, node in tree.nodes.items():
+        assert (nice.nodes[v].K.linear is None) == (node.K.linear is None), v
+    converted = files.dumps(files.decomposition_to_obj(tree))
+    written = files.dumps(files.decomposition_to_obj(nice))
+    assert len(written) <= 2 * len(converted)
+
+
 def conversion_cases(corpus_dir):
     for mpath in sorted((corpus_dir / "branch").glob("*.matroid.json")):
         name = mpath.name.replace(".matroid.json", "")

@@ -143,6 +143,10 @@ MALFORMED_MATROIDS = {
         {"type": "explicit", "elements": [1], "independent_sets": 5},
         "independent_sets must be a list",
     ),
+    "sets not a matroid": (
+        {"type": "explicit", "elements": [1, 2, 3, 4], "independent_sets": [[1, 2], [3, 4]]},
+        "independent sets break the submodularity axiom at subsets [1, 3] and [2, 3]",
+    ),
     "no type": ({"elements": [1], "rank": {"": 0, "1": 1}}, "needs a 'type' field"),
     "not an object": ([1], "needs a 'type' field"),
     "no field": ({"type": "linear", "columns": {"1": [1]}}, "needs 'field' and 'columns'"),

@@ -161,6 +161,17 @@ def test_to_nice_roundtrip(corpus_decompositions):
             assert nice.ground() == tree.ground(), name
 
 
+def _kind(k):
+    return "linear" if k.linear is not None else "graphic" if k.graph is not None else None
+
+
+def test_to_nice_keeps_linear_and_graphic_glue_matroids(corpus_decompositions):
+    for name, tree in corpus_decompositions.items():
+        nice = tree.to_nice()
+        for v, node in tree.nodes.items():
+            assert _kind(nice.nodes[v].K) == _kind(node.K), (name, v)
+
+
 def test_to_nice_noop_when_nice():
     tree = zoo.triangle_chain(3)
     assert tree.is_nice()

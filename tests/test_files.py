@@ -178,21 +178,61 @@ def _structure(k):
     return tuple(number.setdefault(v, len(number)) for e in k.elements for v in k.graph.edges[e])
 
 
-def test_nodes_of_one_structure_share_one_key_object(tmp_path):
-    path = tmp_path / "chain.json"
-    path.write_text(files.dumps(files.decomposition_to_obj(zoo.triangle_chain(300))))
-    tree = files.load_decomposition(path)
-    keys, first = {}, {}
+def _as_independent_sets(tree):
+    """The tree's object with every K of more than one element written
+    as the list of its bases."""
+    obj = files.decomposition_to_obj(tree)
     for nid, node in tree.nodes.items():
-        assert keys.setdefault(_structure(node.K), node.K.key) is node.K.key, nid
-        assert type(node.K.key) is bytes and node.K.key == node.K.table.tobytes(), nid
-        shape = node_shape(node.K, node.J1, node.J2, tree.boundary(nid), node.D)
-        assert shape[0] is node.K.key, nid
-        # one table view and one closure cache per structure, too
-        k = first.setdefault(_structure(node.K), node.K)
-        assert node.K.table is k.table, nid
-        assert node.K.closure_table() is k.closure_table(), nid
-    assert len(keys) <= 8 < len(tree.nodes)
+        k = node.K
+        if k.size > 1:
+            full = k.rank()
+            bases = [
+                sorted(k.set_of(m))
+                for m in range(1 << k.size)
+                if k.rank_mask(m) == m.bit_count() == full
+            ]
+            obj["nodes"][nid]["K"] = {
+                "type": "explicit",
+                "elements": sorted(k.elements),
+                "independent_sets": bases,
+            }
+    return obj
+
+
+def test_nodes_of_one_structure_share_one_key_object(tmp_path):
+    chain = zoo.triangle_chain(300)
+    for obj in (files.decomposition_to_obj(chain), _as_independent_sets(chain)):
+        path = tmp_path / "chain.json"
+        path.write_text(files.dumps(obj))
+        tree = files.load_decomposition(path)
+        keys, first = {}, {}
+        for nid, node in tree.nodes.items():
+            assert keys.setdefault(_structure(node.K), node.K.key) is node.K.key, nid
+            assert type(node.K.key) is bytes and node.K.key == node.K.table.tobytes(), nid
+            shape = node_shape(node.K, node.J1, node.J2, tree.boundary(nid), node.D)
+            assert shape[0] is node.K.key, nid
+            # one table view and one closure cache per structure, too
+            k = first.setdefault(_structure(node.K), node.K)
+            assert node.K.table is k.table, nid
+            assert node.K.closure_table() is k.closure_table(), nid
+        assert len(keys) <= 8 < len(tree.nodes)
+
+
+def test_independent_sets_are_checked_once_per_structure(monkeypatch):
+    obj = _as_independent_sets(zoo.triangle_chain(50))
+    checked = []
+    check = kernels.check_rank_axioms
+
+    def counted_check(tbl, n):
+        checked.append(np.asarray(tbl).tobytes())
+        return check(tbl, n)
+
+    monkeypatch.setattr(kernels, "check_rank_axioms", counted_check)
+    tree = files.decomposition_from_obj(obj)
+    # one triangle, on 50 nodes, and one single element, on 51
+    assert len(tree.nodes) == 101
+    assert len(checked) == len(set(checked)) == 2
+    assert tree.validate().ok
 
 
 def test_only_a_new_table_is_checked_against_the_cap(tmp_path, monkeypatch):
