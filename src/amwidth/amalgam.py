@@ -12,7 +12,7 @@ import numpy as np
 from . import kernels
 from .config import FLATS_CAP, ZETA_CAP, check_cap
 from .errors import DomainError, GluePreconditionError, NoProperAmalgamError
-from .matroid import Matroid, mask_of, restrictions_equal, set_of
+from .matroid import Matroid, mask_of, positions_of, restrictions_equal, set_of
 
 __all__ = [
     "is_modular_flat",
@@ -78,7 +78,8 @@ class _Union:
         check_cap(self.n, "amalgam table", cap)
         self.pos = {e: i for i, e in enumerate(self.elements)}
         p1, p2, pt = (
-            kernels.MaskMap.of(self.pos, m.elements) for m in (m1, m2, self.n_matroid)
+            kernels.MaskMap(self.n, positions_of(self.pos, m.elements))
+            for m in (m1, m2, self.n_matroid)
         )
         self.g1, self.g2, self.gt = p1.gather, p2.gather, pt.gather
         self.s1, self.s2 = p1.scatter, p2.scatter
@@ -99,7 +100,7 @@ def eta(m1, m2, subset):
 def zeta_table(m1, m2):
     """(union elements, zeta over all subsets): min of eta over supersets."""
     u = _Union(m1, m2, cap=ZETA_CAP)
-    zt = kernels.superset_min(u.eta_table(), u.n)
+    zt = kernels.superset_min(u.eta_table())
     return u.elements, zt
 
 
@@ -140,7 +141,7 @@ def is_proper_amalgam(m, m1, m2):
     check_cap(m.size, "flat enumeration", FLATS_CAP)
     u = _Union(m1, m2)
     flats = m.flat_masks()
-    eta = u.eta_table()[kernels.MaskMap.of(u.pos, m.elements).scatter[flats]]
+    eta = u.eta_table()[kernels.MaskMap(u.n, positions_of(u.pos, m.elements)).scatter[flats]]
     return bool(np.all(m.table[flats] == eta))
 
 

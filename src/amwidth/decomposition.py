@@ -15,10 +15,11 @@ validation calls it only when J_i leaves the child's K.
 
 Each node's ids are mapped to positions in its K once per tree: its
 ``Positions`` record holds the K-positions of sorted J1, sorted J2 and
-the sorted parent boundary, and the K-mask of D.  Validation and
-``prepared`` (``is_anchored``) read it, and ``shapes`` turns it, with
-K's table, into the node's canonical shape and K order for the dynamic
-programs, once per tree.  A rank-level verdict depends on rank tables
+the sorted parent boundary, and the K-mask of D.  Validation reads it,
+and ``shapes`` turns it, with K's table, into the node's canonical
+shape and K order for the dynamic programs, once per tree; ``prepared``
+builds the shapes, so it rejects a tree with a parent boundary outside
+its node's K.  A rank-level verdict depends on rank tables
 and positions in them, not on element ids, so one ``validate`` call
 reaches each distinct verdict once, keyed by ``Matroid.key``: a
 rank-axiom check per K table, a semiflat check per (K table, J
@@ -31,16 +32,12 @@ import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from . import kernels
-
 # glue_violations is not called here: benchmarks/tracing.py patches it
 # under this module's name
 from .amalgam import glue, glue_violations, is_modular_semiflat
 from .config import REALIZE_CAP, table_cap
 from .errors import DomainError, ResourceError, ValidationError
-from .matroid import Matroid
+from .matroid import Matroid, positions_of, restrictions_agree
 from .types_dp import canonical_shape
 
 __all__ = [
@@ -79,29 +76,18 @@ class Positions(NamedTuple):
     dmask: int
 
 
-def _positions(index, ids):
-    """The positions of the sorted ids in a ground set given as id ->
-    position, or None when one of them is not in it."""
-    if len(ids) == 1:  # most boundaries, and cheaper without a sort
-        (e,) = ids
-        return (index[e],) if e in index else None
-    try:
-        return tuple(map(index.__getitem__, sorted(ids)))
-    except KeyError:
-        return None
-
-
 def _positions_in(k, j1, j2, boundary, deletions):
-    """The ``Positions`` of sets J1, J2, parent boundary and D in K."""
+    """The ``Positions`` of sets J1, J2, parent boundary and D in K; an
+    empty set, as at every leaf, skips the lookup."""
     index = k._index
     dmask = 0
     if deletions:
-        dpos = _positions(index, deletions)
+        dpos = positions_of(index, deletions)
         dmask = None if dpos is None else sum(1 << p for p in dpos)
     return Positions(
-        _positions(index, j1) if j1 else (),
-        _positions(index, j2) if j2 else (),
-        _positions(index, boundary) if boundary else (),
+        positions_of(index, sorted(j1)) if j1 else (),
+        positions_of(index, sorted(j2)) if j2 else (),
+        positions_of(index, sorted(boundary)) if boundary else (),
         dmask,
     )
 
@@ -251,8 +237,17 @@ class AmalgamDecomposition:
     def shapes(self):
         """Every node's canonical shape and K order (``canonical_shape``
         of its ``Positions``), by node id; computed once per tree, and
-        once per distinct raw shape in it."""
+        once per distinct raw shape in it.
+
+        Raises DomainError when a parent boundary leaves a node's glue
+        matroid: such a node has no shape.
+        """
         if "shapes" not in self._cache:
+            if not self.is_anchored():
+                raise DomainError(
+                    "the dynamic programs need parent boundaries inside each "
+                    "node's glue matroid"
+                )
             canon = functools.cache(canonical_shape)
             self._cache["shapes"] = {
                 v: canon((self.nodes[v].K.key, *at)) for v, at in self.positions().items()
@@ -360,7 +355,7 @@ class AmalgamDecomposition:
                         )
                     )
                     return
-                pos = _positions(m._index, j)
+                pos = positions_of(m._index, sorted(j))
             sides.append((m, pos))
         at = positions[v]
         for i, ((m, pos), kpos) in enumerate(zip(sides, (at.j1, at.j2)), start=1):
@@ -478,11 +473,7 @@ class AmalgamDecomposition:
         ground = self.ground()
         reuses = any(self.nodes[v].D & ground for v in self.postorder())
         tree = self.to_nice() if reuses or not self.is_nice() else self
-        if not tree.is_anchored():
-            raise DomainError(
-                "the dynamic programs need parent boundaries inside each "
-                "node's glue matroid"
-            )
+        tree.shapes()  # raises DomainError on an unanchored tree
         if tree is not self:  # caching self would make a reference cycle
             self._cache["prepared"] = tree
         return tree
@@ -515,13 +506,10 @@ class _ShapeChecks:
         return self.verdicts[key]
 
     def restriction_agrees(self, m, mpos, k, kpos):
-        """Whether m at positions ``mpos`` and k at ``kpos`` agree on every
-        subset, matched position by position."""
+        """``restrictions_agree(m, mpos, k, kpos)``, once per key."""
         key = (m.key, mpos, k.key, kpos)
         if key not in self.verdicts:
-            t1 = m.table[kernels.MaskMap(m.size, mpos).scatter]
-            t2 = k.table[kernels.MaskMap(k.size, kpos).scatter]
-            self.verdicts[key] = bool(np.array_equal(t1, t2))
+            self.verdicts[key] = restrictions_agree(m, mpos, k, kpos)
         return self.verdicts[key]
 
 

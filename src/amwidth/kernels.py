@@ -42,8 +42,9 @@ Two helpers carry every other subset-mask operation of the package:
   pos[i]).  ``scatter`` maps each sub-mask to its whole-set mask, so
   ``tbl[MaskMap(n, pos).scatter]`` is the rank table of the restriction
   in sub-order; ``gather`` maps each whole-set mask to the sub-mask of
-  the bits the sub-order holds.  ``translate_all_masks`` builds both
-  by doubling, in O(2^n) work.
+  the bits the sub-order holds.  ``translate_all_masks`` builds each
+  once, by doubling, in O(2^n) work; no other code of the package
+  builds such a table.
 * ``fold(vals, op)`` is the zeta transform over the subset lattice
   (Yates' algorithm, as in Björklund-Husfeldt-Kaski-Koivisto, "Fourier
   meets Möbius: fast subset convolution", STOC 2007): in place, one
@@ -257,12 +258,12 @@ def fold(vals, op, supersets=False):
     return vals
 
 
-def superset_min(vals, n):
+def superset_min(vals):
     """min over supersets, in the zeta-transform sense."""
     return fold(np.array(vals, dtype=np.int64, copy=True), np.minimum, supersets=True)
 
 
-def subset_any(flags, n):
+def subset_any(flags):
     """out[m] = OR of flags[s] over submasks s of m."""
     return fold(np.array(flags, dtype=bool, copy=True), np.logical_or)
 
@@ -300,15 +301,20 @@ def check_rank_axioms(tbl, n):
 
 
 def translate_all_masks(n, bitmap):
-    """out[m] = mask with bit bitmap[b] set for every b in m with bitmap[b] >= 0;
-    out[2^b : 2^(b+1)] is out[:2^b] with that bit set (copied if none)."""
+    """out[m] = mask with bit bitmap[b] set for every b in m with bitmap[b] >= 0.
+
+    By doubling: out[2^b : 2^(b+1)] is out[:2^b] with that bit set, or a
+    copy of it if none; out is all zeros below the first bit set, so no
+    copy is made there."""
     out = np.zeros(1 << n, dtype=np.int64)
+    zeros = True
     for b in range(n):
-        low, high = out[: 1 << b], out[1 << b : 2 << b]
-        if bitmap[b] >= 0:
-            np.bitwise_or(low, 1 << int(bitmap[b]), out=high)
-        else:
-            high[:] = low
+        t = bitmap[b]
+        if t >= 0:
+            np.bitwise_or(out[: 1 << b], 1 << t, out=out[1 << b : 2 << b])
+            zeros = False
+        elif not zeros:
+            out[1 << b : 2 << b] = out[: 1 << b]
     return out
 
 
@@ -320,29 +326,33 @@ class MaskMap:
     repeat (parallel twins), so two bits can set one position.
     ``gather[m]`` is the sub-mask of the bits the sub-order holds in the
     whole-set mask m, for distinct positions.  ``mask`` is the union of
-    the positions.  Both tables are int64 arrays built at each access
-    (most callers need only one of them): keep the one you use.
+    the positions.  Both tables are int64 arrays, each built once, on
+    first access (not by ``functools.cached_property``, which before
+    Python 3.12 takes a lock that costs more than building a small table).
     """
 
     def __init__(self, n, pos):
         self.n = n
         self.pos = [int(p) for p in pos]
-        self.mask = sum(1 << p for p in set(self.pos))
-
-    @classmethod
-    def of(cls, index, ids):
-        """The sub-order of ``ids`` in a ground set given as id -> position."""
-        return cls(len(index), [index[e] for e in ids])
+        self.mask = 0
+        for p in self.pos:
+            self.mask |= 1 << p
+        self._scatter = self._gather = None
 
     @property
     def scatter(self):
-        return translate_all_masks(len(self.pos), self.pos)
+        if self._scatter is None:
+            self._scatter = translate_all_masks(len(self.pos), self.pos)
+        return self._scatter
 
     @property
     def gather(self):
-        bitmap = np.full(self.n, -1, dtype=np.int64)
-        bitmap[self.pos] = np.arange(len(self.pos))
-        return translate_all_masks(self.n, bitmap)
+        if self._gather is None:
+            bitmap = [-1] * self.n
+            for i, p in enumerate(self.pos):
+                bitmap[p] = i
+            self._gather = translate_all_masks(self.n, bitmap)
+        return self._gather
 
 
 def whitney_counts(tbl, n):

@@ -233,7 +233,7 @@ class Matroid:
         def build():
             flags = np.zeros(1 << len(elements), dtype=bool)
             flags[masks] = True
-            return kernels.rank_table_from_independence(~kernels.subset_any(flags, len(elements)))
+            return kernels.rank_table_from_independence(~kernels.subset_any(flags))
 
         return cls._memo(None, None, elements, names, None, build, "circuits break")
 
@@ -257,7 +257,7 @@ class Matroid:
         ``twins`` appended, in order; keyed in ``tables`` by this
         matroid's key and the twinned positions.  A linear or graphic
         description gains the twins' columns or endpoint pairs."""
-        pos = tuple(self._index[e] for e in twins)
+        pos = positions_of(self._index, twins)
         desc = self._desc
         if desc is not None:  # a column, or two endpoints, per element
             *head, items = desc
@@ -386,15 +386,11 @@ class Matroid:
 
     # -- minors ---------------------------------------------------------
 
-    def _minor_tables(self, keep_ids):
-        keep = [e for e in self.elements if e in keep_ids]
-        return keep, kernels.MaskMap.of(self._index, keep).scatter
-
     def delete(self, subset):
         dropped = frozenset(subset)
         self.mask_of(dropped)  # validates ids
-        keep, trans = self._minor_tables(self.ground_set - dropped)
-        tbl = self.table[trans]
+        keep = [e for e in self.elements if e not in dropped]
+        tbl = self.table[kernels.MaskMap(self.size, positions_of(self._index, keep)).scatter]
         names = {e: n for e, n in self.names.items() if e in keep}
         return Matroid(keep, tbl, names=names)
 
@@ -406,7 +402,8 @@ class Matroid:
     def contract(self, subset):
         cset = frozenset(subset)
         cmask = self.mask_of(cset)
-        keep, trans = self._minor_tables(self.ground_set - cset)
+        keep = [e for e in self.elements if e not in cset]
+        trans = kernels.MaskMap(self.size, positions_of(self._index, keep)).scatter
         base = int(self.table[cmask])
         tbl = self.table[trans | cmask] - base
         names = {e: n for e, n in self.names.items() if e in keep}
@@ -446,7 +443,16 @@ def restrictions_equal(m1, m2, shared):
     for e in shared:
         if e not in m1._index or e not in m2._index:
             raise DomainError(f"element {e!r} is not common to both matroids")
-    t1, t2 = (m.table[kernels.MaskMap.of(m._index, shared).scatter] for m in (m1, m2))
+    return restrictions_agree(
+        m1, positions_of(m1._index, shared), m2, positions_of(m2._index, shared)
+    )
+
+
+def restrictions_agree(m1, pos1, m2, pos2):
+    """Whether m1 at positions ``pos1`` and m2 at ``pos2`` agree on every
+    subset, matched position by position."""
+    t1 = m1.table[kernels.MaskMap(m1.size, pos1).scatter]
+    t2 = m2.table[kernels.MaskMap(m2.size, pos2).scatter]
     return bool(np.array_equal(t1, t2))
 
 
@@ -459,6 +465,18 @@ def mask_of(index, ids, where=""):
             raise DomainError(f"unknown element id {e!r}{where}")
         m |= 1 << i
     return m
+
+
+def positions_of(index, ids):
+    """The positions of the ids, in the order given, in a ground set given
+    as id -> position; None when one of them is not in it."""
+    if len(ids) == 1:  # most boundaries, and cheaper without ``map``
+        (e,) = ids
+        return (index[e],) if e in index else None
+    try:
+        return tuple(map(index.__getitem__, ids))
+    except KeyError:
+        return None
 
 
 def set_of(elements, mask):

@@ -251,7 +251,7 @@ class _Run:
         def step(ctx, s1, s2, views):
             if s1 == _F or s2 == _F:
                 return _F
-            return _F if (left(views) ^ right(views)) & ctx.fresh else _T
+            return _F if (left(views) ^ right(views)) & ctx.fresh.mask else _T
 
         return step, _T, lambda sid: sid == _T
 
@@ -263,15 +263,15 @@ class _Run:
             (fmap1, g1), (fmap2, g2) = states[s1], states[s2]
             bit = views[elem]
             zs = ctx.fixpoints(fmap1, fmap2, term(views))
-            gather = ctx.parent.gather
+            gather = ctx.gather_parent
             fmap = tuple([gather[z] for z in zs])
             if bit:
                 g = tuple([bool(z & bit) for z in zs])
             elif g1 is not None:
-                gather = ctx.side1.gather
+                gather = ctx.gather1
                 g = tuple([g1[gather[z]] for z in zs])
             elif g2 is not None:
-                gather = ctx.side2.gather
+                gather = ctx.gather2
                 g = tuple([g2[gather[z]] for z in zs])
             else:
                 g = None
@@ -291,7 +291,7 @@ class _Run:
 
         def step(ctx, s1, s2, views):
             (sig1, ok1), (sig2, ok2) = states[s1], states[s2]
-            fresh = term(views) & ctx.fresh
+            fresh = term(views) & ctx.fresh.mask
             sig, delta = ctx.extended_join(sig1, sig2, fresh)
             return intern((sig, ok1 and ok2 and delta == fresh.bit_count()))
 
@@ -348,21 +348,21 @@ class _Run:
 def _choices(is_set, ctx, c1, c2):
     """Consistent placements of a variable at a node, given the children's
     placements c1 and c2, with the variable's view here."""
-    gather = ctx.parent.gather
+    gather = ctx.gather_parent
     if is_set:
-        base = ctx.side1.scatter[c1] | ctx.side2.scatter[c2]
+        base = ctx.scatter1[c1] | ctx.scatter2[c2]
         if base & ctx.dmask:
             return ()
         return [(gather[x], x) for x in (base | s for s in ctx.fresh_masks)]
     if c1 != _OUT and c2 != _OUT:
         return ()
     if c1 != _OUT or c2 != _OUT:
-        comp, side = (c1, ctx.side1) if c1 != _OUT else (c2, ctx.side2)
-        bit = side.scatter[comp]
+        comp, scatter = (c1, ctx.scatter1) if c1 != _OUT else (c2, ctx.scatter2)
+        bit = scatter[comp]
         if bit & ctx.dmask:
             return ()
         return ((gather[bit], bit),)
-    return [(_OUT, 0)] + [(gather[b], b) for b in ctx.fresh_bits]
+    return [(_OUT, 0)] + [(gather[1 << p], 1 << p) for p in ctx.fresh.pos]
 
 
 def _decided(f):

@@ -201,10 +201,10 @@ def _join_tables(ctx, t1, t2):
     width = t1.width
     table = _NodeTable(width)
     for sig1, rows1 in t1.by_sig.items():
-        if _trace_hits(ctx.side1, sig1.trace, ctx.dmask):
+        if ctx.scatter1[sig1.trace] & ctx.dmask:
             continue
         for sig2, rows2 in t2.by_sig.items():
-            if _trace_hits(ctx.side2, sig2.trace, ctx.dmask):
+            if ctx.scatter2[sig2.trace] & ctx.dmask:
                 continue
             joined = []
             for fmask in ctx.fresh_masks:  # fresh masks and these traces miss D
@@ -256,7 +256,3 @@ def _slots(packed, width):
         if c:
             out[r] = c
     return out
-
-
-def _trace_hits(side, trace, dmask):
-    return bool(side.scatter[trace] & dmask)

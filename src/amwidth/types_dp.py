@@ -13,9 +13,7 @@ matroid.  The join computes the parent's type by closure fixed points,
 and one rank query gives the rank increment of the combination; nothing
 is realized.  ``type_of``/``extended_type_of`` recompute the types on the
 realized matroid, through the direct computation ``_signature(m, side,
-x)``, and serve as the oracle in tests.  A ``_Side`` is a boundary's
-sub-order of K's positions, its gather/scatter tables built as lists by
-doubling for the join's scalar lookups.
+x)``, and serve as the oracle in tests.
 
 Types hold no element ids: a boundary subset is a mask over the sorted
 boundary.  A node's *shape* is its glue matroid's ``Matroid.key``
@@ -53,6 +51,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DomainError
+from .matroid import positions_of
 
 __all__ = [
     "ExtendedType",
@@ -98,55 +97,34 @@ def type_of(tree, nid, tracked):
 def extended_type_of(tree, nid, tracked):
     """Oracle: extended type (type, trace) on the realized M(v)."""
     m = tree.realize(nid)
-    side = _Side(m.size, _positions(m, tree.boundary(nid)))
+    side = kernels.MaskMap(m.size, positions_of(m._index, sorted(tree.boundary(nid))))
     return _signature(m, side, m.mask_of(set(tracked) & m.ground_set))
 
 
 def _signature(m, side, x):
     """Extended type of the mask x of matroid m over the boundary ``side``."""
-    fmap = tuple(side.gather[m.closure_mask(x | y)] for y in side.scatter)
-    return ExtendedType(fmap, side.gather[x])
-
-
-def _positions(k, ids):
-    """K-positions of the sorted ids, all of them in K."""
-    return tuple(k._index[e] for e in sorted(ids))
+    gather = side.gather.tolist()
+    fmap = tuple(gather[m.closure_mask(x | y)] for y in side.scatter.tolist())
+    return ExtendedType(fmap, gather[x])
 
 
 def node_shape(k, j1, j2, j_parent, deletions=()):
     """A node's shape (see the module doc), computed from the ids: the
     oracle of ``tree.positions``, which the dynamic programs read."""
+    index = k._index
     return (
         k.key,
-        _positions(k, j1),
-        _positions(k, j2),
-        _positions(k, j_parent),
+        positions_of(index, sorted(j1)),
+        positions_of(index, sorted(j2)),
+        positions_of(index, sorted(j_parent)),
         k.mask_of(deletions),
     )
 
 
-def _unions(bits):
-    """The union of every subset of ``bits`` in subset order: entry s is
-    the OR of bits[i] over the bits i of s.  Built by doubling."""
-    out = [0]
-    for b in bits:
-        out += [m | b for m in out]
-    return out
-
-
-class _Side:
-    """A boundary's sub-order of the n positions of K, as lists: the
-    scalar lookups of the join are slower on numpy scalars.  ``bits[i]``
-    is the K-bit of boundary element i, ``scatter[s]`` the K-mask of the
-    boundary sub-mask s, ``mask`` the whole boundary's, and ``gather``
-    takes any K-mask to its boundary sub-mask, ignoring the other bits."""
-
-    def __init__(self, n, pos):
-        self.bits = [1 << p for p in pos]
-        self.scatter = _unions(self.bits)
-        self.mask = self.scatter[-1]
-        where = {p: i for i, p in enumerate(pos)}
-        self.gather = _unions([1 << where[p] if p in where else 0 for p in range(n)])
+def _reflect(scatter, gather, fmap, mask):
+    """K-mask of f(mask & J) for a child's type map f; mask is a K-mask,
+    and ``scatter``/``gather`` are J's tables as lists."""
+    return scatter[fmap[gather[mask]]]
 
 
 class JoinContext:
@@ -156,29 +134,35 @@ class JoinContext:
     of the shape shares it, memos included.  The shape's boundaries sit
     inside E(K) (anchored decompositions); the tracked set's intersection
     with K is trace1 | trace2 | fresh choices.
+
+    ``side1``, ``side2``, ``parent`` and ``fresh`` are the ``MaskMap``s
+    of sorted J1, sorted J2, the sorted parent boundary and the fresh
+    positions, those outside J1, J2 and D.  The join reads their tables
+    as lists converted once (its scalar lookups are slower on numpy
+    scalars): ``scatter1``, ``gather1``, ``scatter2``, ``gather2``,
+    ``gather_parent``, and ``fresh_masks``, the fresh subsets' K-masks.
     """
 
     def __init__(self, shape):
         table, pos1, pos2, pos_parent, self.dmask = shape
         tk = np.frombuffer(table, dtype=np.int8)
         n = tk.size.bit_length() - 1
-        self.side1 = _Side(n, pos1)
-        self.side2 = _Side(n, pos2)
-        self.parent = _Side(n, pos_parent)
+        self.side1 = kernels.MaskMap(n, pos1)
+        self.side2 = kernels.MaskMap(n, pos2)
+        self.parent = kernels.MaskMap(n, pos_parent)
+        taken = self.side1.mask | self.side2.mask | self.dmask
+        self.fresh = kernels.MaskMap(n, [p for p in range(n) if not taken >> p & 1])
+        self.scatter1, self.gather1 = self.side1.scatter.tolist(), self.side1.gather.tolist()
+        self.scatter2, self.gather2 = self.side2.scatter.tolist(), self.side2.gather.tolist()
+        self.gather_parent = self.parent.gather.tolist()
+        self.fresh_masks = self.fresh.scatter.tolist()
         self.clk = kernels.closure_table(tk, n).tolist()
         self.tk = tk.tolist()
-        self.fresh = (1 << n) - 1 & ~(self.side1.mask | self.side2.mask | self.dmask)
-        self.fresh_bits = [1 << p for p in range(n) if self.fresh >> p & 1]
-        self.fresh_masks = _unions(self.fresh_bits)  # K-masks of the fresh subsets
         self.memo = {}  # the results the running DP keeps for this shape
         self._join_memo = {}
         self._fix_memo = {}
 
     # -- plumbing -----------------------------------------------------------
-
-    def _reflect(self, side, fmap, mask):
-        """K-mask of f(mask & J) for a child's type map; mask is a K-mask."""
-        return side.scatter[fmap[side.gather[mask]]]
 
     def _rank(self, e1, e2, xk):
         """Rank of the tracked set inside M(v), minus r1 + r2.
@@ -186,27 +170,27 @@ class JoinContext:
         xk is the tracked set's K-part; each child's rank increment is one
         lookup in its offsets.
         """
-        s1, s2 = self.side1, self.side2
+        s1, g1, s2, g2 = self.scatter1, self.gather1, self.scatter2, self.gather2
         clk, tk = self.clk, self.tk
-        f2_0 = self._reflect(s2, e2.base, 0)
+        f2_0 = _reflect(s2, g2, e2.base, 0)
         xk2 = xk | f2_0
         a1 = clk[xk2]
-        f1f20 = self._reflect(s1, e1.base, f2_0)
+        f1f20 = _reflect(s1, g1, e1.base, f2_0)
         w2k = f1f20 | xk2
-        n1arg = (a1 & s1.mask) | f1f20
-        rp1_delta = tk[w2k] + e1.offsets[s1.gather[a1 | f2_0]] - tk[n1arg]
+        n1arg = (a1 & self.side1.mask) | f1f20
+        rp1_delta = tk[w2k] + e1.offsets[g1[a1 | f2_0]] - tk[n1arg]
         # closure of the K-part in the first connection, restricted to J2
-        f1_0 = self._reflect(s1, e1.base, 0)
+        f1_0 = _reflect(s1, g1, e1.base, 0)
         a = clk[xk | f1_0]
-        b = self._reflect(s1, e1.base, (clk[xk] | xk) & s1.mask)
-        y2m = (a | b | xk) & s2.mask
-        return rp1_delta + e2.offsets[s2.gather[y2m]] - tk[y2m | f2_0]
+        b = _reflect(s1, g1, e1.base, (clk[xk] | xk) & self.side1.mask)
+        y2m = (a | b | xk) & self.side2.mask
+        return rp1_delta + e2.offsets[g2[y2m]] - tk[y2m | f2_0]
 
     def fixpoint(self, t1, t2, z):
         while True:  # z grows every round, so this ends within |K| + 1
             z2 = self.clk[z]
-            z2 |= self._reflect(self.side1, t1, z2)
-            z2 |= self._reflect(self.side2, t2, z2)
+            z2 |= _reflect(self.scatter1, self.gather1, t1, z2)
+            z2 |= _reflect(self.scatter2, self.gather2, t2, z2)
             if z2 == z:
                 return z
             z = z2
@@ -223,7 +207,8 @@ class JoinContext:
         hit = self._fix_memo.get(key)
         if hit is None:
             out = [self.fixpoint(t1, t2, xk)]
-            for t in self.parent.bits:
+            for p in self.parent.pos:
+                t = 1 << p
                 out += [z if z & t else self.fixpoint(t1, t2, z | t) for z in out]
             hit = self._fix_memo[key] = tuple(out)
         return hit
@@ -232,7 +217,7 @@ class JoinContext:
 
     def join_types(self, t1, t2, xk):
         """Definition-of-join fixed point, restricted to the parent boundary."""
-        gather = self.parent.gather
+        gather = self.gather_parent
         return tuple(gather[z] for z in self.fixpoints(t1, t2, xk))
 
     def extended_join(self, e1, e2, fresh):
@@ -245,7 +230,7 @@ class JoinContext:
         the traces cannot disagree.  One rank query per new combination:
         the parent's offsets are read off its type.
         """
-        xk = self.side1.scatter[e1.trace] | self.side2.scatter[e2.trace] | fresh
+        xk = self.scatter1[e1.trace] | self.scatter2[e2.trace] | fresh
         if xk & self.dmask:
             raise DomainError("tracked set meets the deleted set D")
         key = (e1, e2, fresh)
@@ -253,7 +238,7 @@ class JoinContext:
         if hit is not None:
             return hit
         base = self.join_types(e1.base, e2.base, xk)
-        result = (ExtendedType(base, self.parent.gather[xk]), self._rank(e1, e2, xk))
+        result = (ExtendedType(base, self.gather_parent[xk]), self._rank(e1, e2, xk))
         self._join_memo[key] = result
         return result
 
@@ -305,7 +290,7 @@ def bottom_up(tree, empty, join):
 def leaf_signatures(k, boundary):
     """Oracle: (rank, size, ExtendedType) of every subset of a leaf with
     matroid k, indexed by the subset's K-mask."""
-    side = _Side(k.size, _positions(k, boundary))
+    side = kernels.MaskMap(k.size, positions_of(k._index, sorted(boundary)))
     return [
         (k.rank_mask(x), x.bit_count(), _signature(k, side, x)) for x in range(1 << k.size)
     ]

@@ -249,6 +249,17 @@ def test_corpus_all_valid(corpus_decompositions):
         assert 1 <= tree.width() <= 6, name
 
 
+def test_unanchored_tree_has_no_shapes():
+    # the top node's J1 = {1} sits outside its left child's K = {2}
+    tb = zoo.TreeBuilder()
+    left = tb.glue(tb.leaf(Matroid.single(1)), tb.leaf(Matroid.single(2)), Matroid.single(2))
+    tree = tb.done(tb.glue(left, tb.leaf(Matroid.single(4)), Matroid.uniform(1, [1, 4])))
+    assert tree.validate().ok and tree.is_nice() and not tree.is_anchored()
+    for call in (tree.shapes, tree.prepared):
+        with pytest.raises(DomainError, match="parent boundaries inside each node's glue"):
+            call()
+
+
 def test_corpus_realizations_satisfy_axioms(corpus_decompositions):
     for name, tree in corpus_decompositions.items():
         if len(tree.ground()) > 12:

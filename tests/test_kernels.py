@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from amwidth import kernels, linalg
+from amwidth.matroid import positions_of
 
 import oracles
 
@@ -249,7 +250,7 @@ def test_closure_table():
 
 def test_superset_min():
     vals = np.array([7, 5, 6, 1, 9, 2, 8, 3], dtype=np.int64)
-    out = kernels.superset_min(vals, 3)
+    out = kernels.superset_min(vals)
     for m in range(8):
         want = min(vals[s] for s in range(8) if s & m == m)
         assert int(out[m]) == want
@@ -258,7 +259,7 @@ def test_superset_min():
 def test_subset_any():
     flags = np.zeros(8, dtype=bool)
     flags[0b011] = True
-    out = kernels.subset_any(flags, 3)
+    out = kernels.subset_any(flags)
     for m in range(8):
         assert bool(out[m]) == (m & 0b011 == 0b011)
 
@@ -310,6 +311,7 @@ def test_mask_map_vs_bit_loops():
                 assert mm.scatter.dtype == mm.gather.dtype == np.int64
                 # scatter then gather is the identity on sub-masks
                 assert mm.gather[mm.scatter].tolist() == list(range(1 << size))
+                assert mm.scatter is mm.scatter and mm.gather is mm.gather  # built once
 
 
 def test_mask_map_repeated_positions_scatter():
@@ -329,9 +331,10 @@ def test_mask_map_empty_and_of():
         assert mm.gather.tolist() == [0] * (1 << n)
         assert mm.mask == 0
     index = {10: 0, 30: 1, 20: 2}
-    mm = kernels.MaskMap.of(index, [20, 10])
+    mm = kernels.MaskMap(len(index), positions_of(index, [20, 10]))
     assert (mm.n, mm.pos) == (3, [2, 0])
     assert mm.scatter.tolist() == [0, 4, 1, 5]
+    assert positions_of(index, [20, 40]) is None
 
 
 FOLDS = [

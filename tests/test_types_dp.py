@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from amwidth import files, kernels, zoo
+from amwidth import files, zoo
 from amwidth.branch import from_branch_decomposition
 from amwidth.errors import DomainError
 from amwidth.matroid import Matroid
 from amwidth.types_dp import (
     JoinContext,
-    _Side,
     canonical_shape,
     extended_type_of,
     leaf_signatures,
@@ -21,6 +20,7 @@ from amwidth.types_dp import (
 import oracles
 from conftest import CORPUS
 from test_branch import caterpillar
+from test_kernels import _mask_map_oracle
 from test_leaves import TREES
 
 
@@ -56,15 +56,33 @@ def fano_width7_tree():
     return from_branch_decomposition(m, caterpillar([1, 4, 2, 6, 3, 5, 8, 7])).prepared()
 
 
-def test_side_tables_match_maskmap():
-    rng = random.Random(2)
-    for n in range(8):
-        for k in range(n + 1):
-            pos = rng.sample(range(n), k)
-            side, want = _Side(n, pos), kernels.MaskMap(n, pos)
-            assert side.scatter == want.scatter.tolist(), (n, pos)
-            assert side.gather == want.gather.tolist(), (n, pos)
-            assert side.mask == want.mask, (n, pos)
+def test_context_tables_match_bit_loops():
+    # every distinct canonical shape of the corpus' prepared trees: the
+    # tables a context reads equal bit-by-bit loops over its positions,
+    # also where the parent boundary shares K positions with J1 or J2
+    paths = sorted((CORPUS / "decompositions").glob("*.json"))
+    trees = [(p.name, files.load_decomposition(p)) for p in paths]
+    trees.append(("triangle_chain(9, pad=3)", zoo.triangle_chain(9, pad=3)))
+    shared = {}
+    for name, tree in trees:
+        shapes = tree.prepared().shapes()
+        for table, pos1, pos2, pos_parent, dmask in {s for s, _ in shapes.values()}:
+            n = len(table).bit_length() - 1
+            ctx = JoinContext((table, pos1, pos2, pos_parent, dmask))
+            for pos, scatter, gather in (
+                (pos1, ctx.scatter1, ctx.gather1),
+                (pos2, ctx.scatter2, ctx.gather2),
+                (pos_parent, ctx.parent.scatter.tolist(), ctx.gather_parent),
+            ):
+                assert (scatter, gather) == _mask_map_oracle(n, pos), (name, pos)
+            fresh = [p for p in range(n) if p not in (*pos1, *pos2) and not dmask >> p & 1]
+            assert ctx.fresh_masks == _mask_map_oracle(n, fresh)[0], name
+        shared[name] = sum(
+            bool(set(s[3]) & {*s[1], *s[2]}) for s, _ in shapes.values()
+        )
+    assert {k: v for k, v in shared.items() if v} == {
+        "k3k3-directsum.json": 1, "u13-comb.json": 1, "u24-comb.json": 2
+    }
 
 
 def test_type_map_properties():
