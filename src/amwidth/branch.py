@@ -18,15 +18,14 @@ postorder, none of them recursive, do the rest: the space V of each
 subtree bottom-up, as the sum of its children's spaces; then top-down
 the space of everything outside each subtree and from it each node's
 glue span; then the nodes themselves, in postorder, listed without the
-J1/J2 that ``AmalgamDecomposition.with_boundaries`` derives.  Each
+J1/J2 that ``AmalgamDecomposition.with_boundaries`` derives.  A span
+is keyed by its reduced basis, which ``linalg`` keeps unique, so each
 distinct span has its points enumerated once.  One table memo per
 conversion (``Matroid.from_linear(tables=...)``) builds each distinct
 glue matroid's rank table, one ``Matroid.key``, once.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import linalg
 from .config import check_cap
@@ -165,12 +164,10 @@ def from_branch_decomposition(m, b):
         if x in kids:
             space[x] = linalg.sum_spaces(*(space[c] for c in kids[x]), p)
         else:
-            vec = np.array([cols[b.leaf_labels[x]]], dtype=np.int64)
-            space[x] = linalg.row_basis(vec, p)
+            space[x] = linalg.row_basis((cols[b.leaf_labels[x]],), p)
 
     # top-down: rest = V(elements not below x), cut = V(below) & rest
-    zero = np.zeros((0, m.linear.dimension), dtype=np.int64)
-    rest, cut, span = {root: zero}, {root: zero}, {}
+    rest, cut, span = {root: ()}, {root: ()}, {}
     for x in reversed(post):
         if x not in kids:
             span[x] = cut[x]
@@ -187,14 +184,13 @@ def from_branch_decomposition(m, b):
 
     def fresh_points(x):
         """{fresh id: point} over x's glue span; ids are given on first sight."""
-        key = span[x].tobytes()
-        if key not in points:
-            check_cap(linalg.point_count(span[x].shape[0], p), "glue matroid")
-            points[key] = {
+        if span[x] not in points:
+            check_cap(linalg.point_count(len(span[x]), p), "glue matroid")
+            points[span[x]] = {
                 fresh.setdefault(v, first_fresh + len(fresh)): v
                 for v in linalg.span_vectors(span[x], p)
             }
-        return points[key]
+        return points[span[x]]
 
     nodes, nid, tables = [], {}, {}
 

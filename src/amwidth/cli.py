@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: info, validate, width, nice, convert, tutte, mso, glue.
-Output is canonical JSON on stdout (``--pretty`` adds a human rendering
-on top); identical inputs produce byte-identical output.  Exit codes:
-0 success, 1 domain or validation error, 2 resource bound exceeded,
-3 usage error.  The only recognized environment variable is
+Output is canonical compact JSON on stdout (``--pretty`` indents the
+JSON and adds a human summary); files written with ``-o`` and dump
+files are always compact.  Identical inputs produce byte-identical
+output.  Exit codes: 0 success, 1 domain or validation error, 2 resource
+bound exceeded, 3 usage error.  The only recognized environment variable is
 AMALGAM_MAX_ELEMENTS, which overrides the rank-table cap.
 """
 
@@ -37,21 +38,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(obj, pretty_lines=None, pretty=False):
-    sys.stdout.write(files.dumps(obj))
+    sys.stdout.write(files.dumps(obj, pretty))
     if pretty and pretty_lines:
         for line in pretty_lines:
             sys.stdout.write(f"# {line}\n")
 
 
-def _write_or_emit(obj, output, summary):
-    """Write ``obj`` to the file ``output`` and print ``{"written": output,
-    **summary}``, or print ``obj`` when no output file is named."""
-    if not output:
-        _emit(obj)
+def _write_or_emit(obj, args, summary):
+    """Write ``obj`` to the file ``args.output`` and print ``{"written":
+    args.output, **summary}``, or print ``obj`` when no output file is named."""
+    if not args.output:
+        _emit(obj, pretty=args.pretty)
         return
-    with open(output, "w") as fh:
+    with open(args.output, "w") as fh:
         fh.write(files.dumps(obj))
-    _emit({"written": output, **summary})
+    _emit({"written": args.output, **summary}, pretty=args.pretty)
 
 
 def _cmd_info(args):
@@ -105,7 +106,7 @@ def _cmd_nice(args):
     tree = files.load_decomposition(args.decomposition)
     nice = tree.to_nice()
     obj = files.decomposition_to_obj(nice)
-    _write_or_emit(obj, args.output, {"width": nice.width()})
+    _write_or_emit(obj, args, {"width": nice.width()})
     return 0
 
 
@@ -114,7 +115,7 @@ def _cmd_convert(args):
     b = files.load_branch(args.branch)
     tree = from_branch_decomposition(m, b)
     obj = files.decomposition_to_obj(tree)
-    _write_or_emit(obj, args.output, {"width": tree.width()})
+    _write_or_emit(obj, args, {"width": tree.width()})
     return 0
 
 
@@ -279,7 +280,7 @@ def _cmd_glue(args):
     deletions = [files._int(x, "--delete id") for x in ids if x]
     result = glue(m1, m2, k, deletions)
     obj = files.matroid_to_obj(result)
-    _write_or_emit(obj, args.output, {"size": result.size, "rank": result.rank()})
+    _write_or_emit(obj, args, {"size": result.size, "rank": result.rank()})
     return 0
 
 
@@ -290,7 +291,9 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--pretty", action="store_true", help="add a human summary")
+        p.add_argument(
+            "--pretty", action="store_true", help="indent the JSON and add a human summary"
+        )
 
     p = sub.add_parser("info", help="rank, circuits and flats of a matroid file")
     p.add_argument("--matroid", "-m", required=True)

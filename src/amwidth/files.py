@@ -2,8 +2,8 @@
 
 Loaders validate eagerly, checking explicit rank tables against the rank
 axioms, and raise DomainError with a message naming the offending field
-or subsets; writers emit canonical (sorted-key) JSON so identical inputs
-produce byte-identical outputs.
+or subsets; writers emit canonical (sorted-key, compact) JSON so
+identical inputs produce byte-identical outputs.
 
 A decomposition file names one glue matroid per node, but a long chain
 repeats a handful of structures.  The loader parses each node's ids, its
@@ -42,8 +42,18 @@ __all__ = [
 ]
 
 
-def dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def dumps(obj, pretty=False):
+    """Canonical JSON text of ``obj``: sorted keys, one trailing newline.
+
+    The canonical form is compact, with no spaces after separators,
+    because any ``indent`` sends ``json`` to its pure-Python encoder and
+    the compact form runs in its C encoder, several times faster on a
+    converted tree.  ``pretty`` gives the two-space indented form, which
+    only the CLI's ``--pretty`` prints.
+    """
+    if pretty:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _names_out(m):

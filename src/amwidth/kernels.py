@@ -80,15 +80,18 @@ def gf_rank_table(cols, p):
 
 
 def _gf_rank_table(cols, p):
-    basis = row_basis(cols, p)
-    r, n = basis.shape
+    n = cols.shape[1]
+    rows = row_basis(cols, p)
+    r = len(rows)
     if r in (0, n):  # no circuit, or only loops
         return popcounts(n) if r else np.zeros(1 << n, dtype=np.int8)
+    basis = np.array(rows, dtype=np.int64)
     if p ** min(r, n - r) <= 1 << n:
         if 2 * r <= n:
             return _count_ranks(_zero_sets(basis, p), r, p, n)
         # the dual code is the smaller: r(S) = r*(E - S) + |S| - r*(E)
-        dual = _count_ranks(_zero_sets(reduced_nullspace(basis, p), p), n - r, p, n)
+        code = np.array(reduced_nullspace(rows, p, n), dtype=np.int64)
+        dual = _count_ranks(_zero_sets(code, p), n - r, p, n)
         return dual[::-1] + popcounts(n) - (n - r)
     if (1 << n) * r * r <= GF_BASIS_BUDGET:
         return _gf_layers(basis.T.astype(np.uint8), p)

@@ -1,13 +1,12 @@
 """Small dense linear algebra over prime fields GF(p), p in {2, 3, 5, 7}.
 
-Vectors are 1-d numpy int64 arrays of residues; subspaces are represented
-by row-reduced basis matrices (possibly with zero rows stripped).  Sizes
-here are tiny (dimension <= ~8), so clarity beats asymptotics.
+Vectors are tuples of residues.  A subspace is the tuple of the nonzero
+rows of its reduced row echelon form; that form is unique, so equal
+subspaces are equal tuples and a basis can key a dict.  The zero space
+is ``()``.  Matrices here are at most about 8 x 16, where reading one
+NumPy scalar costs more than the arithmetic on it, so the row operations
+run on Python lists of ints and this module does not use NumPy.
 """
-
-from itertools import product
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -28,30 +27,30 @@ def inverse_mod(v, p):
 
 
 def rref(mat, p):
-    """Row-reduced echelon form; returns (reduced matrix, rank)."""
-    a = np.array(mat, dtype=np.int64) % p
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        piv = -1
-        for i in range(r, rows):
-            if a[i, c] % p:
-                piv = i
-                break
-        if piv < 0:
+    """Reduced row echelon form of a 2-d sequence (a NumPy array too).
+
+    Returns (rows, rank): ``rows`` is a tuple of tuples with the rank's
+    pivot rows first and the zero rows after them.
+    """
+    a = [[x % p for x in row] for row in (mat.tolist() if hasattr(mat, "tolist") else mat)]
+    rows, r = len(a), 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
             continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = (a[r] * inverse_mod(a[r, c], p)) % p
+        a[r], a[piv] = a[piv], a[r]
+        s = inverse_mod(a[r][c], p)
+        if s != 1:
+            a[r] = [x * s % p for x in a[r]]
+        lead = a[r]
         for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
+            f = a[i][c]
+            if f and i != r:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], lead)]
         r += 1
         if r == rows:
             break
-    return a, r
+    return tuple(map(tuple, a)), r
 
 
 def rank(mat, p):
@@ -59,62 +58,59 @@ def rank(mat, p):
 
 
 def row_basis(mat, p):
-    """Basis of the row space as a reduced matrix with no zero rows."""
+    """Basis of the row space: its reduced rows, without zero rows."""
     a, r = rref(mat, p)
     return a[:r]
 
 
 def column_space_basis(cols, p):
-    """Basis (as rows) of the span of the given column matrix (d, n)."""
-    a = np.array(cols, dtype=np.int64).T
-    return row_basis(a, p)
+    """Basis (as rows) of the span of the columns of a (d, n) matrix."""
+    return row_basis(tuple(zip(*(cols.tolist() if hasattr(cols, "tolist") else cols))), p)
 
 
 def in_span(vec, basis, p):
-    """Whether vec lies in the row space of ``basis``."""
-    if basis.shape[0] == 0:
-        return not np.any(np.asarray(vec) % p)
-    stacked = np.vstack([basis, np.asarray(vec, dtype=np.int64) % p])
-    return rank(stacked, p) == basis.shape[0]
+    """Whether vec lies in the row space of ``basis``, a tuple of independent rows."""
+    return rank((*basis, vec), p) == len(basis)
 
 
 def sum_spaces(a, b, p):
-    if a.shape[0] == 0:
-        return row_basis(b, p)
-    if b.shape[0] == 0:
-        return row_basis(a, p)
-    return row_basis(np.vstack([a, b]), p)
+    return row_basis((*a, *b), p)
 
 
 def intersect_spaces(a, b, p):
-    """Basis of the intersection of two row spaces via the kernel method."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((0, a.shape[1] if a.shape[0] else b.shape[1]), dtype=np.int64)
-    # Solve x*a = y*b: nullspace of [a; -b]^T combined coefficients.
-    stacked = np.vstack([a, (-b) % p])
-    coeffs = nullspace(stacked.T, p)  # rows are (x | y)
-    na = a.shape[0]
-    vecs = (coeffs[:, :na] @ a) % p
-    return row_basis(vecs, p)
+    """Basis of the intersection of two row spaces, by Zassenhaus.
+
+    The reduced form of [a | a; b | 0] has rows (0 | w) for exactly the
+    vectors w of a basis of the intersection, and they are reduced.
+    """
+    if not a or not b:
+        return ()
+    n = len(a[0])
+    red, r = rref([*([*row, *row] for row in a), *([*row, *[0] * n] for row in b)], p)
+    return tuple(row[n:] for row in red[:r] if not any(row[:n]))
 
 
 def nullspace(mat, p):
-    """Basis (rows) of the right nullspace of ``mat`` over GF(p)."""
+    """Basis (rows) of the right nullspace of ``mat`` over GF(p).
+
+    A matrix without rows has no width here: its nullspace is ``()``.
+    """
     red, r = rref(mat, p)
-    return reduced_nullspace(red[:r], p)
+    return reduced_nullspace(red[:r], p, len(red[0]) if red else 0)
 
 
-def reduced_nullspace(basis, p):
-    """Nullspace basis of a row-reduced basis with no zero rows, such as
+def reduced_nullspace(basis, p, n):
+    """Nullspace basis of a reduced basis of length-n rows, such as
     ``row_basis`` returns: one row per non-pivot column, 1 there."""
-    r, n = basis.shape
-    pivots = (basis != 0).argmax(axis=1) if r else np.zeros(0, dtype=np.intp)
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    out = np.zeros((n - r, n), dtype=np.int64)
-    out[:, free] = np.eye(n - r, dtype=np.int64)
-    out[:, pivots] = -basis[:, free].T % p
-    return out
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+    out = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[f] = 1
+        for c, row in zip(pivots, basis):
+            v[c] = -row[f] % p
+        out.append(tuple(v))
+    return tuple(out)
 
 
 def point_count(dim, p):
@@ -131,12 +127,18 @@ def span_vectors(basis, p):
     Order is deterministic: lexicographic in the coefficient tuples over
     the basis rows, taking those whose first nonzero entry is 1.
     """
-    dim = basis.shape[0]
     out = []
-    for lead in reversed(range(dim)):
-        for tail in product(range(p), repeat=dim - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            v = (np.array(coeffs, dtype=np.int64) @ basis) % p
-            scale = inverse_mod(next(int(x) for x in v if x), p)
-            out.append(tuple(int(x) * scale % p for x in v))
+    # the combinations of the rows after ``lead``, in lexicographic order
+    # of their coefficient tuples
+    tails = [(0,) * len(basis[0])] if basis else []
+    for lead in reversed(range(len(basis))):
+        row = basis[lead]
+        for w in tails:
+            v = [(x + y) % p for x, y in zip(row, w)]
+            s = inverse_mod(next(x for x in v if x), p)
+            out.append(tuple(x * s % p for x in v) if s != 1 else tuple(v))
+        if lead:
+            tails = [
+                tuple((c * x + y) % p for x, y in zip(row, w)) for c in range(p) for w in tails
+            ]
     return out

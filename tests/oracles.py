@@ -2,12 +2,16 @@
 
 These deliberately avoid the library's computation paths: ranks come from
 subset enumeration over a caller-supplied independence test, graphic
-independence from DFS cycle detection, and GF(p) independence from
-exhaustive coefficient enumeration.  Expected values asserted in tests
-are computed (or were frozen from) these.
+independence from DFS cycle detection, GF(p) independence and spans
+from exhaustive coefficient enumeration, and reduced row echelon forms
+from the NumPy elimination ``linalg`` used before it moved to tuples.
+Expected values asserted in tests are computed (or were frozen from)
+these.
 """
 
 from itertools import chain, combinations, product
+
+import numpy as np
 
 
 def subsets(items):
@@ -88,3 +92,40 @@ def count_independent(m):
 def count_spanning(m):
     r = m.rank()
     return count_sets(m, lambda s: m.rank(s) == r)
+
+
+def span_set(rows, p, n):
+    """Every vector of GF(p)^n in the row space of ``rows``, by enumerating
+    coefficient tuples."""
+    return {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(n))
+        for coeffs in product(range(p), repeat=len(rows))
+    }
+
+
+def rref_numpy(mat, p):
+    """Reduced row echelon form of a 2-d int64 array, one NumPy scalar at a
+    time: (reduced array, rank)."""
+    a = np.array(mat, dtype=np.int64) % p
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        piv = -1
+        for i in range(r, rows):
+            if a[i, c] % p:
+                piv = i
+                break
+        if piv < 0:
+            continue
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), -1, p)) % p
+        for i in range(rows):
+            if i != r and a[i, c]:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        r += 1
+        if r == rows:
+            break
+    return a, r

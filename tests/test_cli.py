@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from amwidth import cli, files, linalg, zoo
+from amwidth.branch import from_branch_decomposition
 from amwidth.config import CIRCUITS_CAP, NAIVE_MSO_CAP, table_cap
 from amwidth.matroid import Matroid
 from amwidth.mso import compiled
@@ -66,7 +67,7 @@ def test_convert_caps_glue_span_before_enumerating(tmp_path, capsys, monkeypatch
     original = linalg.span_vectors
 
     def recording(basis, p):
-        enumerated.append(linalg.point_count(basis.shape[0], p))
+        enumerated.append(linalg.point_count(len(basis), p))
         return original(basis, p)
 
     monkeypatch.setattr(linalg, "span_vectors", recording)
@@ -821,3 +822,62 @@ def test_successive_main_calls_match_each_alone(corpus_dir, tmp_path, capsys):
     assert [run(argv) for argv in sequence] == alone
     assert [run(argv) for argv in reversed(sequence)] == alone[::-1]
     assert cli._build_parser() is cli._build_parser()
+
+
+def _compact(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "-m", "matroids/fano.json"],
+        ["validate", "-d", "decompositions/chain3-c5.json"],
+        ["width", "-d", "decompositions/chain3-c5.json"],
+        ["width", "-b", "branch/c5-gf2.branch.json", "-m", "branch/c5-gf2.matroid.json"],
+        ["tutte", "-d", "decompositions/chain3-c5.json"],
+        ["mso", "-f", "formulas/hamiltonian.mso", "-d", "decompositions/chain3-c5.json"],
+        ["convert", "-m", "branch/c5-gf2.matroid.json", "-b", "branch/c5-gf2.branch.json"],
+    ],
+)
+def test_stdout_is_compact_and_pretty_indents(corpus_dir, capsys, argv):
+    argv = [a if a.startswith("-") or "/" not in a else str(corpus_dir / a) for a in argv]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    value = json.loads(out)
+    assert out == _compact(value)
+    assert cli.main([*argv, "--pretty"]) == 0
+    pretty = capsys.readouterr().out
+    indented = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert pretty.startswith(indented)
+    summary = pretty[len(indented) :].splitlines()
+    assert all(line.startswith("# ") for line in summary)
+    assert bool(summary) == (argv[0] != "convert"), pretty
+
+
+def _node_fields(tree):
+    return {
+        nid: (node.children, files.matroid_to_obj(node.K), node.J1, node.J2, node.D)
+        for nid, node in tree.nodes.items()
+    }
+
+
+def test_written_files_are_compact_and_load_back(corpus_dir, tmp_path, capsys):
+    m = str(corpus_dir / "branch" / "c5-gf2.matroid.json")
+    b = str(corpus_dir / "branch" / "c5-gf2.branch.json")
+    converted = from_branch_decomposition(files.load_matroid(m), files.load_branch(b))
+    d = str(corpus_dir / "decompositions" / "u24-comb.json")
+    nice = files.load_decomposition(d).to_nice()
+    for argv, tree in ((["convert", "-m", m, "-b", b], converted), (["nice", "-d", d], nice)):
+        out = tmp_path / f"{argv[0]}.json"
+        assert cli.main([*argv, "-o", str(out), "--pretty"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"written": str(out), "width": tree.width()}
+        text = out.read_text()
+        assert text == _compact(json.loads(text))
+        loaded = files.load_decomposition(out)
+        assert loaded.root == tree.root
+        assert _node_fields(loaded) == _node_fields(tree)
+    dump = tmp_path / "types.json"
+    assert cli.main(["tutte", "--dp", "-d", d, "--dump-types", str(dump), "--pretty"]) == 0
+    text = dump.read_text()
+    assert text == _compact(json.loads(text))
