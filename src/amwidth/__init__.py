@@ -13,7 +13,6 @@ from .amalgam import (
     glue_violations,
     is_modular_flat,
     is_modular_semiflat,
-    is_proper_amalgam,
     proper_amalgam,
     zeta,
 )
@@ -28,12 +27,12 @@ from .errors import (
     ResourceError,
     ValidationError,
 )
-from .matroid import GraphDescription, LinearRep, Matroid, restrictions_equal, two_sum
+from .matroid import GraphDescription, LinearRep, Matroid, restrictions_equal
 from .mso.compiled import eval_decomposition
 from .mso.naive import eval_naive
 from .mso.parser import parse as parse_formula
 from .tutte import TuttePolynomial, tutte_bruteforce, tutte_decomposition
-from .types_dp import ExtendedType, extended_type_of, type_of
+from .types_dp import ExtendedType
 
 __all__ = [
     "AmalgamDecomposition",
@@ -55,21 +54,17 @@ __all__ = [
     "eta",
     "eval_decomposition",
     "eval_naive",
-    "extended_type_of",
     "from_branch_decomposition",
     "generalized_parallel_connection",
     "glue",
     "glue_violations",
     "is_modular_flat",
     "is_modular_semiflat",
-    "is_proper_amalgam",
     "parse_formula",
     "proper_amalgam",
     "restrictions_equal",
     "tutte_bruteforce",
     "tutte_decomposition",
-    "two_sum",
-    "type_of",
     "zeta",
 ]
 

@@ -21,7 +21,6 @@ __all__ = [
     "zeta",
     "zeta_table",
     "proper_amalgam",
-    "is_proper_amalgam",
     "generalized_parallel_connection",
     "glue",
     "glue_violations",
@@ -128,23 +127,6 @@ def proper_amalgam(m1, m2):
     return Matroid(elements, zt.astype(np.int8))
 
 
-def is_proper_amalgam(m, m1, m2):
-    """Lemma criterion: every flat F of m has r(F) = r1 + r2 - r(F & T)."""
-    if not m.ground_set >= m1.ground_set | m2.ground_set or not (
-        m.ground_set <= m1.ground_set | m2.ground_set
-    ):
-        raise DomainError("ground set is not the union of the two parts")
-    if not m.restrict(m1.ground_set).rank_equal(m1):
-        raise DomainError("not an amalgam: restriction to E1 differs from M1")
-    if not m.restrict(m2.ground_set).rank_equal(m2):
-        raise DomainError("not an amalgam: restriction to E2 differs from M2")
-    check_cap(m.size, "flat enumeration", FLATS_CAP)
-    u = _Union(m1, m2)
-    flats = m.flat_masks()
-    eta = u.eta_table()[kernels.MaskMap(u.n, positions_of(u.pos, m.elements)).scatter[flats]]
-    return bool(np.all(m.table[flats] == eta))
-
-
 def generalized_parallel_connection(m1, m2):
     """Proper amalgam when the common restriction is a modular semiflat in m1.
 
@@ -170,43 +152,33 @@ def generalized_parallel_connection(m1, m2):
     return Matroid(u.elements, ranks.astype(np.int8))
 
 
-def gpc_closure_mask(m1, m2, gpc, subset):
-    """Closure in the connection via cl(X) = cl1(X2 & E1) | cl2(X1 & E2)."""
-    x = gpc.mask_of(subset)
-    u = _Union(m1, m2)
-    cl1 = int(np.asarray(m1.closure_table())[u.g1[x]])
-    cl2 = int(np.asarray(m2.closure_table())[u.g2[x]])
-    x1 = int(u.s1[cl1]) | x
-    x2 = int(u.s2[cl2]) | x
-    out = int(u.s1[np.asarray(m1.closure_table())[u.g1[x2]]]) | int(
-        u.s2[np.asarray(m2.closure_table())[u.g2[x1]]]
-    )
-    return gpc.set_of(out)
+# each glue precondition code's message; "{0}" is the i of restriction-ji and semiflat-ji
+GLUE_MESSAGES = {
+    "shared-not-in-glue": "E(M1) & E(M2) is not inside E(K)",
+    "deletions-not-in-glue": "D is not inside E(K)",
+    "restriction": "M{0}|J{0} differs from K|J{0}",
+    "semiflat": "J{0} is not a modular semiflat in K",
+}
 
 
 def glue_violations(m1, m2, k, deletions):
     """Named precondition failures of the glueing operation, empty if fine.
 
-    The decomposition validator reports exactly these codes per node.
+    The decomposition validator reports these codes per node, with the
+    same ``GLUE_MESSAGES``.
     """
     out = []
     deletions = frozenset(deletions)
-    shared = m1.ground_set & m2.ground_set
-    if not shared <= k.ground_set:
-        out.append(
-            ("shared-not-in-glue", "E(M1) & E(M2) is not contained in E(K)")
-        )
+    if not m1.ground_set & m2.ground_set <= k.ground_set:
+        out.append(("shared-not-in-glue", GLUE_MESSAGES["shared-not-in-glue"]))
     if not deletions <= k.ground_set:
-        out.append(("deletions-not-in-glue", "D is not contained in E(K)"))
+        out.append(("deletions-not-in-glue", GLUE_MESSAGES["deletions-not-in-glue"]))
     for i, m in ((1, m1), (2, m2)):
         j = sorted(m.ground_set & k.ground_set)
         if not restrictions_equal(m, k, j):
-            out.append((f"restriction-j{i}", f"M{i}|J{i} differs from K|J{i}"))
-            continue
-        if not is_modular_semiflat(k, j):
-            out.append(
-                (f"semiflat-j{i}", f"J{i} is not a modular semiflat in K")
-            )
+            out.append((f"restriction-j{i}", GLUE_MESSAGES["restriction"].format(i)))
+        elif not is_modular_semiflat(k, j):
+            out.append((f"semiflat-j{i}", GLUE_MESSAGES["semiflat"].format(i)))
     return out
 
 

@@ -11,7 +11,6 @@ AMALGAM_MAX_ELEMENTS, which overrides the rank-table cap.
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -124,7 +123,13 @@ def _poly_obj(poly):
 
 
 def _fraction(text):
+    """``text`` as a Fraction, refused before it is built when it has more
+    digits than the interpreter prints: ``Fraction("1e10000000")`` takes seconds."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # no limit before Python 3.10.7
+    mantissa, _, exponent = text.lower().partition("e")
     try:
+        if limit and len(mantissa) + abs(int(exponent or 0)) > limit:
+            raise DomainError(f"--eval value has more than {limit} digits")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         msg = f"--eval value must be a rational number, got {text!r}"
@@ -178,11 +183,10 @@ def _cmd_tutte(args):
     if args.eval:
         x, y = (_fraction(v) for v in args.eval)
         value = poly.evaluate(x, y)
-        out["value"] = {
-            "x": str(x),
-            "y": str(y),
-            "value": str(value),
-        }
+        try:
+            out["value"] = {"x": str(x), "y": str(y), "value": str(value)}
+        except ValueError:  # past the interpreter's digit limit
+            raise ResourceError("the --eval value has too many digits to print") from None
     if args.dump_types:
         prepared = tree.prepared()  # the tree the tables were computed on
         dump = {}
@@ -214,15 +218,7 @@ def _read_formula(spec):
 def _read_assignment(spec):
     if not spec:
         return {}
-    if os.path.exists(spec):
-        raw = files._load(spec)
-    else:
-        try:
-            raw = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"assignment is not valid JSON: {exc}") from None
-        except RecursionError:
-            raise DomainError("assignment is nested too deeply to decode") from None
+    raw = files._load(spec) if os.path.exists(spec) else files._decode(spec, "assignment")
     if not isinstance(raw, dict):
         raise DomainError("assignment must be a JSON object")
     return raw

@@ -32,9 +32,8 @@ import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-# glue_violations is not called here: benchmarks/tracing.py patches it
-# under this module's name
-from .amalgam import glue, glue_violations, is_modular_semiflat
+from .amalgam import GLUE_MESSAGES, glue, is_modular_semiflat
+from .amalgam import glue_violations  # unused here: only benchmarks/tracing.py patches this name
 from .config import REALIZE_CAP, table_cap
 from .errors import DomainError, ResourceError, ValidationError
 from .matroid import Matroid, positions_of, restrictions_agree
@@ -184,12 +183,9 @@ class AmalgamDecomposition:
             raise DomainError(f"node {nid!r} is not in the decomposition")
         return self._cache["sizes"][str(nid)]
 
-    def ground(self, nid=None):
-        """E(M(v)), the root's by default; only the root's is kept."""
-        nid = str(nid) if nid is not None else self.root
-        self.ground_size(nid)
-        if nid != self.root:  # the walk of the subtree rooted at nid
-            return AmalgamDecomposition(self.nodes.values(), nid).ground()
+    def ground(self):
+        """E(M(root)), the one ground set a walk keeps."""
+        self.ground_size(self.root)
         return self._cache["ground"]
 
     def with_boundaries(self):
@@ -207,8 +203,7 @@ class AmalgamDecomposition:
         That is E(M(v)) & E(K(parent)) on a tree that passed ``validate``,
         as its ``boundary-mismatch`` check tests, and every reader but the
         ``Positions`` records runs on one: ``tutte --dump-types`` on
-        ``prepared()`` trees, the oracle ``extended_type_of`` through
-        ``realize``.
+        ``prepared()`` trees.
         """
         return self._boundaries().get(str(nid), _NO_IDS)
 
@@ -306,19 +301,17 @@ class AmalgamDecomposition:
                     if j != g & kg:
                         message = f"J{i} is not E(M{i}) & E(K)"
                         violations.append(Violation(v, "boundary-mismatch", message))
-                if not g1 & g2 <= kg:
-                    violations.append(
-                        Violation(v, "shared-not-in-glue", "E(M1) & E(M2) is not inside E(K)")
-                    )
-                if at.dmask is None:
-                    violations.append(
-                        Violation(v, "deletions-not-in-glue", "D is not inside E(K)")
-                    )
-                for label, j, pos in (("j1", node.J1, at.j1), ("j2", node.J2, at.j2)):
+                for code, bad in (
+                    ("shared-not-in-glue", not g1 & g2 <= kg),
+                    ("deletions-not-in-glue", at.dmask is None),
+                ):
+                    if bad:
+                        violations.append(Violation(v, code, GLUE_MESSAGES[code]))
+                for i, j, pos in ((1, node.J1, at.j1), (2, node.J2, at.j2)):
                     ok, error = checks.semiflat(node.K, j, pos)
                     if not ok:
-                        message = error or f"{label.upper()} is not a modular semiflat in K"
-                        violations.append(Violation(v, f"semiflat-{label}", message))
+                        message = error or GLUE_MESSAGES["semiflat"].format(i)
+                        violations.append(Violation(v, f"semiflat-j{i}", message))
                 if len(violations) == before and kids_clean:
                     self._check_restrictions(v, positions, checks, violations)
             if len(violations) == before and kids_clean and not checks.is_matroid(node.K):
@@ -360,9 +353,8 @@ class AmalgamDecomposition:
         at = positions[v]
         for i, ((m, pos), kpos) in enumerate(zip(sides, (at.j1, at.j2)), start=1):
             if not checks.restriction_agrees(m, pos, node.K, kpos):
-                violations.append(
-                    Violation(v, f"restriction-j{i}", f"M{i}|J{i} differs from K|J{i}")
-                )
+                message = GLUE_MESSAGES["restriction"].format(i)
+                violations.append(Violation(v, f"restriction-j{i}", message))
                 return
 
     # -- realization -------------------------------------------------------

@@ -20,6 +20,7 @@ structure.
 """
 
 import json
+from collections import Counter
 
 from .decomposition import AmalgamDecomposition, DecompositionNode
 from .branch import BranchDecomposition
@@ -322,13 +323,31 @@ def read_text(path):
         raise DomainError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _load(path):
+def _decode(text, source):
+    """The JSON value of ``text``; DomainError naming ``source`` when it is
+    not JSON, nests too deeply, holds an integer with more digits than the
+    interpreter converts or repeats a key in one object, which ``json``
+    would resolve by keeping the last value."""
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise DomainError(f"{source} repeats key {key!r} in one object")
+        return obj
+
     try:
-        return json.loads(read_text(path))
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: not valid JSON ({exc})") from exc
+        raise DomainError(f"{source} is not valid JSON ({exc})") from None
     except RecursionError:
-        raise DomainError(f"{path}: JSON nested too deeply to decode") from None
+        raise DomainError(f"{source} is nested too deeply to decode") from None
+    except ValueError:  # the only other one: sys.get_int_max_str_digits() exceeded
+        raise DomainError(f"{source} holds an integer with too many digits to decode") from None
+
+
+def _load(path):
+    return _decode(read_text(path), path)
 
 
 def load_matroid(path):

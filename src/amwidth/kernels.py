@@ -261,11 +261,13 @@ def fold(vals, op, supersets=False):
     return vals
 
 
+# no CLI path reaches this but zeta's: benchmarks/tracing.py patches it (ROADMAP item 8)
 def superset_min(vals):
     """min over supersets, in the zeta-transform sense."""
     return fold(np.array(vals, dtype=np.int64, copy=True), np.minimum, supersets=True)
 
 
+# no CLI path calls this: benchmarks/tracing.py patches it (ROADMAP item 8)
 def subset_any(flags):
     """out[m] = OR of flags[s] over submasks s of m."""
     return fold(np.array(flags, dtype=bool, copy=True), np.logical_or)

@@ -63,11 +63,13 @@ def row_basis(mat, p):
     return a[:r]
 
 
+# no CLI path calls this: benchmarks/tracing.py patches it (ROADMAP item 8)
 def column_space_basis(cols, p):
     """Basis (as rows) of the span of the columns of a (d, n) matrix."""
     return row_basis(tuple(zip(*(cols.tolist() if hasattr(cols, "tolist") else cols))), p)
 
 
+# no CLI path calls this: benchmarks/tracing.py patches it (ROADMAP item 8)
 def in_span(vec, basis, p):
     """Whether vec lies in the row space of ``basis``, a tuple of independent rows."""
     return rank((*basis, vec), p) == len(basis)
@@ -90,6 +92,7 @@ def intersect_spaces(a, b, p):
     return tuple(row[n:] for row in red[:r] if not any(row[:n]))
 
 
+# no CLI path calls this: benchmarks/tracing.py patches it (ROADMAP item 8)
 def nullspace(mat, p):
     """Basis (rows) of the right nullspace of ``mat`` over GF(p).
 

@@ -43,7 +43,6 @@ __all__ = [
     "Matroid",
     "LinearRep",
     "GraphDescription",
-    "two_sum",
     "restrictions_equal",
 ]
 
@@ -54,10 +53,6 @@ class LinearRep:
 
     field: int
     columns: dict  # id -> tuple of residues
-
-    @property
-    def dimension(self):
-        return len(next(iter(self.columns.values()))) if self.columns else 0
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,7 @@ class Matroid:
         """The memo step (see the module doc): a matroid of ``ids`` over
         the structure ``tables`` holds under ``key``, or over a new one
         whose table ``build()`` makes under the cap.  With ``axioms``, what
-        the table came from and its verb ("circuits break"), a new table
+        the table came from and its verb ("rank table breaks"), a new table
         meets the axiom check, whose error opens with it."""
         tables = {} if tables is None else tables
         shared = tables.get(key)
@@ -221,22 +216,7 @@ class Matroid:
         key = ("independent", n, masks)
         return cls._memo(tables, key, elements, names, None, build, "independent sets break")
 
-    @classmethod
-    def from_circuits(cls, elements, circs, names=None):
-        """Matroid whose dependent sets are supersets of the given circuits."""
-        elements = list(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        masks = [mask_of(index, c, " in circuit") for c in circs]
-        if 0 in masks:
-            raise DomainError("the empty set cannot be a circuit")
-
-        def build():
-            flags = np.zeros(1 << len(elements), dtype=bool)
-            flags[masks] = True
-            return kernels.rank_table_from_independence(~kernels.subset_any(flags))
-
-        return cls._memo(None, None, elements, names, None, build, "circuits break")
-
+    # no CLI path calls this: benchmarks/tracing.py patches it (ROADMAP item 8)
     @classmethod
     def from_rank_function(cls, elements, fn, names=None):
         """Matroid whose rank of each subset of ``elements`` is ``fn`` of it."""
@@ -273,11 +253,6 @@ class Matroid:
         ids = list(ids)
         pops = kernels.popcounts(len(ids))
         return cls(ids, np.minimum(pops, r))
-
-    @classmethod
-    def free(cls, ids):
-        ids = list(ids)
-        return cls(ids, kernels.popcounts(len(ids)))
 
     @classmethod
     def single(cls, e, loop=False):
@@ -399,16 +374,6 @@ class Matroid:
         self.mask_of(keep)
         return self.delete(self.ground_set - keep)
 
-    def contract(self, subset):
-        cset = frozenset(subset)
-        cmask = self.mask_of(cset)
-        keep = [e for e in self.elements if e not in cset]
-        trans = kernels.MaskMap(self.size, positions_of(self._index, keep)).scatter
-        base = int(self.table[cmask])
-        tbl = self.table[trans | cmask] - base
-        names = {e: n for e, n in self.names.items() if e in keep}
-        return Matroid(keep, tbl.astype(np.int8), names=names)
-
     def separation_width(self, side):
         """Least k for which (side, complement) is a k-separation."""
         a = self.mask_of(side)
@@ -424,14 +389,6 @@ class Matroid:
             return None
         kind = {1: "empty-rank", 2: "unit-increase", 3: "submodularity"}[int(code)]
         return kind, self.set_of(int(a)), self.set_of(int(b))
-
-    # -- comparison -------------------------------------------------------
-
-    def rank_equal(self, other):
-        """Label-sensitive equality: same ground set, same rank on every subset."""
-        return self.ground_set == other.ground_set and restrictions_equal(
-            self, other, other.elements
-        )
 
     def __repr__(self):
         return f"Matroid(n={len(self.elements)}, r={self.rank() if self.elements else 0})"
@@ -483,32 +440,3 @@ def set_of(elements, mask):
     """The ids of the mask's bits in a ground set given in position order."""
     return frozenset(elements[i] for i in range(len(elements)) if mask >> i & 1)
 
-
-def two_sum(m1, m2, p1, p2):
-    """2-sum along p1 in m1 and p2 in m2, built from the circuit formula."""
-    if p1 not in m1._index:
-        raise DomainError(f"{p1!r} is not an element of the first matroid")
-    if p2 not in m2._index:
-        raise DomainError(f"{p2!r} is not an element of the second matroid")
-    for m, p, side in ((m1, p1, "first"), (m2, p2, "second")):
-        if m.rank([p]) == 0:
-            raise DomainError(f"{p!r} is a loop of the {side} matroid")
-        if p in m.coloops():
-            raise DomainError(f"{p!r} is a coloop of the {side} matroid")
-    g1 = m1.ground_set - {p1}
-    g2 = m2.ground_set - {p2}
-    if g1 & g2 or p1 in g2 or p2 in g1:
-        raise DomainError("ground sets overlap beyond the glue elements")
-    c1 = m1.circuits()
-    c2 = m2.circuits()
-    circs = set()
-    circs.update(c for c in c1 if p1 not in c)
-    circs.update(c for c in c2 if p2 not in c)
-    for a in c1:
-        if p1 not in a:
-            continue
-        for b in c2:
-            if p2 in b:
-                circs.add((a - {p1}) | (b - {p2}))
-    ground = [e for e in m1.elements if e != p1] + [e for e in m2.elements if e != p2]
-    return Matroid.from_circuits(ground, circs)

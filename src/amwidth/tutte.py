@@ -60,9 +60,6 @@ class TuttePolynomial:
             whitney=tuple(sorted((a, b, c) for (a, b), c in whitney.items())),
         )
 
-    def coeff_dict(self):
-        return {(i, j): c for i, j, c in self.coeffs}
-
     def evaluate(self, x, y):
         """Exact rational evaluation."""
         x, y = Fraction(x), Fraction(y)

@@ -11,17 +11,15 @@ exactly when t is outside its closure, so
 offsets[Y] = offsets[Y - t] + (0 if t in fmap[Y - t] else 1) for any
 matroid.  The join computes the parent's type by closure fixed points,
 and one rank query gives the rank increment of the combination; nothing
-is realized.  ``type_of``/``extended_type_of`` recompute the types on the
-realized matroid, through the direct computation ``_signature(m, side,
-x)``, and serve as the oracle in tests.
+is realized.  The tests check it against types recomputed on the
+realized matroid (``tests/oracles.py``).
 
 Types hold no element ids: a boundary subset is a mask over the sorted
 boundary.  A node's *shape* is its glue matroid's ``Matroid.key``
 followed by its ``Positions`` record (the K-positions of sorted J1,
-sorted J2 and the sorted parent boundary, and the mask of D);
-``node_shape`` computes it from ids as the oracle.  Every rank-level
-fact of a join depends on the shape alone.  A shape is made canonical
-before a context is built: K is reordered by role (``canonical_shape``),
+sorted J2 and the sorted parent boundary, and the mask of D).  Every
+rank-level fact of a join depends on the shape alone.  A shape is made
+canonical before a context is built: K is reordered by role (``canonical_shape``),
 so two nodes that differ only in the order their K lists its elements,
 as string-sorted ids in a loaded file do, get one shape.  The tree
 computes each node's canonical shape and K order once
@@ -57,11 +55,8 @@ __all__ = [
     "ExtendedType",
     "EMPTY",
     "JoinContext",
-    "node_shape",
     "canonical_shape",
     "bottom_up",
-    "type_of",
-    "extended_type_of",
 ]
 
 
@@ -89,36 +84,12 @@ class ExtendedType:
 EMPTY = ExtendedType((0,), 0)
 
 
-def type_of(tree, nid, tracked):
-    """Oracle: the type of node nid w.r.t. ``tracked``, on the realized M(v)."""
-    return extended_type_of(tree, nid, tracked).base
-
-
-def extended_type_of(tree, nid, tracked):
-    """Oracle: extended type (type, trace) on the realized M(v)."""
-    m = tree.realize(nid)
-    side = kernels.MaskMap(m.size, positions_of(m._index, sorted(tree.boundary(nid))))
-    return _signature(m, side, m.mask_of(set(tracked) & m.ground_set))
-
-
+# only leaf_signatures calls this (ROADMAP item 8)
 def _signature(m, side, x):
     """Extended type of the mask x of matroid m over the boundary ``side``."""
     gather = side.gather.tolist()
     fmap = tuple(gather[m.closure_mask(x | y)] for y in side.scatter.tolist())
     return ExtendedType(fmap, gather[x])
-
-
-def node_shape(k, j1, j2, j_parent, deletions=()):
-    """A node's shape (see the module doc), computed from the ids: the
-    oracle of ``tree.positions``, which the dynamic programs read."""
-    index = k._index
-    return (
-        k.key,
-        positions_of(index, sorted(j1)),
-        positions_of(index, sorted(j2)),
-        positions_of(index, sorted(j_parent)),
-        k.mask_of(deletions),
-    )
 
 
 def _reflect(scatter, gather, fmap, mask):
@@ -130,7 +101,7 @@ def _reflect(scatter, gather, fmap, mask):
 class JoinContext:
     """Joining child signatures through the glue matroid of one shape.
 
-    Built from a ``node_shape`` and holding no element ids, so every node
+    Built from a node's shape and holding no element ids, so every node
     of the shape shares it, memos included.  The shape's boundaries sit
     inside E(K) (anchored decompositions); the tracked set's intersection
     with K is trace1 | trace2 | fresh choices.
@@ -287,6 +258,7 @@ def bottom_up(tree, empty, join):
     return results[tree.root]
 
 
+# no CLI path calls this: benchmarks/tracing.py patches it (ROADMAP item 8)
 def leaf_signatures(k, boundary):
     """Oracle: (rank, size, ExtendedType) of every subset of a leaf with
     matroid k, indexed by the subset's K-mask."""

@@ -10,10 +10,8 @@ from amwidth.amalgam import (
     generalized_parallel_connection,
     glue,
     glue_violations,
-    gpc_closure_mask,
     is_modular_flat,
     is_modular_semiflat,
-    is_proper_amalgam,
     proper_amalgam,
     zeta,
     zeta_table,
@@ -23,7 +21,7 @@ from amwidth.errors import (
     GluePreconditionError,
     NoProperAmalgamError,
 )
-from amwidth.matroid import Matroid, two_sum
+from amwidth.matroid import Matroid
 
 import oracles
 
@@ -117,8 +115,8 @@ def test_proper_amalgam_direct_sum():
     m2 = zoo.triangle(4, 5, 6)
     pa = proper_amalgam(m1, m2)
     assert pa.rank([1, 2, 4, 5]) == 4
-    assert pa.restrict(m1.ground_set).rank_equal(m1)
-    assert pa.restrict(m2.ground_set).rank_equal(m2)
+    assert oracles.rank_equal(pa.restrict(m1.ground_set), m1)
+    assert oracles.rank_equal(pa.restrict(m2.ground_set), m2)
 
 
 def test_proper_amalgam_triangles_graphic():
@@ -128,7 +126,7 @@ def test_proper_amalgam_triangles_graphic():
     graphic = Matroid.from_graph(
         {1: (0, 1), 2: (1, 2), 10: (0, 2), 3: (0, 3), 4: (3, 2)}
     )
-    assert pa.rank_equal(graphic)
+    assert oracles.rank_equal(pa, graphic)
 
 
 def test_no_proper_amalgam_counterexample():
@@ -152,7 +150,7 @@ def test_no_proper_amalgam_counterexample():
 def test_is_proper_amalgam(corpus_dir):
     for name, (m1, m2) in gpc_corpus(corpus_dir).items():
         pa = proper_amalgam(m1, m2)
-        assert is_proper_amalgam(pa, m1, m2), name
+        assert oracles.is_proper_amalgam(pa, m1, m2), name
 
 
 def test_is_proper_amalgam_rejects_non_amalgam(k3):
@@ -160,22 +158,22 @@ def test_is_proper_amalgam_rejects_non_amalgam(k3):
     m2 = zoo.triangle(3, 4, 10)
     bogus = Matroid.uniform(1, sorted(m1.ground_set | m2.ground_set))
     with pytest.raises(DomainError):
-        is_proper_amalgam(bogus, m1, m2)
+        oracles.is_proper_amalgam(bogus, m1, m2)
 
 
 def test_non_proper_amalgam_detected():
     # the free matroid on E1 | E2 restricts correctly when both parts are
     # free, and for disjoint grounds the direct sum is the proper amalgam;
     # gluing over a shared point makes the freer amalgam non-proper
-    m1 = Matroid.free([1, 10])
-    m2 = Matroid.free([2, 10])
+    m1 = Matroid.uniform(2, [1, 10])
+    m2 = Matroid.uniform(2, [2, 10])
     pa = proper_amalgam(m1, m2)
     # hand-build a different amalgam: 10 in the closure of {1, 2}
     other = Matroid.from_linear({1: (1, 0), 2: (0, 1), 10: (1, 1)}, 2)
-    assert other.restrict(m1.ground_set).rank_equal(m1)
-    assert other.restrict(m2.ground_set).rank_equal(m2)
-    assert is_proper_amalgam(pa, m1, m2)
-    assert not is_proper_amalgam(other, m1, m2)
+    assert oracles.rank_equal(other.restrict(m1.ground_set), m1)
+    assert oracles.rank_equal(other.restrict(m2.ground_set), m2)
+    assert oracles.is_proper_amalgam(pa, m1, m2)
+    assert not oracles.is_proper_amalgam(other, m1, m2)
 
 
 def test_gpc_matches_proper_amalgam(corpus_dir):
@@ -184,20 +182,20 @@ def test_gpc_matches_proper_amalgam(corpus_dir):
         assert is_modular_semiflat(m1, shared), name
         gpc = generalized_parallel_connection(m1, m2)
         pa = proper_amalgam(m1, m2)
-        assert gpc.rank_equal(pa), name
+        assert oracles.rank_equal(gpc, pa), name
 
 
 def test_gpc_restriction_property(corpus_dir):
     for name, (m1, m2) in gpc_corpus(corpus_dir).items():
         gpc = generalized_parallel_connection(m1, m2)
-        assert gpc.restrict(m1.ground_set).rank_equal(m1), name
-        assert gpc.restrict(m2.ground_set).rank_equal(m2), name
+        assert oracles.rank_equal(gpc.restrict(m1.ground_set), m1), name
+        assert oracles.rank_equal(gpc.restrict(m2.ground_set), m2), name
 
 
 def test_gpc_with_contained_ground_is_identity(fano):
     sub = fano.restrict([1, 2, 4])
     gpc = generalized_parallel_connection(fano, sub)
-    assert gpc.rank_equal(fano)
+    assert oracles.rank_equal(gpc, fano)
 
 
 def test_gpc_closure_formula(corpus_dir):
@@ -206,7 +204,7 @@ def test_gpc_closure_formula(corpus_dir):
             continue
         gpc = generalized_parallel_connection(m1, m2)
         for subset in oracles.subsets(gpc.ground_set):
-            via_formula = gpc_closure_mask(m1, m2, gpc, subset)
+            via_formula = oracles.gpc_closure(m1, m2, subset)
             assert via_formula == gpc.closure(subset), (name, subset)
 
 
@@ -238,7 +236,7 @@ def test_commutation_triples(corpus_dir):
         b = generalized_parallel_connection(
             m1, generalized_parallel_connection(m2, k)
         )
-        assert a.rank_equal(b), path.stem
+        assert oracles.rank_equal(a, b), path.stem
 
 
 def test_glue_two_sum(corpus_dir):
@@ -253,8 +251,8 @@ def test_glue_two_sum(corpus_dir):
             [mapping[e] for e in m2.elements], m2.table
         )
         glued = glue(m1, m2r, Matroid.single(p1), [p1])
-        summed = two_sum(m1, m2, p1, p2)
-        assert glued.rank_equal(summed), path.stem
+        summed = oracles.two_sum(m1, m2, p1, p2)
+        assert oracles.rank_equal(glued, summed), path.stem
         assert glued.circuits() == summed.circuits(), path.stem
 
 
@@ -262,12 +260,12 @@ def test_glue_parallel_connection():
     m1 = zoo.triangle(1, 2, 10)
     m2 = zoo.triangle(3, 4, 10)
     g = glue(m1, m2, Matroid.single(10))
-    assert g.rank_equal(proper_amalgam(m1, m2))
+    assert oracles.rank_equal(g, proper_amalgam(m1, m2))
 
 
 def test_glue_idempotent_single():
     e = Matroid.single(5)
-    assert glue(e, e, e).rank_equal(e)
+    assert oracles.rank_equal(glue(e, e, e), e)
 
 
 def test_glue_violations_named():
@@ -296,7 +294,7 @@ def test_glue_semiflat_violation_named():
 
 
 def test_random_glue_axioms():
-    # randomized glue/delete/contract compositions keep rank functions sane
+    # randomized glue/delete compositions keep rank functions sane
     import random
 
     rng = random.Random(2024)
@@ -304,7 +302,7 @@ def test_random_glue_axioms():
         lambda ids: zoo.triangle(*ids[:3]),
         lambda ids: Matroid.uniform(1, ids[:3]),
         lambda ids: Matroid.uniform(2, ids[:4]),
-        lambda ids: Matroid.free(ids[:2]),
+        lambda ids: Matroid.uniform(2, ids[:2]),
     ]
     for trial in range(120):
         mk = rng.choice(base_pool)
@@ -321,6 +319,3 @@ def test_random_glue_axioms():
         except (GluePreconditionError, DomainError):
             continue
         assert g.rank_axiom_violation() is None
-        if rng.random() < 0.5 and g.size:
-            sub = rng.sample(sorted(g.ground_set), rng.randint(0, g.size - 1))
-            assert g.contract(sub).rank_axiom_violation() is None

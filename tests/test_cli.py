@@ -19,9 +19,18 @@ from test_branch import caterpillar
 from test_mso_parser import nested_formula
 
 
+def _text(obj):
+    """JSON text of ``obj``; a string is already the text."""
+    return obj if isinstance(obj, str) else json.dumps(obj)
+
+
 def _write(path, obj):
-    path.write_text(json.dumps(obj))
+    path.write_text(_text(obj))
     return str(path)
+
+
+# past the interpreter's default limit on converting integers to text
+_LONG_INT = "1" * 5000
 
 
 def test_explicit_rank_table_checked(tmp_path, capsys):
@@ -180,6 +189,17 @@ MALFORMED_MATROIDS = {
         {"type": "explicit", "elements": [1, 2], "rank": {"": 0, "1": 1, "2": 1, "1,,2": 2}},
         "rank key '1,,2' has an empty element id",
     ),
+    "dimension": ({"type": "linear", "field": 2, "columns": {"1": [1, 0], "2": [1]}}, "dimension"),
+    # the text itself, for what a dict cannot hold or json.dumps cannot write
+    "column id repeated": (
+        '{"type": "linear", "field": 2, "columns": {"1": [1, 0], "1": [0, 1], "2": [1, 1]}}',
+        "repeats key '1' in one object",
+    ),
+    "type repeated": ('{"type": "graphic", "type": "linear", "field": 2}', "repeats key 'type'"),
+    "long residue": (
+        '{"type": "linear", "field": 2, "columns": {"1": [%s]}}' % _LONG_INT,
+        "holds an integer with too many digits to decode",
+    ),
 }
 
 
@@ -209,9 +229,10 @@ def test_malformed_k_after_a_well_formed_one_exits_1(tmp_path, capsys, case):
     # second one's checks must not rest on it
     bad, field = MALFORMED_MATROIDS[case]
     kind = bad.get("type") if isinstance(bad, dict) else None
-    good = WELL_FORMED.get(kind, WELL_FORMED["explicit"])  # no kind or an unknown one
-    nodes = {"a": {"children": [], "K": good}, "b": {"children": [], "K": bad}}
-    path = _write(tmp_path / "d.json", {"root": "a", "nodes": nodes})
+    good = WELL_FORMED.get(kind, WELL_FORMED["explicit"])  # no kind, an unknown one or text
+    leaf = '{"children": [], "K": %s}'
+    text = '{"root": "a", "nodes": {"a": %s, "b": %s}}' % (leaf % _text(good), leaf % _text(bad))
+    path = _write(tmp_path / "d.json", text)
     assert cli.main(["validate", "-d", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err, err
@@ -240,6 +261,11 @@ def test_malformed_k_after_a_well_formed_one_exits_1(tmp_path, capsys, case):
             id="root",
         ),
         pytest.param('{"root": "r", ', "not valid JSON", id="json"),
+        pytest.param(
+            json.dumps(_chain_decomposition()).replace('"b": {', '"a": {'),
+            "repeats key 'a' in one object",
+            id="node-repeated",
+        ),
     ],
 )
 def test_malformed_decomposition_file_exits_1(tmp_path, capsys, fields, field):
@@ -368,6 +394,12 @@ MALFORMED_BRANCHES = {
     "label": ({"tree": [["l0", "i0"]], "leaf_labels": {"l0": "x"}}, "label of leaf 'l0'"),
     "no tree": ({"leaf_labels": {}}, "needs 'tree' and 'leaf_labels'"),
     "no labels": ({"tree": []}, "needs 'tree' and 'leaf_labels'"),
+    "no nodes": ({"tree": [], "leaf_labels": {}}, "branch decomposition has no nodes"),
+    "not a tree": ({"tree": [["a", "b"], ["b", "a"]], "leaf_labels": {}}, "is not a tree"),
+    "not connected": (
+        {"tree": [["a", "b"], ["b", "c"], ["c", "a"]], "leaf_labels": {"d": 1}}, "not connected"
+    ),
+    "leaf labels": ({"tree": [["a", "b"]], "leaf_labels": {"a": 1}}, "leaf labels must cover"),
 }
 
 
@@ -461,6 +493,13 @@ def test_graphic_string_endpoints_accepted(tmp_path, capsys):
         ('{"X1": [1, 2', "assignment is not valid JSON"),
         ('{"X1": [99]}', "unknown elements [99]"),
         ('{"X1": 3}', "set variable 'X1' needs a set value"),
+        ("[1]", "assignment must be a JSON object"),
+        ('{"X1": [2], "X1": [4]}', "assignment repeats key 'X1' in one object"),
+        pytest.param(
+            '{"X1": [%s]}' % _LONG_INT,
+            "assignment holds an integer with too many digits",
+            id="long-int",
+        ),
     ],
 )
 @pytest.mark.parametrize("engine", ["naive", "dp", "both"])
@@ -493,6 +532,9 @@ def test_bad_element_assignment_exits_1(corpus_dir, capsys):
     [
         (["--eval", "1", "abc"], "--eval value must be a rational number, got 'abc'"),
         (["--eval", "1", "1/0"], "--eval value must be a rational number, got '1/0'"),
+        (["--eval", "1e5000", "2"], "--eval value has more than"),
+        (["--eval", "1", "1e-10000000"], "--eval value has more than"),
+        (["--eval", _LONG_INT, "2"], "--eval value has more than"),
     ],
 )
 def test_bad_eval_exits_1(corpus_dir, capsys, argv, message):
@@ -505,6 +547,15 @@ def test_bad_eval_exits_1(corpus_dir, capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err, captured.err
     assert "Traceback" not in captured.err
+
+
+def test_eval_value_too_long_to_print_exits_2(corpus_dir, capsys):
+    # x = 10**3000 is printable, and x**2 + x + y is not
+    argv = ["tutte", "-m", str(corpus_dir / "matroids" / "k3.json"), "--eval", "1e3000", "2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource error: the --eval value has too many digits to print\n"
 
 
 def test_glue_writes_output_file(tmp_path, capsys):
@@ -536,6 +587,11 @@ def test_bad_glue_deletion_exits_1(corpus_dir, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: --delete id must be an integer, got 'x'")
     assert "Traceback" not in captured.err
+    # D outside K, worded as the validator words it
+    assert cli.main(["glue", k3, k3, k3, "--delete", "77"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: deletions-not-in-glue: D is not inside E(K)\n"
 
 
 def test_tutte_matroid_alone_uses_brute_force(corpus_dir, capsys):
@@ -547,6 +603,8 @@ def test_tutte_matroid_alone_uses_brute_force(corpus_dir, capsys):
     # naming the DP still needs a decomposition
     assert cli.main(["tutte", "--dp", "-m", path]) == 3
     assert "--dp needs a decomposition file" in capsys.readouterr().err
+    assert cli.main(["tutte"]) == 3
+    assert "tutte needs --matroid or --decomposition" in capsys.readouterr().err
 
 
 def test_dump_types_needs_the_dp(tmp_path, corpus_dir, capsys):

@@ -8,8 +8,8 @@ import pytest
 from amwidth import files, kernels, zoo
 from amwidth.errors import ResourceError
 from amwidth.matroid import Matroid
-from amwidth.types_dp import node_shape
 
+import oracles
 from conftest import CORPUS
 
 
@@ -209,7 +209,7 @@ def test_nodes_of_one_structure_share_one_key_object(tmp_path):
         for nid, node in tree.nodes.items():
             assert keys.setdefault(_structure(node.K), node.K.key) is node.K.key, nid
             assert type(node.K.key) is bytes and node.K.key == node.K.table.tobytes(), nid
-            shape = node_shape(node.K, node.J1, node.J2, tree.boundary(nid), node.D)
+            shape = oracles.node_shape(node.K, node.J1, node.J2, tree.boundary(nid), node.D)
             assert shape[0] is node.K.key, nid
             # one table view and one closure cache per structure, too
             k = first.setdefault(_structure(node.K), node.K)

@@ -8,31 +8,14 @@ from amwidth import files, zoo
 from amwidth.branch import from_branch_decomposition
 from amwidth.errors import DomainError
 from amwidth.matroid import Matroid
-from amwidth.types_dp import (
-    JoinContext,
-    canonical_shape,
-    extended_type_of,
-    leaf_signatures,
-    node_shape,
-    type_of,
-)
+from amwidth.types_dp import JoinContext, canonical_shape, leaf_signatures
 
 import oracles
 from conftest import CORPUS
 from test_branch import caterpillar
+from test_decomposition import twosum_tree
 from test_kernels import _mask_map_oracle
 from test_leaves import TREES
-
-
-def twosum_tree():
-    tb = zoo.TreeBuilder()
-    left = tb.glue(
-        tb.leaf(Matroid.single(1)), tb.leaf(Matroid.single(2)), zoo.triangle(1, 2, 10)
-    )
-    right = tb.glue(
-        tb.leaf(Matroid.single(3)), tb.leaf(Matroid.single(4)), zoo.triangle(3, 4, 10)
-    )
-    return tb.done(tb.glue(left, right, Matroid.single(10), [10]))
 
 
 def sweep_trees():
@@ -89,7 +72,7 @@ def test_type_map_properties():
     for tree in (twosum_tree(), zoo.triangle_chain(3)):
         for v in tree.postorder():
             for tracked in oracles.subsets(tree.ground()):
-                nt = type_of(tree, v, tracked)
+                nt = oracles.extended_type_of(tree, v, tracked).base
                 j = len(tree.boundary(v))
                 assert len(nt) == 1 << j
                 for ymask in range(1 << j):
@@ -105,7 +88,7 @@ def test_type_trivial_cases():
     tree = zoo.triangle_chain(2)
     # loop-free nodes: type of the empty set maps empty to empty
     for v in tree.postorder():
-        nt = type_of(tree, v, [])
+        nt = oracles.extended_type_of(tree, v, []).base
         assert nt[0] == 0
         full = (1 << len(tree.boundary(v))) - 1
         assert nt[full] == full
@@ -115,7 +98,7 @@ def test_join_identity_reflections():
     # children with identity type maps: join(Y) = cl_K(Y) & J
     k = zoo.triangle(1, 2, 3)
     f_id = (0,)
-    ctx = JoinContext(node_shape(k, [], [], [1, 2, 3]))
+    ctx = JoinContext(oracles.node_shape(k, [], [], [1, 2, 3]))
     got = ctx.join_types(f_id, f_id, k.mask_of([]))
     for ymask in range(8):
         ym = k.mask_of([e for i, e in enumerate((1, 2, 3)) if ymask >> i & 1])
@@ -132,17 +115,17 @@ def test_join_matches_type_of_everywhere():
             if node.is_leaf:
                 continue
             c1, c2 = node.children
-            pool = list(oracles.subsets(sorted(tree.ground(v))))
+            pool = list(oracles.subsets(sorted(oracles.ground(tree, v))))
             if len(pool) > 40:
                 pool = rng.sample(pool, 40)
             for tracked in pool:
                 tracked = frozenset(tracked)
-                f1 = type_of(tree, c1, tracked)
-                f2 = type_of(tree, c2, tracked)
+                f1 = oracles.extended_type_of(tree, c1, tracked).base
+                f2 = oracles.extended_type_of(tree, c2, tracked).base
                 j1, j2, jp = sorted(node.J1), sorted(node.J2), sorted(tree.boundary(v))
-                ctx = JoinContext(node_shape(node.K, j1, j2, jp))
+                ctx = JoinContext(oracles.node_shape(node.K, j1, j2, jp))
                 got = ctx.join_types(f1, f2, node.K.mask_of(tracked & node.K.ground_set))
-                assert got == type_of(tree, v, tracked), (name, v, tracked)
+                assert got == oracles.extended_type_of(tree, v, tracked).base, (name, v, tracked)
 
 
 def test_extended_join_matches_oracle():
@@ -153,18 +136,18 @@ def test_extended_join_matches_oracle():
             if node.is_leaf:
                 continue
             c1, c2 = node.children
-            pool = list(oracles.subsets(sorted(tree.ground(v))))
+            pool = list(oracles.subsets(sorted(oracles.ground(tree, v))))
             if len(pool) > 32:
                 pool = rng.sample(pool, 32)
             for tracked in pool:
                 tracked = frozenset(tracked)
-                e1 = extended_type_of(tree, c1, tracked)
-                e2 = extended_type_of(tree, c2, tracked)
+                e1 = oracles.extended_type_of(tree, c1, tracked)
+                e2 = oracles.extended_type_of(tree, c2, tracked)
                 fresh = tracked & node.K.ground_set - node.J1 - node.J2
                 j1, j2, jp = sorted(node.J1), sorted(node.J2), sorted(tree.boundary(v))
-                ctx = JoinContext(node_shape(node.K, j1, j2, jp, node.D))
+                ctx = JoinContext(oracles.node_shape(node.K, j1, j2, jp, node.D))
                 got, delta = ctx.extended_join(e1, e2, node.K.mask_of(fresh))
-                want = extended_type_of(tree, v, tracked)
+                want = oracles.extended_type_of(tree, v, tracked)
                 assert got == want, (name, v, tracked)
                 m = tree.realize(v)
                 m1 = tree.realize(c1)
@@ -191,15 +174,15 @@ def test_joined_offsets_and_fixpoints_match_realized_ranks():
                 continue
             c1, c2 = node.children
             jp = sorted(tree.boundary(v))
-            ctx = JoinContext(node_shape(node.K, sorted(node.J1), sorted(node.J2), jp, node.D))
+            ctx = JoinContext(oracles.node_shape(node.K, node.J1, node.J2, jp, node.D))
             m = tree.realize(v)
-            pool = list(oracles.subsets(sorted(tree.ground(v))))
+            pool = list(oracles.subsets(sorted(oracles.ground(tree, v))))
             if len(pool) > 24:
                 pool = rng.sample(pool, 24)
             for tracked in pool:
                 tracked = frozenset(tracked)
-                e1 = extended_type_of(tree, c1, tracked)
-                e2 = extended_type_of(tree, c2, tracked)
+                e1 = oracles.extended_type_of(tree, c1, tracked)
+                e2 = oracles.extended_type_of(tree, c2, tracked)
                 fresh = tracked & node.K.ground_set - node.J1 - node.J2
                 got, _ = ctx.extended_join(e1, e2, node.K.mask_of(fresh))
                 x = m.mask_of(tracked & m.ground_set)
@@ -219,8 +202,8 @@ def test_joined_offsets_and_fixpoints_match_realized_ranks():
 def test_extended_type_invariants():
     for name, tree in sweep_trees().items():
         for v in tree.postorder():
-            for tracked in list(oracles.subsets(sorted(tree.ground(v))))[:24]:
-                e = extended_type_of(tree, v, tracked)
+            for tracked in list(oracles.subsets(sorted(oracles.ground(tree, v))))[:24]:
+                e = oracles.extended_type_of(tree, v, tracked)
                 j = len(tree.boundary(v))
                 assert e.offsets[0] == 0
                 for ymask in range(1 << j):
@@ -235,10 +218,10 @@ def test_tracked_set_in_deletions_rejected():
     tree = twosum_tree()
     node = tree.nodes[tree.root]
     c1, c2 = node.children
-    e1 = extended_type_of(tree, c1, [10])
-    e2 = extended_type_of(tree, c2, [10])
+    e1 = oracles.extended_type_of(tree, c1, [10])
+    e2 = oracles.extended_type_of(tree, c2, [10])
     j1, j2, jp = sorted(node.J1), sorted(node.J2), sorted(tree.boundary(tree.root))
-    ctx = JoinContext(node_shape(node.K, j1, j2, jp, node.D))
+    ctx = JoinContext(oracles.node_shape(node.K, j1, j2, jp, node.D))
     with pytest.raises(DomainError):
         ctx.extended_join(e1, e2, node.K.mask_of([]))
 
@@ -249,9 +232,9 @@ def test_fixpoint_terminates_quickly():
         node = tree.nodes[v]
         if node.is_leaf:
             continue
-        ctx = JoinContext(node_shape(node.K, node.J1, node.J2, tree.boundary(v), node.D))
-        f1 = type_of(tree, node.children[0], [])
-        f2 = type_of(tree, node.children[1], [])
+        ctx = JoinContext(oracles.node_shape(node.K, node.J1, node.J2, tree.boundary(v), node.D))
+        f1 = oracles.extended_type_of(tree, node.children[0], []).base
+        f2 = oracles.extended_type_of(tree, node.children[1], []).base
         # the fixpoint loop is bounded by |E(K)| + 1 rounds by construction;
         # reaching a fixed point must happen within that bound
         for seed in range(1 << node.K.size):
@@ -289,7 +272,7 @@ def test_positions_record_equals_node_shape():
         for t in {id(t): t for t in (tree, tree.prepared())}.values():
             for v in t.postorder():
                 node = t.nodes[v]
-                want = node_shape(node.K, node.J1, node.J2, t.boundary(v), node.D)
+                want = oracles.node_shape(node.K, node.J1, node.J2, t.boundary(v), node.D)
                 assert (node.K.key, *t.positions()[v]) == want, (name, v)
                 count += 1
             assert t.positions() is t.positions(), name
@@ -307,7 +290,7 @@ def test_tree_shapes_are_the_canonical_node_shapes():
         by_raw = {}
         for v in t.postorder():
             node = t.nodes[v]
-            raw = node_shape(node.K, node.J1, node.J2, t.boundary(v), node.D)
+            raw = oracles.node_shape(node.K, node.J1, node.J2, t.boundary(v), node.D)
             assert shapes[v] == canonical_shape(raw), (name, v)
             assert by_raw.setdefault(raw, shapes[v]) is shapes[v], (name, v)
             count += 1
