@@ -13,7 +13,10 @@ alternating, over every file and these phases:
   shows how steady the host was);
 - ``load``: ``files.decomposition_from_obj`` on the decoded object;
 - ``validate+prepared``: ``validate()`` and ``prepared()`` of a loaded tree;
-- ``dp``: ``tutte.tutte_decomposition`` on the prepared tree.
+- ``dp``: ``tutte.tutte_decomposition`` on the prepared tree, without
+  its basis change;
+- ``basis``: the basis change, ``TuttePolynomial.from_whitney``, timed
+  by wrapping it on each side.
 
 It prints, per phase, each side's best round total and the median over
 rounds of the change/parent ratio of the round totals.
@@ -31,17 +34,30 @@ import sys
 import tempfile
 from time import perf_counter
 
-PHASES = ("json.loads", "load", "validate+prepared", "dp")
+PHASES = ("json.loads", "load", "validate+prepared", "dp", "basis")
 SIZES = (32, 45, 64, 90, 128, 180, 250)
 
 
 def import_side(root, alias, into):
     """The package under ``root/src/amwidth``, imported as ``alias``."""
     shutil.copytree(pathlib.Path(root) / "src" / "amwidth", into / alias)
-    return {
+    side = {
         name: importlib.import_module(f"{alias}.{name}")
         for name in ("files", "tutte", "zoo")
     }
+    poly = side["tutte"].TuttePolynomial
+    from_whitney = poly.from_whitney
+    side["basis_s"] = [0.0]
+
+    def timed(counts):
+        t0 = perf_counter()
+        try:
+            return from_whitney(counts)
+        finally:
+            side["basis_s"][0] += perf_counter() - t0
+
+    poly.from_whitney = staticmethod(timed)
+    return side
 
 
 def time_round(side, texts):
@@ -56,10 +72,12 @@ def time_round(side, texts):
         t2 = perf_counter()
         tree.validate()
         prepared = tree.prepared()
+        side["basis_s"][0] = 0.0
         t3 = perf_counter()
         tutte.tutte_decomposition(prepared)
         t4 = perf_counter()
-        for phase, dt in zip(PHASES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+        basis = side["basis_s"][0]
+        for phase, dt in zip(PHASES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3 - basis, basis)):
             spent[phase] += dt
     return spent
 

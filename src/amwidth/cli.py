@@ -11,6 +11,7 @@ AMALGAM_MAX_ELEMENTS, which overrides the rank-table cap.
 
 import argparse
 import functools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -118,6 +119,22 @@ def _cmd_convert(args):
     return 0
 
 
+def _too_many_digits(poly, x, y):
+    """Whether T(x, y) surely passes the interpreter's digit limit.
+
+    Tutte coefficients are nonnegative, so at x, y >= 1 every term
+    c x^i y^j is a lower bound on the value, and a value of at least
+    10^limit has a numerator of more than ``limit`` digits.  The bound is
+    taken in floats, so it must pass the limit by one digit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # no limit before Python 3.10.7
+    if not limit or x < 1 or y < 1:
+        return False
+    lx = math.log10(x.numerator) - math.log10(x.denominator)
+    ly = math.log10(y.numerator) - math.log10(y.denominator)
+    return max(math.log10(c) + i * lx + j * ly for i, j, c in poly.coeffs) > limit + 1
+
+
 def _poly_obj(poly):
     return {"coeffs": [[i, j, c] for i, j, c in poly.coeffs]}
 
@@ -182,11 +199,14 @@ def _cmd_tutte(args):
     out["text"] = str(poly)
     if args.eval:
         x, y = (_fraction(v) for v in args.eval)
+        too_long = "the --eval value has too many digits to print"
+        if _too_many_digits(poly, x, y):
+            raise ResourceError(too_long)
         value = poly.evaluate(x, y)
         try:
             out["value"] = {"x": str(x), "y": str(y), "value": str(value)}
         except ValueError:  # past the interpreter's digit limit
-            raise ResourceError("the --eval value has too many digits to print") from None
+            raise ResourceError(too_long) from None
     if args.dump_types:
         prepared = tree.prepared()  # the tree the tables were computed on
         dump = {}

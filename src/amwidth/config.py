@@ -22,6 +22,10 @@ FLATS_CAP = 16
 # Compiled-MSO table entries per subformula.
 MSO_BUDGET = 10**6
 
+# Type-map entries the Tutte DP may make in one run: JoinContext.pair_cost
+# per signature pair a shape joins for the first time.
+TUTTE_BUDGET = 10**6
+
 
 def table_cap():
     """Largest ground set for which a full rank table may be built."""

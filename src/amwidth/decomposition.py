@@ -174,14 +174,19 @@ class AmalgamDecomposition:
             sets[v], sizes[v] = g, len(g)
         self._cache.update(ground=frozenset(g), sizes=sizes)
 
-    def ground_size(self, nid):
-        """|E(M(v))|; DomainError for a node the root does not reach."""
+    def ground_sizes(self):
+        """|E(M(v))| by node id, for every node the root reaches."""
         if "sizes" not in self._cache:
             for _ in self._walk():
                 pass
-        if str(nid) not in self._cache["sizes"]:
+        return self._cache["sizes"]
+
+    def ground_size(self, nid):
+        """|E(M(v))|; DomainError for a node the root does not reach."""
+        sizes = self.ground_sizes()
+        if str(nid) not in sizes:
             raise DomainError(f"node {nid!r} is not in the decomposition")
-        return self._cache["sizes"][str(nid)]
+        return sizes[str(nid)]
 
     def ground(self):
         """E(M(root)), the one ground set a walk keeps."""

@@ -11,11 +11,30 @@ negative delta is an exact right shift: no parent rank is below 0, so
 the product's lowest -delta slots are empty.  Ranks come from the
 extended-type join, never from realization.
 
+A pair of child signatures expands, over the fresh subsets of K, into
+parent signatures with their rank increments and added nullities.  The
+expansion depends on the node's shape alone, so it is computed on the
+pair's first visit and kept in the memo of the shape's ``JoinContext``;
+a node whose shape repeats pays one lookup per pair, however long the
+tree.  A row with one nonzero slot, as every row of a one-element leaf
+has, is no real factor: the other row moves by a single shift, of that
+slot's rank plus delta, after one multiplication by its count when that
+is not 1.
+
 Every node, a leaf too, joins its children's tables through its glue
 matroid.  A leaf's children are empty subtrees, whose table is one row:
 the signature ``EMPTY`` at nullity 0, one subset of rank 0.  Leaves of
 one canonical shape get one table, built once per run and kept in the
-memo of the shape's ``JoinContext``.
+memo of the shape's ``JoinContext``.  A pair's first visit charges the
+type-map entries its expansion can make against ``TUTTE_BUDGET``, and
+past it the run raises ResourceError before making them; a repeated
+shape charges nothing, so a long chain costs no more than a short one.
+
+The root's counts give the Whitney form, the sum of c_ab (x-1)^a (y-1)^b.
+``TuttePolynomial.from_whitney`` changes basis in one packed pass: it
+evaluates that sum at x = 2^w, y = 2^(w * rows) by Horner's rule, one
+shift and one subtraction per step, and reads the standard coefficients
+back as the value's balanced base-2^w digits.
 """
 
 from collections import Counter
@@ -25,6 +44,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
+from .config import TUTTE_BUDGET
+from .errors import ResourceError
 from .types_dp import EMPTY, bottom_up
 from .types_dp import leaf_signatures  # unused here: only benchmarks/tracing.py patches this name
 
@@ -40,23 +61,44 @@ class TuttePolynomial:
 
     @classmethod
     def from_whitney(cls, counts):
-        """counts: mapping (a, b) -> count of (x-1)^a (y-1)^b."""
+        """counts: mapping (a, b) -> count of (x-1)^a (y-1)^b.
+
+        With rows = 1 + the largest a, the coefficient t_ij of x^i y^j is
+        the digit in slot i + rows * j of the Whitney form evaluated at
+        x = 2^w and y = 2^(w * rows).  Every |t_ij| is at most
+        S = sum |c_ab| 2^(a + b), so slots of whole bytes with
+        2^(w-1) > S hold them as balanced digits; adding 2^(w-1) to every
+        slot makes each digit a plain unsigned one.
+        """
         whitney = {k: int(v) for k, v in counts.items() if v}
         rows = 1 + max((a for a, _ in whitney), default=0)
         cols = 1 + max((b for _, b in whitney), default=0)
-        grid = [[0] * cols for _ in range(rows)]
+        grid = [[0] * rows for _ in range(cols)]  # grid[b][a]
+        bound = 0
         for (a, b), c in whitney.items():
-            grid[a][b] = c
-        # x -> x - 1 down each column, then y -> y - 1 along each row
-        by_x = zip(*map(_taylor_shift, zip(*grid)))
-        coeffs = {
-            (i, j): c
-            for i, row in enumerate(by_x)
-            for j, c in enumerate(_taylor_shift(row))
-            if c
-        }
+            grid[b][a] = c
+            bound += abs(c) << a + b
+        size = bound.bit_length() // 8 + 1  # bytes per slot
+        width = 8 * size
+        value = 0
+        for column in reversed(grid):  # Horner in y - 1, by columns in x - 1
+            packed = 0
+            for c in reversed(column):
+                packed = (packed << width) - packed + c
+            value = (value << width * rows) - value + packed
+        half = 1 << width - 1
+        slots = rows * cols
+        value += int.from_bytes(half.to_bytes(size, "little") * slots, "little")
+        raw = value.to_bytes(size * slots, "little")
+        coeffs = []
+        for i in range(rows):
+            for j in range(cols):
+                lo = size * (i + rows * j)
+                t = int.from_bytes(raw[lo : lo + size], "little") - half
+                if t:
+                    coeffs.append((i, j, t))
         return cls(
-            coeffs=tuple(sorted((i, j, c) for (i, j), c in coeffs.items())),
+            coeffs=tuple(coeffs),
             whitney=tuple(sorted((a, b, c) for (a, b), c in whitney.items())),
         )
 
@@ -89,21 +131,6 @@ class TuttePolynomial:
         return out.replace("+ -", "- ")
 
 
-def _taylor_shift(coeffs):
-    """Coefficients of p(t - 1) from those of p(t), lowest degree first.
-
-    Horner's rule, q <- q * (t - 1) + c from the top coefficient down, with
-    additions only: no binomials, so no products of big integers.
-    """
-    out = []
-    for c in reversed(coeffs):
-        out.append(0)
-        for i in range(len(out) - 1, 0, -1):
-            out[i] = out[i - 1] - out[i]
-        out[0] = c - out[0]
-    return out
-
-
 def tutte_bruteforce(m):
     """Whitney-form accumulation over all subsets of the ground set."""
     counts = kernels.whitney_counts(np.asarray(m.table), m.size)
@@ -130,17 +157,16 @@ class _NodeTable:
     the largest of |E(M(v))| and |E(M1)| + |E(M2)| over the nodes: no
     slot, not even a partial sum, reaches ``2**width``, and slots never
     carry.
+
+    ``split`` is ``_single_slots`` of the finished table, what a parent's
+    join reads.
     """
 
-    __slots__ = ("by_sig", "width")
+    __slots__ = ("by_sig", "width", "split")
 
     def __init__(self, width):
         self.by_sig = {}
         self.width = width
-
-    def add(self, sig, nu, packed):
-        rows = self.by_sig.setdefault(sig, {})
-        rows[nu] = rows.get(nu, 0) + packed
 
     def counts(self, sig):
         """{(r, s): count} for one extended type."""
@@ -156,23 +182,48 @@ def tutte_decomposition(tree, want_tables=False):
 
     The tree is validated and, when needed, made nice first.  Returns the
     polynomial, or (polynomial, per-node tables) when ``want_tables``.
+    Raises ResourceError when the joins would pass ``TUTTE_BUDGET``.
     """
     tree = tree.prepared()
+    sizes = tree.ground_sizes()
     width = 1 + max(
-        max(tree.ground_size(v), sum(map(tree.ground_size, tree.nodes[v].children)))
-        for v in tree.postorder()
+        max(sizes[v], sum(sizes[c] for c in tree.nodes[v].children)) for v in tree.postorder()
     )
     tables = {}
     empty = _NodeTable(width)
-    empty.add(EMPTY, 0, 1)
+    empty.by_sig[EMPTY] = {0: 1}
+    empty.split = _single_slots(empty)
+    interned = {}  # every signature of the run, as its one instance
+    spent = 0
+
+    def expand(ctx, sig1, sig2):
+        """((sig, delta, |fresh| - delta), ...) over the fresh masks for one
+        signature pair, or () when a child's trace meets D.
+
+        The budget is charged here, before ``extended_join`` makes the
+        pair's parent signatures: only a pair's first visit makes any.
+        Contexts of other shapes make equal signatures too; interning
+        them keeps every memo lookup of the run an identity match.
+        """
+        nonlocal spent
+        if (ctx.scatter1[sig1.trace] | ctx.scatter2[sig2.trace]) & ctx.dmask:
+            return ()
+        spent += ctx.pair_cost
+        if spent > TUTTE_BUDGET:
+            raise ResourceError(f"the Tutte DP would make more than {TUTTE_BUDGET} type-map entries")
+        out = []
+        for fmask in ctx.fresh_masks:  # fresh masks miss D
+            sig, delta = ctx.extended_join(sig1, sig2, fmask)
+            out.append((interned.setdefault(sig, sig), delta, fmask.bit_count() - delta))
+        return tuple(out)
 
     def join(ctx, nid, t1, t2):
         if t1 is not empty or t2 is not empty:
-            table = _join_tables(ctx, t1, t2)
+            table = _join_tables(ctx, t1, t2, expand)
         elif "leaf" in ctx.memo:  # a leaf: tables are never changed once built
             table = ctx.memo["leaf"]
         else:
-            table = ctx.memo["leaf"] = _join_tables(ctx, t1, t2)
+            table = ctx.memo["leaf"] = _join_tables(ctx, t1, t2, expand)
         if want_tables:
             tables[nid] = table
         return table
@@ -192,36 +243,66 @@ def tutte_decomposition(tree, want_tables=False):
     return poly
 
 
-def _join_tables(ctx, t1, t2):
+def _join_tables(ctx, t1, t2, expand):
     """Parent table: per signature pair, one product per pair of nullity
-    rows, moved by each fresh choice's rank increment (see module doc)."""
+    rows, moved by each fresh choice's rank increment (see module doc).
+    ``expand(ctx, sig1, sig2)`` makes a pair's memo entry."""
     width = t1.width
     table = _NodeTable(width)
-    for sig1, rows1 in t1.by_sig.items():
-        if ctx.scatter1[sig1.trace] & ctx.dmask:
-            continue
-        for sig2, rows2 in t2.by_sig.items():
-            if ctx.scatter2[sig2.trace] & ctx.dmask:
+    by_sig, memo = table.by_sig, ctx.memo
+    for sig1, rows1 in t1.split:
+        for sig2, rows2 in t2.split:
+            joined = memo.get((sig1, sig2))
+            if joined is None:
+                joined = memo[sig1, sig2] = expand(ctx, sig1, sig2)
+            if not joined:
                 continue
-            joined = []
-            for fmask in ctx.fresh_masks:  # fresh masks and these traces miss D
-                sig, delta = ctx.extended_join(sig1, sig2, fmask)
-                joined.append((sig, delta, fmask.bit_count() - delta))
-            for nu1, p1 in rows1.items():
-                for nu2, p2 in rows2.items():
-                    product = _product(p1, p2, width)
-                    for sig, delta, extra in joined:
-                        shift = width * delta
+            targets = [(by_sig.setdefault(sig, {}), delta, extra) for sig, delta, extra in joined]
+            for nu1, p1, one1 in rows1:
+                for nu2, p2, one2 in rows2:
+                    if one1 is not None:
+                        r, c = one1
+                        product = p2 * c if c != 1 else p2
+                    elif one2 is not None:
+                        r, c = one2
+                        product = p1 * c if c != 1 else p1
+                    else:
+                        r, product = 0, _product(p1, p2, width)
+                    for out, delta, extra in targets:
+                        shift = width * (r + delta)
                         moved = product << shift if shift >= 0 else product >> -shift
-                        table.add(sig, nu1 + nu2 + extra, moved)
+                        nu = nu1 + nu2 + extra
+                        out[nu] = out[nu] + moved if nu in out else moved
+    table.split = _single_slots(table)
     return table
+
+
+def _single_slots(table):
+    """[(sig, [(nu, row, one), ...]), ...] for a table; ``one`` is (rank,
+    count) of a row whose one nonzero slot lies below ``_FEW_SLOTS``,
+    else None."""
+    width = table.width
+    few = _FEW_SLOTS * width
+    out = []
+    for sig, rows in table.by_sig.items():
+        split = []
+        for nu, p in rows.items():
+            one = None
+            if p.bit_length() <= few:
+                r = (p.bit_length() - 1) // width
+                c = p >> width * r
+                if c << width * r == p:
+                    one = (r, c)
+            split.append((nu, p, one))
+        out.append((sig, split))
+    return out
 
 
 def _product(p, q, width):
     """p * q, by shift-and-add when the shorter factor spans few slots.
 
-    A leaf's rows hold one subset each, so against the long rows of a deep
-    subtree a full multiplication would mostly multiply zero slots.
+    Against the long rows of a deep subtree, a full multiplication by a
+    short row would mostly multiply zero slots.
     """
     if p.bit_length() < q.bit_length():
         p, q = q, p

@@ -64,11 +64,13 @@ __all__ = [
 class ExtendedType:
     """A node type, the closure-map tuple ``base``, and the tracked set's
     boundary trace.  ``offsets`` is read off ``base`` when built (see the
-    module doc), so it takes no part in equality or hashing."""
+    module doc), so it takes no part in equality or hashing.  The hash of
+    (base, trace) is computed once: the DPs' memos key on signatures."""
 
     base: tuple  # the node type: [Ymask] = closure mask over the sorted boundary
     trace: int  # tracked set's boundary mask
     offsets: tuple = field(init=False, compare=False)  # [Ymask] = r(X' + Y) - r(X')
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         fmap = self.base
@@ -78,6 +80,10 @@ class ExtendedType:
             offsets += [o + (not fmap[y] & bit) for y, o in enumerate(offsets)]
             bit <<= 1
         object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "_hash", hash((fmap, self.trace)))
+
+    def __hash__(self):
+        return self._hash
 
 
 # the signature of an empty subtree: empty boundary, empty tracked set
@@ -127,6 +133,9 @@ class JoinContext:
         self.scatter2, self.gather2 = self.side2.scatter.tolist(), self.side2.gather.tolist()
         self.gather_parent = self.parent.gather.tolist()
         self.fresh_masks = self.fresh.scatter.tolist()
+        # type-map entries one signature pair's expansion can make: a parent
+        # signature per fresh subset, each over every parent-boundary subset
+        self.pair_cost = len(self.fresh_masks) << len(pos_parent)
         self.clk = kernels.closure_table(tk, n).tolist()
         self.tk = tk.tolist()
         self.memo = {}  # the results the running DP keeps for this shape

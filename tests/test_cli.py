@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -550,12 +552,50 @@ def test_bad_eval_exits_1(corpus_dir, capsys, argv, message):
 
 
 def test_eval_value_too_long_to_print_exits_2(corpus_dir, capsys):
-    # x = 10**3000 is printable, and x**2 + x + y is not
-    argv = ["tutte", "-m", str(corpus_dir / "matroids" / "k3.json"), "--eval", "1e3000", "2"]
-    assert cli.main(argv) == 2
+    # x = 10**3000 is printable, and x**2 + x + y is not; below x = 1 the
+    # terms bound nothing, so 10**-3000 is found too long only when printed
+    for x in ("1e3000", "1e-3000"):
+        argv = ["tutte", "-m", str(corpus_dir / "matroids" / "k3.json"), "--eval", x, "2"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "resource error: the --eval value has too many digits to print\n"
+
+
+def test_eval_value_too_long_refused_before_evaluating(tmp_path, capsys, monkeypatch):
+    # every term of T(x, 2) at x = 10**4000 already passes the digit limit
+    path = _write(tmp_path / "chain.json", files.decomposition_to_obj(zoo.triangle_chain(100)))
+    evaluated = []
+    monkeypatch.setattr(TuttePolynomial, "evaluate", lambda *a: evaluated.append(a))
+    start = time.perf_counter()
+    assert cli.main(["tutte", "--dp", "-d", path, "--eval", "1e4000", "2"]) == 2
+    assert time.perf_counter() - start < 1
+    assert evaluated == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "resource error: the --eval value has too many digits to print\n"
+
+
+def test_tutte_dp_budget_refuses_a_width_13_tree(tmp_path, capsys):
+    # a width-13 GF(3) caterpillar, one PG(2,3) glue matroid: its joins
+    # would hold thousands of 2^13-entry type maps
+    rng = random.Random(1)
+    while True:
+        m = Matroid.from_linear({e: [rng.randrange(3) for _ in range(3)] for e in range(1, 11)}, 3)
+        if m.rank() == 3:
+            break
+    ids = list(m.elements)
+    random.Random(0).shuffle(ids)
+    tree = from_branch_decomposition(m, caterpillar(ids))
+    assert tree.width() == 13
+    path = _write(tmp_path / "wide.json", files.decomposition_to_obj(tree))
+    start = time.perf_counter()
+    assert cli.main(["tutte", "--dp", "-d", path]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource error: the Tutte DP would make more than")
+    assert "Traceback" not in captured.err
 
 
 def test_glue_writes_output_file(tmp_path, capsys):

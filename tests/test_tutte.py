@@ -122,6 +122,16 @@ def test_from_whitney_matches_binomial_expansion():
                 for _ in range(rng.randrange(12))
             }
         )
+    # hundreds of rows: the standard coefficients grow like 2^rows times
+    # the counts, so the slots must be sized from the counts and the grid
+    for rows, cols, dense in ((300, 2, True), (200, 3, False), (257, 4, False), (240, 1, True)):
+        cells = [(a, b) for a in range(rows) for b in range(cols)]
+        counts = {
+            cell: rng.choice((rng.randint(-9, 9), rng.randrange(-(2**300), 2**300)))
+            for cell in (cells if dense else rng.sample(cells, 40))
+        }
+        counts[(rows - 1, cols - 1)] = rng.choice((-1, 1)) * 2**300
+        cases.append(counts)
     for counts in cases:
         poly = TuttePolynomial.from_whitney(counts)
         assert oracles.coeffs(poly) == _binomial_expansion(counts), counts
@@ -170,6 +180,24 @@ def test_dp_parallel_chain_matches_dual_cycle(monkeypatch):
     assert oracles.coeffs(poly) == {(j, i): c for (i, j), c in _cycle_polynomial(152).items()}
     assert max(c for _, _, c in poly.whitney) > 2**64
     assert min(deltas) == -1
+
+
+def test_dp_joins_each_signature_pair_once_per_shape(monkeypatch):
+    # a chain repeats its few shapes, so a longer one makes no new joins
+    calls = []
+    original = JoinContext.extended_join
+
+    def recording(ctx, e1, e2, fresh):
+        calls.append(fresh)
+        return original(ctx, e1, e2, fresh)
+
+    monkeypatch.setattr(JoinContext, "extended_join", recording)
+    made = []
+    for n in (50, 400):
+        calls.clear()
+        assert oracles.coeffs(tutte_decomposition(zoo.triangle_chain(n))) == _cycle_polynomial(n + 2)
+        made.append(len(calls))
+    assert made[0] == made[1] < 50
 
 
 def _shifted_chain(n, offset, prefix):
