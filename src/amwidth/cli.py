@@ -196,7 +196,7 @@ def _cmd_tutte(args):
         return 1
     poly = results.get("dp", results.get("brute"))
     out = _poly_obj(poly)
-    out["text"] = str(poly)
+    out["text"] = text = str(poly)
     if args.eval:
         x, y = (_fraction(v) for v in args.eval)
         too_long = "the --eval value has too many digits to print"
@@ -227,7 +227,7 @@ def _cmd_tutte(args):
             dump[nid] = rows
         with open(args.dump_types, "w") as fh:
             fh.write(files.dumps(dump))
-    _emit(out, [str(poly)], args.pretty)
+    _emit(out, [text], args.pretty)
     return 0
 
 

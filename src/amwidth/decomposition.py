@@ -1,31 +1,46 @@
 """Amalgam decomposition trees: validation, realization, width, niceness.
 
 A tree node carries its glue matroid K and the sets J1, J2, D of the
-glueing step that produces M(v) from the children's matroids.  Ground
-sets and boundaries are derived here only, by one walk up from the
-leaves (``_walk``) that keeps no node's set: E(M(v)) = (E(M1) | E(M2) |
-E(K)) - D, and J_i = E(M_i) & E(K) (``with_boundaries``).  Rank-level
+glueing step that produces M(v) from the children's matroids.  Rank-level
 checks read the glue matroids themselves: once the glueing at a node is
 defined, M(v) restricted to E(K(v)) - D(v) is K(v) with D(v) deleted,
 since the generalized parallel connection changes no rank inside K.  So
 M_i|J_i = K|J_i compares two glue tables whenever J_i lies inside the
 child's K, and validation scales to trees whose realization would be far
 beyond the brute-force caps.  ``realize`` is the capped oracle path;
-validation calls it only when J_i leaves the child's K.
+validation glues a child only when J_i leaves the child's K.
 
-Each node's ids are mapped to positions in its K once per tree: its
-``Positions`` record holds the K-positions of sorted J1, sorted J2 and
-the sorted parent boundary, and the K-mask of D.  Validation reads it,
-and ``shapes`` turns it, with K's table, into the node's canonical
-shape and K order for the dynamic programs, once per tree; ``prepared``
-builds the shapes, so it rejects a tree with a parent boundary outside
-its node's K.  A rank-level verdict depends on rank tables
-and positions in them, not on element ids, so one ``validate`` call
-reaches each distinct verdict once, keyed by ``Matroid.key``: a
-rank-axiom check per K table, a semiflat check per (K table, J
-positions), and a restriction check per (child table, positions, K
-table, positions).  Nodes of one shape share them, and a failing verdict
-is reported at every node it applies to.
+Everything a tree knows about itself comes from one postorder walk
+(``_walk``), run once per tree and kept.  Ground sets are derived there
+only (``_grounds``), keeping no node's set: E(M(v)) = (E(M1) | E(M2) |
+E(K)) - D, and ``with_boundaries`` reads the same sets for J_i = E(M_i) &
+E(K).  At each node the walk maps sorted J1, sorted J2 and D to
+positions in K, and, for each child, the same sorted J_i to positions in
+the child's K: that is the child's parent boundary.  So each node's raw
+shape, its K's ``Matroid.key`` followed by its ``Positions`` record, is
+complete when its parent is reached.  The walk also keeps |E(M(v))| per
+node, E(M(root)), the width, whether J1 and J2 are disjoint everywhere
+(``is_nice``), whether every parent boundary lies in its node's K
+(``is_anchored``) and whether some D meets E(M(root)), which is what
+``prepared`` asks.  ``positions`` and ``shapes`` read the raw shapes;
+``shapes`` makes each distinct one canonical once (``canonical_shape``),
+and so rejects a tree with a parent boundary outside its node's K.
+
+``validate`` is the same walk with its checks, reported in postorder.
+The checks on ids and sizes (arity, leaf size and sets, J_i = E(M_i) &
+E(K), E(M1) & E(M2) inside E(K), D inside E(K)) run at every node.  A rank-level verdict
+depends on rank tables and positions in them, not on element ids, so
+one ``validate`` call reaches each distinct verdict once, keyed by
+``Matroid.key``: a rank-axiom check per K table, a semiflat check per
+(K table, J positions), and the restriction check per raw node shape,
+that is per (K table, J1 and J2 positions, each child's K table and
+parent-boundary positions), except at a node that must glue a child
+whose K misses J_i.  The restriction check compares restricted tables,
+each built once per (table, positions).  A J of at most one
+element inside a K that is a matroid needs no semiflat check: a point,
+or the closure of the empty set, is a modular flat that adds only loops
+and parallel copies.  Nodes of one shape share all of these, and a
+failing verdict is reported at every node it applies to.
 """
 
 import functools
@@ -36,7 +51,7 @@ from .amalgam import GLUE_MESSAGES, glue, is_modular_semiflat
 from .amalgam import glue_violations  # unused here: only benchmarks/tracing.py patches this name
 from .config import REALIZE_CAP, table_cap
 from .errors import DomainError, ResourceError, ValidationError
-from .matroid import Matroid, positions_of, restrictions_agree
+from .matroid import Matroid, positions_of, restricted_table
 from .types_dp import canonical_shape
 
 __all__ = [
@@ -75,20 +90,15 @@ class Positions(NamedTuple):
     dmask: int
 
 
-def _positions_in(k, j1, j2, boundary, deletions):
-    """The ``Positions`` of sets J1, J2, parent boundary and D in K; an
-    empty set, as at every leaf, skips the lookup."""
-    index = k._index
-    dmask = 0
-    if deletions:
-        dpos = positions_of(index, deletions)
-        dmask = None if dpos is None else sum(1 << p for p in dpos)
-    return Positions(
-        positions_of(index, sorted(j1)) if j1 else (),
-        positions_of(index, sorted(j2)) if j2 else (),
-        positions_of(index, sorted(boundary)) if boundary else (),
-        dmask,
-    )
+class _Walk(NamedTuple):
+    """What the one walk knows of a tree (see the module doc)."""
+
+    raw: dict  # node id -> [K key, *Positions], its raw shape
+    width: int
+    nice: bool
+    anchored: bool
+    reuses: bool  # some node's D meets E(M(root))
+    violations: list  # None for a walk without checks
 
 
 @dataclass(frozen=True)
@@ -153,32 +163,166 @@ class AmalgamDecomposition:
             self._cache["postorder"] = order
         return self._cache["postorder"]
 
-    def _walk(self):
-        """Yield each node, in postorder, with its children's E(M(c)).
+    def _grounds(self):
+        """Yield each node id, in postorder, with its node and its
+        children's E(M(c)).
 
         Each child's set then passes to its parent, which extends the
         largest in place (small to large); a leaf's is a copy of E(K).  A
-        finished walk keeps E(M(root)) and |E(M(v))| per node.
+        finished pass keeps E(M(root)) and |E(M(v))| per node.
         """
+        nodes = self.nodes
         sets, sizes = {}, {}
         for v in self.postorder():
-            node = self.nodes[v]
-            kids = [sets.pop(c) for c in node.children]
-            yield v, kids
+            node = nodes[v]
+            kids = list(map(sets.pop, node.children))
+            yield v, node, kids
             if kids:  # any number of children: validate reports arity
-                *small, g = sorted(kids, key=len)
-                g.update(*small, node.K.ground_set)
-                g -= node.D
+                g = max(kids, key=len)
+                for h in kids:
+                    if h is not g:
+                        g |= h
+                g |= node.K.ground_set
+                if node.D:
+                    g -= node.D
             else:
                 g = set(node.K.ground_set)
-            sets[v], sizes[v] = g, len(g)
+            sets[v] = g
+            sizes[v] = len(g)
         self._cache.update(ground=frozenset(g), sizes=sizes)
+
+    def _walked(self, check=False):
+        """The one walk's result, with the checks' violations when
+        ``check``; walked once per tree, again only to add the checks."""
+        walk = self._cache.get("walk")
+        if walk is None or check and walk.violations is None:
+            walk = self._cache["walk"] = self._walk(check)
+        return walk
+
+    def _walk(self, check):
+        """The walk itself (see the module doc); ``check`` adds the
+        validation checks, reported in postorder."""
+        nodes = self.nodes
+        raw = {}  # node id -> its raw shape, as a list whose boundary the parent sets
+        deleted = set()
+        width, nice, anchored = 0, True, True
+        violations = [] if check else None
+        verdicts = _Verdicts()
+        clean = {}
+        for v, node, kids in self._grounds():
+            _, children, k, j1, j2, d = node
+            index = k._index
+            s1 = s2 = p1 = p2 = ()
+            if j1:
+                s1 = sorted(j1)
+                p1 = positions_of(index, s1)
+            if j2:
+                s2 = sorted(j2)
+                p2 = positions_of(index, s2)
+            dmask = 0
+            if d:
+                deleted |= d
+                dpos = positions_of(index, d)
+                if dpos is None:
+                    dmask = None
+                else:
+                    for p in dpos:
+                        dmask |= 1 << p
+            raw[v] = [k.key, p1, p2, (), dmask]
+            if len(index) > width:
+                width = len(index)
+            if children:
+                nice = nice and not (j1 & j2)
+                for c, s in zip(children, (s1, s2)):
+                    if s:
+                        b = raw[c][3] = positions_of(nodes[c].K._index, s)
+                        anchored = anchored and b is not None
+            if not check:
+                continue
+            before = len(violations)
+            if len(children) not in (0, 2):
+                violations.append(Violation(v, "arity", "nodes have zero or exactly two children"))
+                clean[v] = False
+                continue
+            kids_clean = all(map(clean.get, children))
+            if not children:
+                if len(index) > 1:
+                    violations.append(
+                        Violation(v, "leaf-size", "leaf matroids have at most one element")
+                    )
+                if j1 or j2 or d:
+                    violations.append(Violation(v, "leaf-sets", "leaves carry no J1/J2/D sets"))
+            else:
+                g1, g2 = kids
+                kg = k.ground_set
+                for i, j, g in ((1, j1, g1), (2, j2, g2)):
+                    if j != g & kg:
+                        message = f"J{i} is not E(M{i}) & E(K)"
+                        violations.append(Violation(v, "boundary-mismatch", message))
+                for code, bad in (
+                    ("shared-not-in-glue", not g1 & g2 <= kg),
+                    ("deletions-not-in-glue", dmask is None),
+                ):
+                    if bad:
+                        violations.append(Violation(v, code, GLUE_MESSAGES[code]))
+                for i, j, pos in ((1, j1, p1), (2, j2, p2)):
+                    ok, error = verdicts.semiflat(k, j, pos)
+                    if not ok:
+                        message = error or GLUE_MESSAGES["semiflat"].format(i)
+                        violations.append(Violation(v, f"semiflat-j{i}", message))
+                if len(violations) == before and kids_clean:
+                    r1, r2 = raw[children[0]], raw[children[1]]
+                    key = (k.key, p1, p2, r1[0], r1[3], r2[0], r2[3])
+                    bad = verdicts.restrictions.get(key, _UNSEEN)
+                    if bad is _UNSEEN:
+                        sides = zip(children, (s1, s2), (p1, p2), kids)
+                        bad = self._restriction_violation(k, sides, raw, verdicts)
+                        if r1[3] is not None and r2[3] is not None:  # no child was glued
+                            verdicts.restrictions[key] = bad
+                    if bad is not None:
+                        violations.append(Violation(v, *bad))
+            if len(violations) == before and kids_clean and not verdicts.is_matroid(k):
+                violations.append(Violation(v, "glue-broken", "glue at this node is not a matroid"))
+            clean[v] = len(violations) == before and kids_clean
+        reuses = not deleted.isdisjoint(self._cache["ground"])
+        return _Walk(raw, width, nice, anchored, reuses, violations)
+
+    def _restriction_violation(self, k, sides, raw, verdicts):
+        """(code, message) when M_i|J_i differs from K|J_i at a node with
+        glue matroid k whose children are clean, else None.
+
+        A clean child's matroid agrees with its own K outside its D, and
+        J_i never meets that D, so the child's K supplies the ranks; only
+        when J_i leaves it is the child glued, under the cap.  ``sides``
+        gives, per child, its id, sorted J_i, J_i's K-positions and E(M_i).
+        """
+        tables = []
+        for c, s, kpos, g in sides:
+            m, pos = self.nodes[c].K, raw[c][3]
+            if pos is None:
+                m = None
+                if len(g) <= min(REALIZE_CAP, table_cap()):
+                    try:
+                        m = self._glued(c)
+                    except ResourceError:
+                        pass
+                if m is None:
+                    return (
+                        "unverifiable-restriction",
+                        "boundary leaves the child's glue matroid and the "
+                        "subtree is too large to realize",
+                    )
+                pos = positions_of(m._index, s)
+            tables.append((verdicts.restricted(m, pos), kpos))
+        for i, (table, kpos) in enumerate(tables, start=1):
+            if table != verdicts.restricted(k, kpos):
+                return f"restriction-j{i}", GLUE_MESSAGES["restriction"].format(i)
+        return None
 
     def ground_sizes(self):
         """|E(M(v))| by node id, for every node the root reaches."""
         if "sizes" not in self._cache:
-            for _ in self._walk():
-                pass
+            self._walked()
         return self._cache["sizes"]
 
     def ground_size(self, nid):
@@ -190,198 +334,110 @@ class AmalgamDecomposition:
 
     def ground(self):
         """E(M(root)), the one ground set a walk keeps."""
-        self.ground_size(self.root)
+        self.ground_sizes()
         return self._cache["ground"]
 
     def with_boundaries(self):
         """This tree with J_i = E(M_i) & E(K) at each node of two children."""
         nodes = dict(self.nodes)
-        for v, sets in self._walk():
+        for v, node, sets in self._grounds():
             if len(sets) == 2:
-                kg = nodes[v].K.ground_set
-                nodes[v] = nodes[v]._replace(J1=kg & sets[0], J2=kg & sets[1])
+                kg = node.K.ground_set
+                nodes[v] = node._replace(J1=kg & sets[0], J2=kg & sets[1])
         return AmalgamDecomposition(nodes.values(), self.root)
 
     def boundary(self, nid):
         """J(v): the J1 or J2 that v's parent lists for it; empty at the root.
 
         That is E(M(v)) & E(K(parent)) on a tree that passed ``validate``,
-        as its ``boundary-mismatch`` check tests, and every reader but the
-        ``Positions`` records runs on one: ``tutte --dump-types`` on
-        ``prepared()`` trees.
+        as its ``boundary-mismatch`` check tests; only ``tutte
+        --dump-types`` reads it, on ``prepared()`` trees.
         """
-        return self._boundaries().get(str(nid), _NO_IDS)
-
-    def _boundaries(self):
-        """J(v) by node id, for every node but the root."""
         if "boundaries" not in self._cache:
             self._cache["boundaries"] = {
                 c: j
                 for v in self.postorder()
-                for c, j in zip(self.nodes[v].children, (self.nodes[v].J1, self.nodes[v].J2))
+                for node in (self.nodes[v],)
+                for c, j in zip(node.children, (node.J1, node.J2))
             }
-        return self._cache["boundaries"]
+        return self._cache["boundaries"].get(str(nid), _NO_IDS)
 
     def positions(self):
-        """Every node's ``Positions``, by node id, computed once per tree;
-        validation, ``prepared`` and ``shapes`` read them."""
+        """Every node's ``Positions``, by node id, read off the walk once
+        per tree."""
         if "positions" not in self._cache:
-            bounds = self._boundaries()
-            self._cache["positions"] = {
-                v: _positions_in(node.K, node.J1, node.J2, bounds.get(v, _NO_IDS), node.D)
-                for v in self.postorder()
-                for node in (self.nodes[v],)
-            }
+            raw = self._walked().raw
+            self._cache["positions"] = {v: Positions(*shape[1:]) for v, shape in raw.items()}
         return self._cache["positions"]
 
     def shapes(self):
         """Every node's canonical shape and K order (``canonical_shape``
-        of its ``Positions``), by node id; computed once per tree, and
-        once per distinct raw shape in it.
+        of its raw shape), by node id; computed once per tree, and once
+        per distinct raw shape in it.
 
         Raises DomainError when a parent boundary leaves a node's glue
         matroid: such a node has no shape.
         """
         if "shapes" not in self._cache:
-            if not self.is_anchored():
+            walk = self._walked()
+            if not walk.anchored:
                 raise DomainError(
                     "the dynamic programs need parent boundaries inside each "
                     "node's glue matroid"
                 )
             canon = functools.cache(canonical_shape)
-            self._cache["shapes"] = {
-                v: canon((self.nodes[v].K.key, *at)) for v, at in self.positions().items()
-            }
+            self._cache["shapes"] = {v: canon(tuple(shape)) for v, shape in walk.raw.items()}
         return self._cache["shapes"]
 
     def width(self):
         """Maximum |E(K(v))| over the nodes."""
-        return max(len(self.nodes[v].K.ground_set) for v in self.postorder())
+        return self._walked().width
 
     def is_anchored(self):
         """Whether every node's parent boundary sits inside its own K."""
-        return all(at.boundary is not None for at in self.positions().values())
+        return self._walked().anchored
+
+    def is_nice(self):
+        """Whether J1 and J2 are disjoint at every node with children."""
+        return self._walked().nice
 
     # -- validation -------------------------------------------------------
 
     def validate(self):
-        if "report" in self._cache:
-            return self._cache["report"]
-        violations = []
-        try:
-            order = self.postorder()
-        except DomainError as exc:
-            report = ValidationReport(
-                [Violation(self.root, "structure", str(exc))], 0
-            )
-            self._cache["report"] = report
-            return report
-        clean = {}
-        checks = _ShapeChecks()
-        positions = self.positions()
-        for v, grounds in self._walk():
-            node = self.nodes[v]
-            before = len(violations)
-            if len(node.children) not in (0, 2):
-                violations.append(
-                    Violation(v, "arity", "nodes have zero or exactly two children")
-                )
-                clean[v] = False
-                continue
-            kids_clean = all(map(clean.get, node.children))
-            if node.is_leaf:
-                if node.K.size > 1:
-                    violations.append(
-                        Violation(v, "leaf-size", "leaf matroids have at most one element")
-                    )
-                if node.J1 or node.J2 or node.D:
-                    violations.append(
-                        Violation(v, "leaf-sets", "leaves carry no J1/J2/D sets")
-                    )
+        if "report" not in self._cache:
+            try:
+                self.postorder()
+            except DomainError as exc:
+                report = ValidationReport([Violation(self.root, "structure", str(exc))], 0)
             else:
-                g1, g2 = grounds
-                kg = node.K.ground_set
-                at = positions[v]
-                for i, j, g in ((1, node.J1, g1), (2, node.J2, g2)):
-                    if j != g & kg:
-                        message = f"J{i} is not E(M{i}) & E(K)"
-                        violations.append(Violation(v, "boundary-mismatch", message))
-                for code, bad in (
-                    ("shared-not-in-glue", not g1 & g2 <= kg),
-                    ("deletions-not-in-glue", at.dmask is None),
-                ):
-                    if bad:
-                        violations.append(Violation(v, code, GLUE_MESSAGES[code]))
-                for i, j, pos in ((1, node.J1, at.j1), (2, node.J2, at.j2)):
-                    ok, error = checks.semiflat(node.K, j, pos)
-                    if not ok:
-                        message = error or GLUE_MESSAGES["semiflat"].format(i)
-                        violations.append(Violation(v, f"semiflat-j{i}", message))
-                if len(violations) == before and kids_clean:
-                    self._check_restrictions(v, positions, checks, violations)
-            if len(violations) == before and kids_clean and not checks.is_matroid(node.K):
-                violations.append(
-                    Violation(v, "glue-broken", "glue at this node is not a matroid")
-                )
-            clean[v] = len(violations) == before and kids_clean
-        width = max(len(self.nodes[v].K.ground_set) for v in order) if order else 0
-        report = ValidationReport(violations, width)
-        self._cache["report"] = report
-        return report
-
-    def _check_restrictions(self, v, positions, checks, violations):
-        """Verify M_i|J_i = K|J_i at node v, whose children are clean.
-
-        A clean child's matroid agrees with its own K outside its D, and
-        J_i never meets that D, so the child's K supplies the ranks; only
-        when J_i leaves it is the child realized, under the cap.
-        """
-        node = self.nodes[v]
-        sides = []
-        for c, j in zip(node.children, (node.J1, node.J2)):
-            m, pos = self.nodes[c].K, positions[c].boundary
-            if pos is None:
-                try:
-                    m = self.realize(c, _validated=False)
-                except ResourceError:
-                    violations.append(
-                        Violation(
-                            v,
-                            "unverifiable-restriction",
-                            "boundary leaves the child's glue matroid and the "
-                            "subtree is too large to realize",
-                        )
-                    )
-                    return
-                pos = positions_of(m._index, sorted(j))
-            sides.append((m, pos))
-        at = positions[v]
-        for i, ((m, pos), kpos) in enumerate(zip(sides, (at.j1, at.j2)), start=1):
-            if not checks.restriction_agrees(m, pos, node.K, kpos):
-                message = GLUE_MESSAGES["restriction"].format(i)
-                violations.append(Violation(v, f"restriction-j{i}", message))
-                return
+                walk = self._walked(check=True)
+                report = ValidationReport(walk.violations, walk.width)
+            self._cache["report"] = report
+        return self._cache["report"]
 
     # -- realization -------------------------------------------------------
 
-    def realize(self, nid=None, _validated=True):
+    def realize(self, nid=None):
         """M(v) via bottom-up glueing; the brute-force oracle path."""
         nid = str(nid) if nid is not None else self.root
-        if _validated:
-            report = self.validate()
-            if not report.ok:
-                raise ValidationError(report)
-        key = ("realized", nid)
-        if key in self._cache:
-            return self._cache[key]
-        if self.ground_size(nid) > min(REALIZE_CAP, table_cap()):
+        report = self.validate()
+        if not report.ok:
+            raise ValidationError(report)
+        cap = min(REALIZE_CAP, table_cap())
+        if ("realized", nid) not in self._cache and self.ground_size(nid) > cap:
             raise ResourceError(
                 f"realized ground set of node {nid!r} exceeds the brute-force cap"
             )
+        return self._glued(nid)
+
+    def _glued(self, nid):
+        """M(v) glued bottom-up from the realized nodes below, kept."""
         walk = [nid]  # top-down, stopping at realized nodes
         for w in walk:
             walk.extend(c for c in self.nodes[w].children if ("realized", c) not in self._cache)
         for w in reversed(walk):  # every node after its children
+            if ("realized", w) in self._cache:
+                continue
             node = self.nodes[w]
             if node.is_leaf:
                 m = node.K
@@ -389,16 +445,9 @@ class AmalgamDecomposition:
                 m1, m2 = (self._cache[("realized", c)] for c in node.children)
                 m = glue(m1, m2, node.K, node.D)
             self._cache[("realized", w)] = m
-        return self._cache[key]
+        return self._cache[("realized", nid)]
 
     # -- niceness ------------------------------------------------------------
-
-    def is_nice(self):
-        return all(
-            not (self.nodes[v].J1 & self.nodes[v].J2)
-            for v in self.postorder()
-            if not self.nodes[v].is_leaf
-        )
 
     def to_nice(self):
         """Disjoint child boundaries via parallel duplicates, deleted in
@@ -467,47 +516,60 @@ class AmalgamDecomposition:
         report = self.validate()
         if not report.ok:
             raise ValidationError(report)
-        ground = self.ground()
-        reuses = any(self.nodes[v].D & ground for v in self.postorder())
-        tree = self.to_nice() if reuses or not self.is_nice() else self
+        walk = self._walked()
+        tree = self.to_nice() if walk.reuses or not walk.nice else self
         tree.shapes()  # raises DomainError on an unanchored tree
         if tree is not self:  # caching self would make a reference cycle
             self._cache["prepared"] = tree
         return tree
 
 
-class _ShapeChecks:
-    """The rank-level verdicts of one ``validate`` call, each computed once
+_POINT = (True, None)  # the verdict on a J of at most one element inside a matroid K
+_UNSEEN = object()  # a restriction verdict not reached yet; None is "no violation"
+
+
+class _Verdicts:
+    """The rank-level verdicts of one walk, each computed once per key
     (see the module doc)."""
 
     def __init__(self):
-        self.verdicts = {}  # keyed by a table's key, or a tuple holding keys
+        self.matroids = {}  # K key -> whether its table meets the rank axioms
+        self.semiflats = {}  # (K key, J positions) -> ``_semiflat``'s pair
+        self.tables = {}  # (table key, positions) -> restricted table
+        # (K key, J1 and J2 positions, each child's K key and boundary
+        # positions) -> ``_restriction_violation``'s result
+        self.restrictions = {}
 
     def is_matroid(self, k):
         """Whether k's table satisfies the rank axioms; one built from
         columns or from a graph does by construction."""
         if k._desc is not None:  # linear or graphic
             return True
-        if k.key not in self.verdicts:
-            self.verdicts[k.key] = k.rank_axiom_violation() is None
-        return self.verdicts[k.key]
+        ok = self.matroids.get(k.key)
+        if ok is None:
+            ok = self.matroids[k.key] = k.rank_axiom_violation() is None
+        return ok
 
     def semiflat(self, k, j, pos):
         """(whether j, at positions ``pos`` of k, is a modular semiflat in
         k, DomainError text or None)."""
         if pos is None:  # the error names the stray id: not shared
             return _semiflat(k, j)
+        if len(pos) <= 1 and self.is_matroid(k):
+            return _POINT
         key = (k.key, pos)
-        if key not in self.verdicts:
-            self.verdicts[key] = _semiflat(k, j)
-        return self.verdicts[key]
+        hit = self.semiflats.get(key)
+        if hit is None:
+            hit = self.semiflats[key] = _semiflat(k, j)
+        return hit
 
-    def restriction_agrees(self, m, mpos, k, kpos):
-        """``restrictions_agree(m, mpos, k, kpos)``, once per key."""
-        key = (m.key, mpos, k.key, kpos)
-        if key not in self.verdicts:
-            self.verdicts[key] = restrictions_agree(m, mpos, k, kpos)
-        return self.verdicts[key]
+    def restricted(self, m, pos):
+        """``restricted_table(m, pos)``, once per (table key, positions)."""
+        key = (m.key, pos)
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = restricted_table(m, pos)
+        return table
 
 
 def _semiflat(k, j):

@@ -206,19 +206,21 @@ def _rank_list(elements, ranks):
         raise DomainError("duplicate element ids in ground set")
     out = {}
     for key, value in ranks.items():
-        mask = 0
-        for x in key.split(",") if key else ():
-            b = bit.get(x)
-            if b is None:
-                if not x:
-                    raise DomainError(f"rank key {key!r} has an empty element id")
-                e = _int(x, "element id")
-                b = bit.get(str(e))
+        mask = bit.get(key)  # a key of one id as written out
+        if mask is None:
+            mask = 0
+            for x in key.split(",") if key else ():
+                b = bit.get(x)
                 if b is None:
-                    raise DomainError(
-                        f"rank key {key!r} names {e}, which is not in elements"
-                    )
-            mask |= b
+                    if not x:
+                        raise DomainError(f"rank key {key!r} has an empty element id")
+                    e = _int(x, "element id")
+                    b = bit.get(str(e))
+                    if b is None:
+                        raise DomainError(
+                            f"rank key {key!r} names {e}, which is not in elements"
+                        )
+                mask |= b
         if type(value) is not int:
             value = _int(value, f"rank of {key!r}")
         if not 0 <= value <= mask.bit_count():

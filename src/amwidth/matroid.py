@@ -19,7 +19,7 @@ table once asked for.
 Every constructor from a description, and ``with_twins``, goes through
 one memo step, ``_memo``, over a ``tables`` map from id-free keys to
 structures: the reduced columns, the endpoint pattern (vertices numbered
-by first appearance), the table, the independent sets' masks, or a key
+by first appearance; the endpoints as given key it too), the table, the independent sets' masks, or a key
 and twinned positions.  A key met before gives a matroid over its
 structure, with no numpy call and no cap check; a new one builds its
 table once, under the cap and, unless it is a matroid's by construction,
@@ -44,6 +44,7 @@ __all__ = [
     "LinearRep",
     "GraphDescription",
     "restrictions_equal",
+    "restricted_table",
 ]
 
 
@@ -175,18 +176,27 @@ class Matroid:
         Endpoints are all ints or all strings.  ``tables`` is as for
         ``from_linear``, keyed by the endpoint pairs in element order
         with vertices numbered by first appearance; the description is
-        the endpoints as given.
+        the endpoints as given, and keys the same structure too, so
+        endpoints met before skip the numbering.
         """
         ends = tuple(chain.from_iterable(edges.values()))
         kinds = set(map(type, ends))
         if len(kinds) > 1 or not kinds <= _ENDPOINT_KINDS:
             raise DomainError("graphic endpoints must be all integers or all strings")
+        desc = ("graphic", ends)
+        if tables:  # endpoints met before as given: their pattern is known
+            shared = tables.get(desc)
+            if shared is not None and len(shared.table) == 1 << len(edges):
+                return cls._of(shared, edges, names, desc)
         number = {}
         pattern = tuple([number.setdefault(v, len(number)) for v in ends])
-        return cls._memo(
-            tables, ("graphic", pattern), edges, names, ("graphic", ends),
+        m = cls._memo(
+            tables, ("graphic", pattern), edges, names, desc,
             lambda: kernels.graphic_rank_table(pattern[0::2], pattern[1::2], max(len(number), 1)),
         )
+        if tables is not None:
+            tables[desc] = m._shared
+        return m
 
     @classmethod
     def from_ranks(cls, elements, ranks, names=None, tables=None):
@@ -400,17 +410,15 @@ def restrictions_equal(m1, m2, shared):
     for e in shared:
         if e not in m1._index or e not in m2._index:
             raise DomainError(f"element {e!r} is not common to both matroids")
-    return restrictions_agree(
-        m1, positions_of(m1._index, shared), m2, positions_of(m2._index, shared)
-    )
+    t1 = restricted_table(m1, positions_of(m1._index, shared))
+    return t1 == restricted_table(m2, positions_of(m2._index, shared))
 
 
-def restrictions_agree(m1, pos1, m2, pos2):
-    """Whether m1 at positions ``pos1`` and m2 at ``pos2`` agree on every
-    subset, matched position by position."""
-    t1 = m1.table[kernels.MaskMap(m1.size, pos1).scatter]
-    t2 = m2.table[kernels.MaskMap(m2.size, pos2).scatter]
-    return bool(np.array_equal(t1, t2))
+def restricted_table(m, pos):
+    """m's rank table restricted to the positions ``pos``, indexed by
+    masks over them in the order given, as bytes: two restrictions agree
+    position by position exactly when their tables are equal."""
+    return m.table[kernels.MaskMap(m.size, pos).scatter].tobytes()
 
 
 def mask_of(index, ids, where=""):

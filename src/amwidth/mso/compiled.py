@@ -65,7 +65,11 @@ locally; choices that touch a node's deleted set die there.  State
 sizes are bounded by width and formula only.  A budget on the state DAG
 a run builds guards explosion and names the offending formula: each
 distinct interned state is charged once, 1 for an atom or disjunction
-state and 1 plus its pair count for a quantifier state.
+state and 1 plus its pair count for a quantifier state.  The type maps
+that closure and independence atoms make are charged to the same budget,
+2^|parent boundary| entries per miss of a join context's memo, before the
+miss makes them (``JoinContext.charge``), so a wide node stops the run
+before its maps fill memory.
 """
 
 from operator import itemgetter
@@ -89,7 +93,7 @@ class _Run:
         self.tree = tree
         self.label = F.to_text(core)
         self.total = 0  # every node's expanded state size, as the debug dump reports it
-        self._budget_used = 0  # own sizes of the distinct interned states
+        self._budget_used = 0  # own sizes of the distinct interned states, and type maps
         self._ids = {_U: _U, _T: _T, _F: _F}  # state -> interned id
         self._states = [_U, _T, _F]  # interned id -> state
         self._sizes = [1, 1, 1]  # interned id -> expanded size
@@ -109,15 +113,19 @@ class _Run:
         bounds the state DAG a run builds, not the trees it shares."""
         sid = self._ids.get(state)
         if sid is None:
-            self._budget_used += own
-            if self._budget_used > MSO_BUDGET:
-                raise CompilationBudgetError(
-                    "compiled evaluator exceeded its state budget", self.label
-                )
+            self._charge(own)
             sid = self._ids[state] = len(self._states)
             self._states.append(state)
             self._sizes.append(size)
         return sid
+
+    def _charge(self, amount):
+        """Count ``amount`` toward ``MSO_BUDGET``: a new state's own size,
+        or the type-map entries a join context's memo miss is about to
+        make (``JoinContext.charge``)."""
+        self._budget_used += amount
+        if self._budget_used > MSO_BUDGET:
+            raise CompilationBudgetError("compiled evaluator exceeded its state budget", self.label)
 
     def _exists_state(self, pairs):
         sizes = self._sizes
@@ -147,7 +155,7 @@ class _Run:
     # -- evaluation -----------------------------------------------------------
 
     def result(self):
-        return self._resolve(bottom_up(self.tree, self._empty, self._join))
+        return self._resolve(bottom_up(self.tree, self._empty, self._join, self._charge))
 
     def _join(self, ctx, nid, s1, s2):
         sid = self._step(ctx, s1, s2, self._views(nid))

@@ -12,7 +12,7 @@ offsets[Y] = offsets[Y - t] + (0 if t in fmap[Y - t] else 1) for any
 matroid.  The join computes the parent's type by closure fixed points,
 and one rank query gives the rank increment of the combination; nothing
 is realized.  The tests check it against types recomputed on the
-realized matroid (``tests/oracles.py``).
+realized matroid (``tests/reference.py``).
 
 Types hold no element ids: a boundary subset is a mask over the sorted
 boundary.  A node's *shape* is its glue matroid's ``Matroid.key``
@@ -118,6 +118,11 @@ class JoinContext:
     as lists converted once (its scalar lookups are slower on numpy
     scalars): ``scatter1``, ``gather1``, ``scatter2``, ``gather2``,
     ``gather_parent``, and ``fresh_masks``, the fresh subsets' K-masks.
+
+    ``charge``, None unless a run sets it, is called with the type-map
+    entries (2^|parent boundary|) that a miss of ``fixpoints``' or
+    ``extended_join``'s memo is about to make, before it makes them, so a
+    run can stop on a budget first.
     """
 
     def __init__(self, shape):
@@ -138,6 +143,8 @@ class JoinContext:
         self.pair_cost = len(self.fresh_masks) << len(pos_parent)
         self.clk = kernels.closure_table(tk, n).tolist()
         self.tk = tk.tolist()
+        self.entries = 1 << len(pos_parent)  # of one type map, or of one fixpoints list
+        self.charge = None
         self.memo = {}  # the results the running DP keeps for this shape
         self._join_memo = {}
         self._fix_memo = {}
@@ -186,6 +193,8 @@ class JoinContext:
         key = (t1, t2, xk)
         hit = self._fix_memo.get(key)
         if hit is None:
+            if self.charge is not None:
+                self.charge(self.entries)
             out = [self.fixpoint(t1, t2, xk)]
             for p in self.parent.pos:
                 t = 1 << p
@@ -217,6 +226,8 @@ class JoinContext:
         hit = self._join_memo.get(key)
         if hit is not None:
             return hit
+        if self.charge is not None:
+            self.charge(self.entries)
         base = self.join_types(e1.base, e2.base, xk)
         result = (ExtendedType(base, self.gather_parent[xk]), self._rank(e1, e2, xk))
         self._join_memo[key] = result
@@ -250,16 +261,23 @@ def canonical_shape(shape):
     ), order
 
 
-def bottom_up(tree, empty, join):
+def bottom_up(tree, empty, join, charge=None):
     """Root result of ``join(ctx, nid, r1, r2)`` in postorder.
 
     ``empty`` is the result of an empty subtree, both children's at a
     leaf.  ``tree`` must be prepared (``AmalgamDecomposition.prepared``).
     One ``JoinContext`` per canonical shape (``tree.shapes()``) serves
-    the whole run; ``ctx`` is node nid's.
+    the whole run; ``ctx`` is node nid's.  Each context gets ``charge``
+    as its ``JoinContext.charge``.
     """
     shapes = tree.shapes()
-    context = functools.cache(JoinContext)  # by canonical shape
+
+    @functools.cache  # by canonical shape
+    def context(shape):
+        ctx = JoinContext(shape)
+        ctx.charge = charge
+        return ctx
+
     results = {}
     for nid in tree.postorder():
         children = [results.pop(c) for c in tree.nodes[nid].children] or (empty, empty)

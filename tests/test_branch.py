@@ -15,7 +15,7 @@ from amwidth.errors import DomainError
 from amwidth.matroid import Matroid
 from amwidth.tutte import tutte_bruteforce, tutte_decomposition
 
-import oracles
+import reference
 from test_decomposition import assert_boundaries_from_grounds
 
 
@@ -122,7 +122,7 @@ def test_corpus_conversions(corpus_dir):
         report = tree.validate()
         assert report.ok, f"{name}: {report}"
         realized = tree.realize()
-        assert oracles.rank_equal(realized, m), name
+        assert reference.rank_equal(realized, m), name
         p = m.linear.field
         bound = (p ** ((3 * k) // 2) - 1) // (p - 1)
         assert tree.width() <= bound, (name, tree.width(), bound)
@@ -144,14 +144,14 @@ def test_conversion_two_elements():
     m = Matroid.from_linear({1: (1, 0), 2: (1, 1)}, 2)
     tree = from_branch_decomposition(m, caterpillar([1, 2]))
     assert tree.validate().ok
-    assert oracles.rank_equal(tree.realize(), m)
+    assert reference.rank_equal(tree.realize(), m)
 
 
 def test_conversion_single_element():
     m = Matroid.from_linear({1: (1,)}, 2)
     tree = from_branch_decomposition(m, caterpillar([1]))
     assert tree.validate().ok
-    assert oracles.rank_equal(tree.realize(), m)
+    assert reference.rank_equal(tree.realize(), m)
 
 
 def test_conversion_parallel_and_interaction():
@@ -163,7 +163,7 @@ def test_conversion_parallel_and_interaction():
     )
     tree = from_branch_decomposition(m, b)
     assert tree.validate().ok
-    assert oracles.rank_equal(tree.realize(), m)
+    assert reference.rank_equal(tree.realize(), m)
 
 
 def test_gf3_rank3_caterpillar_dp_matches_bruteforce():
@@ -201,7 +201,7 @@ def test_conversion_gf3_dimension3_span():
     tree = from_branch_decomposition(m, caterpillar(range(1, 7)))
     assert tree.width() == 13
     assert tree.validate().ok
-    assert oracles.rank_equal(tree.realize(), m)
+    assert reference.rank_equal(tree.realize(), m)
     assert_fresh_points_simple(tree, m)
 
 
@@ -226,4 +226,4 @@ def test_conversion_builds_each_glue_table_once(monkeypatch):
     ]
     assert len(built) == len(set(keys)) < len(keys)
     assert tree.validate().ok
-    assert oracles.rank_equal(tree.realize(), m)
+    assert reference.rank_equal(tree.realize(), m)

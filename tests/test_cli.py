@@ -576,9 +576,9 @@ def test_eval_value_too_long_refused_before_evaluating(tmp_path, capsys, monkeyp
     assert captured.err == "resource error: the --eval value has too many digits to print\n"
 
 
-def test_tutte_dp_budget_refuses_a_width_13_tree(tmp_path, capsys):
-    # a width-13 GF(3) caterpillar, one PG(2,3) glue matroid: its joins
-    # would hold thousands of 2^13-entry type maps
+def _width_13_tree():
+    """A width-13 GF(3) caterpillar, one PG(2,3) glue matroid: its joins
+    would hold thousands of 2^13-entry type maps."""
     rng = random.Random(1)
     while True:
         m = Matroid.from_linear({e: [rng.randrange(3) for _ in range(3)] for e in range(1, 11)}, 3)
@@ -586,7 +586,11 @@ def test_tutte_dp_budget_refuses_a_width_13_tree(tmp_path, capsys):
             break
     ids = list(m.elements)
     random.Random(0).shuffle(ids)
-    tree = from_branch_decomposition(m, caterpillar(ids))
+    return from_branch_decomposition(m, caterpillar(ids))
+
+
+def test_tutte_dp_budget_refuses_a_width_13_tree(tmp_path, capsys):
+    tree = _width_13_tree()
     assert tree.width() == 13
     path = _write(tmp_path / "wide.json", files.decomposition_to_obj(tree))
     start = time.perf_counter()
@@ -595,6 +599,23 @@ def test_tutte_dp_budget_refuses_a_width_13_tree(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("resource error: the Tutte DP would make more than")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("formula", ["exists X (indep(X))", "spanning-indep"])
+def test_mso_dp_budget_refuses_a_width_13_tree(tmp_path, corpus_dir, capsys, formula):
+    # the type maps of indep and closure atoms are charged to the budget
+    # before they are made: without that charge these runs end in a
+    # MemoryError under a 1 GB address-space limit
+    path = _write(tmp_path / "wide.json", files.decomposition_to_obj(_width_13_tree()))
+    if formula == "spanning-indep":
+        formula = str(corpus_dir / "formulas" / "spanning-indep.mso")
+    start = time.perf_counter()
+    assert cli.main(["mso", "--engine", "dp", "-d", path, "-f", formula]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource error: compiled evaluator exceeded its state budget")
     assert "Traceback" not in captured.err
 
 

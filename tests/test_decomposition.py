@@ -10,7 +10,7 @@ from amwidth.errors import DomainError, ResourceError, ValidationError
 from amwidth.matroid import Matroid
 from amwidth.tutte import tutte_bruteforce, tutte_decomposition
 
-import oracles
+import reference
 from conftest import REINTRODUCED_PLACEMENTS, reintroduced_id_tree
 
 
@@ -29,7 +29,7 @@ def test_single_leaf_tree_valid():
     tree = AmalgamDecomposition([DecompositionNode("a", (), Matroid.single(1))], "a")
     report = tree.validate()
     assert report.ok and report.width == 1
-    assert oracles.rank_equal(tree.realize(), Matroid.single(1))
+    assert reference.rank_equal(tree.realize(), Matroid.single(1))
     assert tree.width() == 1
 
 
@@ -40,15 +40,15 @@ def test_twosum_tree_valid_and_realizes_c4():
     assert str(report) == "valid, width 3"
     m = tree.realize()
     assert m.circuits() == frozenset([frozenset([1, 2, 3, 4])])
-    summed = oracles.two_sum(zoo.triangle(1, 2, 10), zoo.triangle(3, 4, 11), 10, 11)
-    assert oracles.rank_equal(m, summed)
+    summed = reference.two_sum(zoo.triangle(1, 2, 10), zoo.triangle(3, 4, 11), 10, 11)
+    assert reference.rank_equal(m, summed)
 
 
 def test_leaf_realization():
     tree = twosum_tree()
     for nid, node in tree.nodes.items():
         if node.is_leaf:
-            assert oracles.rank_equal(tree.realize(nid), node.K)
+            assert reference.rank_equal(tree.realize(nid), node.K)
 
 
 def test_semiflat_violation_reported():
@@ -143,7 +143,7 @@ def assert_boundaries_from_grounds(tree, label):
     for t in (tree, tree.prepared()):
         for nid, node in t.nodes.items():
             for c in node.children:
-                want = oracles.ground(t, c) & node.K.ground_set
+                want = reference.ground(t, c) & node.K.ground_set
                 assert t.boundary(c) == want, (label, c)
         assert t.boundary(t.root) == frozenset(), label
 
@@ -156,7 +156,7 @@ def test_to_nice_roundtrip(corpus_decompositions):
         assert nice.is_nice(), name
         assert nice.width() <= 2 * tree.width(), name
         if len(tree.ground()) <= 10:
-            assert oracles.rank_equal(nice.realize(), tree.realize()), name
+            assert reference.rank_equal(nice.realize(), tree.realize()), name
         else:
             assert nice.ground() == tree.ground(), name
 
@@ -177,7 +177,7 @@ def test_to_nice_noop_when_nice():
     assert tree.is_nice()
     nice = tree.to_nice()
     assert nice.width() == tree.width()
-    assert oracles.rank_equal(nice.realize(), tree.realize())
+    assert reference.rank_equal(nice.realize(), tree.realize())
 
 
 def test_to_nice_duplicates_shared_boundary():
@@ -187,7 +187,7 @@ def test_to_nice_duplicates_shared_boundary():
     assert nice.is_nice()
     root = nice.nodes[nice.root]
     assert len(root.K.ground_set) == 2  # original plus one parallel twin
-    assert oracles.rank_equal(nice.realize(), tree.realize())
+    assert reference.rank_equal(nice.realize(), tree.realize())
 
 
 def test_prepared_once_per_tree(corpus_decompositions):
@@ -213,7 +213,7 @@ def test_prepared_gives_each_element_one_id(where):
     prepared = tree.prepared()
     assert prepared is not tree
     assert prepared.validate().ok and prepared.is_nice()
-    assert oracles.rank_equal(prepared.realize(), tree.realize())
+    assert reference.rank_equal(prepared.realize(), tree.realize())
     ground = prepared.ground()
     assert not any(node.D & ground for node in prepared.nodes.values())
 
@@ -378,10 +378,10 @@ def test_glue_matroids_agree_with_realization(corpus_decompositions):
             node = tree.nodes[v]
             m = tree.realize(v)
             kept = node.K.ground_set - node.D
-            assert oracles.rank_equal(node.K.delete(node.D), m.restrict(kept)), (name, v)
+            assert reference.rank_equal(node.K.delete(node.D), m.restrict(kept)), (name, v)
             j = tree.boundary(v)
             if j <= node.K.ground_set:
-                assert oracles.rank_equal(node.K.restrict(j), m.restrict(j)), (name, v)
+                assert reference.rank_equal(node.K.restrict(j), m.restrict(j)), (name, v)
 
 
 def test_same_table_other_deletions_read_at_same_positions():

@@ -9,7 +9,7 @@ from amwidth import files, kernels, zoo
 from amwidth.errors import ResourceError
 from amwidth.matroid import Matroid
 
-import oracles
+import reference
 from conftest import CORPUS
 
 
@@ -209,7 +209,7 @@ def test_nodes_of_one_structure_share_one_key_object(tmp_path):
         for nid, node in tree.nodes.items():
             assert keys.setdefault(_structure(node.K), node.K.key) is node.K.key, nid
             assert type(node.K.key) is bytes and node.K.key == node.K.table.tobytes(), nid
-            shape = oracles.node_shape(node.K, node.J1, node.J2, tree.boundary(nid), node.D)
+            shape = reference.node_shape(node.K, node.J1, node.J2, tree.boundary(nid), node.D)
             assert shape[0] is node.K.key, nid
             # one table view and one closure cache per structure, too
             k = first.setdefault(_structure(node.K), node.K)
@@ -252,3 +252,4 @@ def test_only_a_new_table_is_checked_against_the_cap(tmp_path, monkeypatch):
         Matroid([1, 2], np.frombuffer(bytearray([0, 1, 1, 1]), dtype=np.int8))
     part = np.frombuffer(bytes([0, 1, 1, 1]), dtype=np.int8, count=2)
     assert Matroid([1], part).key == bytes([0, 1])
+

@@ -1,4 +1,4 @@
-"""Kernel correctness against the brute-force oracles.
+"""Kernel correctness against the brute-force reference.
 
 The rank tables are checked on every subset of small seeded inputs:
 GF(p) matrices (zero, repeated and scaled columns, more rows than
@@ -26,7 +26,7 @@ import pytest
 from amwidth import kernels, linalg
 from amwidth.matroid import positions_of
 
-import oracles
+import reference
 
 
 def _oracle_table(independent, n):
@@ -161,8 +161,8 @@ def test_gf_rank_table_vs_enumeration():
     tbl = kernels.gf_rank_table(mat, p)
     for mask in range(1 << 5):
         subset = [e for e in range(5) if mask >> e & 1]
-        want = oracles.brute_rank(
-            lambda s: oracles.gf_independent(cols, p, s), subset
+        want = reference.brute_rank(
+            lambda s: reference.gf_independent(cols, p, s), subset
         )
         assert int(tbl[mask]) == want, (mask, subset)
     # seeded matrices with d = 0..8 rows; n is capped per field so that
@@ -173,7 +173,7 @@ def test_gf_rank_table_vs_enumeration():
             for n in (3, n_max):
                 mat = _random_columns(rng, p, n, d)
                 cols = {e: tuple(int(x) for x in mat[:, e]) for e in range(n)}
-                want = _oracle_table(lambda s: oracles.gf_independent(cols, p, s), n)
+                want = _oracle_table(lambda s: reference.gf_independent(cols, p, s), n)
                 assert kernels.gf_rank_table(mat, p).tolist() == want, mat
 
 
@@ -202,13 +202,13 @@ def test_graphic_rank_table_vs_dfs():
     tbl = kernels.graphic_rank_table(eu, ev, 3)
     for mask in range(1 << 5):
         subset = [e for e in range(5) if mask >> e & 1]
-        want = oracles.brute_rank(
-            lambda s: oracles.graphic_independent(edges, s), subset
+        want = reference.brute_rank(
+            lambda s: reference.graphic_independent(edges, s), subset
         )
         assert int(tbl[mask]) == want
     for edges, nv in GRAPHS:
         eu, ev = np.array(edges, dtype=np.int64).T
-        independent = lambda s: oracles.graphic_independent(dict(enumerate(edges)), s)
+        independent = lambda s: reference.graphic_independent(dict(enumerate(edges)), s)
         want = _oracle_table(independent, len(edges))
         assert kernels.graphic_rank_table(eu, ev, nv).tolist() == want, edges
 

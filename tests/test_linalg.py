@@ -9,7 +9,7 @@ import pytest
 
 from amwidth import linalg
 
-import oracles
+import reference
 
 FIELDS = [2, 3, 5, 7]
 # rows x columns at most, smaller over larger fields so that the sets of
@@ -52,7 +52,7 @@ def test_rref_matches_numpy_elimination(p):
     for rows, cols in shapes:
         mat = np.array([[rng.randrange(-p, 2 * p) for _ in range(cols)] for _ in range(rows)])
         mat = mat.reshape(rows, cols)
-        ref, r = oracles.rref_numpy(mat, p)
+        ref, r = reference.rref_numpy(mat, p)
         want = (tuple(map(tuple, ref.tolist())), r)
         assert linalg.rref(mat, p) == want, mat
         assert linalg.rref(mat.tolist(), p) == want, mat
@@ -64,9 +64,9 @@ def test_single_spaces_match_enumeration(p):
     for n, mats in _groups(p):
         whole = list(product(range(p), repeat=n))
         for mat in mats:
-            space = oracles.span_set(mat, p, n)
+            space = reference.span_set(mat, p, n)
             basis = linalg.row_basis(mat, p)
-            assert oracles.span_set(basis, p, n) == space, mat
+            assert reference.span_set(basis, p, n) == space, mat
             assert p ** linalg.rank(mat, p) == p ** len(basis) == len(space), mat
             assert linalg.row_basis(basis[::-1] + mat, p) == basis, mat
             null = linalg.nullspace(mat, p)
@@ -74,9 +74,9 @@ def test_single_spaces_match_enumeration(p):
                 v for v in whole if all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in mat)
             }
             # a matrix without rows has no width to take the nullspace in
-            assert oracles.span_set(null, p, n) == annihilated if mat else null == (), mat
-            columns = oracles.span_set(tuple(zip(*mat)), p, len(mat))
-            assert oracles.span_set(linalg.column_space_basis(mat, p), p, len(mat)) == columns
+            assert reference.span_set(null, p, n) == annihilated if mat else null == (), mat
+            columns = reference.span_set(tuple(zip(*mat)), p, len(mat))
+            assert reference.span_set(linalg.column_space_basis(mat, p), p, len(mat)) == columns
             for v in rng.sample(whole, min(30, len(whole))) + rng.sample(sorted(space), 1):
                 assert linalg.in_span(v, basis, p) == (v in space), (mat, v)
             points = linalg.span_vectors(basis, p)
@@ -89,12 +89,12 @@ def test_sums_and_intersections_match_enumeration(p):
     rng = random.Random(p)
     for n, mats in _groups(p):
         for a, b in zip(mats, rng.sample(mats, len(mats))):
-            sa, sb = oracles.span_set(a, p, n), oracles.span_set(b, p, n)
+            sa, sb = reference.span_set(a, p, n), reference.span_set(b, p, n)
             sums = {tuple((u + v) % p for u, v in zip(s, t)) for s in sa for t in sb}
             for x, y in ((a, b), (linalg.row_basis(a, p), linalg.row_basis(b, p))):
                 total = linalg.sum_spaces(x, y, p)
                 assert total == linalg.row_basis(total, p), (a, b)
-                assert oracles.span_set(total, p, n) == sums, (a, b)
+                assert reference.span_set(total, p, n) == sums, (a, b)
                 common = linalg.intersect_spaces(x, y, p)
                 assert common == linalg.row_basis(common, p), (a, b)
-                assert oracles.span_set(common, p, n) == sa & sb, (a, b)
+                assert reference.span_set(common, p, n) == sa & sb, (a, b)

@@ -8,7 +8,7 @@ from amwidth.errors import DomainError, ResourceError
 from amwidth.matroid import Matroid, restrictions_equal
 from amwidth import zoo
 
-import oracles
+import reference
 
 
 def test_rank_empty_and_full(fano, k3):
@@ -18,9 +18,9 @@ def test_rank_empty_and_full(fano, k3):
 
 
 def test_rank_k3_matches_bruteforce(k3):
-    for subset in oracles.subsets([1, 2, 3]):
-        want = oracles.brute_rank(
-            lambda s: oracles.graphic_independent(k3.graph.edges, s), subset
+    for subset in reference.subsets([1, 2, 3]):
+        want = reference.brute_rank(
+            lambda s: reference.graphic_independent(k3.graph.edges, s), subset
         )
         assert k3.rank(subset) == want
 
@@ -32,9 +32,9 @@ def test_rank_unknown_element(k3):
 
 def test_linear_rank_matches_enumeration(fano):
     cols = fano.linear.columns
-    for subset in oracles.subsets(list(cols)):
-        want = oracles.brute_rank(
-            lambda s: oracles.gf_independent(cols, 2, s), subset
+    for subset in reference.subsets(list(cols)):
+        want = reference.brute_rank(
+            lambda s: reference.gf_independent(cols, 2, s), subset
         )
         assert fano.rank(subset) == want
 
@@ -52,7 +52,7 @@ def test_closure_of_empty_is_loops():
 
 def test_closure_idempotent_extensive(u24, fano):
     for m in (u24, fano):
-        for subset in oracles.subsets(m.ground_set):
+        for subset in reference.subsets(m.ground_set):
             cl = m.closure(subset)
             assert cl >= frozenset(subset)
             assert m.closure(cl) == cl
@@ -83,19 +83,19 @@ def test_from_ranks_checks_the_cap_only_for_a_new_table(monkeypatch):
 
 def test_delete_identity(k3):
     d = k3.delete([])
-    assert oracles.rank_equal(d, k3)
+    assert reference.rank_equal(d, k3)
 
 
 def test_restrict_uniform(u24):
     r = u24.restrict([1, 2])
-    assert oracles.rank_equal(r, Matroid.uniform(2, [1, 2]))
+    assert reference.rank_equal(r, Matroid.uniform(2, [1, 2]))
     assert r.rank([1, 2]) == 2
 
 
 def test_delete_restrict_commute(fano):
     a = fano.delete([1]).restrict([2, 3, 4])
     b = fano.restrict([2, 3, 4, 1]).delete([1])
-    assert oracles.rank_equal(a, b)
+    assert reference.rank_equal(a, b)
 
 
 def test_minor_keeps_labels(fano):
@@ -127,17 +127,17 @@ def test_restrictions_equal_unknown(k3):
 def test_two_sum_triangles_is_c4():
     m1 = zoo.triangle(1, 2, 10)
     m2 = zoo.triangle(3, 4, 11)
-    m = oracles.two_sum(m1, m2, 10, 11)
+    m = reference.two_sum(m1, m2, 10, 11)
     assert m.circuits() == frozenset([frozenset([1, 2, 3, 4])])
-    assert oracles.rank_equal(m, zoo.cycle_graphic([1, 2, 3, 4]).restrict([1, 2, 3, 4]))
+    assert reference.rank_equal(m, zoo.cycle_graphic([1, 2, 3, 4]).restrict([1, 2, 3, 4]))
 
 
 def test_two_sum_parallel_relabels():
     m1 = zoo.triangle(1, 2, 10)
     m2 = Matroid.uniform(1, [11, 12])
-    m = oracles.two_sum(m1, m2, 10, 11)
+    m = reference.two_sum(m1, m2, 10, 11)
     relabeled = zoo.triangle(1, 2, 12)
-    assert oracles.rank_equal(m, relabeled)
+    assert reference.rank_equal(m, relabeled)
 
 
 def test_two_sum_never_contains_glue_points(corpus_dir):
@@ -149,7 +149,7 @@ def test_two_sum_never_contains_glue_points(corpus_dir):
         obj = json.loads(path.read_text())
         m1 = files.matroid_from_obj(obj["m1"])
         m2 = files.matroid_from_obj(obj["m2"])
-        m = oracles.two_sum(m1, m2, obj["p1"], obj["p2"])
+        m = reference.two_sum(m1, m2, obj["p1"], obj["p2"])
         assert obj["p1"] not in m.ground_set
         assert obj["p2"] not in m.ground_set
         for c in m.circuits():
@@ -160,14 +160,14 @@ def test_two_sum_rejects_loops_coloops():
     loopy = Matroid.from_linear({1: (0, 0), 2: (1, 0), 3: (0, 1)}, 2)
     other = zoo.triangle(4, 5, 6)
     with pytest.raises(DomainError):
-        oracles.two_sum(loopy, other, 1, 4)  # loop
+        reference.two_sum(loopy, other, 1, 4)  # loop
     with pytest.raises(DomainError):
-        oracles.two_sum(loopy, other, 2, 4)  # coloop
+        reference.two_sum(loopy, other, 2, 4)  # coloop
 
 
 def test_two_sum_rejects_label_overlap():
     with pytest.raises(DomainError):
-        oracles.two_sum(zoo.triangle(1, 2, 3), zoo.triangle(1, 5, 6), 3, 6)
+        reference.two_sum(zoo.triangle(1, 2, 3), zoo.triangle(1, 5, 6), 3, 6)
 
 
 def test_axioms_all_backends(k3, u24, fano):
@@ -239,7 +239,7 @@ def test_random_minors_satisfy_axioms(m, data):
 @settings(max_examples=40, deadline=None)
 @given(small_matroids())
 def test_random_closure_properties(m):
-    for subset in oracles.subsets(m.ground_set):
+    for subset in reference.subsets(m.ground_set):
         cl = m.closure(subset)
         assert m.rank(cl) == m.rank(subset)
         assert m.closure(cl) == cl

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from amwidth import kernels, linalg
 
-import oracles
+import reference
 
 
 def greedy_rank(independent, subset):
@@ -94,5 +94,5 @@ def test_graphic_rank_table_every_mask(case):
     named = dict(enumerate(edges))
     for mask in range(1 << n):
         subset = [e for e in range(n) if mask >> e & 1]
-        want = greedy_rank(lambda s: oracles.graphic_independent(named, s), subset)
+        want = greedy_rank(lambda s: reference.graphic_independent(named, s), subset)
         assert int(tbl[mask]) == want, (edges, mask)

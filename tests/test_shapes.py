@@ -21,7 +21,7 @@ from amwidth.mso.parser import parse
 from amwidth.tutte import tutte_bruteforce, tutte_decomposition
 from amwidth.types_dp import JoinContext
 
-import oracles
+import reference
 from test_mso_compiled import _assignment, _split_by_children
 from test_tutte import _cycle_polynomial, _parallel_chain
 
@@ -72,7 +72,7 @@ def _shapes(tree):
         node = prepared.nodes[v]
         if not node.is_leaf:
             boundary = prepared.boundary(v)
-            out.append(oracles.node_shape(node.K, node.J1, node.J2, boundary, node.D))
+            out.append(reference.node_shape(node.K, node.J1, node.J2, boundary, node.D))
     return out
 
 
@@ -93,7 +93,7 @@ def test_padded_chain_at_each_position(n, corpus_formulas):
     # the padded glue matroid sits n // 2 levels below the root (the root
     # itself for n <= 3), among triangles of one repeated shape
     tree = zoo.triangle_chain(n, pad=2)
-    assert oracles.coeffs(tutte_decomposition(tree)) == _cycle_polynomial(n + 2)
+    assert reference.coeffs(tutte_decomposition(tree)) == _cycle_polynomial(n + 2)
     _assert_compiled_matches_naive(tree, corpus_formulas, n)
 
 
@@ -104,7 +104,7 @@ def test_reordered_chain(corpus_formulas):
     assert len(set(shapes)) >= 6
     for n in (10, 60):
         tree = _chain(n, order=_rotating)
-        assert oracles.coeffs(tutte_decomposition(tree)) == _cycle_polynomial(n + 2)
+        assert reference.coeffs(tutte_decomposition(tree)) == _cycle_polynomial(n + 2)
     _assert_compiled_matches_naive(_chain(10, order=_rotating), corpus_formulas, 1)
 
 
@@ -112,7 +112,7 @@ def test_parallel_chain(corpus_formulas):
     # U(1,3) glue matroids: the dual of the triangle chain, one repeated shape
     tree = _parallel_chain(10)
     want = {(j, i): c for (i, j), c in _cycle_polynomial(12).items()}
-    assert oracles.coeffs(tutte_decomposition(tree)) == want
+    assert reference.coeffs(tutte_decomposition(tree)) == want
     _assert_compiled_matches_naive(tree, corpus_formulas, 2)
 
 
@@ -172,7 +172,7 @@ def test_one_context_and_axiom_check_per_shape(monkeypatch):
     monkeypatch.setattr(JoinContext, "__init__", counted_context)
     monkeypatch.setattr(kernels, "check_rank_axioms", counted_check)
     tree = zoo.triangle_chain(300)
-    assert oracles.coeffs(tutte_decomposition(tree)) == _cycle_polynomial(302)
+    assert reference.coeffs(tutte_decomposition(tree)) == _cycle_polynomial(302)
     assert len(tree.nodes) == 601
     assert sum(node.is_leaf for node in tree.nodes.values()) == 301
     # a leaf's shape has empty J1 and J2: the 301 single-element leaves share one

@@ -2,8 +2,8 @@
 
 ``benchmarks/tracing.py`` wraps package callables by name; a refactor that
 renames or deletes one breaks the traced benchmark run.  The module is
-loaded from its file, not through ``sys.path``: the benchmark directory
-has an ``oracles.py`` of its own that would shadow the tests' one.
+loaded from its file, not through ``sys.path``, so that the benchmark
+directory's modules stay off the tests' import path.
 """
 
 import importlib.util

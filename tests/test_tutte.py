@@ -11,7 +11,7 @@ from amwidth.matroid import Matroid
 from amwidth.tutte import TuttePolynomial, _slots, tutte_bruteforce, tutte_decomposition
 from amwidth.types_dp import JoinContext
 
-import oracles
+import reference
 
 
 def poly_of(pairs):
@@ -19,7 +19,7 @@ def poly_of(pairs):
 
 
 def test_u24_polynomial(u24):
-    assert oracles.coeffs(tutte_bruteforce(u24)) == {
+    assert reference.coeffs(tutte_bruteforce(u24)) == {
         (2, 0): 1,
         (1, 0): 2,
         (0, 1): 2,
@@ -28,16 +28,16 @@ def test_u24_polynomial(u24):
 
 
 def test_k3_polynomial(k3):
-    assert oracles.coeffs(tutte_bruteforce(k3)) == {(2, 0): 1, (1, 0): 1, (0, 1): 1}
+    assert reference.coeffs(tutte_bruteforce(k3)) == {(2, 0): 1, (1, 0): 1, (0, 1): 1}
 
 
 def test_single_coloop():
-    assert oracles.coeffs(tutte_bruteforce(Matroid.single(1))) == {(1, 0): 1}
-    assert oracles.coeffs(tutte_bruteforce(Matroid.single(1, loop=True))) == {(0, 1): 1}
+    assert reference.coeffs(tutte_bruteforce(Matroid.single(1))) == {(1, 0): 1}
+    assert reference.coeffs(tutte_bruteforce(Matroid.single(1, loop=True))) == {(0, 1): 1}
 
 
 def test_empty_matroid():
-    assert oracles.coeffs(tutte_bruteforce(Matroid.empty())) == {(0, 0): 1}
+    assert reference.coeffs(tutte_bruteforce(Matroid.empty())) == {(0, 0): 1}
 
 
 def test_whitney_and_standard_agree(fano):
@@ -53,9 +53,9 @@ def test_whitney_and_standard_agree(fano):
 def test_counting_identities(k3, u24, fano, k4):
     for m in (k3, u24, fano, k4):
         p = tutte_bruteforce(m)
-        assert p.evaluate(1, 1) == oracles.count_bases(m)
-        assert p.evaluate(2, 1) == oracles.count_independent(m)
-        assert p.evaluate(1, 2) == oracles.count_spanning(m)
+        assert p.evaluate(1, 1) == reference.count_bases(m)
+        assert p.evaluate(2, 1) == reference.count_independent(m)
+        assert p.evaluate(1, 2) == reference.count_spanning(m)
         assert p.evaluate(2, 2) == 2 ** m.size
 
 
@@ -73,7 +73,7 @@ def test_str_rendering(u24, k3):
 def test_dp_twosum_c4():
     tree = zoo.triangle_chain(2)
     poly = tutte_decomposition(tree)
-    assert oracles.coeffs(poly) == {(3, 0): 1, (2, 0): 1, (1, 0): 1, (0, 1): 1}
+    assert reference.coeffs(poly) == {(3, 0): 1, (2, 0): 1, (1, 0): 1, (0, 1): 1}
     assert poly == tutte_bruteforce(tree.realize())
 
 
@@ -96,7 +96,7 @@ def test_dp_fano_conversion(corpus_dir, fano):
     poly = tutte_decomposition(tree)
     assert poly == tutte_bruteforce(fano)
     assert poly.evaluate(1, 1) == 28  # Fano has 28 bases out of 35 triples
-    assert oracles.count_bases(fano) == 28
+    assert reference.count_bases(fano) == 28
 
 
 def _binomial_expansion(counts):
@@ -134,7 +134,7 @@ def test_from_whitney_matches_binomial_expansion():
         cases.append(counts)
     for counts in cases:
         poly = TuttePolynomial.from_whitney(counts)
-        assert oracles.coeffs(poly) == _binomial_expansion(counts), counts
+        assert reference.coeffs(poly) == _binomial_expansion(counts), counts
         assert poly.whitney == tuple(sorted((a, b, c) for (a, b), c in counts.items() if c))
 
 
@@ -148,7 +148,7 @@ def _cycle_polynomial(n):
 @pytest.mark.parametrize("n, pad", [(300, 0), (120, 4)])
 def test_dp_long_chain_matches_cycle(n, pad):
     poly = tutte_decomposition(zoo.triangle_chain(n, pad=pad))
-    assert oracles.coeffs(poly) == _cycle_polynomial(n + 2)
+    assert reference.coeffs(poly) == _cycle_polynomial(n + 2)
     assert max(c for _, _, c in poly.whitney) > 2**64
 
 
@@ -177,7 +177,7 @@ def test_dp_parallel_chain_matches_dual_cycle(monkeypatch):
 
     monkeypatch.setattr(JoinContext, "extended_join", recording)
     poly = tutte_decomposition(_parallel_chain(150))
-    assert oracles.coeffs(poly) == {(j, i): c for (i, j), c in _cycle_polynomial(152).items()}
+    assert reference.coeffs(poly) == {(j, i): c for (i, j), c in _cycle_polynomial(152).items()}
     assert max(c for _, _, c in poly.whitney) > 2**64
     assert min(deltas) == -1
 
@@ -195,7 +195,7 @@ def test_dp_joins_each_signature_pair_once_per_shape(monkeypatch):
     made = []
     for n in (50, 400):
         calls.clear()
-        assert oracles.coeffs(tutte_decomposition(zoo.triangle_chain(n))) == _cycle_polynomial(n + 2)
+        assert reference.coeffs(tutte_decomposition(zoo.triangle_chain(n))) == _cycle_polynomial(n + 2)
         made.append(len(calls))
     assert made[0] == made[1] < 50
 
@@ -243,7 +243,7 @@ def test_dp_padded_chain_slots_fit_the_ground_set():
     ground = prepared.ground()
     assert len(ids - ground) > len(ground)
     poly, tables = tutte_decomposition(tree, want_tables=True)
-    assert oracles.coeffs(poly) == _cycle_polynomial(152)
+    assert reference.coeffs(poly) == _cycle_polynomial(152)
     assert max(c for _, _, c in poly.whitney) > 2**64
     assert tables[prepared.root].width == len(ground) + 1
 
@@ -255,7 +255,7 @@ def test_count_table_row_sums(corpus_decompositions):
         prepared = tree.prepared()
         assert set(tables) == set(prepared.nodes)
         for nid, table in tables.items():
-            survivors = len(oracles.ground(prepared, nid))
+            survivors = len(reference.ground(prepared, nid))
             total = sum(sum(table.counts(sig).values()) for sig in table.by_sig)
             assert total == 2**survivors, nid
 
@@ -269,7 +269,7 @@ def test_dp_scales_past_bruteforce():
     tree = zoo.triangle_chain(40)
     poly = tutte_decomposition(tree)
     n = 42  # realized cycle length
-    assert oracles.coeffs(poly) == _cycle_polynomial(n)
+    assert reference.coeffs(poly) == _cycle_polynomial(n)
     assert poly.evaluate(1, 1) == n
 
 
