@@ -36,11 +36,13 @@ one ``validate`` call reaches each distinct verdict once, keyed by
 that is per (K table, J1 and J2 positions, each child's K table and
 parent-boundary positions), except at a node that must glue a child
 whose K misses J_i.  The restriction check compares restricted tables,
-each built once per (table, positions).  A J of at most one
-element inside a K that is a matroid needs no semiflat check: a point,
-or the closure of the empty set, is a modular flat that adds only loops
-and parallel copies.  Nodes of one shape share all of these, and a
-failing verdict is reported at every node it applies to.
+each built once per (table, positions).  The rank axioms come first:
+an internal node whose K breaks them is reported as ``glue-broken``
+alone, since the other rank-level checks would only read the broken
+table.  So a J of at most one element needs no semiflat check: a point,
+or the closure of the empty set, is a modular flat of a matroid that
+adds only loops and parallel copies.  Nodes of one shape share all of
+these, and a failing verdict is reported at every node it applies to.
 """
 
 import functools
@@ -252,6 +254,8 @@ class AmalgamDecomposition:
                     )
                 if j1 or j2 or d:
                     violations.append(Violation(v, "leaf-sets", "leaves carry no J1/J2/D sets"))
+                if len(violations) == before and not verdicts.is_matroid(k):
+                    violations.append(Violation(v, "glue-broken", _GLUE_BROKEN))
             else:
                 g1, g2 = kids
                 kg = k.ground_set
@@ -265,6 +269,11 @@ class AmalgamDecomposition:
                 ):
                     if bad:
                         violations.append(Violation(v, code, GLUE_MESSAGES[code]))
+                if not verdicts.is_matroid(k):
+                    # the rank-level checks would only read the broken table
+                    violations.append(Violation(v, "glue-broken", _GLUE_BROKEN))
+                    clean[v] = False
+                    continue
                 for i, j, pos in ((1, j1, p1), (2, j2, p2)):
                     ok, error = verdicts.semiflat(k, j, pos)
                     if not ok:
@@ -281,8 +290,6 @@ class AmalgamDecomposition:
                             verdicts.restrictions[key] = bad
                     if bad is not None:
                         violations.append(Violation(v, *bad))
-            if len(violations) == before and kids_clean and not verdicts.is_matroid(k):
-                violations.append(Violation(v, "glue-broken", "glue at this node is not a matroid"))
             clean[v] = len(violations) == before and kids_clean
         reuses = not deleted.isdisjoint(self._cache["ground"])
         return _Walk(raw, width, nice, anchored, reuses, violations)
@@ -524,7 +531,8 @@ class AmalgamDecomposition:
         return tree
 
 
-_POINT = (True, None)  # the verdict on a J of at most one element inside a matroid K
+_GLUE_BROKEN = "glue at this node is not a matroid"
+_POINT = (True, None)  # the verdict on a J of at most one element
 _UNSEEN = object()  # a restriction verdict not reached yet; None is "no violation"
 
 
@@ -552,10 +560,10 @@ class _Verdicts:
 
     def semiflat(self, k, j, pos):
         """(whether j, at positions ``pos`` of k, is a modular semiflat in
-        k, DomainError text or None)."""
+        k, DomainError text or None); k is a matroid."""
         if pos is None:  # the error names the stray id: not shared
             return _semiflat(k, j)
-        if len(pos) <= 1 and self.is_matroid(k):
+        if len(pos) <= 1:
             return _POINT
         key = (k.key, pos)
         hit = self.semiflats.get(key)

@@ -21,11 +21,25 @@ children's extended types with its fresh part F of T and keeps the bit
 only when both children's bits hold and the join's rank increment equals
 |F|, since r(X1 + X2 + F) <= r(X1) + r(X2) + |F|.
 
+A spanning atom spanning(T) carries T's node type, as a closure atom
+does, and a bit per parent-boundary subset Y saying whether every
+element of E(M(v)) outside the boundary lies in cl(T_v + Y), T_v the
+part of T in the subtree.  A node reads it off the closure fixed point z
+that Y seeds, the one the closure atom uses: the bit holds when each
+child's bit holds at its boundary part of z and z covers K outside D and
+the parent boundary (``JoinContext.interior``).  This is the closure
+atom's modular-flat argument taken over all elements at once: each
+element of K is checked once, at the node where it leaves the boundary,
+or never, if a node deletes it.  The root reads the bit of the empty
+boundary subset.  So is_base(T), which the parser reads as indep(T) and
+spanning(T), needs no quantifier either.
+
 A leaf is a node like any other, with empty J1, J2 and D, so all of its
 K is fresh; its children are two empty subtrees.  A subformula's state
-there, its empty state, is: atoms undecided or vacuously true, closure
-and independence atoms the empty signature, and a quantified variable
-not placed (a set's empty trace).
+there, its empty state, is: atoms undecided or vacuously true, closure,
+independence and spanning atoms the empty signature (a spanning atom's
+one bit true), and a quantified variable not placed (a set's empty
+trace).
 
 States hold no element ids.  A placed element is its mask over the
 node's sorted boundary (0 when it is hidden below), a set trace is a
@@ -190,6 +204,8 @@ class _Run:
             step, empty, resolve = self._closure(f)
         elif isinstance(f, F.Indep):
             step, empty, resolve = self._indep(f)
+        elif isinstance(f, F.Spanning):
+            step, empty, resolve = self._spanning(f)
         elif isinstance(f, F.Or):
             step, empty, resolve = self._or(*parts)
         elif isinstance(f, F.Exists):
@@ -304,6 +320,23 @@ class _Run:
             return intern((sig, ok1 and ok2 and delta == fresh.bit_count()))
 
         return step, intern((EMPTY, True)), lambda sid: states[sid][1]
+
+    def _spanning(self, f):
+        term = self._term(f.term)
+        states, intern = self._states, self._intern
+
+        def step(ctx, s1, s2, views):
+            (fmap1, a1), (fmap2, a2) = states[s1], states[s2]
+            zs = ctx.fixpoints(fmap1, fmap2, term(views))
+            gather, gather1, gather2 = ctx.gather_parent, ctx.gather1, ctx.gather2
+            interior = ctx.interior
+            fmap = tuple([gather[z] for z in zs])
+            a = tuple(
+                [a1[gather1[z]] and a2[gather2[z]] and z & interior == interior for z in zs]
+            )
+            return intern((fmap, a))
+
+        return step, intern((EMPTY.base, (True,))), lambda sid: states[sid][1][0]
 
     # -- disjunction and quantifier ------------------------------------------------------
 

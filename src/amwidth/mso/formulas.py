@@ -29,6 +29,7 @@ __all__ = [
     "InClosure",
     "ClosureEq",
     "Indep",
+    "Spanning",
     "Not",
     "And",
     "Or",
@@ -106,6 +107,11 @@ class Indep:
     term: object
 
 
+@dataclass(frozen=True)
+class Spanning:
+    term: object
+
+
 # -- connectives and quantifiers ------------------------------------------------
 
 
@@ -153,6 +159,7 @@ _FIELDS = {
     InClosure: (("elem",), ("term",), (), ()),
     ClosureEq: ((), ("left", "right"), (), ()),
     Indep: ((), ("term",), (), ()),
+    Spanning: ((), ("term",), (), ()),
     Not: ((), (), ("inner",), ()),
     And: ((), (), ("left", "right"), ()),
     Or: ((), (), ("left", "right"), ()),
@@ -228,6 +235,8 @@ def to_text(f):
         return f"{f.elem} in cl({_term_text(f.term)})"
     if isinstance(f, Indep):
         return f"indep({_term_text(f.term)})"
+    if isinstance(f, Spanning):
+        return f"spanning({_term_text(f.term)})"
     if isinstance(f, Not):
         return f"!({to_text(f.inner)})"
     if isinstance(f, And):
@@ -264,7 +273,7 @@ def desugar(formula):
 
     - and/implies/forall go through the usual reductions;
     - cl-equality becomes a universally quantified membership biconditional;
-    - every other atom, indep(T) included, is kept as it is.
+    - every other atom, indep(T) and spanning(T) included, is kept as it is.
     """
     used = _all_names(formula)
 
@@ -274,7 +283,7 @@ def desugar(formula):
         return name
 
     def walk(f):
-        if isinstance(f, (ElemEq, SetEq, Member, InClosure, Indep)):
+        if isinstance(f, (ElemEq, SetEq, Member, InClosure, Indep, Spanning)):
             return f
         if isinstance(f, ClosureEq):
             e = fresh()

@@ -85,6 +85,8 @@ def eval_naive(m, formula, assignment=None):
             return env[f.elem] in m.closure(_term_value(f.term, env))
         if isinstance(f, F.Indep):
             return m.independent(_term_value(f.term, env))
+        if isinstance(f, F.Spanning):
+            return m.closure(_term_value(f.term, env)) == ground
         if isinstance(f, F.Not):
             return not ev(f.inner, env)
         if isinstance(f, F.And):

@@ -2,10 +2,13 @@
 
 ASCII aliases: forall, exists, &, |, !, ->, in, cl, indep, = and the set
 terms ``T \\ {e}`` / ``T + {e}``; the unicode forms of the connectives
-are accepted too.  ``is_circuit``, ``is_base`` and ``spanning`` expand to
-their definitions at parse time.  Every walk over a formula, this
-descent included, recurses once per level, so ``parse`` rejects a formula
-nested more than ``MAX_DEPTH`` levels deep, in its text or in its tree.
+are accepted too.  ``spanning(T)`` is the core atom ``Spanning``, which
+both engines decide natively, and ``is_base(T)`` stands for
+``indep(T) & spanning(T)``; ``is_circuit`` is the one macro that
+expands to a quantified definition at parse time.  Every walk over a
+formula, this descent included, recurses once per level, so ``parse``
+rejects a formula nested more than ``MAX_DEPTH`` levels deep, in its
+text or in its tree.
 """
 
 from ..errors import FormulaSyntaxError
@@ -257,10 +260,10 @@ class _Parser:
             term = F.Remove(term, elem) if op == "\\" else F.Add(term, elem)
         return term
 
-    # -- macros ------------------------------------------------------------
+    # -- set predicates: core atoms, except the is_circuit macro ------------
 
     def _fresh(self, term):
-        """An element name for a macro to bind over ``term``: ``e_<token
+        """An element name for ``is_circuit`` to bind over ``term``: ``e_<token
         position>``, lengthened until the term does not use it."""
         used = {name for name, _ in F.parts(F.Indep(term))[0]}
         name = f"e_{self.pos}"
@@ -279,18 +282,10 @@ class _Parser:
         )
 
     def _is_base(self, term):
-        e = self._fresh(term)
-        return F.And(
-            F.Indep(term),
-            F.Forall(
-                e,
-                F.Implies(F.Not(F.Member(e, term)), F.Not(F.Indep(F.Add(term, e)))),
-            ),
-        )
+        return F.And(F.Indep(term), F.Spanning(term))
 
     def _spanning(self, term):
-        e = self._fresh(term)
-        return F.Forall(e, F.InClosure(e, term))
+        return F.Spanning(term)
 
 
 # keyword -> builder of the formula ``keyword ( set_term )`` stands for

@@ -118,6 +118,8 @@ class JoinContext:
     as lists converted once (its scalar lookups are slower on numpy
     scalars): ``scatter1``, ``gather1``, ``scatter2``, ``gather2``,
     ``gather_parent``, and ``fresh_masks``, the fresh subsets' K-masks.
+    ``interior`` is the K-mask outside D and the parent boundary: the
+    elements of K that E(M(v)) holds and no ancestor sees.
 
     ``charge``, None unless a run sets it, is called with the type-map
     entries (2^|parent boundary|) that a miss of ``fixpoints``' or
@@ -137,6 +139,7 @@ class JoinContext:
         self.scatter1, self.gather1 = self.side1.scatter.tolist(), self.side1.gather.tolist()
         self.scatter2, self.gather2 = self.side2.scatter.tolist(), self.side2.gather.tolist()
         self.gather_parent = self.parent.gather.tolist()
+        self.interior = (1 << n) - 1 & ~(self.dmask | self.parent.mask)
         self.fresh_masks = self.fresh.scatter.tolist()
         # type-map entries one signature pair's expansion can make: a parent
         # signature per fresh subset, each over every parent-boundary subset

@@ -21,15 +21,20 @@ through the helpers that code uses:
 - ``node_shape`` (for ``positions`` and ``shapes``): ``K.elements.index``,
   not ``matroid.positions_of``;
 - ``ground`` (for the tree's walk): E(M(v)) = (E(M1) | E(M2) | E(K)) - D;
-- ``rank_equal``: a mask permutation built bit by bit, not ``MaskMap``.
+- ``rank_equal``: a mask permutation built bit by bit, not ``MaskMap``;
+- ``spanning_macro`` and ``is_base_macro`` (for the ``Spanning`` atom of
+  both MSO engines): the quantified definitions over ``InClosure`` and
+  ``Indep``.
 """
 
+import functools
 from itertools import chain, combinations, product
 
 import numpy as np
 
 from amwidth.errors import DomainError
 from amwidth.matroid import Matroid
+from amwidth.mso import formulas as F
 from amwidth.types_dp import ExtendedType
 
 
@@ -39,12 +44,20 @@ def subsets(items):
 
 
 def brute_rank(independent, subset):
-    """Largest independent subset of ``subset`` by enumeration."""
-    best = 0
-    for cand in subsets(subset):
-        if independent(frozenset(cand)):
-            best = max(best, len(cand))
-    return best
+    """Size of the largest independent subset of ``subset``, by enumerating
+    candidates from the largest size down."""
+    items = sorted(subset)
+    for r in range(len(items), -1, -1):
+        if any(independent(frozenset(cand)) for cand in combinations(items, r)):
+            return r
+    raise ValueError("the empty set is not independent")
+
+
+def rank_table(independent, n):
+    """``brute_rank`` of every mask over the elements 0..n-1, indexed by
+    mask, calling ``independent`` once per subset."""
+    independent = functools.cache(independent)
+    return [brute_rank(independent, [e for e in range(n) if m >> e & 1]) for m in range(1 << n)]
 
 
 def graphic_independent(edges, subset):
@@ -230,3 +243,27 @@ def node_shape(k, j1, j2, j_parent, deletions=()):
     at = lambda ids: tuple(map(k.elements.index, sorted(ids))) if set(ids) <= k.ground_set else None
     d = at(deletions)
     return (k.key, at(j1), at(j2), at(j_parent), None if d is None else sum(1 << p for p in d))
+
+
+def _bound_element(term):
+    """An element name that the set term ``term`` does not use."""
+    used = {name for name, _ in F.parts(F.Indep(term))[0]}
+    name = "e"
+    while name in used:
+        name += "_"
+    return name
+
+
+def spanning_macro(term):
+    """spanning(T) as forall e (e in cl(T))."""
+    e = _bound_element(term)
+    return F.Forall(e, F.InClosure(e, term))
+
+
+def is_base_macro(term):
+    """is_base(T) as indep(T) & forall e (!(e in T) -> !indep(T + {e}))."""
+    e = _bound_element(term)
+    return F.And(
+        F.Indep(term),
+        F.Forall(e, F.Implies(F.Not(F.Member(e, term)), F.Not(F.Indep(F.Add(term, e))))),
+    )

@@ -25,7 +25,9 @@ from conftest import CORPUS, REINTRODUCED_PLACEMENTS, reintroduced_id_tree
 # elements inside indep, a circuit as two indep atoms, and indep under
 # negation next to a closure atom.  Then shadowing, which a quantifier's
 # in-place views must undo: a rebound name, and a name both free and bound.
-# Last, closure equality and disjunction, which both engines lower.
+# Then closure equality and disjunction, which both engines lower.  Last,
+# the spanning atom over added and removed elements, and a base test
+# under negation next to a closure atom.
 EXTRA_FORMULAS = {
     "indep-add": "indep(X1 + {x1})",
     "indep-minus-each": r"forall e (e in X1 -> indep(X1 \ {e}))",
@@ -37,6 +39,9 @@ EXTRA_FORMULAS = {
     "closure-eq-add": "cl(X1) = cl(X1 + {x1})",
     "member-or-closure": "x1 in X1 | x1 in cl(X2)",
     "independent-spanner": "exists Y (cl(Y) = cl(X1) & indep(Y))",
+    "spanning-add": "spanning(X1 + {x1})",
+    "spanning-minus": r"spanning(X1 \ {x1})",
+    "base-or-closure": "!is_base(X1) | x1 in cl(X1)",
 }
 
 ASSIGNMENTS_PER_FORMULA = 3
@@ -152,11 +157,14 @@ def test_reintroduced_id_matches_naive(where):
                     assert got == want, (text, assignment)
 
 
-@pytest.mark.parametrize("label", ["connected-closure", "hamiltonian", "spanning-indep"])
+@pytest.mark.parametrize(
+    "label", ["connected-closure", "hamiltonian", "is-base", "spanning-indep"]
+)
 def test_chain_work_does_not_grow(label, corpus_formulas, monkeypatch):
     # one memo per node shape for the whole run: once the states settle,
     # every further triangle of the chain is a memo hit, so no memoized
-    # transition runs its step again
+    # transition runs its step again; is-base's X1 is a base, the chain's
+    # cycle without its first element
     calls = []
     memoized = compiled._Run._memoized
 
@@ -172,8 +180,11 @@ def test_chain_work_does_not_grow(label, corpus_formulas, monkeypatch):
     work = []
     verdicts = set()
     for n in (40, 160):
+        tree = zoo.triangle_chain(n)
+        free = F.free_variables(formula)
+        assignment = {"X1": sorted(tree.ground())[1:]} if free else None
         calls.clear()
-        verdicts.add(eval_decomposition(zoo.triangle_chain(n), formula))
+        verdicts.add(eval_decomposition(tree, formula, assignment))
         work.append(len(calls))
     assert len(verdicts) == 1
     assert work[0] == work[1] > 0
@@ -182,11 +193,11 @@ def test_chain_work_does_not_grow(label, corpus_formulas, monkeypatch):
 # ``--dump-states`` totals of the mso-chain formulas on a corpus chain, with
 # X1 every ground element but the largest where the formula has X1
 DUMP_TOTALS = {
-    "hamiltonian": 2565,
+    "hamiltonian": 1385,
     "connected-closure": 778,
-    "spanning-indep": 276,
+    "spanning-indep": 93,
     "closure-extension": 249,
-    "is-base": 84,
+    "is-base": 18,
 }
 
 

@@ -78,10 +78,9 @@ def test_macro_expansion_text():
     assert F.to_text(parse("is_circuit(X)")) == (
         r"(!(indep(X)) & (forall e_4 ((e_4 in X -> indep(X \ {e_4})))))"
     )
-    assert F.to_text(parse(r"is_base(X \ {x})")) == (
-        r"(indep(X \ {x}) & (forall e_8 ((!(e_8 in X \ {x}) -> !(indep(X \ {x} + {e_8}))))))"
-    )
-    assert F.to_text(parse("spanning(X + {y})")) == "(forall e_8 (e_8 in cl(X + {y})))"
+    # is_base and spanning are core atoms, not macros: they bind nothing
+    assert F.to_text(parse(r"is_base(X \ {x})")) == r"(indep(X \ {x}) & spanning(X \ {x}))"
+    assert F.to_text(parse("spanning(X + {y})")) == "spanning(X + {y})"
     assert F.to_text(parse("ind(X) | is_circuit((Y))")) == (
         r"(indep(X) | (!(indep(Y)) & (forall e_11 ((e_11 in Y -> indep(Y \ {e_11}))))))"
     )
@@ -89,20 +88,21 @@ def test_macro_expansion_text():
 
 def test_macro_variable_avoids_the_terms_names(corpus_dir, k3):
     # the macro would bind e_8 here, which the term already uses freely
-    assert F.to_text(parse("is_base(X1 + {e_8})")) == (
-        r"(indep(X1 + {e_8}) & (forall e_8_ ((!(e_8_ in X1 + {e_8})"
-        r" -> !(indep(X1 + {e_8} + {e_8_}))))))"
+    assert F.to_text(parse("is_circuit(X1 + {e_8})")) == (
+        r"(!(indep(X1 + {e_8})) & (forall e_8_ ((e_8_ in X1 + {e_8}"
+        r" -> indep(X1 + {e_8} \ {e_8_})))))"
     )
-    assert F.to_text(parse("spanning(X + {e_12} + {e_12_})")) == (
-        "(forall e_12__ (e_12__ in cl(X + {e_12} + {e_12_})))"
+    assert F.to_text(parse("is_circuit(X + {e_12} + {e_12_})")) == (
+        r"(!(indep(X + {e_12} + {e_12_})) & (forall e_12__ ((e_12__ in X + {e_12} + {e_12_}"
+        r" -> indep(X + {e_12} + {e_12_} \ {e_12__})))))"
     )
     tree = files.load_decomposition(corpus_dir / "decompositions" / "k3-node.json")
     for name in ("e", "e_8"):
-        # {1} is not a base of the triangle
-        formula = parse(f"is_base(X1 + {{{name}}})")
-        assignment = {"X1": [], name: 1}
-        assert not eval_naive(k3, formula, assignment), name
-        assert not eval_decomposition(tree, formula, assignment), name
+        # {1, 2, 3} is the triangle's circuit
+        formula = parse(f"is_circuit(X1 + {{{name}}})")
+        assignment = {"X1": [2, 3], name: 1}
+        assert eval_naive(k3, formula, assignment), name
+        assert eval_decomposition(tree, formula, assignment), name
 
 
 def test_roundtrip(corpus_formulas):
@@ -155,7 +155,7 @@ def test_nesting_bound_counts_macros_terms_and_prefixes():
     parse("x1 in X1" + " + {x2}" * MAX_DEPTH)
     too_deep = [
         "x1 in X1" + " + {x2}" * (MAX_DEPTH + 1),
-        "!" * (MAX_DEPTH - 1) + "is_base(X1)",
+        "!" * (MAX_DEPTH - 1) + "is_circuit(X1)",
         "exists y " * (MAX_DEPTH + 1) + "y in X1",
         "x1 in X1 -> " * (MAX_DEPTH + 1) + "x1 in X1",
         "! exists y " * (MAX_DEPTH // 2 + 1) + "y in X1",
@@ -187,15 +187,16 @@ def test_free_variables():
 
 
 def test_desugar_core_only():
-    core = F.desugar(parse("forall e (indep(X1) -> e in X1)"))
-    # indep is a core atom: the compiled evaluator decides it natively
-    assert F.desugar(F.Indep(F.Var("X1"))) == F.Indep(F.Var("X1"))
-    assert "indep(X1)" in F.to_text(core)
+    core = F.desugar(parse("forall e (is_base(X1) -> e in X1)"))
+    # indep and spanning are core atoms: the compiled evaluator decides them natively
+    for atom in (F.Indep(F.Var("X1")), F.Spanning(F.Var("X1"))):
+        assert F.desugar(atom) == atom
+    assert "indep(X1)" in F.to_text(core) and "spanning(X1)" in F.to_text(core)
 
     def check(f):
         assert isinstance(
             f,
-            (F.ElemEq, F.SetEq, F.Member, F.InClosure, F.Indep, F.Not, F.Or, F.Exists),
+            (F.ElemEq, F.SetEq, F.Member, F.InClosure, F.Indep, F.Spanning, F.Not, F.Or, F.Exists),
         ), f
         for child in (
             (f.inner,)
@@ -228,6 +229,7 @@ _KINDS = [
         _E,
     ),
     (F.Indep(F.Add(F.Var("X"), "x")), {"X", "x"}, F.Indep(F.Add(F.Var("y"), "x")), _Y),
+    (F.Spanning(F.Remove(F.Var("X"), "x")), {"X", "x"}, F.Spanning(F.Var("y")), _Y),
     (F.Not(_MEMBER), {"x", "X"}, F.Not(F.Indep(F.Var("y"))), _Y),
     (
         F.And(_MEMBER, F.ElemEq("z", "x")),

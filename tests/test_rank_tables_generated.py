@@ -21,15 +21,6 @@ from amwidth import kernels, linalg
 import reference
 
 
-def greedy_rank(independent, subset):
-    """Rank by greedy augmentation, exact for a matroid's independence test."""
-    kept = []
-    for e in sorted(subset):
-        if independent(frozenset(kept + [e])):
-            kept.append(e)
-    return len(kept)
-
-
 @st.composite
 def gf_matrices(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
@@ -92,7 +83,5 @@ def test_graphic_rank_table_every_mask(case):
     tbl = kernels.graphic_rank_table(eu, ev, nv)
     assert tbl.dtype == np.int8 and tbl.shape == (1 << n,)
     named = dict(enumerate(edges))
-    for mask in range(1 << n):
-        subset = [e for e in range(n) if mask >> e & 1]
-        want = greedy_rank(lambda s: reference.graphic_independent(named, s), subset)
-        assert int(tbl[mask]) == want, (edges, mask)
+    want = reference.rank_table(lambda s: reference.graphic_independent(named, s), n)
+    assert tbl.tolist() == want, edges

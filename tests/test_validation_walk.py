@@ -2,9 +2,10 @@
 
 ``AmalgamDecomposition.validate`` derives every node's ground set,
 positions, checks and raw shape in one postorder walk.  Its reports are
-pinned against the multi-pass validator it replaced: the digest below
-was computed by that validator over the same mutated corpus trees, so
-codes, nodes, messages, their order and the width all stay.
+pinned against the multi-pass validator it replaced: over the same
+mutated corpus trees they keep that validator's codes, nodes, messages,
+their order and the width, except that a node whose K breaks the rank
+axioms is now reported as ``glue-broken`` alone.
 """
 
 import hashlib
@@ -28,14 +29,13 @@ from test_shapes import _cycle_polynomial
 
 # sha256 of the reports of ``_mutants`` over the corpus decompositions,
 # one "<tree> <mutant>\n<report>" entry per mutant joined by blank lines
-MUTANT_DIGEST = "0cb6599541fbf5c89ec5ecf1e98f9c49f0fa75ff59a0afe1576b99cb5340a386"
-MUTANT_COUNT = 1131
+MUTANT_DIGEST = "3cfef7a2d352d11bb8ef455e6334399438a5a7727f4afeb3ba22858d7c88507e"
+MUTANT_COUNT = 1197
 
 
 def _broken(k):
     """k with the rank of its whole ground set raised by one.  For most K
-    that breaks the rank axioms, and a node over it is ``glue-broken``
-    when nothing else fails."""
+    that breaks the rank axioms, and a node over it is ``glue-broken``."""
     table = np.array(k.table)
     table[-1] += 1
     return Matroid(k.elements, table)
@@ -64,6 +64,7 @@ def _mutants(tree):
                 ("broken", {"K": _broken(node.K)}),
                 ("free", {"K": Matroid.uniform(len(k), node.K.elements)}),
                 ("line", {"K": Matroid.uniform(min(2, len(k)), node.K.elements)}),
+                ("loops", {"K": Matroid.uniform(0, node.K.elements)}),
             ]
             if j1 & j2:
                 changes.append(("shrink", {"K": node.K.delete({min(j1 & j2)})}))
@@ -103,6 +104,14 @@ def test_mutated_corpus_reports_pinned(corpus_decompositions):
     }
     digest = hashlib.sha256("\n\n".join(entries).encode()).hexdigest()
     assert (len(entries), digest) == (MUTANT_COUNT, MUTANT_DIGEST)
+
+
+def test_broken_glue_is_reported_alone(corpus_decompositions):
+    # K's rank axioms are checked before the semiflat check, which on a
+    # broken table would report t7's one-point J1 as no modular semiflat
+    mutants = dict(_mutants(corpus_decompositions["padded5-c6"]))
+    report = mutants["t7 broken"].validate()
+    assert [(v.node, v.code) for v in report.violations] == [("t7", "glue-broken")]
 
 
 def _one_point_tree():
