@@ -4,6 +4,8 @@
 Runs, in this process and against ``ROOT/src`` (default: this checkout),
 each command below over the corpus under ``ROOT/corpus``:
 
+- per matroid file (``matroids/*.json`` and ``branch/*.matroid.json``):
+  ``info`` and ``tutte --brute``;
 - per branch pair: ``convert`` and ``width``;
 - per decomposition: ``validate``, ``width``, ``nice``, ``tutte`` and
   ``tutte --dp --dump-types``;
@@ -34,6 +36,10 @@ import tempfile
 def runs(files):
     """(argv, dump flag or None) for every run, in a fixed order."""
     corpus = pathlib.Path("corpus")
+    matroids = sorted((corpus / "matroids").glob("*.json"))
+    for m in matroids + sorted((corpus / "branch").glob("*.matroid.json")):
+        yield ["info", "-m", str(m)], None
+        yield ["tutte", "--brute", "-m", str(m)], None
     for b in sorted((corpus / "branch").glob("*.branch.json")):
         m = b.with_name(b.name.replace(".branch.", ".matroid."))
         for command in ("convert", "width"):

@@ -31,9 +31,9 @@ def is_modular_flat(m, subset):
     """Whether the flat ``subset`` pairs modularly with every flat of ``m``."""
     check_cap(m.size, "flat enumeration", FLATS_CAP)
     x = m.mask_of(subset)
-    if int(m.closure_table()[x]) != x:
-        raise DomainError("the given set is not a flat")
     flats = m.flat_masks()
+    if x not in flats:
+        raise DomainError("the given set is not a flat")
     tbl = np.asarray(m.table).astype(np.int16)
     lhs = tbl[x | flats] + tbl[x & flats]
     rhs = tbl[x] + tbl[flats]
@@ -43,7 +43,9 @@ def is_modular_flat(m, subset):
 def is_modular_semiflat(m, subset):
     """cl(subset) is a modular flat and adds only loops and parallel copies."""
     t = m.mask_of(subset)
-    cl = int(m.closure_table()[t])
+    # cl(T) = T + {x : r(T + x) = r(T)}, read without the closure table
+    tbl = m.table
+    cl = t | sum(1 << i for i in range(m.size) if tbl[t | 1 << i] == tbl[t])
     if not is_modular_flat(m, m.set_of(cl)):
         return False
     members = [e for e in subset]

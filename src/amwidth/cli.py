@@ -65,7 +65,7 @@ def _cmd_info(args):
         "coloops": sorted(m.coloops()),
     }
     try:
-        out["circuits"] = sorted(sorted(c) for c in m.circuits())
+        out["circuits"] = m.circuits()
     except ResourceError:
         out["circuits"] = None
     flats = np.bincount(m.table[m.flat_masks()])

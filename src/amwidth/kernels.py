@@ -51,6 +51,20 @@ Two helpers carry every other subset-mask operation of the package:
   pass per bit, it leaves op over all submasks (or supersets) of each
   mask.  Subset sums, superset minima, down-closures and the
   independence-to-rank step are all folds.
+
+Every pass per bit b, in ``fold`` and in the two indicators below, goes
+through ``_halves(vals, b)``: the masks without bit b and with it, as two
+views that line up mask for mask.  It is the one place that orients
+them: a view whose blocks hold a few masks runs one short numpy loop per
+block, so on a long table the passes for bits 1 and 2, and bit 3 of a
+one-byte table, walk the transposed views instead (at 2^16 entries that
+cuts a bit-1 pass from about 200 to 20 µs).  ``circuit_indicator`` and
+``flat_indicator`` read a rank table in one boolean pass per bit
+(Oxley, "Matroid Theory", 1.1 and 1.4): S is a circuit iff it is
+dependent and every S - x is independent, and a flat iff r(S + x) > r(S)
+for every x outside S.  Neither builds the closure table
+(``closure_table``, n gathers over 2^n entries), which is left to the
+readers of closures: ``JoinContext``, ``glue`` and ``Matroid.closure``.
 """
 
 import numpy as np
@@ -61,7 +75,7 @@ from .linalg import inverse_mod, reduced_nullspace, row_basis
 # layered GF(p) pass may hold before the table is split on its top element
 GF_BASIS_BUDGET = 1 << 22
 
-# table length from which ``fold`` walks its short-block passes transposed
+# table length from which ``_halves`` transposes the short-block passes
 _LONG_FOLD = 1 << 10
 
 
@@ -237,28 +251,65 @@ def closure_table(tbl, n):
     return out
 
 
+def _halves(vals, b):
+    """(lo, hi, order): the entries of the masks without bit b and with
+    it, as two views of the contiguous table ``vals`` of length 2**n that
+    line up mask for mask, and the ``order`` to pass to a ufunc on them.
+
+    The plain views are pairs of blocks of 2**b masks, and numpy runs one
+    inner loop per block.  On a long table the passes with blocks of two
+    or four masks, and of eight one-byte masks, go down the transposed
+    views in C order instead: one strided inner loop per position in the
+    block.  Two tables of one item size get one orientation.
+    """
+    halves = vals.reshape(-1, 2, 1 << b)
+    lo, hi = halves[:, 0], halves[:, 1]
+    if vals.size >= _LONG_FOLD and (b in (1, 2) or b == 3 and vals.itemsize == 1):
+        return lo.T, hi.T, "C"
+    return lo, hi, "K"
+
+
 def fold(vals, op, supersets=False):
     """vals[m] := op over vals[s] for every submask s of m, in place.
 
     With ``supersets`` the fold runs over the supersets of m instead.
     ``vals`` is a contiguous array of length 2**n and ``op`` a binary
-    numpy ufunc such as ``np.add`` or ``np.minimum``.  Each pass views
-    vals as pairs of blocks of 2**b masks, without bit b and with it.
-    numpy runs one inner loop per block, so on a large table the passes
-    with blocks of two or four masks go down the transposed views in C
-    order instead: one strided inner loop per position in the block.
+    numpy ufunc such as ``np.add`` or ``np.minimum``: one pass per bit
+    over the ``_halves`` of vals.
     """
     for b in range(vals.size.bit_length() - 1):
-        halves = vals.reshape(-1, 2, 1 << b)
-        lo, hi = halves[:, 0], halves[:, 1]
-        order = "K"
-        if b in (1, 2) and vals.size >= _LONG_FOLD:
-            lo, hi, order = lo.T, hi.T, "C"
+        lo, hi, order = _halves(vals, b)
         if supersets:
             op(lo, hi, out=lo, order=order)
         else:
             op(hi, lo, out=hi, order=order)
     return vals
+
+
+def circuit_indicator(tbl, n):
+    """Boolean table of the circuits of the rank table ``tbl`` over n
+    elements: S is a circuit iff S is dependent and every S - x is
+    independent, one pass per bit."""
+    ind = np.asarray(tbl) == popcounts(n)
+    out = ~ind
+    for b in range(n):
+        ind_lo = _halves(ind, b)[0]
+        _, out_hi, order = _halves(out, b)
+        np.logical_and(out_hi, ind_lo, out=out_hi, order=order)
+    return out
+
+
+def flat_indicator(tbl, n):
+    """Boolean table of the flats of the int8 rank table ``tbl`` over n
+    elements: S is a flat iff r(S + x) > r(S) for every x not in S, one
+    pass per bit."""
+    tbl = np.asarray(tbl)
+    out = np.ones(1 << n, dtype=bool)
+    for b in range(n):
+        lo, hi, order = _halves(tbl, b)
+        out_lo = _halves(out, b)[0]
+        np.logical_and(out_lo, np.less(lo, hi, order=order), out=out_lo, order=order)
+    return out
 
 
 # no CLI path reaches this but zeta's: benchmarks/tracing.py patches it (ROADMAP item 8)

@@ -341,17 +341,16 @@ class Matroid:
         return int(self.closure_table()[mask])
 
     def flat_masks(self):
-        cl = self.closure_table()
-        masks = np.arange(1 << len(self.elements), dtype=np.int64)
-        return masks[cl == masks]
+        return np.flatnonzero(kernels.flat_indicator(self.table, len(self.elements)))
 
     def loops(self):
-        return frozenset(e for e in self.elements if self.rank([e]) == 0)
+        tbl = self.table
+        return frozenset(e for i, e in enumerate(self.elements) if tbl[1 << i] == 0)
 
     def coloops(self):
-        full = self.rank()
+        tbl, full = self.table, self.full_mask
         return frozenset(
-            e for e in self.elements if self.rank(self.ground_set - {e}) == full - 1
+            e for i, e in enumerate(self.elements) if tbl[full ^ 1 << i] < tbl[full]
         )
 
     def independent(self, subset):
@@ -359,15 +358,24 @@ class Matroid:
         return int(self.table[m]) == bin(m).count("1")
 
     def circuits(self):
-        """All inclusion-minimal dependent sets."""
+        """All inclusion-minimal dependent sets, each a list of its ids in
+        increasing order, in increasing order of those lists."""
         n = len(self.elements)
         check_cap(n, "circuit enumeration", CIRCUITS_CAP)
-        dep = self.table < kernels.popcounts(n)
-        circ = dep.copy()
-        # a dependent set is a circuit when no one-smaller subset is dependent
-        for b in range(n):
-            circ.reshape(-1, 2, 1 << b)[:, 1] &= ~dep.reshape(-1, 2, 1 << b)[:, 0]
-        return frozenset(self.set_of(int(m)) for m in np.nonzero(circ)[0])
+        masks = np.flatnonzero(kernels.circuit_indicator(self.table, n))
+        by_id = sorted(range(n), key=self.elements.__getitem__)
+        # bits[c, j]: whether circuit c holds the j-th smallest id.  No
+        # circuit holds another, so where two first differ, the one that
+        # holds the id there is the smaller: the order is that of the
+        # bits read as a number, with column 0 highest, decreasing
+        bits = (masks[:, None] >> np.array(by_id, dtype=np.int64) & 1).astype(bool)
+        weights = np.left_shift(1, np.arange(n - 1, -1, -1, dtype=np.int64))
+        bits = bits[np.argsort(bits @ weights)[::-1]]
+        # ids of any size, as Python ints
+        ids = np.array([self.elements[i] for i in by_id], dtype=object)
+        flat = ids[np.nonzero(bits)[1]].tolist()
+        ends = np.cumsum(bits.sum(axis=1)).tolist()
+        return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
     # -- minors ---------------------------------------------------------
 

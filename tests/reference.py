@@ -11,10 +11,14 @@ these.
 The reference implementations below check library code without running
 through the helpers that code uses:
 
+- ``circuits`` and ``flats`` (for ``Matroid.circuits``, ``flat_masks``
+  and ``info``): the definitions, read off ``m.table.tolist()`` subset
+  by subset, not ``kernels.circuit_indicator`` and ``flat_indicator``;
 - ``two_sum`` (for ``glue``): ranks by ``brute_rank`` over "contains no
-  circuit", not ``kernels.subset_any`` and ``rank_table_from_independence``;
+  circuit" of the ``circuits`` of both parts, not ``kernels.subset_any``
+  and ``rank_table_from_independence``;
 - ``is_proper_amalgam`` and ``gpc_closure`` (for ``proper_amalgam`` and
-  ``generalized_parallel_connection``): ``flat_masks``, ``rank`` and
+  ``generalized_parallel_connection``): ``flats``, ``rank`` and
   ``closure``, not ``amalgam._Union`` and ``kernels.MaskMap``;
 - ``extended_type_of`` (for ``JoinContext``): ``closure`` of the realized
   M(v) with bit loops, not ``kernels.MaskMap``;
@@ -179,6 +183,37 @@ def coeffs(poly):
     return {(i, j): c for i, j, c in poly.coeffs}
 
 
+def _masks_of(m, holds):
+    """The subsets of m's ground set, as sets of ids, whose masks hold
+    for ``holds(ranks, mask)`` on the rank list indexed by mask."""
+    ranks = m.table.tolist()
+    return frozenset(
+        frozenset(e for i, e in enumerate(m.elements) if mask >> i & 1)
+        for mask in range(len(ranks))
+        if holds(ranks, mask)
+    )
+
+
+def circuits(m):
+    """The dependent sets of m all of whose one-smaller subsets are
+    independent."""
+    n = m.size
+    independent = lambda ranks, s: ranks[s] == bin(s).count("1")
+    return _masks_of(
+        m,
+        lambda ranks, s: not independent(ranks, s)
+        and all(independent(ranks, s & ~(1 << x)) for x in range(n) if s >> x & 1),
+    )
+
+
+def flats(m):
+    """The sets F of m with r(F + x) > r(F) for every x outside F."""
+    n = m.size
+    return _masks_of(
+        m, lambda ranks, s: all(ranks[s | 1 << x] > ranks[s] for x in range(n) if not s >> x & 1)
+    )
+
+
 def two_sum(m1, m2, p1, p2):
     """2-sum along p1 in m1 and p2 in m2: the circuits of either side that
     avoid the glue points, and (C1 - p1) | (C2 - p2) for C1 through p1 and
@@ -191,7 +226,7 @@ def two_sum(m1, m2, p1, p2):
     g1, g2 = m1.ground_set - {p1}, m2.ground_set - {p2}
     if g1 & g2 or p1 in g2 or p2 in g1:
         raise DomainError("ground sets overlap beyond the glue elements")
-    c1, c2 = m1.circuits(), m2.circuits()
+    c1, c2 = circuits(m1), circuits(m2)
     circs = {c for c in c1 | c2 if p1 not in c and p2 not in c}
     circs |= {(a - {p1}) | (b - {p2}) for a in c1 if p1 in a for b in c2 if p2 in b}
     independent = lambda s: not any(c <= s for c in circs)
@@ -208,8 +243,9 @@ def is_proper_amalgam(m, m1, m2):
     for i, part in ((1, m1), (2, m2)):
         if any(m.rank(s) != part.rank(s) for s in subsets(part.ground_set)):
             raise DomainError(f"not an amalgam: restriction to E{i} differs from M{i}")
-    flats = (m.set_of(int(mask)) for mask in m.flat_masks())
-    return all(m.rank(f) == m1.rank(f & e1) + m2.rank(f & e2) - m1.rank(f & e1 & e2) for f in flats)
+    return all(
+        m.rank(f) == m1.rank(f & e1) + m2.rank(f & e2) - m1.rank(f & e1 & e2) for f in flats(m)
+    )
 
 
 def gpc_closure(m1, m2, subset):

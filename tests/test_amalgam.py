@@ -253,7 +253,7 @@ def test_glue_two_sum(corpus_dir):
         glued = glue(m1, m2r, Matroid.single(p1), [p1])
         summed = reference.two_sum(m1, m2, p1, p2)
         assert reference.rank_equal(glued, summed), path.stem
-        assert glued.circuits() == summed.circuits(), path.stem
+        assert reference.circuits(glued) == reference.circuits(summed), path.stem
 
 
 def test_glue_parallel_connection():

@@ -16,6 +16,7 @@ from amwidth.matroid import Matroid
 from amwidth.mso import compiled
 from amwidth.tutte import TuttePolynomial, tutte_bruteforce
 
+import reference
 from conftest import ROOT
 from test_branch import caterpillar
 from test_mso_parser import nested_formula
@@ -370,6 +371,28 @@ def test_info_on_independent_sets(tmp_path, capsys):
         "circuits": [[1, 2, 3]],
         "flats_by_rank": {"0": 1, "1": 3, "2": 1},
     }
+
+
+def test_info_matches_the_reference_on_shuffled_negative_ids(tmp_path, capsys):
+    # GF(3) columns under shuffled negative ids, and one past 64 bits: -4
+    # is a loop, -9 and -2 a parallel pair (one a multiple of the other),
+    # -6 a coloop
+    columns = {-2: (2, 0, 0), -11: (0, 1, 0), -4: (0, 0, 0), -6: (0, 0, 1),
+               -9: (1, 0, 0), -1: (1, 1, 0), 10**20: (1, 2, 0)}
+    obj = {"type": "linear", "field": 3, "columns": {str(e): list(v) for e, v in columns.items()}}
+    path = _write(tmp_path / "m.json", obj)
+    assert cli.main(["info", "-m", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    m = Matroid.from_linear(columns, 3)
+    singles = {e: m.rank([e]) for e in columns}
+    assert out["loops"] == [-4]
+    assert out["coloops"] == [-6]
+    assert out["loops"] == sorted(e for e, r in singles.items() if r == 0)
+    assert out["coloops"] == sorted(e for e in columns if m.rank(set(columns) - {e}) < m.rank())
+    assert [-9, -2] in out["circuits"]
+    assert out["circuits"] == sorted(sorted(c) for c in reference.circuits(m))
+    ranks = [m.rank(f) for f in reference.flats(m)]
+    assert out["flats_by_rank"] == {str(r): ranks.count(r) for r in sorted(set(ranks))}
 
 
 def test_dynamic_programs_skip_nodes_the_root_does_not_reach(tmp_path, corpus_dir, capsys):

@@ -14,7 +14,9 @@ also compared on small GF(5) and GF(7) inputs with tables split once
 into layered halves, and split down to counted ones under a budget
 shrunk to zero.  ``MaskMap`` and ``fold`` are checked against bit-by-bit
 loops and enumeration up to six elements, and ``fold`` against one plain
-pass per bit up to 14 elements.  ``tests/test_rank_tables_generated.py``
+pass per bit up to 14 elements.  The circuit and flat indicators, and
+``fold`` on rank tables, are checked against ``reference.circuits`` and
+``reference.flats`` up to 13 elements.  ``tests/test_rank_tables_generated.py``
 draws further inputs with Hypothesis.
 """
 
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 
 from amwidth import kernels, linalg
-from amwidth.matroid import positions_of
+from amwidth.matroid import Matroid, positions_of
 
 import reference
 
@@ -382,6 +384,47 @@ def test_fold_vs_passes_on_long_tables(op, dtype, reduce, supersets):
         assert kernels.fold(out, op, supersets=supersets) is out  # in place
         assert out.dtype == dtype
         assert np.array_equal(out, want), (n, op)
+
+
+def _indicator_tables(n):
+    """(kind, rank table) over n elements: uniform of rank n // 2, and
+    GF(2), GF(3) and graphic tables with a loop and a parallel pair from
+    three elements up."""
+    rng = np.random.default_rng(40 + n)
+    yield "uniform", np.minimum(kernels.popcounts(n), n // 2)
+    for p in (2, 3):
+        yield f"gf{p}", kernels.gf_rank_table(_random_columns(rng, p, n, 4), p)
+    edges = rng.integers(0, 6, size=(n, 2))
+    if n >= 3:
+        edges[1] = edges[0]  # parallel pair
+        edges[2, 1] = edges[2, 0]  # loop
+    yield "graphic", kernels.graphic_rank_table(edges[:, 0], edges[:, 1], 6)
+
+
+def _mask_table(sets, n):
+    """Boolean table of the masks of sets of elements 0..n-1."""
+    out = np.zeros(1 << n, dtype=bool)
+    out[[sum(1 << e for e in s) for s in sets]] = True
+    return out
+
+
+@pytest.mark.parametrize("n", range(14))
+def test_indicators_and_folds_vs_reference(n):
+    # n = 10..13 reach the transposed passes from _LONG_FOLD up
+    pops = kernels.popcounts(n)
+    for kind, tbl in _indicator_tables(n):
+        m = Matroid(range(n), tbl)
+        circuits = _mask_table(reference.circuits(m), n)
+        flats = _mask_table(reference.flats(m), n)
+        assert np.array_equal(kernels.circuit_indicator(m.table, n), circuits), kind
+        assert np.array_equal(kernels.flat_indicator(m.table, n), flats), kind
+        # a set is dependent iff it holds a circuit
+        assert np.array_equal(kernels.fold(circuits, np.logical_or), m.table < pops), kind
+        # r(S) is the size of S's largest independent subset, and the rank
+        # of the least flat holding S
+        assert np.array_equal(kernels.rank_table_from_independence(m.table == pops), m.table)
+        least = np.where(flats, m.table, np.int8(127))
+        assert np.array_equal(kernels.fold(least, np.minimum, supersets=True), m.table), kind
 
 
 def test_whitney_counts():
