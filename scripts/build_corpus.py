@@ -19,6 +19,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from amwidth import files, zoo
 from amwidth.branch import BranchDecomposition, branch_width_of, from_branch_decomposition
+from amwidth.decomposition import AmalgamDecomposition, DecompositionNode
 from amwidth.matroid import Matroid
 
 
@@ -135,6 +136,17 @@ def main():
     decomps["c5-converted"] = from_branch_decomposition(
         c5_gf2, caterpillar([1, 2, 3, 4, 5])
     )
+
+    # two GF(3) combs joined through K with D empty: J2 = {1, 3} is a
+    # modular semiflat in K but not in K's connection with M1, whose
+    # closure of J2 takes up 100
+    k = Matroid.from_linear({1: (2, 2), 2: (2, 2), 3: (2, 0), 4: (1, 0)}, 3)
+    m1 = Matroid.from_linear({2: (2, 2), 4: (1, 0), 100: (0, 2)}, 3)
+    m2 = Matroid.from_linear({1: (2, 2, 0, 0), 3: (2, 0, 0, 0), 200: (0, 1, 0, 0)}, 3)
+    left, right = zoo.comb(m1, "a"), zoo.comb(m2, "b")
+    root = DecompositionNode("r", (left.root, right.root), k)
+    nodes = [*left.nodes.values(), *right.nodes.values(), root]
+    decomps["gf3-semiflat-in-k"] = AmalgamDecomposition(nodes, "r").with_boundaries()
 
     for name, tree in decomps.items():
         report = tree.validate()

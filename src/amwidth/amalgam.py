@@ -1,10 +1,20 @@
 """Modular flats, proper amalgams, generalized parallel connection, glueing.
 
 Two routes to the same matroid are kept deliberately distinct: the
-production path builds a generalized parallel connection from the closed
-closure/rank formulas, while ``proper_amalgam`` realizes the candidate
-rank function zeta by exhaustive superset minimization and is used as the
-oracle.  Tests cross-check them subset-for-subset.
+production path builds a generalized parallel connection by one closed
+closure/rank formula (``_connect``), while ``proper_amalgam`` realizes
+the candidate rank function zeta by exhaustive superset minimization and
+is used as the oracle.  Tests cross-check them subset-for-subset.
+
+The formula is symmetric in the two matroids, so it gives the proper
+amalgam when the common restriction is a modular semiflat in either of
+them (Brylawski, Trans. AMS 203, 1975).  ``glue`` checks
+``glue_violations``, against K, and connects K with M1 by ``_connect``,
+J1 being a modular semiflat in K.  K's verdict on J2 does not carry
+over to that P, whose closure of J2 may take up elements of M1: there
+the formula can break the rank axioms.  So P is joined with M2 by
+``_connect`` when J2 is a modular semiflat in M2 or else in P, and
+otherwise by ``proper_amalgam``, the definition, within ``ZETA_CAP``.
 """
 
 import numpy as np
@@ -12,7 +22,7 @@ import numpy as np
 from . import kernels
 from .config import FLATS_CAP, ZETA_CAP, check_cap
 from .errors import DomainError, GluePreconditionError, NoProperAmalgamError
-from .matroid import Matroid, mask_of, positions_of, restrictions_equal, set_of
+from .matroid import Matroid, mask_of, positions_of, restricted_table, restrictions_equal, set_of
 
 __all__ = [
     "is_modular_flat",
@@ -41,8 +51,11 @@ def is_modular_flat(m, subset):
 
 
 def is_modular_semiflat(m, subset):
-    """cl(subset) is a modular flat and adds only loops and parallel copies."""
+    """cl(subset) is a modular flat and adds only loops and parallel copies:
+    always, with no flat read, for at most one element (the loops or a point)."""
     t = m.mask_of(subset)
+    if t & (t - 1) == 0:
+        return True
     # cl(T) = T + {x : r(T + x) = r(T)}, read without the closure table
     tbl = m.table
     cl = t | sum(1 << i for i in range(m.size) if tbl[t | 1 << i] == tbl[t])
@@ -61,17 +74,13 @@ def is_modular_semiflat(m, subset):
 
 
 class _Union:
-    """Index plumbing for a pair of matroids over the union of their grounds."""
+    """Index plumbing for a pair of matroids over the union of their grounds;
+    ``tn``, the common restriction's table, is read from m1 and checked
+    against m2's."""
 
     def __init__(self, m1, m2, cap=None):
-        shared = [e for e in m1.elements if e in m2._index]
-        if not restrictions_equal(m1, m2, shared):
-            raise DomainError(
-                "the matroids disagree on the ranks of their common restriction"
-            )
         self.m1, self.m2 = m1, m2
-        self.shared = shared
-        self.n_matroid = m1.restrict(shared)
+        self.shared = [e for e in m1.elements if e in m2._index]
         self.elements = list(m1.elements) + [
             e for e in m2.elements if e not in m1._index
         ]
@@ -79,16 +88,24 @@ class _Union:
         check_cap(self.n, "amalgam table", cap)
         self.pos = {e: i for i, e in enumerate(self.elements)}
         p1, p2, pt = (
-            kernels.MaskMap(self.n, positions_of(self.pos, m.elements))
-            for m in (m1, m2, self.n_matroid)
+            kernels.MaskMap(self.n, positions_of(self.pos, ids))
+            for ids in (m1.elements, m2.elements, self.shared)
         )
         self.g1, self.g2, self.gt = p1.gather, p2.gather, pt.gather
         self.s1, self.s2 = p1.scatter, p2.scatter
+        self.tn = restricted_table(m1, positions_of(m1._index, self.shared))
+        if restricted_table(m2, positions_of(m2._index, self.shared)) != self.tn:
+            raise DomainError(
+                "the matroids disagree on the ranks of their common restriction"
+            )
+
+    def tables(self):
+        """m1's, m2's and the common restriction's rank tables, as int64."""
+        tn = np.frombuffer(self.tn, dtype=self.m1.table.dtype)
+        return (np.asarray(t).astype(np.int64) for t in (self.m1.table, self.m2.table, tn))
 
     def eta_table(self):
-        t1 = np.asarray(self.m1.table).astype(np.int64)
-        t2 = np.asarray(self.m2.table).astype(np.int64)
-        tn = np.asarray(self.n_matroid.table).astype(np.int64)
+        t1, t2, tn = self.tables()
         return t1[self.g1] + t2[self.g2] - tn[self.gt]
 
 
@@ -129,29 +146,30 @@ def proper_amalgam(m1, m2):
     return Matroid(elements, zt.astype(np.int8))
 
 
-def generalized_parallel_connection(m1, m2):
-    """Proper amalgam when the common restriction is a modular semiflat in m1.
+def _connect(u):
+    """The generalized parallel connection of the union's two matroids,
+    unchecked, by the closed formula r(X) = r1(X2 & E1) + r2(X1 & E2) -
+    r(T & (X1 | X2)) with Xi = cl_i(X & Ei) | X."""
+    masks = np.arange(1 << u.n, dtype=np.int64)
+    cl1 = np.asarray(u.m1.closure_table())[u.g1]
+    cl2 = np.asarray(u.m2.closure_table())[u.g2]
+    x1 = np.asarray(u.s1)[cl1] | masks
+    x2 = np.asarray(u.s2)[cl2] | masks
+    t1, t2, tn = u.tables()
+    ranks = t1[u.g1[x2]] + t2[u.g2[x1]] - tn[u.gt[x1 | x2]]
+    return Matroid(u.elements, ranks.astype(np.int8))
 
-    The rank table is produced by the closed formula
-    r(X) = r1(X2 & E1) + r2(X1 & E2) - r(T & (X1 | X2)) with
-    Xi = cl_i(X & Ei) | X; the zeta-based construction is the test oracle.
-    """
+
+def generalized_parallel_connection(m1, m2):
+    """Proper amalgam when the common restriction is a modular semiflat in
+    m1, by ``_connect``; the zeta-based construction is the test oracle."""
     u = _Union(m1, m2)
     if not is_modular_semiflat(m1, u.shared):
         raise DomainError(
             "generalized parallel connection requires the common restriction "
             "to be a modular semiflat in the first matroid"
         )
-    masks = np.arange(1 << u.n, dtype=np.int64)
-    cl1 = np.asarray(m1.closure_table())[u.g1]
-    cl2 = np.asarray(m2.closure_table())[u.g2]
-    x1 = np.asarray(u.s1)[cl1] | masks
-    x2 = np.asarray(u.s2)[cl2] | masks
-    t1 = np.asarray(m1.table).astype(np.int64)
-    t2 = np.asarray(m2.table).astype(np.int64)
-    tn = np.asarray(u.n_matroid.table).astype(np.int64)
-    ranks = t1[u.g1[x2]] + t2[u.g2[x1]] - tn[u.gt[x1 | x2]]
-    return Matroid(u.elements, ranks.astype(np.int8))
+    return _connect(u)
 
 
 # each glue precondition code's message; "{0}" is the i of restriction-ji and semiflat-ji
@@ -185,10 +203,13 @@ def glue_violations(m1, m2, k, deletions):
 
 
 def glue(m1, m2, k, deletions=()):
-    """((K + M1) + M2) minus D: two parallel connections, then deletion."""
+    """((K + M1) + M2) minus D: ``glue_violations``, then two proper
+    amalgams and deletion (see the module doc)."""
     violations = glue_violations(m1, m2, k, deletions)
     if violations:
         raise GluePreconditionError([f"{c}: {m}" for c, m in violations])
-    p1 = generalized_parallel_connection(k, m1)
-    p2 = generalized_parallel_connection(p1, m2)
-    return p2.delete(deletions)
+    p = _connect(_Union(k, m1))
+    j2 = sorted(m2.ground_set & k.ground_set)
+    if is_modular_semiflat(m2, j2) or is_modular_semiflat(p, j2):
+        return _connect(_Union(p, m2)).delete(deletions)
+    return proper_amalgam(p, m2).delete(deletions)

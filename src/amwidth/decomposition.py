@@ -39,10 +39,9 @@ whose K misses J_i.  The restriction check compares restricted tables,
 each built once per (table, positions).  The rank axioms come first:
 an internal node whose K breaks them is reported as ``glue-broken``
 alone, since the other rank-level checks would only read the broken
-table.  So a J of at most one element needs no semiflat check: a point,
-or the closure of the empty set, is a modular flat of a matroid that
-adds only loops and parallel copies.  Nodes of one shape share all of
-these, and a failing verdict is reported at every node it applies to.
+table.  A J of at most one element is a modular semiflat of any matroid
+(``is_modular_semiflat``).  Nodes of one shape share all of these, and a
+failing verdict is reported at every node it applies to.
 """
 
 import functools
@@ -532,7 +531,6 @@ class AmalgamDecomposition:
 
 
 _GLUE_BROKEN = "glue at this node is not a matroid"
-_POINT = (True, None)  # the verdict on a J of at most one element
 _UNSEEN = object()  # a restriction verdict not reached yet; None is "no violation"
 
 
@@ -542,7 +540,7 @@ class _Verdicts:
 
     def __init__(self):
         self.matroids = {}  # K key -> whether its table meets the rank axioms
-        self.semiflats = {}  # (K key, J positions) -> ``_semiflat``'s pair
+        self.semiflats = {}  # (K key, J positions) -> ``semiflat``'s pair
         self.tables = {}  # (table key, positions) -> restricted table
         # (K key, J1 and J2 positions, each child's K key and boundary
         # positions) -> ``_restriction_violation``'s result
@@ -560,15 +558,16 @@ class _Verdicts:
 
     def semiflat(self, k, j, pos):
         """(whether j, at positions ``pos`` of k, is a modular semiflat in
-        k, DomainError text or None); k is a matroid."""
-        if pos is None:  # the error names the stray id: not shared
-            return _semiflat(k, j)
-        if len(pos) <= 1:
-            return _POINT
-        key = (k.key, pos)
-        hit = self.semiflats.get(key)
+        k, DomainError text or None); k is a matroid.  A j that leaves k
+        has no positions and its error names the stray id: it is not kept."""
+        hit = self.semiflats.get((k.key, pos))
         if hit is None:
-            hit = self.semiflats[key] = _semiflat(k, j)
+            try:
+                hit = is_modular_semiflat(k, j), None
+            except DomainError as exc:
+                hit = False, str(exc)
+            if pos is not None:
+                self.semiflats[k.key, pos] = hit
         return hit
 
     def restricted(self, m, pos):
@@ -579,9 +578,3 @@ class _Verdicts:
             table = self.tables[key] = restricted_table(m, pos)
         return table
 
-
-def _semiflat(k, j):
-    try:
-        return is_modular_semiflat(k, j), None
-    except DomainError as exc:
-        return False, str(exc)

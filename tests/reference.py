@@ -14,6 +14,9 @@ through the helpers that code uses:
 - ``circuits`` and ``flats`` (for ``Matroid.circuits``, ``flat_masks``
   and ``info``): the definitions, read off ``m.table.tolist()`` subset
   by subset, not ``kernels.circuit_indicator`` and ``flat_indicator``;
+- ``is_modular_semiflat`` (for ``amalgam.is_modular_semiflat`` and the
+  validator's verdicts): ``flats`` and ``rank``, with no shortcut for
+  sets of at most one element;
 - ``two_sum`` (for ``glue``): ranks by ``brute_rank`` over "contains no
   circuit" of the ``circuits`` of both parts, not ``kernels.subset_any``
   and ``rank_table_from_independence``;
@@ -211,6 +214,21 @@ def flats(m):
     n = m.size
     return _masks_of(
         m, lambda ranks, s: all(ranks[s | 1 << x] > ranks[s] for x in range(n) if not s >> x & 1)
+    )
+
+
+def is_modular_semiflat(m, subset, all_flats=None):
+    """cl(T), the intersection of the flats holding T, has r(F) + r(G) =
+    r(F | G) + r(F & G) with every flat G, and each x it adds is a loop or
+    parallel to some e in T; ``all_flats`` is ``flats(m)`` if given."""
+    all_flats = flats(m) if all_flats is None else all_flats
+    t = frozenset(subset)
+    cl = frozenset(m.ground_set).intersection(*(f for f in all_flats if t <= f))
+    if any(m.rank(cl) + m.rank(g) != m.rank(cl | g) + m.rank(cl & g) for g in all_flats):
+        return False
+    return all(
+        m.rank([x]) == 0 or any(m.rank([e]) == 1 and m.rank([x, e]) == 1 for e in t)
+        for x in cl - t
     )
 
 

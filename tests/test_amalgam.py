@@ -1,10 +1,14 @@
 """Modular flats, proper amalgams, parallel connection, glueing."""
 
 import json
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from amwidth import files, zoo
+from amwidth import amalgam, files, zoo
 from amwidth.amalgam import (
     eta,
     generalized_parallel_connection,
@@ -24,6 +28,7 @@ from amwidth.errors import (
 from amwidth.matroid import Matroid
 
 import reference
+from conftest import CORPUS
 
 
 def gpc_corpus(corpus_dir):
@@ -62,6 +67,7 @@ def test_single_elements_are_semiflats(k3, fano, u24):
     for m in (k3, fano, u24):
         for e in m.elements:
             assert is_modular_semiflat(m, [e])
+            assert reference.is_modular_semiflat(m, [e])
 
 
 def test_modular_flat_is_semiflat(fano):
@@ -76,6 +82,7 @@ def test_fano_two_points_not_semiflat(fano):
 
 def test_empty_set_semiflat(k3):
     assert is_modular_semiflat(k3, [])
+    assert reference.is_modular_semiflat(k3, [])
 
 
 def test_eta_zeta_basics():
@@ -215,6 +222,14 @@ def test_gpc_requires_semiflat():
         generalized_parallel_connection(u36, other)
 
 
+def test_amalgams_refuse_disagreeing_common_restrictions():
+    # {1, 2} is a parallel pair in one and independent in the other
+    a, b = Matroid.uniform(1, [1, 2, 3]), Matroid.uniform(2, [1, 2, 4])
+    for build in (generalized_parallel_connection, proper_amalgam):
+        with pytest.raises(DomainError, match="disagree on the ranks of their common"):
+            build(a, b)
+
+
 def test_gpc_boundary_closure_is_semiflat(corpus_dir):
     for name, (m1, m2) in gpc_corpus(corpus_dir).items():
         gpc = generalized_parallel_connection(m1, m2)
@@ -319,3 +334,95 @@ def test_random_glue_axioms():
         except (GluePreconditionError, DomainError):
             continue
         assert g.rank_axiom_violation() is None
+
+
+def _root_glue(name):
+    """K at the root of corpus decomposition ``name`` and its children's."""
+    tree = files.load_decomposition(CORPUS / "decompositions" / f"{name}.json")
+    root = tree.nodes[tree.root]
+    return (root.K, *(tree.nodes[c].K for c in root.children))
+
+
+@st.composite
+def glue_triples(draw):
+    """(K, M1, M2, hard) with no ``glue_violations``: K on 3-7 elements
+    over GF(2) or GF(3), disjoint J1 and J2 in it, and each M_i K's
+    columns on J_i, padded by coordinates of its own, plus 1-3 new
+    elements.  In a hard draw, half of them, J2 is a basis of K, every
+    other element of K is a loop or parallel to one of J2, two of them
+    from distinct classes are in J1, and M1 has a new point on their
+    line: J2 is then no modular semiflat in K's connection with M1."""
+    p = draw(st.sampled_from([2, 3]))
+    hard = draw(st.booleans())
+    # drawn values lean towards the smallest: draw a seed instead
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def child(columns, j, first, line=()):
+        extra = rng.randint(0, 2)
+        cols = {e: columns[e] + (0,) * extra for e in j}
+        for e in range(first, first + rng.randint(1, 3)):
+            cols[e] = tuple(rng.randrange(p) for _ in range(d + extra))
+        if line:
+            cols[first + 3] = tuple(sum(c) % p for c in zip(*(cols[e] for e in line)))
+        return Matroid.from_linear(cols, p)
+
+    if hard:
+        d = rng.randint(2, 3)
+        unit = lambda i: tuple(rng.randrange(1, p) if r == i else 0 for r in range(d))
+        columns = {e: unit(e - 1) for e in range(1, d + 1)}
+        columns[d + 1], columns[d + 2] = unit(0), unit(1)
+        j1, j2 = [d + 1, d + 2], list(range(1, d + 1))
+        for e in range(d + 3, rng.randint(d + 2, 7) + 1):
+            columns[e] = unit(rng.randrange(d)) if rng.random() < 0.8 else (0,) * d
+            rng.choice([j1, j2, []]).append(e)
+        k = Matroid.from_linear(columns, p)
+        return k, child(columns, j1, 100, line=j1[:2]), child(columns, j2, 200), True
+    d = rng.randint(1, 3)
+    ids = range(1, rng.randint(3, 7) + 1)
+    columns = {e: tuple(rng.randrange(p) for _ in range(d)) for e in ids}
+    k = Matroid.from_linear(columns, p)
+    # the loop ends: J's of at most one element always pass
+    while True:
+        js = rng.sample(sorted(columns), rng.randint(0, len(columns)))
+        cut = rng.randint(0, len(js))
+        m1, m2 = child(columns, js[:cut], 100), child(columns, js[cut:], 200)
+        if not glue_violations(m1, m2, k, ()):
+            return k, m1, m2, False
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=glue_triples())
+# J2 = {1, 3} is a modular semiflat in K but not in M2, nor in K's
+# connection with M1, whose closure of J2 takes up 100
+@example(case=(*_root_glue("gf3-semiflat-in-k"), True))
+def test_glue_through_k_is_the_iterated_proper_amalgam(case):
+    # past K's checks, glue joins K's connection P with M2 by the closed
+    # formula where J2 is a modular semiflat in M2 or P, else by zeta
+    k, m1, m2, hard = case
+    p = generalized_parallel_connection(k, m1)
+    j2 = k.ground_set & m2.ground_set
+    in_p = is_modular_semiflat(p, j2)
+    assert not (hard and in_p)
+    with mock.patch.object(amalgam, "proper_amalgam", wraps=proper_amalgam) as zeta_path:
+        got = glue(m1, m2, k)
+    assert zeta_path.called == (not in_p and not is_modular_semiflat(m2, j2))
+    assert reference.rank_equal(got, proper_amalgam(proper_amalgam(k, m1), m2))
+
+
+def test_glue_where_the_formula_breaks_the_rank_axioms():
+    # J1 = {4, 5, 6} and J2 = {1, 2, 3} are modular semiflats in K, J2 in
+    # neither M2 nor K's connection P with M1
+    k = Matroid.from_linear(
+        {1: (1, 0, 0), 2: (0, 2, 0), 3: (0, 0, 2), 4: (1, 0, 0), 5: (0, 1, 0), 6: (0, 0, 2)}, 3
+    )
+    m1 = Matroid.from_linear(
+        {4: (1, 0, 0, 0), 5: (0, 1, 0, 0), 6: (0, 0, 2, 0), 100: (2, 2, 2, 1),
+         101: (1, 2, 0, 1), 103: (1, 1, 0, 0)}, 3
+    )
+    m2 = Matroid.from_linear(
+        {1: (1, 0, 0), 2: (0, 2, 0), 3: (0, 0, 2), 200: (0, 0, 0), 201: (1, 0, 2),
+         202: (2, 2, 2)}, 3
+    )
+    p = generalized_parallel_connection(k, m1)
+    assert amalgam._connect(amalgam._Union(p, m2)).rank_axiom_violation() is not None
+    assert reference.rank_equal(glue(m1, m2, k), proper_amalgam(p, m2))

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from amwidth import cli, files, linalg, zoo
+from amwidth.amalgam import proper_amalgam
 from amwidth.branch import from_branch_decomposition
 from amwidth.config import CIRCUITS_CAP, NAIVE_MSO_CAP, table_cap
 from amwidth.matroid import Matroid
@@ -19,6 +20,7 @@ from amwidth.tutte import TuttePolynomial, tutte_bruteforce
 import reference
 from conftest import ROOT
 from test_branch import caterpillar
+from test_decomposition import mirrored
 from test_mso_parser import nested_formula
 
 
@@ -676,6 +678,41 @@ def test_bad_glue_deletion_exits_1(corpus_dir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: deletions-not-in-glue: D is not inside E(K)\n"
+
+
+def test_tree_with_a_j_semiflat_only_in_k_runs_every_engine(corpus_dir, tmp_path, capsys):
+    # J2 is a modular semiflat in the root's K but not in K's connection
+    # with M1: realize and glue once refused it with exit 1
+    path = corpus_dir / "decompositions" / "gf3-semiflat-in-k.json"
+    tree = str(path)
+    assert cli.main(["tutte", "-d", tree]) == 0
+    text = "x^2 + 2*x + 2*x*y + 2*y + 3*y^2 + 2*y^3 + y^4"
+    assert json.loads(capsys.readouterr().out)["text"] == text
+    assert cli.main(["mso", "-f", "exists X (indep(X))", "-d", tree]) == 0
+    assert json.loads(capsys.readouterr().out)["engines"] == ["dp", "naive"]
+    loaded = files.load_decomposition(path)
+    root = loaded.nodes[loaded.root]
+    k, m1, m2 = root.K, *(loaded.nodes[c].K for c in root.children)  # comb tops
+    paths = [
+        _write(tmp_path / f"{name}.json", files.matroid_to_obj(m))
+        for name, m in (("m1", m1), ("m2", m2), ("k", k))
+    ]
+    assert cli.main(["glue", *paths]) == 0
+    glued = files.matroid_from_obj(json.loads(capsys.readouterr().out))
+    assert reference.rank_equal(glued, proper_amalgam(proper_amalgam(k, m1), m2))
+
+
+def test_mirrored_chain_brute_force_at_the_cap(tmp_path, capsys):
+    # 16 elements, but K's connection with the first child has 17: the
+    # named brute force once exited 2 and the unnamed one was skipped
+    tree = _write(
+        tmp_path / "mirrored.json",
+        files.decomposition_to_obj(mirrored(zoo.triangle_chain(14))),
+    )
+    assert cli.main(["tutte", "--brute", "-d", tree]) == 0
+    brute = capsys.readouterr().out
+    assert cli.main(["tutte", "--dp", "-d", tree]) == 0
+    assert capsys.readouterr().out == brute
 
 
 def test_tutte_matroid_alone_uses_brute_force(corpus_dir, capsys):

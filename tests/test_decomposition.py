@@ -5,6 +5,8 @@ import tracemalloc
 import pytest
 
 from amwidth import zoo
+from amwidth.amalgam import proper_amalgam
+from amwidth.config import REALIZE_CAP
 from amwidth.decomposition import AmalgamDecomposition, DecompositionNode
 from amwidth.errors import DomainError, ResourceError, ValidationError
 from amwidth.matroid import Matroid
@@ -266,6 +268,35 @@ def test_corpus_realizations_satisfy_axioms(corpus_decompositions):
             continue
         m = tree.realize()
         assert m.rank_axiom_violation() is None, name
+
+
+def test_tree_with_a_j_semiflat_only_in_k_realizes(corpus_decompositions):
+    # J2 = {1, 3} is a modular semiflat in the root's K but not in K's
+    # connection with M1; realize once refused this valid tree
+    tree = corpus_decompositions["gf3-semiflat-in-k"]
+    assert str(tree.validate()) == "valid, width 4"
+    k = tree.nodes[tree.root].K
+    m1, m2 = (tree.nodes[c].K for c in tree.nodes[tree.root].children)  # comb tops
+    want = proper_amalgam(proper_amalgam(k, m1), m2)
+    assert reference.rank_equal(tree.realize(), want)
+    poly = tutte_decomposition(tree)
+    assert str(poly) == "x^2 + 2*x + 2*x*y + 2*y + 3*y^2 + 2*y^3 + y^4"
+    assert poly == tutte_bruteforce(want)
+
+
+def mirrored(tree):
+    """``tree`` with the children of every node swapped."""
+    nodes = [n._replace(children=n.children[::-1]) for n in tree.nodes.values()]
+    return AmalgamDecomposition(nodes, tree.root).with_boundaries()
+
+
+def test_mirrored_chain_realizes_at_the_cap():
+    # the chain so far is the first child, so K's connection with it has
+    # 17 elements, one past the flat enumeration's cap, before D goes
+    tree = mirrored(zoo.triangle_chain(14))
+    assert tree.validate().ok
+    assert len(tree.ground()) == REALIZE_CAP
+    assert tutte_bruteforce(tree.realize()) == tutte_decomposition(tree)
 
 
 def test_realized_chain_is_cycle():

@@ -22,7 +22,7 @@ def _corpus_files():
 
 def test_corpus_files_round_trip_byte_identical():
     paths = _corpus_files()
-    assert len(paths) == 32
+    assert len(paths) == 33
     for path in paths:
         text = path.read_text()
         if path.parent.name == "decompositions":

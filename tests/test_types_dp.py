@@ -64,7 +64,8 @@ def test_context_tables_match_bit_loops():
             bool(set(s[3]) & {*s[1], *s[2]}) for s, _ in shapes.values()
         )
     assert {k: v for k, v in shared.items() if v} == {
-        "k3k3-directsum.json": 1, "u13-comb.json": 1, "u24-comb.json": 2
+        "gf3-semiflat-in-k.json": 4, "k3k3-directsum.json": 1, "u13-comb.json": 1,
+        "u24-comb.json": 2,
     }
 
 

@@ -29,8 +29,8 @@ from test_shapes import _cycle_polynomial
 
 # sha256 of the reports of ``_mutants`` over the corpus decompositions,
 # one "<tree> <mutant>\n<report>" entry per mutant joined by blank lines
-MUTANT_DIGEST = "3cfef7a2d352d11bb8ef455e6334399438a5a7727f4afeb3ba22858d7c88507e"
-MUTANT_COUNT = 1197
+MUTANT_DIGEST = "884850553d957eaf0882659e0aba2a494d6268dc502787aaba9ba752e50d650c"
+MUTANT_COUNT = 1288
 
 
 def _broken(k):
@@ -107,8 +107,8 @@ def test_mutated_corpus_reports_pinned(corpus_decompositions):
 
 
 def test_broken_glue_is_reported_alone(corpus_decompositions):
-    # K's rank axioms are checked before the semiflat check, which on a
-    # broken table would report t7's one-point J1 as no modular semiflat
+    # K's rank axioms are checked before the other rank-level checks,
+    # which would only read the broken table
     mutants = dict(_mutants(corpus_decompositions["padded5-c6"]))
     report = mutants["t7 broken"].validate()
     assert [(v.node, v.code) for v in report.violations] == [("t7", "glue-broken")]
@@ -158,10 +158,13 @@ def test_one_element_shortcut_agrees_with_flat_enumeration(corpus_dir, corpus_de
     checked = 0
     for name, m in _small_matroids(corpus_dir, corpus_decompositions):
         assert m.size <= FLATS_CAP
+        flats = reference.flats(m)
         for subset in [[], *([e] for e in m.elements)]:
+            want = reference.is_modular_semiflat(m, subset, flats)
+            assert is_modular_semiflat(m, subset) == want, (name, subset)
             pos = positions_of(m._index, subset)
             got = decomposition._Verdicts().semiflat(m, subset, pos)
-            assert got == (is_modular_semiflat(m, subset), None), (name, subset)
+            assert got == (want, None), (name, subset)
             checked += 1
     assert checked > 300
 
