@@ -24,6 +24,13 @@ parsed once per side by that side's parser, on the prepared tree.  Each
 free set variable is bound to the tree's ground set without its smallest
 element, and each free element variable to that smallest element.
 
+With ``--converted`` the files hold converted trees instead of chains,
+of the kind the convert-tutte benchmark times: per size in ``--sizes``
+(default 6 to 10 elements), a seeded GF(2) rank-3 and a GF(3) rank-2
+matroid of that many nonzero columns, converted by the parent's
+``branch.from_branch_decomposition`` along a caterpillar over the
+columns in shuffled order.  The phases are those of the chains.
+
 With ``--matroids`` the files are matroid files instead: per size in
 ``--sizes`` (default 12 to 16 elements), one seeded GF(2), one GF(3) and
 one graphic matroid, and the phases are ``load`` (``files.load_matroid``),
@@ -36,7 +43,7 @@ total holds one pass in each order, so neither side gains from running
 second, and each pass starts after a full garbage collection.
 
     python3 scripts/phase_ab.py PARENT CHANGE [--rounds N] [--sizes 32 64 250]
-        [--formula FILE | --matroids]
+        [--formula FILE | --matroids | --converted]
 """
 
 import argparse
@@ -58,6 +65,7 @@ FORMULA_PHASES = ("json.loads", "load", "validate+prepared", "compiled")
 MATROID_PHASES = ("load", "info", "brute")
 SIZES = (32, 45, 64, 90, 128, 180, 250)
 MATROID_SIZES = (12, 13, 14, 15, 16)
+CONVERTED_SIZES = (6, 7, 8, 9, 10)
 
 
 def import_side(root, alias, into):
@@ -65,7 +73,7 @@ def import_side(root, alias, into):
     shutil.copytree(pathlib.Path(root) / "src" / "amwidth", into / alias)
     side = {
         name: importlib.import_module(f"{alias}.{name}")
-        for name in ("cli", "files", "tutte", "zoo", "mso", "mso.formulas")
+        for name in ("branch", "cli", "files", "matroid", "tutte", "zoo", "mso", "mso.formulas")
     }
     poly = side["tutte"].TuttePolynomial
     from_whitney = poly.from_whitney
@@ -133,6 +141,28 @@ def matroid_objs(sizes):
         yield {"type": "graphic", "edges": {e: [rng.randrange(8), rng.randrange(8)] for e in ids}}
 
 
+def converted_trees(side, sizes):
+    """The ``--converted`` trees, converted by ``side``'s package."""
+    branch, Matroid = side["branch"], side["matroid"].Matroid
+    for n in sizes:
+        rng = random.Random(n)
+        for p, rank in ((2, 3), (3, 2)):
+            columns = {}
+            while len(columns) < n:
+                v = tuple(rng.randrange(p) for _ in range(rank))
+                if any(v):
+                    columns[len(columns) + 1] = v
+            ids = list(columns)
+            rng.shuffle(ids)
+            # a caterpillar: leaves l0 and l1 on i0, then one leaf per spine node
+            edges = [("l0", "i0"), ("l1", "i0")]
+            for k in range(1, n - 2):
+                edges += [(f"i{k - 1}", f"i{k}"), (f"l{k + 1}", f"i{k}")]
+            edges.append((f"l{n - 1}", f"i{n - 3}"))
+            b = branch.BranchDecomposition.build(edges, {f"l{k}": e for k, e in enumerate(ids)})
+            yield branch.from_branch_decomposition(Matroid.from_linear(columns, p), b)
+
+
 def time_matroids(side, paths):
     """Per-phase seconds of the ``MATROID_PHASES``, summed over the files."""
     files, cli, tutte = side["files"], side["cli"], side["tutte"]
@@ -159,8 +189,10 @@ def main():
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--formula", help="time compiled MSO of this formula file")
     mode.add_argument("--matroids", action="store_true", help="time info and brute force")
+    mode.add_argument("--converted", action="store_true", help="time converted GF(p) trees")
     args = parser.parse_args()
-    sizes = args.sizes or list(MATROID_SIZES if args.matroids else SIZES)
+    default = MATROID_SIZES if args.matroids else CONVERTED_SIZES if args.converted else SIZES
+    sizes = args.sizes or list(default)
     text = None if args.formula is None else pathlib.Path(args.formula).read_text()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -177,12 +209,13 @@ def main():
                 pathlib.Path(inputs[-1]).write_text(json.dumps(obj))
             run = {name: lambda paths, name=name: time_matroids(sides[name], paths) for name in sides}
         else:
-            inputs = [  # file texts
-                writer["files"].dumps(
-                    writer["files"].decomposition_to_obj(writer["zoo"].triangle_chain(n))
-                )
-                for n in sizes
-            ]
+            trees = (
+                converted_trees(writer, sizes)
+                if args.converted
+                else (writer["zoo"].triangle_chain(n) for n in sizes)
+            )
+            files = writer["files"]
+            inputs = [files.dumps(files.decomposition_to_obj(tree)) for tree in trees]  # texts
             formulas = {
                 name: None if text is None else side["mso"].parse(text)
                 for name, side in sides.items()
@@ -206,7 +239,11 @@ def main():
             for name, both in spent.items():
                 passes[name] += both
                 totals[name].append({phase: sum(t[phase] for t in both) for phase in both[0]})
-    kind = "matroid files of sizes" if args.matroids else "triangle chains of sizes"
+    kind = (
+        "matroid files of sizes" if args.matroids
+        else "converted GF(2) and GF(3) trees of sizes" if args.converted
+        else "triangle chains of sizes"
+    )
     print(f"{args.rounds} rounds, both orders each, over {kind} {sizes}")
     if text is not None:
         print(f"formula: {text.strip()}")

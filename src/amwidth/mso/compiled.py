@@ -80,10 +80,12 @@ sizes are bounded by width and formula only.  A budget on the state DAG
 a run builds guards explosion and names the offending formula: each
 distinct interned state is charged once, 1 for an atom or disjunction
 state and 1 plus its pair count for a quantifier state.  The type maps
-that closure and independence atoms make are charged to the same budget,
-2^|parent boundary| entries per miss of a join context's memo, before the
-miss makes them (``JoinContext.charge``), so a wide node stops the run
-before its maps fill memory.
+that closure and independence atoms make are charged to the same budget
+before a miss of a join context's memo makes them (``JoinContext.charge``):
+2^|parent boundary| entries per ``fixpoints`` miss, and ``pair_cost`` on a
+signature pair's first ``indep`` miss, which expands every fresh choice
+of the pair at once.  So a wide node stops the run before its maps fill
+memory.
 """
 
 from operator import itemgetter

@@ -12,23 +12,30 @@ the product's lowest -delta slots are empty.  Ranks come from the
 extended-type join, never from realization.
 
 A pair of child signatures expands, over the fresh subsets of K, into
-parent signatures with their rank increments and added nullities.  The
-expansion depends on the node's shape alone, so it is computed on the
-pair's first visit and kept in the memo of the shape's ``JoinContext``;
-a node whose shape repeats pays one lookup per pair, however long the
-tree.  A row with one nonzero slot, as every row of a one-element leaf
-has, is no real factor: the other row moves by a single shift, of that
-slot's rank plus delta, after one multiplication by its count when that
-is not 1.
+parent signatures with their rank increments and added nullities, in one
+pass (``JoinContext.expand``: one rank query per pair).  The expansion
+depends on the node's shape alone, so it is made on the pair's first
+visit and kept in the pair memo of the shape's ``JoinContext``; a node
+whose shape repeats pays one lookup per pair, however long the tree.  A
+child signature whose trace meets the node's D has no parent subset,
+and is dropped before the pair loop.  A row with one nonzero slot, as
+every row of a one-element leaf has, is no real factor: the other row
+moves by a single shift, of that slot's rank plus delta, after one
+multiplication by its count when that is not 1.
 
 Every node, a leaf too, joins its children's tables through its glue
 matroid.  A leaf's children are empty subtrees, whose table is one row:
 the signature ``EMPTY`` at nullity 0, one subset of rank 0.  Leaves of
 one canonical shape get one table, built once per run and kept in the
-memo of the shape's ``JoinContext``.  A pair's first visit charges the
-type-map entries its expansion can make against ``TUTTE_BUDGET``, and
-past it the run raises ResourceError before making them; a repeated
-shape charges nothing, so a long chain costs no more than a short one.
+memo of the shape's ``JoinContext``.  A pair's first expansion charges
+the type-map entries it can make (``JoinContext.pair_cost``) through the
+run's ``charge`` callback against ``TUTTE_BUDGET``, and past it the run
+raises ResourceError before making any; a repeated shape charges
+nothing, so a long chain costs no more than a short one.
+
+No Tutte polynomial has a negative coefficient, so a DP answer with one
+is refused with DomainError rather than returned: ``validate`` accepts
+some trees on which the join does not hold.
 
 The root's counts give the Whitney form, the sum of c_ab (x-1)^a (y-1)^b.
 ``TuttePolynomial.from_whitney`` changes basis in one packed pass: it
@@ -45,7 +52,7 @@ import numpy as np
 
 from . import kernels
 from .config import TUTTE_BUDGET
-from .errors import ResourceError
+from .errors import DomainError, ResourceError
 from .types_dp import EMPTY, bottom_up
 from .types_dp import leaf_signatures  # unused here: only benchmarks/tracing.py patches this name
 
@@ -182,7 +189,8 @@ def tutte_decomposition(tree, want_tables=False):
 
     The tree is validated and, when needed, made nice first.  Returns the
     polynomial, or (polynomial, per-node tables) when ``want_tables``.
-    Raises ResourceError when the joins would pass ``TUTTE_BUDGET``.
+    Raises ResourceError when the joins would pass ``TUTTE_BUDGET``, and
+    DomainError when the answer has a negative coefficient.
     """
     tree = tree.prepared()
     sizes = tree.ground_sizes()
@@ -193,43 +201,29 @@ def tutte_decomposition(tree, want_tables=False):
     empty = _NodeTable(width)
     empty.by_sig[EMPTY] = {0: 1}
     empty.split = _single_slots(empty)
-    interned = {}  # every signature of the run, as its one instance
     spent = 0
 
-    def expand(ctx, sig1, sig2):
-        """((sig, delta, |fresh| - delta), ...) over the fresh masks for one
-        signature pair, or () when a child's trace meets D.
-
-        The budget is charged here, before ``extended_join`` makes the
-        pair's parent signatures: only a pair's first visit makes any.
-        Contexts of other shapes make equal signatures too; interning
-        them keeps every memo lookup of the run an identity match.
-        """
+    def charge(entries):
+        """Count a pair's type-map entries toward ``TUTTE_BUDGET`` before
+        ``JoinContext.expand`` makes any."""
         nonlocal spent
-        if (ctx.scatter1[sig1.trace] | ctx.scatter2[sig2.trace]) & ctx.dmask:
-            return ()
-        spent += ctx.pair_cost
+        spent += entries
         if spent > TUTTE_BUDGET:
             raise ResourceError(f"the Tutte DP would make more than {TUTTE_BUDGET} type-map entries")
-        out = []
-        for fmask in ctx.fresh_masks:  # fresh masks miss D
-            sig, delta = ctx.extended_join(sig1, sig2, fmask)
-            out.append((interned.setdefault(sig, sig), delta, fmask.bit_count() - delta))
-        return tuple(out)
 
     def join(ctx, nid, t1, t2):
         if t1 is not empty or t2 is not empty:
-            table = _join_tables(ctx, t1, t2, expand)
+            table = _join_tables(ctx, t1, t2)
         elif "leaf" in ctx.memo:  # a leaf: tables are never changed once built
             table = ctx.memo["leaf"]
         else:
-            table = ctx.memo["leaf"] = _join_tables(ctx, t1, t2, expand)
+            table = ctx.memo["leaf"] = _join_tables(ctx, t1, t2)
         if want_tables:
             tables[nid] = table
         return table
 
     by_nu = Counter()
-    for rows in bottom_up(tree, empty, join).by_sig.values():
+    for rows in bottom_up(tree, empty, join, charge).by_sig.values():
         by_nu.update(rows)
     full_rank = max(((p.bit_length() - 1) // width for p in by_nu.values()), default=0)
     whitney = {
@@ -238,25 +232,29 @@ def tutte_decomposition(tree, want_tables=False):
         for r, c in _slots(packed, width).items()
     }
     poly = TuttePolynomial.from_whitney(whitney)
+    if any(c < 0 for _, _, c in poly.coeffs):
+        raise DomainError("the Tutte DP gave a negative coefficient, which no matroid has")
     if want_tables:
         return poly, tables
     return poly
 
 
-def _join_tables(ctx, t1, t2, expand):
+def _join_tables(ctx, t1, t2):
     """Parent table: per signature pair, one product per pair of nullity
     rows, moved by each fresh choice's rank increment (see module doc).
-    ``expand(ctx, sig1, sig2)`` makes a pair's memo entry."""
+    A child signature whose trace meets D has no parent subset and is
+    dropped before the pair loop.  A pair's expansion is read from the
+    context's pair memo, and on a miss from ``JoinContext.expand``."""
     width = t1.width
     table = _NodeTable(width)
-    by_sig, memo = table.by_sig, ctx.memo
+    by_sig, pairs, expand, dmask = table.by_sig, ctx.pairs, ctx.expand, ctx.dmask
+    scatter1, scatter2 = ctx.scatter1, ctx.scatter2
+    split2 = [(sig2, rows2) for sig2, rows2 in t2.split if not scatter2[sig2.trace] & dmask]
     for sig1, rows1 in t1.split:
-        for sig2, rows2 in t2.split:
-            joined = memo.get((sig1, sig2))
-            if joined is None:
-                joined = memo[sig1, sig2] = expand(ctx, sig1, sig2)
-            if not joined:
-                continue
+        if scatter1[sig1.trace] & dmask:
+            continue
+        for sig2, rows2 in split2:
+            joined = pairs.get((sig1, sig2)) or expand(sig1, sig2)
             targets = [(by_sig.setdefault(sig, {}), delta, extra) for sig, delta, extra in joined]
             for nu1, p1, one1 in rows1:
                 for nu2, p2, one2 in rows2:

@@ -9,10 +9,23 @@ restricted tracked set X' when Y joins it is read off the closure map:
 adding the top element t of Y to Y - t raises the rank of X' + Y - t
 exactly when t is outside its closure, so
 offsets[Y] = offsets[Y - t] + (0 if t in fmap[Y - t] else 1) for any
-matroid.  The join computes the parent's type by closure fixed points,
-and one rank query gives the rank increment of the combination; nothing
-is realized.  The tests check it against types recomputed on the
+matroid.  The join computes the parent's type by closure fixed points;
+nothing is realized.  The tests check it against types recomputed on the
 realized matroid (``tests/reference.py``).
+
+A pair of child signatures is expanded in one pass over every fresh
+subset F of K (``JoinContext.expand``).  The same recurrence gives the
+rank increments: the fixed points fix(x0 | F) of the children's traces
+x0 plus F grow over the fresh positions by doubling, and adding a fresh
+t to F raises the rank exactly when t is outside fix(x0 | F), so one
+rank query, at F empty, serves the whole pair.  Each F's type map then
+doubles over the parent boundary from its fixed point; it depends on
+that point and the children's type maps alone, so it is grown once per
+context.  A pair is expanded once per shape and run, and its first
+expansion charges the run's budget with every type-map entry it can
+make (``pair_cost``) before making any.  Both dynamic programs read it: the Tutte DP per pair,
+compiled MSO's ``indep`` one fresh choice at a time
+(``extended_join``).
 
 Types hold no element ids: a boundary subset is a mask over the sorted
 boundary.  A node's *shape* is its glue matroid's ``Matroid.key``
@@ -65,7 +78,9 @@ class ExtendedType:
     """A node type, the closure-map tuple ``base``, and the tracked set's
     boundary trace.  ``offsets`` is read off ``base`` when built (see the
     module doc), so it takes no part in equality or hashing.  The hash of
-    (base, trace) is computed once: the DPs' memos key on signatures."""
+    (base, trace) is computed once: the DPs' memos key on signatures.
+    ``JoinContext.expand`` builds one only for a (base, trace) that the
+    run has not made yet."""
 
     base: tuple  # the node type: [Ymask] = closure mask over the sorted boundary
     trace: int  # tracked set's boundary mask
@@ -122,9 +137,11 @@ class JoinContext:
     elements of K that E(M(v)) holds and no ancestor sees.
 
     ``charge``, None unless a run sets it, is called with the type-map
-    entries (2^|parent boundary|) that a miss of ``fixpoints``' or
-    ``extended_join``'s memo is about to make, before it makes them, so a
-    run can stop on a budget first.
+    entries that a memo miss is about to make, before it makes them, so a
+    run can stop on a budget first: 2^|parent boundary| for ``fixpoints``,
+    ``pair_cost`` for ``expand``.  ``pairs`` is the memo of ``expand``,
+    and ``signatures`` the run's interned signatures, which ``bottom_up``
+    shares between the run's contexts.
     """
 
     def __init__(self, shape):
@@ -141,16 +158,18 @@ class JoinContext:
         self.gather_parent = self.parent.gather.tolist()
         self.interior = (1 << n) - 1 & ~(self.dmask | self.parent.mask)
         self.fresh_masks = self.fresh.scatter.tolist()
-        # type-map entries one signature pair's expansion can make: a parent
+        # type-map entries one signature pair's expansion makes: a parent
         # signature per fresh subset, each over every parent-boundary subset
         self.pair_cost = len(self.fresh_masks) << len(pos_parent)
         self.clk = kernels.closure_table(tk, n).tolist()
         self.tk = tk.tolist()
         self.entries = 1 << len(pos_parent)  # of one type map, or of one fixpoints list
         self.charge = None
+        self.signatures = {}  # (base, trace) -> its one ExtendedType
         self.memo = {}  # the results the running DP keeps for this shape
-        self._join_memo = {}
+        self.pairs = {}  # (e1, e2) -> its expand
         self._fix_memo = {}
+        self._bases = {}  # (t1, t2) -> {fixed point: the type map grown from it}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -185,32 +204,74 @@ class JoinContext:
                 return z
             z = z2
 
-    def fixpoints(self, t1, t2, xk):
-        """The closure fixed point seeded by xk and each parent-boundary
-        subset, in subset order; memoized per context.
+    def _grown(self, t1, t2, z, positions):
+        """The fixed points seeded by the fixed point z plus each subset of
+        ``positions``, in subset order.
 
         A subset's point grows from that of the subset without its top
         element t, as cl(A + t) = cl(cl(A) + t): it is that point itself
         when the point holds t, else ``fixpoint`` from the point plus t.
         """
+        out = [z]
+        for p in positions:
+            t = 1 << p
+            out += [z if z & t else self.fixpoint(t1, t2, z | t) for z in out]
+        return out
+
+    def fixpoints(self, t1, t2, xk):
+        """The closure fixed point seeded by xk and each parent-boundary
+        subset, in subset order; memoized per context."""
         key = (t1, t2, xk)
         hit = self._fix_memo.get(key)
         if hit is None:
             if self.charge is not None:
                 self.charge(self.entries)
-            out = [self.fixpoint(t1, t2, xk)]
-            for p in self.parent.pos:
-                t = 1 << p
-                out += [z if z & t else self.fixpoint(t1, t2, z | t) for z in out]
-            hit = self._fix_memo[key] = tuple(out)
+            start = self.fixpoint(t1, t2, xk)
+            hit = self._fix_memo[key] = tuple(self._grown(t1, t2, start, self.parent.pos))
         return hit
 
     # -- public joins -----------------------------------------------------
 
-    def join_types(self, t1, t2, xk):
-        """Definition-of-join fixed point, restricted to the parent boundary."""
-        gather = self.gather_parent
-        return tuple(gather[z] for z in self.fixpoints(t1, t2, xk))
+    def expand(self, e1, e2):
+        """((sig, delta, |F| - delta), ...) over ``fresh_masks`` in order for
+        one signature pair, or () when a child's trace meets D; memoized in
+        ``pairs``.  With x0 the children's traces in K, sig is the parent
+        signature of the tracked set x0 | F and delta = r(X') - r1 - r2,
+        made in one pass (module doc).  A miss charges ``pair_cost``
+        first, all the type maps the pair can make; it grows only those
+        whose fixed point no pair with the same child type maps grew, and
+        only a (base, trace) new to ``signatures`` builds an
+        ``ExtendedType``.
+        """
+        hit = self.pairs.get((e1, e2))
+        if hit is not None:
+            return hit
+        x0 = self.scatter1[e1.trace] | self.scatter2[e2.trace]
+        if x0 & self.dmask:
+            return ()
+        if self.charge is not None:
+            self.charge(self.pair_cost)
+        t1, t2 = e1.base, e2.base
+        fixed = self._grown(t1, t2, self.fixpoint(t1, t2, x0), self.fresh.pos)
+        deltas = [self._rank(e1, e2, x0)]
+        for p in self.fresh.pos:  # delta(F + t) from delta(F) and fix(x0 | F)
+            t = 1 << p
+            deltas += [d + (not z & t) for z, d in zip(fixed, deltas)]
+        gather, signatures, parent_pos = self.gather_parent, self.signatures, self.parent.pos
+        bases = self._bases.setdefault((t1, t2), {})
+        out = []
+        for fmask, start, delta in zip(self.fresh_masks, fixed, deltas):
+            base = bases.get(start)
+            if base is None:
+                zs = self._grown(t1, t2, start, parent_pos)
+                base = bases[start] = tuple([gather[z] for z in zs])
+            key = (base, gather[x0 | fmask])
+            sig = signatures.get(key)
+            if sig is None:
+                sig = signatures[key] = ExtendedType(*key)
+            out.append((sig, delta, fmask.bit_count() - delta))
+        out = self.pairs[e1, e2] = tuple(out)
+        return out
 
     def extended_join(self, e1, e2, fresh):
         """Parent signature and rank increment for one combination.
@@ -219,22 +280,13 @@ class JoinContext:
         (ExtendedType, delta) with delta = r(X') - r1 - r2, or raises
         DomainError when the tracked set meets D: through a child's trace
         or through ``fresh``.  J1 and J2 are disjoint on a nice tree, so
-        the traces cannot disagree.  One rank query per new combination:
-        the parent's offsets are read off its type.
+        the traces cannot disagree.  It reads one entry of the pair's
+        ``expand``, which makes every fresh choice of the pair at once.
         """
-        xk = self.scatter1[e1.trace] | self.scatter2[e2.trace] | fresh
-        if xk & self.dmask:
+        if (self.scatter1[e1.trace] | self.scatter2[e2.trace] | fresh) & self.dmask:
             raise DomainError("tracked set meets the deleted set D")
-        key = (e1, e2, fresh)
-        hit = self._join_memo.get(key)
-        if hit is not None:
-            return hit
-        if self.charge is not None:
-            self.charge(self.entries)
-        base = self.join_types(e1.base, e2.base, xk)
-        result = (ExtendedType(base, self.gather_parent[xk]), self._rank(e1, e2, xk))
-        self._join_memo[key] = result
-        return result
+        sig, delta, _ = self.expand(e1, e2)[self.fresh.gather[fresh]]
+        return sig, delta
 
 
 def canonical_shape(shape):
@@ -271,14 +323,18 @@ def bottom_up(tree, empty, join, charge=None):
     leaf.  ``tree`` must be prepared (``AmalgamDecomposition.prepared``).
     One ``JoinContext`` per canonical shape (``tree.shapes()``) serves
     the whole run; ``ctx`` is node nid's.  Each context gets ``charge``
-    as its ``JoinContext.charge``.
+    as its ``JoinContext.charge``, and the run's one ``signatures`` dict,
+    so equal signatures that contexts of different shapes make are one
+    instance and every memo lookup of the run is an identity match.
     """
     shapes = tree.shapes()
+    signatures = {}
 
     @functools.cache  # by canonical shape
     def context(shape):
         ctx = JoinContext(shape)
         ctx.charge = charge
+        ctx.signatures = signatures
         return ctx
 
     results = {}

@@ -291,6 +291,24 @@ def extended_type_of(tree, nid, tracked):
     return ExtendedType(tuple(trace(m.closure(x | y)) for y in ys), trace(x))
 
 
+def per_mask_join(ctx, e1, e2, fresh):
+    """The parent signature and rank increment of one fresh choice by the
+    join's definition: the closure fixed points of the tracked set's
+    K-part x0 | fresh under each parent-boundary subset, and one rank
+    query at that K-part, with no reuse between fresh choices."""
+    xk = ctx.scatter1[e1.trace] | ctx.scatter2[e2.trace] | fresh
+    sig = ExtendedType(join_types(ctx, e1.base, e2.base, xk), ctx.gather_parent[xk])
+    return sig, ctx._rank(e1, e2, xk)
+
+
+def join_types(ctx, t1, t2, xk):
+    """The join's type map by its definition: the closure fixed point of
+    xk plus each parent-boundary subset under the children's type maps t1
+    and t2, one ``fixpoint`` each, restricted to the parent boundary."""
+    gather = ctx.gather_parent
+    return tuple(gather[ctx.fixpoint(t1, t2, y | xk)] for y in ctx.parent.scatter.tolist())
+
+
 def node_shape(k, j1, j2, j_parent, deletions=()):
     """A node's shape from ids: K's key, the K-positions of sorted J1, J2
     and parent boundary, and the K-mask of D; None for a set outside K."""

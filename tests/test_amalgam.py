@@ -409,9 +409,9 @@ def test_glue_through_k_is_the_iterated_proper_amalgam(case):
     assert reference.rank_equal(got, proper_amalgam(proper_amalgam(k, m1), m2))
 
 
-def test_glue_where_the_formula_breaks_the_rank_axioms():
-    # J1 = {4, 5, 6} and J2 = {1, 2, 3} are modular semiflats in K, J2 in
-    # neither M2 nor K's connection P with M1
+def formula_breaking_glue():
+    """(K, M1, M2) over GF(3): J1 = {4, 5, 6} and J2 = {1, 2, 3} are
+    modular semiflats in K, J2 in neither M2 nor K's connection with M1."""
     k = Matroid.from_linear(
         {1: (1, 0, 0), 2: (0, 2, 0), 3: (0, 0, 2), 4: (1, 0, 0), 5: (0, 1, 0), 6: (0, 0, 2)}, 3
     )
@@ -423,6 +423,11 @@ def test_glue_where_the_formula_breaks_the_rank_axioms():
         {1: (1, 0, 0), 2: (0, 2, 0), 3: (0, 0, 2), 200: (0, 0, 0), 201: (1, 0, 2),
          202: (2, 2, 2)}, 3
     )
+    return k, m1, m2
+
+
+def test_glue_where_the_formula_breaks_the_rank_axioms():
+    k, m1, m2 = formula_breaking_glue()
     p = generalized_parallel_connection(k, m1)
     assert amalgam._connect(amalgam._Union(p, m2)).rank_axiom_violation() is not None
     assert reference.rank_equal(glue(m1, m2, k), proper_amalgam(p, m2))

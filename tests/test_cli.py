@@ -22,6 +22,7 @@ from conftest import ROOT
 from test_branch import caterpillar
 from test_decomposition import mirrored
 from test_mso_parser import nested_formula
+from test_tutte import semiflat_in_k_only_tree
 
 
 def _text(obj):
@@ -1060,3 +1061,18 @@ def test_written_files_are_compact_and_load_back(corpus_dir, tmp_path, capsys):
     assert cli.main(["tutte", "--dp", "-d", d, "--dump-types", str(dump), "--pretty"]) == 0
     text = dump.read_text()
     assert text == _compact(json.loads(text))
+
+
+def test_tutte_dp_with_a_negative_coefficient_exits_1(tmp_path, capsys):
+    # validate accepts the tree, and the DP's answer there cannot be a
+    # Tutte polynomial: one line on stderr, no polynomial on stdout
+    path = _write(tmp_path / "d.json", files.decomposition_to_obj(semiflat_in_k_only_tree()))
+    assert cli.main(["validate", "-d", path]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    for argv in (["tutte", "--dp", "-d", path], ["tutte", "-d", path]):
+        assert cli.main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the Tutte DP gave a negative coefficient, which no matroid has\n"
+        )

@@ -7,11 +7,14 @@ from math import comb
 import pytest
 
 from amwidth import tutte, zoo
+from amwidth.decomposition import AmalgamDecomposition, DecompositionNode
+from amwidth.errors import DomainError
 from amwidth.matroid import Matroid
 from amwidth.tutte import TuttePolynomial, _slots, tutte_bruteforce, tutte_decomposition
 from amwidth.types_dp import JoinContext
 
 import reference
+from test_amalgam import formula_breaking_glue
 
 
 def poly_of(pairs):
@@ -168,14 +171,14 @@ def test_dp_parallel_chain_matches_dual_cycle(monkeypatch):
     # U(1, n) is the dual of the n-cycle; joining two nonempty parallel sets
     # loses one rank, so the packed products shift right
     deltas = []
-    original = JoinContext.extended_join
+    original = JoinContext.expand
 
-    def recording(ctx, e1, e2, fresh):
-        result = original(ctx, e1, e2, fresh)
-        deltas.append(result[1])
+    def recording(ctx, e1, e2):
+        result = original(ctx, e1, e2)
+        deltas.extend(delta for _, delta, _ in result)
         return result
 
-    monkeypatch.setattr(JoinContext, "extended_join", recording)
+    monkeypatch.setattr(JoinContext, "expand", recording)
     poly = tutte_decomposition(_parallel_chain(150))
     assert reference.coeffs(poly) == {(j, i): c for (i, j), c in _cycle_polynomial(152).items()}
     assert max(c for _, _, c in poly.whitney) > 2**64
@@ -185,19 +188,40 @@ def test_dp_parallel_chain_matches_dual_cycle(monkeypatch):
 def test_dp_joins_each_signature_pair_once_per_shape(monkeypatch):
     # a chain repeats its few shapes, so a longer one makes no new joins
     calls = []
-    original = JoinContext.extended_join
+    original = JoinContext.expand
 
-    def recording(ctx, e1, e2, fresh):
-        calls.append(fresh)
-        return original(ctx, e1, e2, fresh)
+    def recording(ctx, e1, e2):
+        calls.append((e1, e2))
+        return original(ctx, e1, e2)
 
-    monkeypatch.setattr(JoinContext, "extended_join", recording)
+    monkeypatch.setattr(JoinContext, "expand", recording)
     made = []
     for n in (50, 400):
         calls.clear()
         assert reference.coeffs(tutte_decomposition(zoo.triangle_chain(n))) == _cycle_polynomial(n + 2)
         made.append(len(calls))
-    assert made[0] == made[1] < 50
+    assert 0 < made[0] == made[1] < 50
+
+
+def semiflat_in_k_only_tree():
+    """Combs of the M1 and M2 of ``formula_breaking_glue`` joined through its
+    K with D empty: J2 is a modular semiflat in K but in neither M2 nor K's
+    connection with M1.  ``validate`` accepts it at width 6, and the DP's
+    join does not hold on it (which condition it needs is not known)."""
+    k, m1, m2 = formula_breaking_glue()
+    a, b = zoo.comb(m1, "a"), zoo.comb(m2, "b")
+    nodes = [*a.nodes.values(), *b.nodes.values(), DecompositionNode("top", (a.root, b.root), k)]
+    return AmalgamDecomposition(nodes, "top").with_boundaries()
+
+
+def test_dp_refuses_a_negative_coefficient():
+    # no Tutte polynomial has one, so such a DP answer is never returned
+    tree = semiflat_in_k_only_tree()
+    report = tree.validate()
+    assert report.ok and report.width == 6
+    assert all(c > 0 for _, _, c in tutte_bruteforce(tree.realize()).coeffs)
+    with pytest.raises(DomainError, match="negative coefficient"):
+        tutte_decomposition(tree)
 
 
 def _shifted_chain(n, offset, prefix):

@@ -3,17 +3,20 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from amwidth import files, zoo
 from amwidth.branch import from_branch_decomposition
 from amwidth.errors import DomainError
 from amwidth.matroid import Matroid
-from amwidth.types_dp import JoinContext, canonical_shape, leaf_signatures
+from amwidth.tutte import tutte_decomposition
+from amwidth.types_dp import EMPTY, ExtendedType, JoinContext, canonical_shape, leaf_signatures
 
 import reference
 from conftest import CORPUS
 from test_branch import caterpillar
 from test_decomposition import twosum_tree
+from test_generated import matroids_with_branch_trees
 from test_kernels import _mask_map_oracle
 from test_leaves import TREES
 
@@ -100,7 +103,7 @@ def test_join_identity_reflections():
     k = zoo.triangle(1, 2, 3)
     f_id = (0,)
     ctx = JoinContext(reference.node_shape(k, [], [], [1, 2, 3]))
-    got = ctx.join_types(f_id, f_id, k.mask_of([]))
+    got = reference.join_types(ctx, f_id, f_id, k.mask_of([]))
     for ymask in range(8):
         ym = k.mask_of([e for i, e in enumerate((1, 2, 3)) if ymask >> i & 1])
         want = k.closure_mask(ym)
@@ -125,7 +128,8 @@ def test_join_matches_type_of_everywhere():
                 f2 = reference.extended_type_of(tree, c2, tracked).base
                 j1, j2, jp = sorted(node.J1), sorted(node.J2), sorted(tree.boundary(v))
                 ctx = JoinContext(reference.node_shape(node.K, j1, j2, jp))
-                got = ctx.join_types(f1, f2, node.K.mask_of(tracked & node.K.ground_set))
+                xk = node.K.mask_of(tracked & node.K.ground_set)
+                got = reference.join_types(ctx, f1, f2, xk)
                 assert got == reference.extended_type_of(tree, v, tracked).base, (name, v, tracked)
 
 
@@ -198,6 +202,80 @@ def test_joined_offsets_and_fixpoints_match_realized_ranks():
             widest = max(widest, len(jp))
         if name == "fano7":
             assert widest >= 3 and nontrivial
+
+
+def _check_expansions(tree):
+    """Every signature pair the Tutte DP meets on ``tree``, expanded by a
+    fresh context of its node's shape, against the per-mask join; returns
+    (pairs checked, pairs whose trace meets D)."""
+    tree = tree.prepared()
+    _, tables = tutte_decomposition(tree, want_tables=True)
+    shapes = tree.shapes()
+    checked = rejected = 0
+    for v in tree.postorder():
+        kids = [set(tables[c].by_sig) for c in tree.nodes[v].children] or [{EMPTY}] * 2
+        ctx = JoinContext(shapes[v][0])
+        for e1 in kids[0]:
+            for e2 in kids[1]:
+                joined = ctx.expand(e1, e2)
+                if (ctx.scatter1[e1.trace] | ctx.scatter2[e2.trace]) & ctx.dmask:
+                    assert joined == (), v
+                    with pytest.raises(DomainError):
+                        ctx.extended_join(e1, e2, 0)
+                    rejected += 1
+                    continue
+                assert len(joined) == len(ctx.fresh_masks), v
+                for fresh, (sig, delta, extra) in zip(ctx.fresh_masks, joined):
+                    want_sig, want_delta = reference.per_mask_join(ctx, e1, e2, fresh)
+                    assert (sig, delta) == (want_sig, want_delta), v
+                    assert extra == fresh.bit_count() - delta, v
+                    assert ctx.extended_join(e1, e2, fresh) == (sig, delta), v
+                assert ctx.pairs[e1, e2] is joined
+                checked += 1
+    return checked, rejected
+
+
+def test_expand_matches_per_mask_join():
+    # each pair's one-pass expansion (fixed points doubled over the fresh
+    # positions, one rank query) against one join per fresh choice
+    paths = sorted((CORPUS / "decompositions").glob("*.json"))
+    trees = {p.name: files.load_decomposition(p) for p in paths}
+    trees["fano7"] = fano_width7_tree()
+    total = {name: _check_expansions(tree) for name, tree in trees.items()}
+    assert sum(c for c, _ in total.values()) > 1000
+    assert sum(r for _, r in total.values()) > 0
+    assert total["fano7"][0] > 100
+
+
+def test_expand_grows_type_maps_per_child_type_maps():
+    # two first children with the same trace and fixed point, where one
+    # closes {1} to {1, 2} and the other keeps it: a context grows each
+    # parent type map once per fixed point, and must not hand the first
+    # pair's maps to the second
+    k = Matroid.uniform(3, [1, 2, 3])
+    ctx = JoinContext(reference.node_shape(k, [1, 2], [], [1, 2]))
+    joined = {}
+    for base in ((0, 3, 2, 3), (0, 1, 2, 3)):
+        e1 = ExtendedType(base, 0)
+        joined[base] = ctx.expand(e1, EMPTY)
+        assert [(sig, delta) for sig, delta, _ in joined[base]] == [
+            reference.per_mask_join(ctx, e1, EMPTY, fresh) for fresh in ctx.fresh_masks
+        ]
+    assert joined[0, 3, 2, 3][0][0].base == (0, 3, 2, 3)
+    assert joined[0, 1, 2, 3][0][0].base == (0, 1, 2, 3)
+
+
+@settings(
+    max_examples=20,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=matroids_with_branch_trees())
+def test_expand_matches_per_mask_join_on_generated_trees(case):
+    m, b = case
+    checked, _ = _check_expansions(from_branch_decomposition(m, b))
+    assert checked > 0
 
 
 def test_extended_type_invariants():
